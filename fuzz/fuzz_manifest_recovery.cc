@@ -8,70 +8,47 @@
 // Three modes, selected by the first input byte:
 //
 //   * Arbitrary-bytes mode: the remaining input is fed verbatim to
-//     DecodeManifest, DecodeBlockFileHeader and DecodeBlockPayload. Each
-//     must be deterministic, and an accepting DecodeManifest must be
-//     canonical: re-encoding its output reproduces the input bytes
-//     exactly (the whole image is CRC-framed, so there is exactly one
-//     encoding per manifest).
+//     DecodeManifest, the shared DecodeFileHeader (under every format's
+//     magic; at most one may accept) and DecodeBlockPayload. Each must be
+//     deterministic, and an accepting DecodeManifest must be canonical:
+//     re-encoding its output reproduces the input bytes exactly (the
+//     whole image is CRC-framed, so there is exactly one encoding per
+//     manifest).
 //
 //   * Manifest round-trip mode: a manifest is synthesized from the input
 //     (hostile counts and extremes included), encoded, then damaged —
-//     truncated at any offset or a single byte flip. Intact images decode
-//     bit-exact; EVERY truncation and EVERY flip must reject. There is no
-//     partial-prefix recovery for a manifest: that is what the
-//     scan-all-blocks fallback is for.
+//     truncated at any offset or a single byte flip. The header must
+//     carry the watermark and entry count and reject under the block
+//     magic. Intact images decode bit-exact; EVERY truncation and EVERY
+//     flip must reject. There is no partial-prefix recovery for a
+//     manifest: that is what the scan-all-blocks fallback is for.
 //
 //   * Block round-trip mode: a checkpoint run is synthesized (hostile
-//     int64 patterns, wrap-adjacent indices), encoded, decoded back
-//     bit-exact; truncations must reject; a flipped payload byte may
-//     decode (framing CRC lives a layer above) but whatever the decoder
-//     vouches for must be self-consistent: the re-measured BlockMeta of
-//     the returned checkpoints equals the meta it returned.
+//     int64 patterns, wrap-adjacent indices); its flattened points and
+//     block payload must pass the shared codec oracle (fuzz_input.h). The
+//     run is encoded and decoded back bit-exact; truncations must reject;
+//     a flipped payload byte may decode (framing CRC lives a layer above)
+//     but whatever the decoder vouches for must be self-consistent: the
+//     re-measured BlockMeta of the returned checkpoints equals the meta it
+//     returned.
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <limits>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "fuzz_input.h"
 #include "storage/block_format.h"
+#include "storage/codec.h"
 #include "storage/manifest.h"
+#include "storage/wal_format.h"
 
 namespace {
 
+using bqs_fuzz::AsSpan;
 using bqs_fuzz::FuzzInput;
-
-#define FUZZ_CHECK(cond, ...)                                       \
-  do {                                                              \
-    if (!(cond)) {                                                  \
-      std::fprintf(stderr, "FUZZ_CHECK failed: %s\n  ", #cond);     \
-      std::fprintf(stderr, __VA_ARGS__);                            \
-      std::fprintf(stderr, "\n");                                   \
-      std::abort();                                                 \
-    }                                                               \
-  } while (0)
-
-std::span<const uint8_t> AsSpan(const std::string& bytes) {
-  return {reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size()};
-}
-
-int64_t HostileI64(FuzzInput& in) {
-  switch (in.U8() % 8) {
-    case 0: return 0;
-    case 1: return 1;
-    case 2: return -1;
-    case 3: return std::numeric_limits<int64_t>::min();
-    case 4: return std::numeric_limits<int64_t>::max();
-    case 5: return static_cast<int64_t>(in.U32());
-    case 6: return -static_cast<int64_t>(in.U32());
-    default:
-      return static_cast<int64_t>(
-          (static_cast<uint64_t>(in.U32()) << 32) | in.U32());
-  }
-}
+using bqs_fuzz::HostileI64;
 
 void FuzzArbitraryBytes(FuzzInput& in, const uint8_t* data,
                         std::size_t size) {
@@ -86,7 +63,8 @@ void FuzzArbitraryBytes(FuzzInput& in, const uint8_t* data,
   if (ok) {
     FUZZ_CHECK(again == manifest, "DecodeManifest output differs on rerun");
     std::string reencoded;
-    bqs::EncodeManifest(manifest, &reencoded);
+    FUZZ_CHECK(bqs::EncodeManifest(manifest, &reencoded),
+               "accepted manifest does not re-encode");
     FUZZ_CHECK(reencoded.size() == image.size() &&
                    std::equal(reencoded.begin(), reencoded.end(),
                               reinterpret_cast<const char*>(image.data())),
@@ -94,11 +72,22 @@ void FuzzArbitraryBytes(FuzzInput& in, const uint8_t* data,
                image.size());
   }
 
-  // Block file header: total + deterministic.
-  bqs::blk::BlockFileHeaderInfo info;
-  const bool header_ok = bqs::blk::DecodeBlockFileHeader(image, &info);
-  FUZZ_CHECK(bqs::blk::DecodeBlockFileHeader(image, &info) == header_ok,
-             "DecodeBlockFileHeader nondeterministic");
+  // File header: total, deterministic, and accepted under one magic at
+  // most.
+  int magics_accepted = 0;
+  for (const uint32_t magic : {bqs::wal::kWalMagic, bqs::blk::kBlockMagic,
+                               bqs::manifestfmt::kManifestMagic}) {
+    bqs::codec::FileHeader header;
+    const bool header_ok = bqs::codec::DecodeFileHeader(image, magic, &header);
+    bqs::codec::FileHeader again_header;
+    FUZZ_CHECK(bqs::codec::DecodeFileHeader(image, magic, &again_header) ==
+                       header_ok &&
+                   (!header_ok || again_header == header),
+               "DecodeFileHeader nondeterministic");
+    magics_accepted += header_ok ? 1 : 0;
+  }
+  FUZZ_CHECK(magics_accepted <= 1, "one header accepted under %d magics",
+             magics_accepted);
 
   // Block payload: total + self-consistent on acceptance.
   bqs::blk::BlockMeta meta;
@@ -151,7 +140,19 @@ bqs::Manifest SynthesizeManifest(FuzzInput& in) {
 void FuzzManifestRoundTrip(FuzzInput& in) {
   const bqs::Manifest m = SynthesizeManifest(in);
   std::string bytes;
-  bqs::EncodeManifest(m, &bytes);
+  FUZZ_CHECK(bqs::EncodeManifest(m, &bytes), "synthesized manifest refused");
+  // The header is the shared codec's: it carries the watermark and entry
+  // count, and no other format's magic accepts it.
+  bqs::codec::FileHeader header;
+  FUZZ_CHECK(bqs::codec::DecodeFileHeader(
+                 AsSpan(bytes), bqs::manifestfmt::kManifestMagic, &header) &&
+                 header.quant == m.quant &&
+                 header.seq == m.last_applied_seq &&
+                 header.count == m.files.size(),
+             "manifest header does not round-trip");
+  FUZZ_CHECK(!bqs::codec::DecodeFileHeader(AsSpan(bytes),
+                                           bqs::blk::kBlockMagic, &header),
+             "manifest header accepted as a block file header");
 
   bqs::Manifest decoded;
   switch (in.U8() % 3) {
@@ -209,9 +210,19 @@ void FuzzBlockRoundTrip(FuzzInput& in) {
   const std::vector<bqs::wal::WalCheckpoint> run = SynthesizeRun(in);
   std::string framed;
   bqs::blk::BlockMeta encoded_meta;
-  bqs::blk::EncodeBlock(run, &framed, &encoded_meta);
+  FUZZ_CHECK(bqs::blk::EncodeBlock(run, &framed, &encoded_meta),
+             "synthesized block refused");
   const std::span<const uint8_t> payload =
-      AsSpan(framed).subspan(bqs::blk::kBlockHeaderBytes);
+      AsSpan(framed).subspan(bqs::codec::kFrameHeaderBytes);
+  // The shared codec oracle on the flattened run and the block payload.
+  std::vector<bqs::wal::WalPoint> flat;
+  for (const bqs::wal::WalCheckpoint& cp : run) {
+    flat.insert(flat.end(), cp.points.begin(), cp.points.end());
+  }
+  bqs_fuzz::CheckCodecRoundTrip(
+      flat,
+      {reinterpret_cast<const char*>(payload.data()), payload.size()},
+      bqs::blk::kMaxBlockPayload);
 
   bqs::blk::BlockMeta meta;
   std::vector<bqs::wal::WalCheckpoint> out;

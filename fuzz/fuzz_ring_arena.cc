@@ -24,16 +24,6 @@ namespace {
 
 using bqs_fuzz::FuzzInput;
 
-#define FUZZ_CHECK(cond, ...)                                       \
-  do {                                                              \
-    if (!(cond)) {                                                  \
-      std::fprintf(stderr, "FUZZ_CHECK failed: %s\n  ", #cond);     \
-      std::fprintf(stderr, __VA_ARGS__);                            \
-      std::fprintf(stderr, "\n");                                   \
-      std::abort();                                                 \
-    }                                                               \
-  } while (0)
-
 constexpr int kMaxOps = 2048;
 
 void FuzzRing(FuzzInput& in) {

@@ -9,9 +9,11 @@
 //     involution on whatever it recovers.
 //
 //   * Round-trip mode: the input bytes *synthesize* checkpoints (hostile
-//     int64 patterns included), which the harness encodes with the
-//     production codec and then damages deliberately — truncation at any
-//     offset or a single byte flip — before recovering. Because the
+//     int64 patterns included). Each must pass the shared codec oracle
+//     (fuzz_input.h: point columns and record frame round-trip); the
+//     harness then encodes them into a segment and damages it on purpose
+//     — truncation at any offset or a single byte flip — before
+//     recovering. Because the
 //     harness knows exactly what was written and where every record ends,
 //     it can assert the strong oracles: intact images replay bit-exact
 //     and clean; truncated images replay the exact record prefix with the
@@ -23,34 +25,20 @@
 // make the crash tests unreproducible.
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <limits>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "fuzz_input.h"
+#include "storage/codec.h"
 #include "storage/keypoint_wal.h"
 #include "storage/wal_format.h"
 
 namespace {
 
+using bqs_fuzz::AsSpan;
 using bqs_fuzz::FuzzInput;
-
-#define FUZZ_CHECK(cond, ...)                                       \
-  do {                                                              \
-    if (!(cond)) {                                                  \
-      std::fprintf(stderr, "FUZZ_CHECK failed: %s\n  ", #cond);     \
-      std::fprintf(stderr, __VA_ARGS__);                            \
-      std::fprintf(stderr, "\n");                                   \
-      std::abort();                                                 \
-    }                                                               \
-  } while (0)
-
-std::span<const uint8_t> AsSpan(const std::string& bytes) {
-  return {reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size()};
-}
+using bqs_fuzz::HostileI64;
 
 /// Two recovery reports agree on every counter.
 bool SameReport(const bqs::WalRecoveryReport& a,
@@ -96,7 +84,8 @@ void CheckReportConsistency(std::span<const uint8_t> image,
     // rejects empty-count payloads before they get here).
     FUZZ_CHECK(!cp.points.empty(), "recovered checkpoint with no points");
     std::string encoded;
-    bqs::wal::EncodeRecord(cp, &encoded);
+    FUZZ_CHECK(bqs::wal::EncodeRecord(cp, &encoded),
+               "recovered checkpoint over the record limit");
     bqs::wal::WalCheckpoint round;
     const bool ok = bqs::wal::DecodeRecordPayload(
         AsSpan(encoded).subspan(bqs::wal::kRecordHeaderBytes), &round);
@@ -136,23 +125,6 @@ void FuzzArbitraryBytes(FuzzInput& in, const uint8_t* data,
   }
 }
 
-/// One hostile-but-deterministic int64 from the input: mixes the extreme
-/// patterns overflow bugs live at with fuzzer-chosen bit soup.
-int64_t HostileI64(FuzzInput& in) {
-  switch (in.U8() % 8) {
-    case 0: return 0;
-    case 1: return 1;
-    case 2: return -1;
-    case 3: return std::numeric_limits<int64_t>::min();
-    case 4: return std::numeric_limits<int64_t>::max();
-    case 5: return static_cast<int64_t>(in.U32());
-    case 6: return -static_cast<int64_t>(in.U32());
-    default:
-      return static_cast<int64_t>(
-          (static_cast<uint64_t>(in.U32()) << 32) | in.U32());
-  }
-}
-
 struct WrittenImage {
   std::string bytes;
   std::vector<bqs::wal::WalCheckpoint> checkpoints;
@@ -162,8 +134,10 @@ struct WrittenImage {
 
 WrittenImage SynthesizeImage(FuzzInput& in) {
   WrittenImage image;
-  bqs::wal::WalQuantization quant;  // defaults; recovery never dequantizes
-  bqs::wal::EncodeSegmentHeader(quant, /*first_seq=*/1, &image.bytes);
+  // Default quanta; recovery never dequantizes.
+  bqs::codec::EncodeFileHeader(bqs::wal::kWalMagic,
+                               {bqs::wal::WalQuantization{}, 1, 0},
+                               &image.bytes);
   const int records = in.IntIn(1, 6);
   for (int r = 0; r < records; ++r) {
     bqs::wal::WalCheckpoint cp;
@@ -178,7 +152,14 @@ WrittenImage SynthesizeImage(FuzzInput& in) {
       p.qy = HostileI64(in);
       cp.points.push_back(p);
     }
-    bqs::wal::EncodeRecord(cp, &image.bytes);
+    // The shared codec oracle on what this record is made of, then the
+    // record itself.
+    std::string payload;
+    bqs::wal::EncodeRecordPayload(cp.device, cp.seq, cp.points, &payload);
+    bqs_fuzz::CheckCodecRoundTrip(cp.points, payload,
+                                  bqs::wal::kMaxRecordPayload);
+    FUZZ_CHECK(bqs::wal::EncodeRecord(cp, &image.bytes),
+               "synthesized record over the record limit");
     image.checkpoints.push_back(std::move(cp));
     image.record_ends.push_back(image.bytes.size());
   }

@@ -1,23 +1,13 @@
 // On-disk format of compacted key-point block files — the read-optimized
 // half of the storage layer (the WAL in wal_format.h is the write half).
+// The header, frame and point-column layouts are the shared storage codec
+// (storage/codec.h); this file holds only what is the block format's own.
 //
 // A block directory holds numbered block files ("blk-000001.bqb", ...)
 // published by the compactor (storage/compaction.h) plus a MANIFEST
-// (storage/manifest.h) naming which of them are live. Each block file is:
-//
-//   BlockFileHeader (32 bytes, fixed):
-//     magic         u32  LE   'BQBK'
-//     version       u16  LE   kBlockFormatVersion
-//     flags         u16  LE   reserved, 0
-//     time_quantum  f64  LE   seconds per timestamp quantum
-//     coord_quantum f64  LE   metres per coordinate quantum
-//     block_count   u32  LE   device blocks that follow
-//     crc           u32  LE   masked CRC32C over the 28 bytes above
-//
-//   Block (length-prefixed, CRC-framed exactly like a WAL record):
-//     length  u32 LE   payload byte count (<= kMaxBlockPayload)
-//     crc     u32 LE   masked CRC32C over (length bytes || payload)
-//     payload          one device's column runs, below
+// (storage/manifest.h) naming which of them are live. Each block file is a
+// codec file header (magic 'BQBK', count = the number of blocks) followed
+// by one frame per block, each payload at most kMaxBlockPayload bytes.
 //
 //   Block payload — whole WAL checkpoints from ONE device, seq-ascending,
 //   re-encoded columnarly:
@@ -27,9 +17,7 @@
 //     count run:        points per checkpoint, varint each (all >= 1)
 //     point_count       varint   sum of the count run (redundancy check)
 //     bbox:             qt_min qt_max qx_min qx_max qy_min qy_max, zigzag
-//     index column:     index0 varint, then zigzag deltas over ALL points
-//     qt column:        qt0 zigzag, then wrap-safe zigzag deltas
-//     qx column, qy column: same shape
+//     the columns of all point_count points, flattened (codec.h)
 //
 // Why this shape:
 //   * Checkpoint boundaries (seq + count runs) survive compaction, so a
@@ -42,11 +30,6 @@
 //   * The bbox + time span ride in the payload (and again in the MANIFEST)
 //     so a range query prunes blocks without decoding them; the decoder
 //     re-derives both and rejects a payload whose embedded metadata lies.
-//   * Same CRC/length framing and masking discipline as the WAL: a
-//     corrupted length can never silently reframe the stream.
-//
-// Everything here is pure encode/decode over in-memory buffers — no file
-// I/O — so fuzz_manifest_recovery drives the exact production codec.
 #ifndef BQS_STORAGE_BLOCK_FORMAT_H_
 #define BQS_STORAGE_BLOCK_FORMAT_H_
 
@@ -54,10 +37,11 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/crc32c.h"
 #include "common/varint.h"
+#include "storage/codec.h"
 #include "storage/wal_format.h"
 #include "trajectory/point.h"
 
@@ -65,11 +49,8 @@ namespace bqs {
 namespace blk {
 
 inline constexpr uint32_t kBlockMagic = 0x4b425142u;  // 'BQBK' little-endian
-inline constexpr uint16_t kBlockFormatVersion = 1;
-inline constexpr std::size_t kBlockFileHeaderBytes = 32;
-inline constexpr std::size_t kBlockHeaderBytes = 8;  // length + crc
-/// Upper bound on one block payload; a decoded length above this is
-/// corruption by definition.
+/// Upper bound on one block payload; the compactor refuses a block that
+/// encodes longer, and a reader takes a longer length for corruption.
 inline constexpr std::size_t kMaxBlockPayload = std::size_t{1} << 26;
 
 /// Everything a reader may know about a block without decoding it — the
@@ -154,82 +135,35 @@ inline BlockMeta ComputeBlockMeta(
   return m;
 }
 
-// --- block file header ----------------------------------------------------
-
-struct BlockFileHeaderInfo {
-  uint16_t version = 0;
-  wal::WalQuantization quant;
-  uint32_t block_count = 0;
-};
-
-inline void EncodeBlockFileHeader(const wal::WalQuantization& quant,
-                                  uint32_t block_count, std::string* out) {
-  const std::size_t base = out->size();
-  wal::PutU32(out, kBlockMagic);
-  wal::PutU16(out, kBlockFormatVersion);
-  wal::PutU16(out, 0);  // flags
-  wal::PutF64(out, quant.time_quantum);
-  wal::PutF64(out, quant.coord_quantum);
-  wal::PutU32(out, block_count);
-  const uint32_t crc =
-      crc32c::Value(out->data() + base, kBlockFileHeaderBytes - 4);
-  wal::PutU32(out, crc32c::Mask(crc));
-}
-
-/// Validates and decodes a block file header; same trust rules as the WAL
-/// segment header (bad magic/CRC/version/quanta all reject).
-inline bool DecodeBlockFileHeader(std::span<const uint8_t> bytes,
-                                  BlockFileHeaderInfo* info) {
-  if (bytes.size() < kBlockFileHeaderBytes) return false;
-  const uint8_t* p = bytes.data();
-  if (wal::GetU32(p) != kBlockMagic) return false;
-  const uint32_t stored =
-      crc32c::Unmask(wal::GetU32(p + kBlockFileHeaderBytes - 4));
-  if (crc32c::Value(p, kBlockFileHeaderBytes - 4) != stored) return false;
-  BlockFileHeaderInfo out;
-  out.version = wal::GetU16(p + 4);
-  if (out.version == 0 || out.version > kBlockFormatVersion) return false;
-  out.quant.time_quantum = wal::GetF64(p + 8);
-  out.quant.coord_quantum = wal::GetF64(p + 16);
-  out.block_count = wal::GetU32(p + 24);
-  if (!(std::isfinite(out.quant.time_quantum) &&
-        out.quant.time_quantum > 0.0 &&
-        std::isfinite(out.quant.coord_quantum) &&
-        out.quant.coord_quantum > 0.0)) {
-    return false;
-  }
-  *info = out;
-  return true;
-}
-
 // --- blocks ---------------------------------------------------------------
 
-/// Appends the length-prefixed, CRC-stamped columnar encoding of one
-/// device's checkpoint run and reports its pruning metadata. Precondition:
-/// `checkpoints` non-empty, every checkpoint non-empty, one device,
-/// seq-ascending (the compactor's grouping guarantees all three).
-inline void EncodeBlock(std::span<const wal::WalCheckpoint> checkpoints,
-                        std::string* out, BlockMeta* meta = nullptr) {
+/// Appends the framed columnar encoding of one device's checkpoint run and
+/// reports its pruning metadata. False (nothing appended) when the payload
+/// exceeds kMaxBlockPayload. Precondition: `checkpoints` non-empty, every
+/// checkpoint non-empty, one device, seq-ascending (the compactor's
+/// grouping guarantees all three).
+[[nodiscard]] inline bool EncodeBlock(
+    std::span<const wal::WalCheckpoint> checkpoints, std::string* out,
+    BlockMeta* meta = nullptr) {
   const BlockMeta m = ComputeBlockMeta(checkpoints);
   if (meta != nullptr) *meta = m;
 
   std::string payload;
   varint::PutU64(&payload, m.device);
   varint::PutU64(&payload, m.checkpoint_count);
-  uint64_t prev_seq = 0;
-  bool first = true;
-  for (const wal::WalCheckpoint& c : checkpoints) {
-    if (first) {
-      varint::PutU64(&payload, c.seq);
-      first = false;
+  for (std::size_t i = 0; i < checkpoints.size(); ++i) {
+    if (i == 0) {
+      varint::PutU64(&payload, checkpoints[i].seq);
     } else {
-      varint::PutI64(&payload,
-                     static_cast<int64_t>(c.seq - prev_seq));
+      varint::PutI64(&payload, static_cast<int64_t>(checkpoints[i].seq -
+                                                    checkpoints[i - 1].seq));
     }
-    prev_seq = c.seq;
   }
+  std::vector<wal::WalPoint> points;
+  points.reserve(static_cast<std::size_t>(m.point_count));
   for (const wal::WalCheckpoint& c : checkpoints) {
     varint::PutU64(&payload, c.points.size());
+    points.insert(points.end(), c.points.begin(), c.points.end());
   }
   varint::PutU64(&payload, m.point_count);
   varint::PutI64(&payload, m.qt_min);
@@ -238,60 +172,15 @@ inline void EncodeBlock(std::span<const wal::WalCheckpoint> checkpoints,
   varint::PutI64(&payload, m.qx_max);
   varint::PutI64(&payload, m.qy_min);
   varint::PutI64(&payload, m.qy_max);
-
-  // Column runs: delta-coded across the whole device run, wrap-safe like
-  // the WAL record codec (hostile int64 patterns must round-trip).
-  wal::WalPoint prev;
-  bool first_point = true;
-  for (int column = 0; column < 4; ++column) {
-    prev = wal::WalPoint{};
-    first_point = true;
-    for (const wal::WalCheckpoint& c : checkpoints) {
-      for (const wal::WalPoint& p : c.points) {
-        if (first_point) {
-          switch (column) {
-            case 0: varint::PutU64(&payload, p.index); break;
-            case 1: varint::PutI64(&payload, p.qt); break;
-            case 2: varint::PutI64(&payload, p.qx); break;
-            case 3: varint::PutI64(&payload, p.qy); break;
-          }
-          first_point = false;
-        } else {
-          switch (column) {
-            case 0:
-              varint::PutI64(
-                  &payload, static_cast<int64_t>(p.index - prev.index));
-              break;
-            case 1:
-              varint::PutI64(&payload, wal::WrapDiff(p.qt, prev.qt));
-              break;
-            case 2:
-              varint::PutI64(&payload, wal::WrapDiff(p.qx, prev.qx));
-              break;
-            case 3:
-              varint::PutI64(&payload, wal::WrapDiff(p.qy, prev.qy));
-              break;
-          }
-        }
-        prev = p;
-      }
-    }
-  }
-
-  std::string header;
-  wal::PutU32(&header, static_cast<uint32_t>(payload.size()));
-  uint32_t crc = crc32c::Value(header.data(), 4);
-  crc = crc32c::Extend(crc, payload.data(), payload.size());
-  wal::PutU32(&header, crc32c::Mask(crc));
-  out->append(header);
-  out->append(payload);
+  codec::PutPointColumns(points, &payload);
+  return codec::AppendFrame(payload, kMaxBlockPayload, out);
 }
 
-/// Decodes a block payload (the bytes after the 8-byte framing header)
-/// back into the exact checkpoints it was encoded from. Total on arbitrary
-/// bytes; false on truncation, malformed varints, count implausibility, or
-/// embedded metadata that disagrees with the decoded points — a CRC-valid
-/// payload that lies about its own bbox/counts is rejected, never trusted.
+/// Decodes a block payload (a frame's payload bytes) back into the exact
+/// checkpoints it was encoded from. Total on arbitrary bytes; false on
+/// truncation, malformed varints, count implausibility, or embedded
+/// metadata that disagrees with the decoded points — a CRC-valid payload
+/// that lies about its own bbox/counts is rejected, never trusted.
 inline bool DecodeBlockPayload(std::span<const uint8_t> payload,
                                BlockMeta* meta,
                                std::vector<wal::WalCheckpoint>* out) {
@@ -349,47 +238,7 @@ inline bool DecodeBlockPayload(std::span<const uint8_t> payload,
   if (!varint::GetI64(&p, end, &m.qy_max)) return false;
 
   std::vector<wal::WalPoint> points(static_cast<std::size_t>(point_count));
-  for (int column = 0; column < 4; ++column) {
-    wal::WalPoint prev;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (i == 0) {
-        switch (column) {
-          case 0: {
-            uint64_t index = 0;
-            if (!varint::GetU64(&p, end, &index)) return false;
-            points[i].index = index;
-            break;
-          }
-          case 1:
-            if (!varint::GetI64(&p, end, &points[i].qt)) return false;
-            break;
-          case 2:
-            if (!varint::GetI64(&p, end, &points[i].qx)) return false;
-            break;
-          case 3:
-            if (!varint::GetI64(&p, end, &points[i].qy)) return false;
-            break;
-        }
-      } else {
-        int64_t d = 0;
-        if (!varint::GetI64(&p, end, &d)) return false;
-        switch (column) {
-          case 0:
-            points[i].index = points[i - 1].index + static_cast<uint64_t>(d);
-            break;
-          case 1:
-            points[i].qt = wal::WrapAdd(points[i - 1].qt, d);
-            break;
-          case 2:
-            points[i].qx = wal::WrapAdd(points[i - 1].qx, d);
-            break;
-          case 3:
-            points[i].qy = wal::WrapAdd(points[i - 1].qy, d);
-            break;
-        }
-      }
-    }
-  }
+  if (!codec::GetPointColumns(&p, end, points)) return false;
   if (p != end) return false;  // trailing garbage inside a CRC-valid block
 
   std::vector<wal::WalCheckpoint> checkpoints;

@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "common/fault_injector.h"
+#include "storage/codec.h"
 
 namespace bqs {
 
@@ -69,37 +70,21 @@ struct CrashGate {
   }
 };
 
-/// Reads one CRC-framed block at `offset` of an open stream and decodes
-/// it. Used by both the recovery fallback walk and the query path.
-Status ReadBlockAt(std::ifstream& in, const std::string& path,
-                   uint64_t offset, blk::BlockMeta* meta,
-                   std::vector<wal::WalCheckpoint>* out) {
-  in.clear();
-  in.seekg(static_cast<std::streamoff>(offset));
-  char framing[blk::kBlockHeaderBytes];
-  if (!in.read(framing, sizeof(framing))) {
-    return Status::Corruption("short block framing in " + path);
+/// Decodes the block frame at the start of `bytes`; `frame_bytes` gets
+/// the span the frame occupies. Shared by recovery's block walk and the
+/// query path.
+Status DecodeBlockFrame(std::span<const uint8_t> bytes,
+                        const std::string& path, std::size_t* frame_bytes,
+                        blk::BlockMeta* meta,
+                        std::vector<wal::WalCheckpoint>* out) {
+  const codec::Frame frame = codec::ParseFrame(bytes, blk::kMaxBlockPayload);
+  if (frame.status != codec::FrameStatus::kOk) {
+    return Status::Corruption("bad block frame in " + path);
   }
-  const uint8_t* const f = reinterpret_cast<const uint8_t*>(framing);
-  const std::size_t len = wal::GetU32(f);
-  const uint32_t stored_crc = crc32c::Unmask(wal::GetU32(f + 4));
-  if (len > blk::kMaxBlockPayload) {
-    return Status::Corruption("implausible block length in " + path);
-  }
-  std::string payload(len, '\0');
-  if (len > 0 && !in.read(payload.data(), static_cast<std::streamoff>(len))) {
-    return Status::Corruption("short block payload in " + path);
-  }
-  uint32_t crc = crc32c::Value(framing, 4);
-  crc = crc32c::Extend(crc, payload.data(), payload.size());
-  if (crc != stored_crc) {
-    return Status::Corruption("block crc mismatch in " + path);
-  }
-  if (!blk::DecodeBlockPayload(
-          {reinterpret_cast<const uint8_t*>(payload.data()), payload.size()},
-          meta, out)) {
+  if (!blk::DecodeBlockPayload(frame.payload, meta, out)) {
     return Status::Corruption("block payload decode failed in " + path);
   }
+  *frame_bytes = frame.size;
   return Status::OK();
 }
 
@@ -276,8 +261,10 @@ Status Compactor::CompactOnceLocked(uint64_t max_segment_exclusive) {
       BQS_RETURN_NOT_OK(ReadFileBytes(file.path, &bytes));
       const std::span<const uint8_t> image(
           reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
-      wal::SegmentHeaderInfo header;
-      if (wal::DecodeSegmentHeader(image, &header)) quant = header.quant;
+      codec::FileHeader header;
+      if (codec::DecodeFileHeader(image, wal::kWalMagic, &header)) {
+        quant = header.quant;
+      }
       // Same torn-tail rule as WalReader::Recover: only the directory's
       // final segment gets truncation semantics, so the compactor reads
       // exactly what recovery would have.
@@ -347,14 +334,21 @@ Status Compactor::CompactOnceLocked(uint64_t max_segment_exclusive) {
       file_id = std::max(file_id, file.file_id + 1);
     }
     std::string file_bytes;
-    blk::EncodeBlockFileHeader(quant, static_cast<uint32_t>(pending.size()),
-                               &file_bytes);
+    codec::EncodeFileHeader(
+        blk::kBlockMagic, {quant, 0, static_cast<uint32_t>(pending.size())},
+        &file_bytes);
     ManifestBlockFile new_file;
     new_file.file_id = file_id;
     for (const std::vector<wal::WalCheckpoint>& block : pending) {
       ManifestBlockEntry entry;
       entry.offset = file_bytes.size();
-      blk::EncodeBlock(block, &file_bytes, &entry.meta);
+      if (!blk::EncodeBlock(block, &file_bytes, &entry.meta)) {
+        // Nothing is published, so the WAL keeps every checkpoint.
+        return fail(Status::InvalidArgument(
+            "a block of " + std::to_string(block.size()) +
+            " checkpoints encodes past the block payload limit; lower "
+            "max_points_per_block"));
+      }
       new_file.blocks.push_back(std::move(entry));
     }
     new_file.file_bytes = file_bytes.size();
@@ -468,8 +462,8 @@ Result<StoreRecovery> RecoverStore(const std::string& wal_dir,
     }
     const std::span<const uint8_t> image(
         reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
-    blk::BlockFileHeaderInfo header;
-    if (!blk::DecodeBlockFileHeader(image, &header)) {
+    codec::FileHeader header;
+    if (!codec::DecodeFileHeader(image, blk::kBlockMagic, &header)) {
       ++report.block_files_unreadable;
       return;
     }
@@ -478,18 +472,22 @@ Result<StoreRecovery> RecoverStore(const std::string& wal_dir,
       quant_known = true;
     }
     ++report.block_files_read;
-    std::ifstream in(path, std::ios::binary);
-    uint64_t offset = blk::kBlockFileHeaderBytes;
-    for (uint32_t b = 0; b < header.block_count; ++b) {
+    std::size_t offset = codec::kFileHeaderBytes;
+    for (uint32_t b = 0; b < header.count; ++b) {
       // Referenced walks jump by manifest offsets (and cross-check the
-      // stored metadata); the fallback walks the framing sequentially.
+      // stored metadata); the fallback walks the frames sequentially.
       if (expect != nullptr) {
         if (b >= expect->blocks.size()) break;
-        offset = expect->blocks[b].offset;
+        offset = expect->blocks[b].offset <= image.size()
+                     ? static_cast<std::size_t>(expect->blocks[b].offset)
+                     : image.size();
       }
+      std::size_t frame_bytes = 0;
       blk::BlockMeta meta;
       std::vector<wal::WalCheckpoint> decoded;
-      if (!ReadBlockAt(in, path, offset, &meta, &decoded).ok() ||
+      if (!DecodeBlockFrame(image.subspan(offset), path, &frame_bytes, &meta,
+                            &decoded)
+               .ok() ||
           (expect != nullptr && !(meta == expect->blocks[b].meta))) {
         ++report.blocks_corrupt;
         if (expect == nullptr) break;  // framing lost; stop the walk
@@ -500,15 +498,7 @@ Result<StoreRecovery> RecoverStore(const std::string& wal_dir,
         block_seqs.insert(c.seq);
         from_blocks.push_back(std::move(c));
       }
-      if (expect == nullptr) {
-        // Advance past the block just decoded: framing length + payload.
-        in.clear();
-        in.seekg(static_cast<std::streamoff>(offset));
-        char framing[blk::kBlockHeaderBytes];
-        if (!in.read(framing, sizeof(framing))) break;
-        offset += blk::kBlockHeaderBytes +
-                  wal::GetU32(reinterpret_cast<const uint8_t*>(framing));
-      }
+      offset += frame_bytes;
     }
   };
 
@@ -626,7 +616,13 @@ Result<BlockStore> BlockStore::Open(const std::string& block_dir) {
   store.inflate_ = max_half_diag;
   for (std::size_t slot = 0; slot < store.manifest_.files.size(); ++slot) {
     const ManifestBlockFile& file = store.manifest_.files[slot];
-    for (const ManifestBlockEntry& entry : file.blocks) {
+    for (std::size_t b = 0; b < file.blocks.size(); ++b) {
+      const ManifestBlockEntry& entry = file.blocks[b];
+      // Blocks are written back to back, so each one's frame ends where
+      // the next begins (the last one at the end of the file).
+      const uint64_t end = b + 1 < file.blocks.size()
+                               ? file.blocks[b + 1].offset
+                               : file.file_bytes;
       const uint64_t id = store.blocks_.size();
       const Vec2 center(
           0.5 * static_cast<double>(entry.meta.qx_min + entry.meta.qx_max) *
@@ -634,7 +630,9 @@ Result<BlockStore> BlockStore::Open(const std::string& block_dir) {
           0.5 * static_cast<double>(entry.meta.qy_min + entry.meta.qy_max) *
               cq);
       store.grid_.Insert(id, center);
-      store.blocks_.push_back(BlockRef{slot, entry.offset, entry.meta});
+      store.blocks_.push_back(
+          BlockRef{slot, entry.offset,
+                   end > entry.offset ? end - entry.offset : 0, entry.meta});
     }
   }
   return store;
@@ -657,7 +655,9 @@ Status BlockStore::Query(Vec2 center, double radius, double t_min,
   const double radius_sq = radius * radius;
 
   std::ifstream in;
+  std::string path;
   std::size_t open_slot = SIZE_MAX;
+  std::string frame;
   for (const uint64_t id : candidates) {
     const BlockRef& ref = blocks_[static_cast<std::size_t>(id)];
     const blk::BlockMeta& m = ref.meta;
@@ -680,17 +680,27 @@ Status BlockStore::Query(Vec2 center, double radius, double t_min,
     if (ref.file_slot != open_slot) {
       in.close();
       in.clear();
-      const std::string path =
+      path =
           dir_ + "/" + BlockFileName(manifest_.files[ref.file_slot].file_id);
       in.open(path, std::ios::binary);
       if (!in) return Status::IoError("open " + path + " for read failed");
       open_slot = ref.file_slot;
     }
+    if (ref.bytes > codec::kFrameHeaderBytes + blk::kMaxBlockPayload) {
+      return Status::Corruption("implausible block extent in " + path);
+    }
+    frame.resize(static_cast<std::size_t>(ref.bytes));
+    in.clear();
+    in.seekg(static_cast<std::streamoff>(ref.offset));
+    if (!in.read(frame.data(), static_cast<std::streamsize>(frame.size()))) {
+      return Status::Corruption("short block in " + path);
+    }
+    std::size_t frame_bytes = 0;
     blk::BlockMeta meta;
     std::vector<wal::WalCheckpoint> decoded;
-    const std::string path =
-        dir_ + "/" + BlockFileName(manifest_.files[ref.file_slot].file_id);
-    BQS_RETURN_NOT_OK(ReadBlockAt(in, path, ref.offset, &meta, &decoded));
+    BQS_RETURN_NOT_OK(DecodeBlockFrame(
+        {reinterpret_cast<const uint8_t*>(frame.data()), frame.size()}, path,
+        &frame_bytes, &meta, &decoded));
     if (!(meta == m)) {
       return Status::Corruption("block metadata mismatch in " + path);
     }

@@ -121,7 +121,9 @@ class Compactor {
   /// current_segment_index() to leave the active segment alone;
   /// UINT64_MAX compacts everything, for a closed WAL). A run with
   /// nothing new to do is a successful no-op. In degraded mode returns
-  /// the degradation error without touching disk.
+  /// the degradation error without touching disk. A block that would
+  /// exceed blk::kMaxBlockPayload fails the run with InvalidArgument
+  /// before anything is published (the WAL keeps its checkpoints).
   Status CompactOnce(uint64_t max_segment_exclusive = UINT64_MAX);
 
   /// True after persistent ENOSPC: the compactor refuses further runs so
@@ -229,6 +231,7 @@ class BlockStore {
   struct BlockRef {
     std::size_t file_slot = 0;  ///< Index into manifest_.files.
     uint64_t offset = 0;
+    uint64_t bytes = 0;  ///< Frame extent: up to the next block's offset.
     blk::BlockMeta meta;
   };
 

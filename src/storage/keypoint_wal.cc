@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "common/fault_injector.h"
+#include "storage/codec.h"
 
 namespace bqs {
 
@@ -138,8 +139,18 @@ Status KeyPointWal::AppendLocked(DeviceId device,
   if (points.empty()) {
     return Status::InvalidArgument("empty wal checkpoint");
   }
+  payload_scratch_.clear();
+  wal::EncodeRecordPayload(device, next_seq_, points, &payload_scratch_);
   scratch_.clear();
-  wal::EncodeRecord(device, next_seq_, points, &scratch_);
+  if (!codec::AppendFrame(payload_scratch_, wal::kMaxRecordPayload,
+                          &scratch_)) {
+    // An input error, not an I/O one: nothing was written and the writer
+    // stays alive. Acking it would be worse — recovery would take the
+    // oversized length for framing loss and drop the record.
+    return Status::InvalidArgument(
+        "wal checkpoint of " + std::to_string(points.size()) +
+        " points encodes past the record payload limit");
+  }
 
   // Rotate on the boundary *before* a record that would overflow the
   // segment — a record is never split across segments, so an oversized one
@@ -215,7 +226,8 @@ Status KeyPointWal::OpenSegmentLocked() {
   ++stats_.segments_opened;
   // The header rides the normal buffered path so the policy's write and
   // fault behavior applies to it like to any record bytes.
-  wal::EncodeSegmentHeader(options_.quant, next_seq_, &buffer_);
+  codec::EncodeFileHeader(wal::kWalMagic, {options_.quant, next_seq_, 0},
+                          &buffer_);
   if (options_.durability != WalDurability::kNone) {
     BQS_RETURN_NOT_OK(FlushLocked());
   }
@@ -432,65 +444,60 @@ void WalReader::RecoverSegment(std::span<const uint8_t> segment, bool is_last,
                                WalRecoveryReport* report) {
   ++report->segments_scanned;
   if (segment.empty()) return;  // crash before the header: clean, no data
-  wal::SegmentHeaderInfo header;
-  if (!wal::DecodeSegmentHeader(segment, &header)) {
+  codec::FileHeader header;
+  if (!codec::DecodeFileHeader(segment, wal::kWalMagic, &header)) {
     // Nothing after an untrusted header can be framed: drop the segment.
     ++report->segments_bad_header;
     report->bytes_dropped += segment.size();
     return;
   }
-  std::size_t offset = wal::kSegmentHeaderBytes;
+  std::size_t offset = codec::kFileHeaderBytes;
   while (offset < segment.size()) {
     const std::size_t rem = segment.size() - offset;
-    if (rem < wal::kRecordHeaderBytes) {
-      ++report->short_header;  // partial record header: a torn final write
-      report->bytes_dropped += rem;
-      return;
-    }
-    const uint8_t* const p = segment.data() + offset;
-    const std::size_t len = wal::GetU32(p);
-    const uint32_t stored_crc = crc32c::Unmask(wal::GetU32(p + 4));
-    if (len > wal::kMaxRecordPayload ||
-        len > rem - wal::kRecordHeaderBytes) {
-      // Implausible or overrunning length: framing is lost and there is no
-      // way to resynchronize, in any segment. Everything from here on is
-      // a torn (or trashed) tail.
-      ++report->torn_tail;
-      report->bytes_dropped += rem;
-      return;
-    }
-    const std::size_t record_bytes = wal::kRecordHeaderBytes + len;
-    uint32_t crc = crc32c::Value(p, 4);
-    crc = crc32c::Extend(crc, p + wal::kRecordHeaderBytes, len);
-    if (crc != stored_crc) {
-      if (is_last) {
-        // The crashed-mid-write shape: truncate at the first bad CRC.
-        // (An isolated flip earlier in the live segment truncates too —
-        // torn and flipped are indistinguishable without a seal record.)
+    const codec::Frame frame =
+        codec::ParseFrame(segment.subspan(offset), wal::kMaxRecordPayload);
+    switch (frame.status) {
+      case codec::FrameStatus::kOk:
+        break;
+      case codec::FrameStatus::kShortHeader:
+        ++report->short_header;  // partial record header: a torn final write
+        report->bytes_dropped += rem;
+        return;
+      case codec::FrameStatus::kBadLength:
+        // Implausible or overrunning length: framing is lost and there is
+        // no way to resynchronize, in any segment. Everything from here on
+        // is a torn (or trashed) tail.
         ++report->torn_tail;
         report->bytes_dropped += rem;
         return;
-      }
-      // Closed segment: the writer sealed it whole, so a bad CRC here is
-      // isolated media corruption. Skip the record, keep replaying.
-      ++report->bad_crc;
-      report->bytes_dropped += record_bytes;
-      offset += record_bytes;
-      continue;
+      case codec::FrameStatus::kBadCrc:
+        if (is_last) {
+          // The crashed-mid-write shape: truncate at the first bad CRC.
+          // (An isolated flip earlier in the live segment truncates too —
+          // torn and flipped are indistinguishable without a seal record.)
+          ++report->torn_tail;
+          report->bytes_dropped += rem;
+          return;
+        }
+        // Closed segment: the writer sealed it whole, so a bad CRC here is
+        // isolated media corruption. Skip the record, keep replaying.
+        ++report->bad_crc;
+        report->bytes_dropped += frame.size;
+        offset += frame.size;
+        continue;
     }
     wal::WalCheckpoint checkpoint;
-    if (!wal::DecodeRecordPayload({p + wal::kRecordHeaderBytes, len},
-                                  &checkpoint)) {
+    if (!wal::DecodeRecordPayload(frame.payload, &checkpoint)) {
       // CRC-valid but undecodable: an encoder bug or a crafted record.
       // The framing is still trustworthy, so only this record is lost.
       ++report->bad_varint;
-      report->bytes_dropped += record_bytes;
-      offset += record_bytes;
+      report->bytes_dropped += frame.size;
+      offset += frame.size;
       continue;
     }
     out->push_back(std::move(checkpoint));
     ++report->records_recovered;
-    offset += record_bytes;
+    offset += frame.size;
   }
 }
 
@@ -504,10 +511,10 @@ Result<WalRecovery> WalReader::Recover(const std::string& dir) {
     BQS_RETURN_NOT_OK(ReadFileBytes(files[i].path, &bytes));
     const std::span<const uint8_t> image(
         reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
-    wal::SegmentHeaderInfo header;
-    if (wal::DecodeSegmentHeader(image, &header)) {
+    codec::FileHeader header;
+    if (codec::DecodeFileHeader(image, wal::kWalMagic, &header)) {
       recovery.quant = header.quant;  // newest valid header wins
-      recovery.next_seq = std::max(recovery.next_seq, header.first_seq);
+      recovery.next_seq = std::max(recovery.next_seq, header.seq);
     }
     RecoverSegment(image, /*is_last=*/i + 1 == files.size(),
                    &recovery.checkpoints, &recovery.report);

@@ -160,7 +160,9 @@ class KeyPointWal {
 
   /// Quantizes and appends one checkpoint for `device`, assigning the next
   /// sequence number. OK means durable per the configured WalDurability
-  /// (the ack contract above). `keys` must be non-empty.
+  /// (the ack contract above). InvalidArgument, with nothing written and
+  /// the writer still alive, for an empty checkpoint or one whose record
+  /// payload would exceed wal::kMaxRecordPayload.
   Result<WalAppendAck> Append(DeviceId device, std::span<const KeyPoint> keys);
 
   /// Appends an already-quantized checkpoint (seq is still writer-assigned;
@@ -216,7 +218,8 @@ class KeyPointWal {
   std::chrono::steady_clock::time_point last_sync_ GUARDED_BY(mu_);
   uint64_t next_seq_ GUARDED_BY(mu_) = 1;
   KeyPointWalStats stats_ GUARDED_BY(mu_);
-  std::string scratch_ GUARDED_BY(mu_);  ///< Record encoding, reused.
+  std::string payload_scratch_ GUARDED_BY(mu_);  ///< Record payload, reused.
+  std::string scratch_ GUARDED_BY(mu_);  ///< Framed record, reused.
   /// Quantized-point staging for Append(), reused.
   std::vector<wal::WalPoint> points_scratch_ GUARDED_BY(mu_);
 };

@@ -57,19 +57,13 @@ Status FsyncDir(const std::string& dir) {
 
 // --- codec ----------------------------------------------------------------
 
-void EncodeManifest(const Manifest& manifest, std::string* out) {
-  const std::size_t base = out->size();
-  wal::PutU32(out, manifestfmt::kManifestMagic);
-  wal::PutU16(out, manifestfmt::kManifestFormatVersion);
-  wal::PutU16(out, 0);  // flags
-  wal::PutF64(out, manifest.quant.time_quantum);
-  wal::PutF64(out, manifest.quant.coord_quantum);
-  wal::PutU64(out, manifest.last_applied_seq);
-  wal::PutU32(out, static_cast<uint32_t>(manifest.files.size()));
-  const uint32_t crc =
-      crc32c::Value(out->data() + base, manifestfmt::kManifestHeaderBytes - 4);
-  wal::PutU32(out, crc32c::Mask(crc));
-
+bool EncodeManifest(const Manifest& manifest, std::string* out) {
+  if (manifest.files.size() > UINT32_MAX) return false;
+  codec::EncodeFileHeader(
+      manifestfmt::kManifestMagic,
+      {manifest.quant, manifest.last_applied_seq,
+       static_cast<uint32_t>(manifest.files.size())},
+      out);
   std::string payload;
   for (const ManifestBlockFile& file : manifest.files) {
     payload.clear();
@@ -80,66 +74,37 @@ void EncodeManifest(const Manifest& manifest, std::string* out) {
       varint::PutU64(&payload, block.offset);
       blk::PutBlockMeta(&payload, block.meta);
     }
-    std::string header;
-    wal::PutU32(&header, static_cast<uint32_t>(payload.size()));
-    uint32_t entry_crc = crc32c::Value(header.data(), 4);
-    entry_crc = crc32c::Extend(entry_crc, payload.data(), payload.size());
-    wal::PutU32(&header, crc32c::Mask(entry_crc));
-    out->append(header);
-    out->append(payload);
+    if (!codec::AppendFrame(payload, manifestfmt::kMaxEntryPayload, out)) {
+      return false;
+    }
   }
+  return true;
 }
 
 bool DecodeManifest(std::span<const uint8_t> bytes, Manifest* out) {
-  if (bytes.size() < manifestfmt::kManifestHeaderBytes) return false;
-  const uint8_t* p = bytes.data();
-  if (wal::GetU32(p) != manifestfmt::kManifestMagic) return false;
-  const uint32_t stored = crc32c::Unmask(
-      wal::GetU32(p + manifestfmt::kManifestHeaderBytes - 4));
-  if (crc32c::Value(p, manifestfmt::kManifestHeaderBytes - 4) != stored) {
+  codec::FileHeader header;
+  if (!codec::DecodeFileHeader(bytes, manifestfmt::kManifestMagic, &header)) {
     return false;
   }
   Manifest m;
-  const uint16_t version = wal::GetU16(p + 4);
-  if (version == 0 || version > manifestfmt::kManifestFormatVersion) {
-    return false;
-  }
-  m.quant.time_quantum = wal::GetF64(p + 8);
-  m.quant.coord_quantum = wal::GetF64(p + 16);
-  if (!(std::isfinite(m.quant.time_quantum) && m.quant.time_quantum > 0.0 &&
-        std::isfinite(m.quant.coord_quantum) &&
-        m.quant.coord_quantum > 0.0)) {
-    return false;
-  }
-  m.last_applied_seq = wal::GetU64(p + 24);
-  const uint32_t file_count = wal::GetU32(p + 32);
-  // Each entry costs >= 8 framing bytes; a count that cannot fit is
+  m.quant = header.quant;
+  m.last_applied_seq = header.seq;
+  // Each entry costs >= one frame header; a count that cannot fit is
   // corruption without further reads.
-  if (file_count >
-      (bytes.size() - manifestfmt::kManifestHeaderBytes) /
-              manifestfmt::kEntryHeaderBytes +
-          1) {
+  if (header.count > (bytes.size() - codec::kFileHeaderBytes) /
+                             codec::kFrameHeaderBytes +
+                         1) {
     return false;
   }
 
-  std::size_t offset = manifestfmt::kManifestHeaderBytes;
-  m.files.reserve(file_count);
-  for (uint32_t i = 0; i < file_count; ++i) {
-    const std::size_t rem = bytes.size() - offset;
-    if (rem < manifestfmt::kEntryHeaderBytes) return false;
-    const uint8_t* const e = bytes.data() + offset;
-    const std::size_t len = wal::GetU32(e);
-    const uint32_t entry_stored = crc32c::Unmask(wal::GetU32(e + 4));
-    if (len > manifestfmt::kMaxEntryPayload ||
-        len > rem - manifestfmt::kEntryHeaderBytes) {
-      return false;
-    }
-    uint32_t entry_crc = crc32c::Value(e, 4);
-    entry_crc = crc32c::Extend(
-        entry_crc, e + manifestfmt::kEntryHeaderBytes, len);
-    if (entry_crc != entry_stored) return false;
-
-    const uint8_t* q = e + manifestfmt::kEntryHeaderBytes;
+  std::size_t offset = codec::kFileHeaderBytes;
+  m.files.reserve(header.count);
+  for (uint32_t i = 0; i < header.count; ++i) {
+    const codec::Frame frame =
+        codec::ParseFrame(bytes.subspan(offset), manifestfmt::kMaxEntryPayload);
+    if (frame.status != codec::FrameStatus::kOk) return false;
+    const std::size_t len = frame.payload.size();
+    const uint8_t* q = frame.payload.data();
     const uint8_t* const qend = q + len;
     ManifestBlockFile file;
     uint64_t block_count = 0;
@@ -157,7 +122,7 @@ bool DecodeManifest(std::span<const uint8_t> bytes, Manifest* out) {
     }
     if (q != qend) return false;  // trailing garbage inside the entry
     m.files.push_back(std::move(file));
-    offset += manifestfmt::kEntryHeaderBytes + len;
+    offset += frame.size;
   }
   if (offset != bytes.size()) return false;  // trailing bytes after entries
   *out = std::move(m);
@@ -241,7 +206,9 @@ Status WriteManifest(const std::string& dir, const Manifest& manifest,
                      FaultInjector* injector,
                      const std::function<Status()>& crash_point) {
   std::string bytes;
-  EncodeManifest(manifest, &bytes);
+  if (!EncodeManifest(manifest, &bytes)) {
+    return Status::InvalidArgument("manifest entry exceeds the frame limit");
+  }
   return WriteFileAtomic(dir, kManifestName, bytes, injector, crash_point);
 }
 

@@ -1,25 +1,13 @@
 // The MANIFEST: the single versioned file that says which compacted block
-// files are live and how much of the WAL they cover.
+// files are live and how much of the WAL they cover. The header and frame
+// layouts are the shared storage codec (storage/codec.h).
 //
-// Layout ("MANIFEST" in the block directory):
-//
-//   ManifestHeader (40 bytes, fixed):
-//     magic            u32  LE   'BQMF'
-//     version          u16  LE   kManifestFormatVersion
-//     flags            u16  LE   reserved, 0
-//     time_quantum     f64  LE
-//     coord_quantum    f64  LE
-//     last_applied_seq u64  LE   WAL watermark, below
-//     file_count       u32  LE   entries that follow
-//     crc              u32  LE   masked CRC32C over the 36 bytes above
-//
-//   Entry (length-prefixed, CRC-framed like a WAL record), one per block
-//   file:
-//     length  u32 LE, crc u32 LE over (length bytes || payload)
-//     payload: file_id varint, file_bytes varint, block_count varint,
-//              then per block: offset varint (byte offset of the block's
-//              length prefix inside the file), then its BlockMeta
-//              (block_format.h varint layout)
+// Layout ("MANIFEST" in the block directory): a codec file header (magic
+// 'BQMF', seq = last_applied_seq, count = the number of entries) followed
+// by one frame per block file, each payload at most kMaxEntryPayload:
+//     file_id varint, file_bytes varint, block_count varint,
+//     then per block: offset varint (byte offset of the block's frame
+//     inside the file), then its BlockMeta (block_format.h varint layout)
 //
 // The watermark contract — the heart of crash consistency: every WAL
 // checkpoint with seq <= last_applied_seq is present in the referenced
@@ -50,7 +38,7 @@
 
 #include "common/status.h"
 #include "storage/block_format.h"
-#include "storage/wal_format.h"
+#include "storage/codec.h"
 
 namespace bqs {
 
@@ -59,9 +47,6 @@ class FaultInjector;  // common/fault_injector.h (test harness; see lint)
 namespace manifestfmt {
 
 inline constexpr uint32_t kManifestMagic = 0x464d5142u;  // 'BQMF' LE
-inline constexpr uint16_t kManifestFormatVersion = 1;
-inline constexpr std::size_t kManifestHeaderBytes = 40;
-inline constexpr std::size_t kEntryHeaderBytes = 8;  // length + crc
 inline constexpr std::size_t kMaxEntryPayload = std::size_t{1} << 24;
 
 }  // namespace manifestfmt
@@ -96,8 +81,11 @@ struct Manifest {
   bool operator==(const Manifest&) const = default;
 };
 
-/// Appends the full MANIFEST image (header + entries) to `out`.
-void EncodeManifest(const Manifest& manifest, std::string* out);
+/// Appends the full MANIFEST image (header + entries) to `out`. False when
+/// an entry's payload exceeds kMaxEntryPayload or the file count does not
+/// fit the header (`out` is then unusable).
+[[nodiscard]] bool EncodeManifest(const Manifest& manifest,
+                                  std::string* out);
 
 /// Decodes a MANIFEST image. Total on arbitrary bytes: false on any
 /// corruption (bad magic/CRC/version/quanta, torn entry, trailing bytes,

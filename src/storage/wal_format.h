@@ -1,95 +1,50 @@
 // On-disk format of the key-point write-ahead log (storage/keypoint_wal.h).
+// The header, frame and point-column layouts are the shared storage codec
+// (storage/codec.h); this file holds only what is the WAL's own.
 //
 // A WAL directory holds numbered segment files ("wal-000001.log", ...).
-// Each segment is:
-//
-//   SegmentHeader (36 bytes, fixed):
-//     magic         u32  LE   'BQWL'
-//     version       u16  LE   kWalFormatVersion
-//     flags         u16  LE   reserved, 0
-//     time_quantum  f64  LE   seconds per timestamp quantum
-//     coord_quantum f64  LE   metres per coordinate quantum
-//     first_seq     u64  LE   sequence of the first record appended here
-//     crc           u32  LE   masked CRC32C over the 32 bytes above
-//
-//   Record (length-prefixed, append-only):
-//     length  u32 LE   payload byte count (<= kMaxRecordPayload)
-//     crc     u32 LE   masked CRC32C over (length bytes || payload)
-//     payload          varint-coded checkpoint, below
+// Each segment is a codec file header (magic 'BQWL', seq = the sequence of
+// the first record appended to the segment) followed by one frame per
+// record, each payload at most kMaxRecordPayload bytes.
 //
 //   Record payload — one checkpoint (the WAL's ack unit: a batch of key
 //   points one device session emitted):
 //     device  varint
 //     seq     varint   writer-assigned, monotone across segments
 //     count   varint   number of points, >= 1
-//     point0: index varint, then qt, qx, qy zigzag-varint (absolute)
-//     pointK: dindex, dqt, dqx, dqy zigzag-varint (delta from point K-1)
+//     the count points' columns (codec.h)
 //
-// Why this shape:
-//   * Coordinates and timestamps are *quantized* (llround(v / quantum))
-//     before encoding, per the split-error-budget design: the compressor
-//     guarantees eps_simplify, the log adds at most quantum/2 per axis,
-//     and the combined bound eps_simplify + coord_quantum is what the
-//     recovery tests assert end to end. Quantized integers also make
-//     "bit-exact recovery" a well-defined property — the WalCheckpoint
-//     *is* the acked unit, identical before write and after replay.
-//   * Delta + zigzag + varint makes consecutive key points cheap: a key
-//     point every few seconds and tens of metres encodes in 6-10 bytes
-//     against 32 raw.
-//   * The CRC covers the length prefix too, so a corrupted length cannot
-//     silently reframe the record stream; CRCs are stored masked
-//     (common/crc32c.h) so CRC-bearing payloads never checksum to
-//     themselves.
-//
-// Everything here is pure encode/decode over in-memory buffers — no file
-// I/O — so the recovery fuzzer and the crash-point sweep drive the exact
-// production codec without touching a filesystem.
+// Coordinates and timestamps are *quantized* (llround(v / quantum)) before
+// encoding, per the split-error-budget design: the compressor guarantees
+// eps_simplify, the log adds at most quantum/2 per axis, and the combined
+// bound eps_simplify + coord_quantum is what the recovery tests assert end
+// to end. Quantized integers also make "bit-exact recovery" a well-defined
+// property — the WalCheckpoint *is* the acked unit, identical before
+// write and after replay.
 #ifndef BQS_STORAGE_WAL_FORMAT_H_
 #define BQS_STORAGE_WAL_FORMAT_H_
 
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/crc32c.h"
 #include "common/varint.h"
+#include "storage/codec.h"
 #include "trajectory/point.h"
 
 namespace bqs {
 namespace wal {
 
 inline constexpr uint32_t kWalMagic = 0x4c575142u;  // 'BQWL' little-endian
-inline constexpr uint16_t kWalFormatVersion = 1;
-inline constexpr std::size_t kSegmentHeaderBytes = 36;
-inline constexpr std::size_t kRecordHeaderBytes = 8;  // length + crc
-/// Upper bound on one record payload; a decoded length above this is
-/// corruption by definition, which bounds how far a corrupt length can
-/// send the reader.
+inline constexpr std::size_t kSegmentHeaderBytes = codec::kFileHeaderBytes;
+inline constexpr std::size_t kRecordHeaderBytes = codec::kFrameHeaderBytes;
+/// Upper bound on one record payload. The writer refuses a checkpoint
+/// that encodes longer; the reader takes a longer length for framing loss.
 inline constexpr std::size_t kMaxRecordPayload = std::size_t{1} << 24;
-
-/// The split error budget's quantization half: how coarsely the log stores
-/// what the compressor kept. The defaults (1 mm, 1 ms) are effectively
-/// lossless for GPS-scale data while still letting deltas encode short.
-struct WalQuantization {
-  double coord_quantum = 1e-3;  ///< Metres per coordinate step.
-  double time_quantum = 1e-3;   ///< Seconds per timestamp step.
-
-  constexpr bool operator==(const WalQuantization&) const = default;
-};
-
-/// One key point in quantized (on-disk) form.
-struct WalPoint {
-  uint64_t index = 0;  ///< Position in the device's original stream.
-  int64_t qt = 0;      ///< Timestamp in time_quantum steps.
-  int64_t qx = 0;      ///< Coordinates in coord_quantum steps.
-  int64_t qy = 0;
-
-  constexpr bool operator==(const WalPoint&) const = default;
-};
 
 /// The WAL's ack unit: a batch of key points from one device session.
 /// What Append() persists and Recover() returns — comparing these for
@@ -136,171 +91,33 @@ inline KeyPoint Dequantize(const WalPoint& p, const WalQuantization& q) {
   return key;
 }
 
-// --- little-endian fixed-width primitives ---------------------------------
-
-inline void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>(v >> 8));
+/// Appends the record payload of one checkpoint given as its parts (the
+/// writer's no-copy path). Precondition: `points` is non-empty.
+inline void EncodeRecordPayload(DeviceId device, uint64_t seq,
+                                std::span<const WalPoint> points,
+                                std::string* out) {
+  varint::PutU64(out, device);
+  varint::PutU64(out, seq);
+  varint::PutU64(out, points.size());
+  codec::PutPointColumns(points, out);
 }
 
-inline void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-inline void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-inline void PutF64(std::string* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  PutU64(out, bits);
-}
-
-inline uint16_t GetU16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | (p[1] << 8));
-}
-
-inline uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-inline uint64_t GetU64(const uint8_t* p) {
-  return static_cast<uint64_t>(GetU32(p)) |
-         (static_cast<uint64_t>(GetU32(p + 4)) << 32);
-}
-
-inline double GetF64(const uint8_t* p) {
-  const uint64_t bits = GetU64(p);
-  double v;
-  std::memcpy(&v, &bits, 8);
-  return v;
-}
-
-// --- segment header -------------------------------------------------------
-
-/// Appends a segment header for a segment whose first record will carry
-/// sequence `first_seq`.
-inline void EncodeSegmentHeader(const WalQuantization& quant,
-                                uint64_t first_seq, std::string* out) {
-  const std::size_t base = out->size();
-  PutU32(out, kWalMagic);
-  PutU16(out, kWalFormatVersion);
-  PutU16(out, 0);  // flags
-  PutF64(out, quant.time_quantum);
-  PutF64(out, quant.coord_quantum);
-  PutU64(out, first_seq);
-  const uint32_t crc =
-      crc32c::Value(out->data() + base, kSegmentHeaderBytes - 4);
-  PutU32(out, crc32c::Mask(crc));
-}
-
-struct SegmentHeaderInfo {
-  uint16_t version = 0;
-  WalQuantization quant;
-  uint64_t first_seq = 0;
-};
-
-/// Validates and decodes a segment header. False on short input, bad
-/// magic, bad CRC, an unknown (future) version, or non-finite/non-positive
-/// quanta — a header this reader cannot trust end to end.
-inline bool DecodeSegmentHeader(std::span<const uint8_t> bytes,
-                                SegmentHeaderInfo* info) {
-  if (bytes.size() < kSegmentHeaderBytes) return false;
-  const uint8_t* p = bytes.data();
-  if (GetU32(p) != kWalMagic) return false;
-  const uint32_t stored = crc32c::Unmask(GetU32(p + kSegmentHeaderBytes - 4));
-  if (crc32c::Value(p, kSegmentHeaderBytes - 4) != stored) return false;
-  SegmentHeaderInfo out;
-  out.version = GetU16(p + 4);
-  if (out.version == 0 || out.version > kWalFormatVersion) return false;
-  out.quant.time_quantum = GetF64(p + 8);
-  out.quant.coord_quantum = GetF64(p + 16);
-  out.first_seq = GetU64(p + 24);
-  if (!(std::isfinite(out.quant.time_quantum) &&
-        out.quant.time_quantum > 0.0 &&
-        std::isfinite(out.quant.coord_quantum) &&
-        out.quant.coord_quantum > 0.0)) {
-    return false;
-  }
-  *info = out;
-  return true;
-}
-
-// --- records --------------------------------------------------------------
-
-/// a - b and a + b in wrapping (unsigned) arithmetic, so arbitrary int64
-/// patterns — which the recovery fuzzer synthesizes on purpose — round-trip
-/// without signed overflow.
-inline int64_t WrapDiff(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) -
-                              static_cast<uint64_t>(b));
-}
-
-inline int64_t WrapAdd(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) +
-                              static_cast<uint64_t>(b));
-}
-
-/// Appends the length-prefixed, CRC-stamped encoding of one checkpoint
-/// given as its parts (the writer's no-copy path). Precondition: `points`
-/// is non-empty.
-inline void EncodeRecord(DeviceId device, uint64_t seq,
-                         std::span<const WalPoint> points, std::string* out) {
+/// Appends one checkpoint as a framed record. False (nothing appended)
+/// when its payload exceeds kMaxRecordPayload. Precondition:
+/// checkpoint.points is non-empty.
+[[nodiscard]] inline bool EncodeRecord(const WalCheckpoint& checkpoint,
+                                       std::string* out) {
   std::string payload;
-  varint::PutU64(&payload, device);
-  varint::PutU64(&payload, seq);
-  varint::PutU64(&payload, points.size());
-  WalPoint prev;
-  bool first = true;
-  for (const WalPoint& p : points) {
-    if (first) {
-      varint::PutU64(&payload, p.index);
-      varint::PutI64(&payload, p.qt);
-      varint::PutI64(&payload, p.qx);
-      varint::PutI64(&payload, p.qy);
-      first = false;
-    } else {
-      // Index deltas are encoded zigzag too: stream indices are monotone
-      // in practice, but the codec must not rely on it. Deltas are
-      // computed in unsigned arithmetic so adversarial WalPoint values
-      // (the round-trip fuzzer feeds raw int64 patterns) wrap instead of
-      // overflowing; decode reverses with the same wrapping adds.
-      varint::PutI64(&payload,
-                     static_cast<int64_t>(p.index - prev.index));
-      varint::PutI64(&payload, WrapDiff(p.qt, prev.qt));
-      varint::PutI64(&payload, WrapDiff(p.qx, prev.qx));
-      varint::PutI64(&payload, WrapDiff(p.qy, prev.qy));
-    }
-    prev = p;
-  }
-
-  std::string header;
-  PutU32(&header, static_cast<uint32_t>(payload.size()));
-  uint32_t crc = crc32c::Value(header.data(), 4);
-  crc = crc32c::Extend(crc, payload.data(), payload.size());
-  PutU32(&header, crc32c::Mask(crc));
-  out->append(header);
-  out->append(payload);
+  EncodeRecordPayload(checkpoint.device, checkpoint.seq, checkpoint.points,
+                      &payload);
+  return codec::AppendFrame(payload, kMaxRecordPayload, out);
 }
 
-/// Appends the length-prefixed, CRC-stamped encoding of one checkpoint.
-/// Precondition: checkpoint.points is non-empty.
-inline void EncodeRecord(const WalCheckpoint& checkpoint, std::string* out) {
-  EncodeRecord(checkpoint.device, checkpoint.seq, checkpoint.points, out);
-}
-
-/// Decodes a record payload (the bytes after the 8-byte record header).
-/// False when the varint stream is truncated, malformed, or disagrees
-/// with its own point count — the payload passed its CRC, so a decode
-/// failure here means an encoder bug or a deliberately crafted record;
-/// either way the reader must reject it cleanly, never trust it.
+/// Decodes a record payload (a frame's payload bytes). False when the
+/// varint stream is truncated, malformed, or disagrees with its own point
+/// count — the payload passed its CRC, so a decode failure here means an
+/// encoder bug or a deliberately crafted record; either way the reader
+/// must reject it cleanly, never trust it.
 inline bool DecodeRecordPayload(std::span<const uint8_t> payload,
                                 WalCheckpoint* out) {
   const uint8_t* p = payload.data();
@@ -311,36 +128,13 @@ inline bool DecodeRecordPayload(std::span<const uint8_t> payload,
   if (!varint::GetU64(&p, end, &count)) return false;
   // Each point needs >= 4 payload bytes; anything claiming more points
   // than could fit is malformed without further reads (this also caps the
-  // reserve below, so a lying count cannot balloon memory).
+  // allocation below, so a lying count cannot balloon memory).
   if (count == 0 || count > payload.size() / 4 + 1) return false;
   WalCheckpoint checkpoint;
   checkpoint.device = device;
   checkpoint.seq = seq;
-  checkpoint.points.reserve(static_cast<std::size_t>(count));
-  WalPoint prev;
-  for (uint64_t i = 0; i < count; ++i) {
-    int64_t dindex = 0, dqt = 0, dqx = 0, dqy = 0;
-    WalPoint point;
-    if (i == 0) {
-      uint64_t index = 0;
-      if (!varint::GetU64(&p, end, &index)) return false;
-      if (!varint::GetI64(&p, end, &point.qt)) return false;
-      if (!varint::GetI64(&p, end, &point.qx)) return false;
-      if (!varint::GetI64(&p, end, &point.qy)) return false;
-      point.index = index;
-    } else {
-      if (!varint::GetI64(&p, end, &dindex)) return false;
-      if (!varint::GetI64(&p, end, &dqt)) return false;
-      if (!varint::GetI64(&p, end, &dqx)) return false;
-      if (!varint::GetI64(&p, end, &dqy)) return false;
-      point.index = prev.index + static_cast<uint64_t>(dindex);
-      point.qt = WrapAdd(prev.qt, dqt);
-      point.qx = WrapAdd(prev.qx, dqx);
-      point.qy = WrapAdd(prev.qy, dqy);
-    }
-    checkpoint.points.push_back(point);
-    prev = point;
-  }
+  checkpoint.points.resize(static_cast<std::size_t>(count));
+  if (!codec::GetPointColumns(&p, end, checkpoint.points)) return false;
   if (p != end) return false;  // trailing garbage inside a CRC-valid record
   *out = std::move(checkpoint);
   return true;

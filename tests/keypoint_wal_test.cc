@@ -18,6 +18,7 @@
 #include "common/fault_injector.h"
 #include "service/fleet_engine.h"
 #include "simulation/datasets.h"
+#include "storage/codec.h"
 #include "storage/trajectory_store.h"
 #include "storage/wal_format.h"
 
@@ -214,10 +215,32 @@ TEST(KeyPointWalTest, OpenAndAppendValidation) {
   const auto empty = wal.Append(1, {});
   ASSERT_FALSE(empty.ok());
   EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
+  // A checkpoint whose record payload would exceed kMaxRecordPayload:
+  // recovery would take its length for framing loss, so it must be
+  // refused up front, with nothing written.
+  wal::WalCheckpoint oversized;
+  oversized.device = 1;
+  oversized.points.resize(std::size_t{1} << 20);
+  for (std::size_t i = 0; i < oversized.points.size(); ++i) {
+    // Every delta is a huge-magnitude int64: ~10 varint bytes per value.
+    const uint64_t h = i * 0x9e3779b97f4a7c15ULL;
+    oversized.points[i] = wal::WalPoint{h, static_cast<int64_t>(h),
+                                        static_cast<int64_t>(~h),
+                                        static_cast<int64_t>(h * 3)};
+  }
+  const uint64_t bytes_before = wal.stats().bytes_appended;
+  const auto too_big = wal.AppendCheckpoint(oversized);
+  ASSERT_FALSE(too_big.ok());
+  EXPECT_EQ(too_big.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(wal.stats().bytes_appended, bytes_before);
   // The rejections left the writer alive.
   EXPECT_FALSE(wal.dead());
   EXPECT_TRUE(wal.Append(1, keys).ok());
   EXPECT_TRUE(wal.Close().ok());
+  const auto recovered = WalReader::Recover(options.dir);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_TRUE(recovered.value().report.clean());
+  EXPECT_EQ(recovered.value().checkpoints.size(), 1u);
 
   // Empty directory option.
   KeyPointWal no_dir((KeyPointWalOptions()));
@@ -269,11 +292,12 @@ struct Image {
 
 Image BuildImage(int records) {
   Image image;
-  wal::EncodeSegmentHeader(wal::WalQuantization{}, 1, &image.bytes);
+  codec::EncodeFileHeader(wal::kWalMagic, {wal::WalQuantization{}, 1, 0},
+                          &image.bytes);
   for (int r = 0; r < records; ++r) {
     image.checkpoints.push_back(
         TestCheckpoint(static_cast<uint64_t>(r) + 1, 3));
-    wal::EncodeRecord(image.checkpoints.back(), &image.bytes);
+    EXPECT_TRUE(wal::EncodeRecord(image.checkpoints.back(), &image.bytes));
     image.record_ends.push_back(image.bytes.size());
   }
   return image;
@@ -370,7 +394,7 @@ TEST(WalRecoverSegmentTest, GarbledHeaderDropsTheSegment) {
   for (const std::size_t victim : {std::size_t{0},     // magic
                                    std::size_t{4},     // version
                                    std::size_t{12},    // time quantum
-                                   std::size_t{35}}) { // header CRC
+                                   std::size_t{39}}) { // header CRC
     Image image = BuildImage(2);
     image.bytes[victim] = static_cast<char>(image.bytes[victim] ^ 0x01);
     std::vector<wal::WalCheckpoint> out;
@@ -391,7 +415,8 @@ TEST(WalRecoverSegmentTest, EmptyAndHeaderOnlyImagesAreClean) {
   EXPECT_EQ(report.segments_scanned, 1u);
 
   std::string header_only;
-  wal::EncodeSegmentHeader(wal::WalQuantization{}, 1, &header_only);
+  codec::EncodeFileHeader(wal::kWalMagic, {wal::WalQuantization{}, 1, 0},
+                          &header_only);
   WalReader::RecoverSegment(AsSpan(header_only), /*is_last=*/true, &out,
                             &report);
   EXPECT_TRUE(report.clean());
@@ -402,15 +427,13 @@ TEST(WalRecoverSegmentTest, CrcValidUndecodablePayloadIsBadVarint) {
   // A record whose CRC is correct but whose payload is not a checkpoint —
   // the "encoder bug or crafted record" case. Framing must survive it.
   Image image = BuildImage(1);
-  std::string payload(12, static_cast<char>(0xff));  // malformed varints
-  std::string header;
-  wal::PutU32(&header, static_cast<uint32_t>(payload.size()));
-  uint32_t crc = crc32c::Value(header.data(), 4);
-  crc = crc32c::Extend(crc, payload.data(), payload.size());
-  wal::PutU32(&header, crc32c::Mask(crc));
-  image.bytes.insert(image.record_ends[0], header + payload);
-  const std::size_t bad_record_bytes = header.size() + payload.size();
-  wal::EncodeRecord(TestCheckpoint(9, 2), &image.bytes);  // a good one after
+  const std::string payload(12, static_cast<char>(0xff));  // bad varints
+  std::string record;
+  ASSERT_TRUE(codec::AppendFrame(payload, wal::kMaxRecordPayload, &record));
+  image.bytes.insert(image.record_ends[0], record);
+  const std::size_t bad_record_bytes = record.size();
+  // A good record after it.
+  ASSERT_TRUE(wal::EncodeRecord(TestCheckpoint(9, 2), &image.bytes));
 
   std::vector<wal::WalCheckpoint> out;
   WalRecoveryReport report;

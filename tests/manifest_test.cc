@@ -69,7 +69,7 @@ std::span<const uint8_t> AsBytes(const std::string& s) {
 TEST(ManifestCodecTest, RoundTripsEmptyAndPopulated) {
   for (const Manifest& m : {Manifest{}, SampleManifest()}) {
     std::string bytes;
-    EncodeManifest(m, &bytes);
+    ASSERT_TRUE(EncodeManifest(m, &bytes));
     Manifest decoded;
     ASSERT_TRUE(DecodeManifest(AsBytes(bytes), &decoded));
     EXPECT_TRUE(decoded == m);
@@ -78,7 +78,7 @@ TEST(ManifestCodecTest, RoundTripsEmptyAndPopulated) {
 
 TEST(ManifestCodecTest, EveryTruncationRejects) {
   std::string bytes;
-  EncodeManifest(SampleManifest(), &bytes);
+  ASSERT_TRUE(EncodeManifest(SampleManifest(), &bytes));
   Manifest decoded;
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     const std::string prefix = bytes.substr(0, cut);
@@ -92,7 +92,7 @@ TEST(ManifestCodecTest, EveryTruncationRejects) {
 
 TEST(ManifestCodecTest, EveryByteFlipRejects) {
   std::string bytes;
-  EncodeManifest(SampleManifest(), &bytes);
+  ASSERT_TRUE(EncodeManifest(SampleManifest(), &bytes));
   Manifest decoded;
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     std::string corrupt = bytes;

@@ -373,6 +373,46 @@ class LintHarness(unittest.TestCase):
         code, out = self.lint()
         self.assertEqual(code, 0, out)
 
+    # -- framing-containment -----------------------------------------------
+
+    def test_crc_call_in_storage_fails(self):
+        self.write("src/storage/compaction.cc",
+                   "uint32_t c = crc32c::Value(p, 4);\n")
+        code, out = self.lint()
+        self.assertEqual(code, 1, out)
+        self.assertIn("framing-containment", out)
+        self.assertIn("src/storage/compaction.cc:1", out)
+
+    def test_fixed_width_helper_outside_codec_fails(self):
+        self.write("src/storage/manifest.cc",
+                   "const uint32_t n = codec::GetFixed32(p);\n")
+        code, out = self.lint()
+        self.assertEqual(code, 1, out)
+        self.assertIn("framing-containment", out)
+
+    def test_private_put_u32_fails(self):
+        self.write("src/service/fleet.cc", "PutU32(&out, len);\n")
+        code, out = self.lint()
+        self.assertEqual(code, 1, out)
+        self.assertIn("framing-containment", out)
+
+    def test_codec_and_checksum_may_frame(self):
+        self.write("src/storage/codec.h",
+                   "inline uint32_t GetFixed32(const uint8_t* p);\n"
+                   "uint32_t c = crc32c::Value(p, 4);\n")
+        self.write("src/common/crc32c.cc",
+                   "uint32_t v = crc32c::Extend(0, p, 4);\n")
+        code, out = self.lint()
+        self.assertEqual(code, 0, out)
+
+    def test_varints_and_comments_pass(self):
+        self.write("src/storage/block_format.h",
+                   "// framed by codec::AppendFrame (crc32c::Value inside)\n"
+                   "varint::PutU64(&out, v);\n"
+                   "varint::GetU64(&p, end, &v);\n")
+        code, out = self.lint()
+        self.assertEqual(code, 0, out)
+
     # -- config parsing ----------------------------------------------------
 
     def test_malformed_allowlist_is_exit_2(self):

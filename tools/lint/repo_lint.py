@@ -62,6 +62,16 @@ cannot see:
       feature, or smuggles a second, unlinted copy of a kernel past the
       byte-identity audit trail in simd_lanes.h.
 
+  framing-containment
+      Every durable byte is framed by the one storage codec
+      (storage/codec.h): one file header, one length + CRC32C frame, one
+      point-column coder, shared by WAL segments, block files and the
+      MANIFEST. Only that header and the checksum itself
+      (FRAMING_ALLOWLIST) may call ``crc32c::`` or the fixed-width
+      little-endian put/get helpers; any other src/ file doing so is a
+      private framing growing back — a format whose truncation, flip and
+      version rules the codec tests and fuzzers no longer cover.
+
 Exit codes: 0 clean, 1 violations found, 2 configuration/usage error.
 """
 
@@ -161,6 +171,16 @@ INTRINSIC_INCLUDE_RE = re.compile(
     r"^\s*#\s*include\s+<"
     r"(?:immintrin|emmintrin|xmmintrin|smmintrin|tmmintrin|pmmintrin"
     r"|nmmintrin|wmmintrin|ammintrin|x86intrin)\.h>")
+
+
+# The only src/ files that may checksum or hand-pack fixed-width fields.
+FRAMING_ALLOWLIST = {
+    "src/common/crc32c.h",
+    "src/common/crc32c.cc",
+    "src/storage/codec.h",
+}
+FRAMING_TOKEN_RE = re.compile(
+    r"\bcrc32c::|\b(?:Put|Get)(?:U16|U32|F64|Fixed(?:16|32|64))\s*\(")
 
 
 def layer_closure():
@@ -464,6 +484,23 @@ def check_intrinsics_containment(files, violations):
                  "body to common/simd_lanes.h instead"))
 
 
+def check_framing_containment(files, violations):
+    for src in files:
+        if src.relpath in FRAMING_ALLOWLIST:
+            continue
+        for idx, code in enumerate(src.code_lines):
+            if not FRAMING_TOKEN_RE.search(code):
+                continue
+            raw = src.raw_lines[idx] if idx < len(src.raw_lines) else code
+            violations.append(
+                ("framing-containment", src.relpath, idx + 1,
+                 f"private framing outside the storage codec: "
+                 f"'{raw.strip()}' — only "
+                 f"{', '.join(sorted(FRAMING_ALLOWLIST))} may call crc32c:: "
+                 "or the fixed-width put/get helpers; build headers, frames "
+                 "and point columns with storage/codec.h instead"))
+
+
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
@@ -491,6 +528,7 @@ def run(root, allowlist_path, budget_path, out=sys.stdout):
     check_fault_injection_containment(files, violations)
     check_file_io_containment(files, violations)
     check_intrinsics_containment(files, violations)
+    check_framing_containment(files, violations)
 
     for rule, relpath, line, message in violations:
         print(f"{relpath}:{line}: [{rule}] {message}", file=out)
