@@ -187,6 +187,36 @@ inline FastQuadrantBounds QuadrantFastBounds(const QuadrantBound& qb,
   return out;
 }
 
+/// Line-metric include pre-test value: Theorem 5.2's whole-box upper bound
+/// (the max over the box corners) in QuadrantFastBounds' |cross(end, p)|
+/// domain, plus an absolute rounding margin. Every candidate of the tight
+/// kSound composition lies in the box — corners and extreme points
+/// exactly, the bounding-line intersections up to a few ulps of the box
+/// coordinates (IntersectRay's slab rounding) — and |end x p| is linear in
+/// p, so its maximum over the box sits at a corner. The margin,
+/// ~90 ulps of (|end.x| + |end.y|) * max|box coordinate|, covers those
+/// intersection ulps plus the rounding of both the corner and the candidate
+/// cross products, so the returned value dominates
+/// QuadrantFastBounds(...).upper (and |end| times the reference's upper)
+/// without touching the significant points. A squared include verdict
+/// against it is therefore an include verdict of the tight composition.
+/// Precondition: !box.empty().
+inline double BoxCrossUpper(const Box2& box, Vec2 end) {
+  const Vec2 lo = box.min();
+  const Vec2 hi = box.max();
+  const double corner_max =
+      std::max(std::max(std::fabs(end.Cross(lo)),
+                        std::fabs(end.Cross(Vec2{hi.x, lo.y}))),
+               std::max(std::fabs(end.Cross(hi)),
+                        std::fabs(end.Cross(Vec2{lo.x, hi.y}))));
+  const double coord_max =
+      std::max(std::max(std::fabs(lo.x), std::fabs(hi.x)),
+               std::max(std::fabs(lo.y), std::fabs(hi.y)));
+  const double margin =
+      1e-14 * (std::fabs(end.x) + std::fabs(end.y)) * coord_max;
+  return corner_max + margin;
+}
+
 /// Loose whole-box bounds of Theorem 5.2 (min/max corner distance). Used as
 /// a baseline in the bound-tightness ablation; the compressors use
 /// QuadrantDeviationBounds.

@@ -25,8 +25,12 @@ struct DecisionStats {
   uint64_t exact_points_scanned = 0;  ///< Points examined across all exact
                                       ///< resolves: hull vertices with
                                       ///< ExactResolver::kHull, whole-buffer
-                                      ///< points with kBruteForce. The
-                                      ///< O(n^2)-vs-O(nh) story in one number.
+                                      ///< points with kBruteForce (a
+                                      ///< distance rescan) and kAdaptive's
+                                      ///< flat phase (a squared-domain
+                                      ///< verdict under the fast kernel).
+                                      ///< The O(n^2)-vs-O(nh) story in one
+                                      ///< number.
   uint64_t peak_exact_state = 0;      ///< Largest per-segment exact-resolve
                                       ///< structure (hull vertices or
                                       ///< buffered points) seen so far.

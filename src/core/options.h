@@ -29,7 +29,11 @@ enum class ExactResolver {
   /// maintenance overhead on well-behaved streams, where segments rarely
   /// grow long), adversarial segments get the O(h) hull. Byte-identical
   /// to both pure modes because the two resolvers agree exactly (the
-  /// deviation maximum is attained at a hull vertex). Default.
+  /// deviation maximum is attained at a hull vertex). Under the fast
+  /// kernel with the line metric and sound bounds the flat phase is a
+  /// squared-domain SIMD max|cross| verdict rather than a sqrt rescan;
+  /// only resolves inside its ~1e-12 relative guard band rescan with
+  /// distances (counted as kernel fallbacks). Default.
   kAdaptive,
   /// Scan the vertices of an incrementally-maintained convex hull of the
   /// segment buffer (Melkman). O(h) per resolve, O(h) space, h << n; the

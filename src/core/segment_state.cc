@@ -85,6 +85,9 @@ SegmentEngine::SegmentEngine(const BqsOptions& options, bool exact_mode)
   options_.adaptive_resolver_threshold =
       std::max(options_.adaptive_resolver_threshold, 1);
   trivial_eps_sq_ = options_.epsilon * options_.epsilon;
+  fast_line_sound_ = fast_kernel_ &&
+                     options_.metric == DistanceMetric::kPointToLine &&
+                     options_.bounds_mode == BoundsMode::kSound;
   // The vector conclusive screen mass-includes trivial points whose
   // decision is a pure function of (rel_rot, quadrant state): the fast
   // kernel's upper-bound test under the line metric, or the paper's
@@ -657,7 +660,33 @@ SegmentEngine::FastOutcome SegmentEngine::FastAssess(Vec2 end,
   if (end == Vec2{0.0, 0.0}) return FastOutcome::kFallback;
   if (NearAxisSliver(end)) return FastOutcome::kFallback;
 
+  // Threshold test in the squared domain: the reference compares
+  // max|cross|/|end| (resp. hypot distances) against eps; squaring both
+  // sides is exact in real arithmetic, and every floating-point
+  // discrepancy between the two formulations is bounded well under the
+  // 1e-12 relative guard band, inside which we defer to the reference.
   const bool line = options_.metric == DistanceMetric::kPointToLine;
+  const double eps_sq = eps * eps;
+  const double threshold = line ? eps_sq * end.NormSq() : eps_sq;
+  constexpr double kBandLo = 1.0 - 1e-12;
+  constexpr double kBandHi = 1.0 + 1e-12;
+
+  // Box-corner include pre-test (see BoxCrossUpper): when even the loose
+  // whole-box bound clears the band, the tight composition would include
+  // too (or fall back to a reference check that includes), so decide
+  // without the significant points. On moving streams most includes grow
+  // a box; this keeps the invalidated cache stale instead of rebuilding it.
+  if (fast_line_sound_) {
+    double box_upper = 0.0;
+    for (const QuadrantBound& q : quadrants_) {
+      if (q.empty()) continue;
+      box_upper = std::max(box_upper, BoxCrossUpper(q.box(), end));
+    }
+    if (box_upper * box_upper <= threshold * kBandLo) {
+      return FastOutcome::kInclude;
+    }
+  }
+
   const int end_q = QuadrantOf(end);
   FastQuadrantBounds agg;
   for (const QuadrantBound& q : quadrants_) {
@@ -672,15 +701,6 @@ SegmentEngine::FastOutcome SegmentEngine::FastAssess(Vec2 end,
     if (!agg.ok) return FastOutcome::kFallback;
   }
 
-  // Threshold test in the squared domain: the reference compares
-  // max|cross|/|end| (resp. hypot distances) against eps; squaring both
-  // sides is exact in real arithmetic, and every floating-point
-  // discrepancy between the two formulations is bounded well under the
-  // 1e-12 relative guard band, inside which we defer to the reference.
-  const double eps_sq = eps * eps;
-  const double threshold = line ? eps_sq * end.NormSq() : eps_sq;
-  constexpr double kBandLo = 1.0 - 1e-12;
-  constexpr double kBandHi = 1.0 + 1e-12;
   const double upper_sq = line ? agg.upper * agg.upper : agg.upper;
   if (upper_sq <= threshold * kBandLo) return FastOutcome::kInclude;
   if (upper_sq <= threshold * kBandHi) return FastOutcome::kFallback;
@@ -727,9 +747,28 @@ SegmentEngine::Decision SegmentEngine::ResolveInconclusive(
   // (O(h), the deviation maximum is attained there) or over the flat
   // buffer (O(n): brute force, or adaptive before its migration point).
   ++stats_.exact_computations;
-  const double dev = ExactDeviation(pt.pos);  // drains the pending batch
-  stats_.exact_points_scanned += hull_active_ ? hull_.size() : buffer_.size();
-  if (dev <= options_.epsilon) {
+  bool include;
+  if (fast_line_sound_ && !hull_active_ &&
+      options_.exact_resolver == ExactResolver::kAdaptive) {
+    // Adaptive flat-buffer phase under the fast kernel: the same sqrt-free
+    // SIMD verdict as the warm-up check; the sqrt-bearing rescan runs only
+    // inside its guard band. kBruteForce keeps the literal rescan (it is
+    // the oracle this path is checked against).
+    stats_.exact_points_scanned += buffer_.size();
+    const int verdict =
+        SquaredDeviationVerdict(buffer_.data(), buffer_.size(),
+                                segment_start_.pos, pt.pos, options_.metric,
+                                options_.epsilon, *kernels_);
+    if (verdict == 0) ++stats_.kernel_fallbacks;
+    include = verdict == 0 ? ExactDeviation(pt.pos) <= options_.epsilon
+                           : verdict > 0;
+  } else {
+    const double dev = ExactDeviation(pt.pos);  // drains the pending batch
+    stats_.exact_points_scanned +=
+        hull_active_ ? hull_.size() : buffer_.size();
+    include = dev <= options_.epsilon;
+  }
+  if (include) {
     if (trivial) {
       ++stats_.trivial_includes;
     } else {

@@ -14,12 +14,21 @@
 // vectors) re-run the reference transcendental composition, so decisions
 // are bit-identical to kReference by construction.
 //
+// Under the line metric and the sound bounds, the fast kernel first tries
+// a box-corner include pre-test (Theorem 5.2's whole-box upper bound plus
+// a rounding margin, squared): when it clears epsilon the tight
+// composition would include too, so the quadrant's invalidated
+// significant-point cache is not rebuilt for that point.
+//
 // BQS's exact resolve is driven by ExactResolver: kAdaptive (default)
-// rescans the flat segment buffer while it is short and migrates to an
-// incrementally-maintained Melkman hull at adaptive_resolver_threshold
-// points; kHull always maintains the hull (O(h) resolves, O(h) space);
-// kBruteForce keeps the paper's O(n)-per-resolve whole-buffer rescan as the
-// reference implementation the other paths are verified against.
+// scans the flat segment buffer while it is short — under the fast
+// kernel and line metric as a squared-domain SIMD max|cross| verdict, with
+// the sqrt-bearing rescan only inside its 1e-12 guard band — and migrates
+// to an incrementally-maintained Melkman hull at
+// adaptive_resolver_threshold points; kHull always maintains the hull
+// (O(h) resolves, O(h) space); kBruteForce keeps the paper's
+// O(n)-per-resolve whole-buffer distance rescan as the reference
+// implementation the other paths are verified against.
 #ifndef BQS_CORE_SEGMENT_STATE_H_
 #define BQS_CORE_SEGMENT_STATE_H_
 
@@ -270,6 +279,10 @@ class SegmentEngine {
   BqsOptions options_;
   bool exact_mode_;
   bool fast_kernel_;  ///< options_.bound_kernel == BoundKernel::kFast.
+  /// Fast kernel under the line metric and the sound bounds: the domain
+  /// of the box-corner include pre-test (FastAssess) and the squared-
+  /// domain flat-buffer resolve (ResolveInconclusive).
+  bool fast_line_sound_ = false;
   DecisionStats stats_;
 
   bool have_first_ = false;
@@ -304,9 +317,9 @@ class SegmentEngine {
   std::vector<TrackPoint> buffer_;
 
   /// SoA scratch for PushBatch (see PrepareBatch and BatchScratch). The
-  /// fill window starts at kBatchSeed after every split and doubles to
-  /// kBatchChunk while chunks run to completion, so split-heavy streams do
-  /// not pay for discarded pre-rotation work.
+  /// fill window starts at kBatchSeed after every split and grows fourfold
+  /// per split-free chunk up to kBatchChunk, so split-heavy streams do not
+  /// pay for discarded pre-rotation work.
   static constexpr std::size_t kBatchChunk = BatchScratch::kCapacity;
   static constexpr std::size_t kBatchSeed = 16;
   std::unique_ptr<BatchScratch> scratch_;

@@ -320,6 +320,89 @@ TEST(BoundsTest, FastBoundsDecisionsMatchReferenceAgainstEpsilon) {
   }
 }
 
+TEST(BoundsTest, BoxCornerPretestImpliesTightInclude) {
+  // Soundness of the engine's box-corner include pre-test: whenever
+  // BoxCrossUpper clears the squared include threshold, the reference
+  // upper bound is within epsilon and the tight fast composition yields an
+  // include verdict (never split, inconclusive or even a guard-band
+  // fallback). Epsilon is chosen to make the pre-test pass by a hair, so
+  // the rounding margin itself is what is under test. Shapes: random
+  // clouds, hair-thin rotated runs (the bounding-ray intersections carry
+  // the most slab rounding there), runs whose extreme points sit within
+  // ~1e-13 rad of a quadrant axis, all at unit and UTM-like scales; ends
+  // random or nearly parallel to the run (maximal cancellation).
+  constexpr double kBandLo = 1.0 - 1e-12;
+  Rng rng(4242);
+  int includes = 0;
+  for (int trial = 0; trial < 60000; ++trial) {
+    const int quadrant = trial % 4;
+    const int shape = (trial / 4) % 3;
+    const double scale = (trial / 12) % 2 == 0 ? 1.0 : rng.Uniform(1e6, 1e7);
+    const QuadrantRange range = QuadrantAngles(quadrant);
+    double theta = rng.Uniform(range.start, range.end);
+    if (shape == 2) {
+      const double off = rng.Uniform(1e-14, 1e-12);
+      theta = rng.Bernoulli(0.5) ? range.start + off : range.end - off;
+    }
+    const Vec2 dir{std::cos(theta), std::sin(theta)};
+    const Vec2 normal{-dir.y, dir.x};
+    QuadrantBound qb(quadrant);
+    const int n = 1 + trial % 9;
+    for (int i = 0; i < n; ++i) {
+      Vec2 p;
+      if (shape == 0) {
+        p = RandomPointInQuadrant(rng, quadrant, 0.5, 500.0) * scale;
+      } else {
+        const double r = rng.Uniform(1.0, 500.0) * scale;
+        const double lateral = shape == 1 ? rng.Uniform(-1e-9, 1e-9) * r : 0.0;
+        p = dir * r + normal * lateral;
+      }
+      if (QuadrantOf(p) != quadrant || p == Vec2{0.0, 0.0}) continue;
+      qb.AddCross(p);
+    }
+    if (qb.empty()) continue;
+
+    Vec2 end;
+    const double len = rng.Uniform(1.0, 600.0) * scale;
+    if (rng.Bernoulli(0.5)) {
+      const double phi = rng.Uniform(0.0, 2.0 * kPi);
+      end = Vec2{std::cos(phi), std::sin(phi)} * len;
+    } else {
+      const double tilt = std::pow(
+          10.0, -static_cast<double>(rng.UniformInt(0, 9)));
+      const double phi = theta + rng.Uniform(-1e-3, 1e-3) * tilt;
+      const double sign = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+      end = Vec2{std::cos(phi), std::sin(phi)} * (sign * len);
+    }
+    if (end == Vec2{0.0, 0.0}) continue;
+
+    const double box_upper = BoxCrossUpper(qb.box(), end);
+    const double slack[] = {1e-15, 1e-13, 1e-6, 0.5};
+    const double eps = box_upper / std::sqrt(end.NormSq() * kBandLo) *
+                       (1.0 + slack[static_cast<std::size_t>(
+                                  rng.UniformInt(0, 3))]);
+    const double threshold = eps * eps * end.NormSq();
+    if (!(box_upper * box_upper <= threshold * kBandLo)) continue;
+    ++includes;
+
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << " shape "
+                                      << shape << " scale " << scale);
+    const DeviationBounds reference = QuadrantDeviationBounds(
+        qb, end, DistanceMetric::kPointToLine, BoundsMode::kSound);
+    EXPECT_LE(reference.upper, eps);
+    for (const bool in_q : {false, true}) {
+      const FastQuadrantBounds fast = QuadrantFastBounds(
+          qb, end, in_q, DistanceMetric::kPointToLine, BoundsMode::kSound);
+      if (!fast.ok) continue;  // the engine's fallback would include too.
+      EXPECT_LE(fast.upper, box_upper);
+      // The engine's include verdict, stricter than "not split or
+      // inconclusive": not even a guard-band fallback.
+      EXPECT_LE(fast.upper * fast.upper, threshold * kBandLo);
+    }
+  }
+  EXPECT_GT(includes, 50000);
+}
+
 TEST(BoundsTest, MergeMaxAggregatesBothSides) {
   DeviationBounds a{1.0, 5.0};
   const DeviationBounds b{2.0, 3.0};

@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <span>
+#include <vector>
 
 #include "baselines/buffered_greedy.h"
+#include "core/fbqs_compressor.h"
+#include "simulation/datasets.h"
 #include "test_util.h"
 #include "trajectory/deviation.h"
 
@@ -560,6 +564,90 @@ TEST(BqsCompressorTest, PushBatchMatchesPushExactly) {
   }
   chunked.Finish(&chunks.keys);
   ExpectByteIdenticalKeys(single, chunks, "chunked batch");
+}
+
+void ExpectSameDecisions(const DecisionStats& a, const DecisionStats& b) {
+  EXPECT_EQ(a.upper_bound_includes, b.upper_bound_includes);
+  EXPECT_EQ(a.lower_bound_splits, b.lower_bound_splits);
+  EXPECT_EQ(a.exact_computations, b.exact_computations);
+  EXPECT_EQ(a.segments, b.segments);
+}
+
+TEST(BqsCompressorTest, DefaultKernelMatchesOraclesOnMovingStreams) {
+  // Moving streams are where the fast kernel's box-corner include
+  // pre-test and squared-domain flat-buffer resolve carry most decisions:
+  // the default BQS and FBQS must take exactly the decisions of the
+  // reference kernel and (BQS) of the literal brute-force rescan on the
+  // fleet's random-walk vehicles and on the adversarial drift stream.
+  std::vector<Trajectory> streams;
+  for (auto& [device, stream] : BuildFleetDataset(6, 0.1).devices) {
+    streams.push_back(std::move(stream));
+  }
+  streams.push_back(BuildAdversarialDriftDataset(0.05).stream);
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    for (double epsilon : {5.0, 10.0}) {
+      SCOPED_TRACE(::testing::Message() << "stream " << s << " eps "
+                                        << epsilon);
+      BqsOptions options;
+      options.epsilon = epsilon;
+      BqsOptions reference_options = options;
+      reference_options.bound_kernel = BoundKernel::kReference;
+      BqsOptions brute_options = options;
+      brute_options.exact_resolver = ExactResolver::kBruteForce;
+
+      BqsCompressor bqs(options);
+      BqsCompressor bqs_reference(reference_options);
+      BqsCompressor bqs_brute(brute_options);
+      const CompressedTrajectory out = CompressAll(bqs, streams[s]);
+      ExpectByteIdenticalKeys(out, CompressAll(bqs_reference, streams[s]),
+                              "BQS vs kReference");
+      ExpectByteIdenticalKeys(out, CompressAll(bqs_brute, streams[s]),
+                              "BQS vs kBruteForce");
+      ExpectSameDecisions(bqs.stats(), bqs_reference.stats());
+      ExpectSameDecisions(bqs.stats(), bqs_brute.stats());
+
+      FbqsCompressor fbqs(options);
+      FbqsCompressor fbqs_reference(reference_options);
+      ExpectByteIdenticalKeys(CompressAll(fbqs, streams[s]),
+                              CompressAll(fbqs_reference, streams[s]),
+                              "FBQS vs kReference");
+      ExpectSameDecisions(fbqs.stats(), fbqs_reference.stats());
+    }
+  }
+}
+
+TEST(BqsCompressorTest, SquaredResolveFallsBackOnTheGuardBand) {
+  // A buffered point exactly epsilon from the final chord: the squared
+  // flat-buffer verdict lands in its guard band (returns 0) and the
+  // decision falls back to the distance rescan, on both sides of the
+  // threshold. Geometry (no rotation, origin at the first fix): the chord
+  // to (60, 80) has length 100, so |cross| / 100 is exact and (50, 50)
+  // sits at distance 1000 / 100 = 10. The other buffered points keep the
+  // quadrant bounds inconclusive at the final fix (lower 9, upper 18).
+  Trajectory stream;
+  for (const Vec2 p : {Vec2{0.0, 0.0}, Vec2{50.0, 50.0}, Vec2{30.0, 25.0},
+                       Vec2{60.0, 70.0}, Vec2{60.0, 80.0}}) {
+    stream.push_back(TrackPoint{p, static_cast<double>(stream.size()), {}});
+  }
+  for (const double epsilon : {10.0, std::nextafter(10.0, 0.0)}) {
+    SCOPED_TRACE(::testing::Message() << "eps " << epsilon);
+    BqsOptions options;
+    options.epsilon = epsilon;
+    options.data_centric_rotation = false;
+    BqsOptions brute_options = options;
+    brute_options.exact_resolver = ExactResolver::kBruteForce;
+    BqsCompressor bqs(options);
+    BqsCompressor brute(brute_options);
+    const CompressedTrajectory out = CompressAll(bqs, stream);
+    ExpectByteIdenticalKeys(out, CompressAll(brute, stream),
+                            "adaptive vs brute");
+    ExpectSameDecisions(bqs.stats(), brute.stats());
+    // The final fix is resolved exactly: included at eps = 10, split just
+    // below it.
+    EXPECT_EQ(out.size(), epsilon == 10.0 ? 2u : 3u);
+    EXPECT_EQ(bqs.stats().exact_computations, 2u);
+    EXPECT_GT(bqs.stats().kernel_fallbacks, brute.stats().kernel_fallbacks);
+  }
 }
 
 TEST(BqsCompressorTest, InvalidOptionsAreReported) {

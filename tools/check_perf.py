@@ -43,6 +43,13 @@ report families, dispatched on the document's `schema` field:
      whenever the fresh run's `simd_tier` is not "scalar". Catches the
      dispatch (or the screen gating) silently decaying to the scalar
      path while byte-identity keeps all other gates green.
+  5. significant-point rebuilds: on the random_walk stream's fast-kernel
+     rows, significant_rebuilds / points must be <= REBUILD_CEILING for
+     that algorithm (0.30 BQS, 0.20 FBQS; measured 0.23 and 0.11 with the
+     box-corner include pre-test, ~0.48 and ~0.42 without it). The count
+     is deterministic for the seeded stream, so this catches the pre-test
+     silently decaying (decisions and checksums stay identical either
+     way, so no other gate would notice).
 
   bqs-bench-fleet-v2
   ------------------------------------------------------------------
@@ -131,6 +138,9 @@ SEQUENTIAL_CONFIG = "sequential"
 # vector lane (measured ~0.84 on the paper's merged workload; the floor
 # leaves room for dataset-scale wiggle, not for a path regression).
 VECTOR_COVERAGE_FLOOR = 0.75
+# Random-walk ceilings on significant-point rebuilds per point for the fast
+# kernel, per algorithm (see check 5 of the micro family).
+REBUILD_CEILING = {"BQS": 0.30, "FBQS": 0.20}
 
 
 def throughput_rates(doc):
@@ -317,21 +327,33 @@ def check_micro(fresh, baseline, failures):
             failures.append(f"micro {key}: {fallbacks} guard-band fallbacks "
                             "on the empirical stream (expected 0)")
             status = "FALLBACKS"
-        coverage_note = ""
+        note = ""
         if kernel == "fast" and stream == "empirical" and algorithm == "BQS":
             lanes = (row.get("batch_lanes4_points", 0) +
                      row.get("batch_lanes2_points", 0))
             total = lanes + row.get("batch_scalar_points", 0)
             coverage = lanes / total if total else 0.0
-            coverage_note = f"  vector {coverage:5.3f}"
+            note = f"  vector {coverage:5.3f}"
             if vector_tier and coverage < VECTOR_COVERAGE_FLOOR:
                 failures.append(
                     f"micro {key}: vector coverage {coverage:.3f} below "
                     f"floor {VECTOR_COVERAGE_FLOOR:.2f} (lanes {lanes}, "
                     f"total {total}) — batch screen decayed to scalar")
                 status = "COVERAGE"
+        ceiling = REBUILD_CEILING.get(algorithm)
+        if kernel == "fast" and stream == "random_walk" and ceiling:
+            points = row.get("points", 0)
+            rebuilds = row.get("significant_rebuilds", 0)
+            per_point = rebuilds / points if points else float("inf")
+            note += f"  rebuilds/pt {per_point:5.3f}"
+            if per_point > ceiling:
+                failures.append(
+                    f"micro {key}: {per_point:.3f} significant-point "
+                    f"rebuilds per point above ceiling {ceiling:.2f} — the "
+                    "box-corner include pre-test decayed")
+                status = "REBUILDS"
         print(f"{key[0]:>18s} / {algorithm:<5s}/{kernel:<9s} "
-              f"fallbacks {fallbacks:4d}{coverage_note}  {status}")
+              f"fallbacks {fallbacks:4d}{note}  {status}")
     return compared
 
 
