@@ -88,6 +88,41 @@ Status DecodeBlockFrame(std::span<const uint8_t> bytes,
   return Status::OK();
 }
 
+/// Decodes block `b` of the manifest-referenced `file` out of the file's
+/// whole image and cross-checks it against the manifest's metadata. Blocks
+/// are written back to back, so each one's frame must fit where the next
+/// begins (the last one at the end of the file). Shared by recovery's
+/// referenced walk and BlockStore::Open.
+Status DecodeReferencedBlock(std::span<const uint8_t> image,
+                             const std::string& path,
+                             const ManifestBlockFile& file, std::size_t b,
+                             std::vector<wal::WalCheckpoint>* out) {
+  const ManifestBlockEntry& entry = file.blocks[b];
+  const uint64_t end =
+      b + 1 < file.blocks.size() ? file.blocks[b + 1].offset : file.file_bytes;
+  const uint64_t bytes = end > entry.offset ? end - entry.offset : 0;
+  if (bytes > codec::kFrameHeaderBytes + blk::kMaxBlockPayload) {
+    return Status::Corruption("implausible block extent in " + path);
+  }
+  if (entry.offset + bytes > image.size()) {
+    return Status::Corruption("short block in " + path);
+  }
+  std::size_t frame_bytes = 0;
+  blk::BlockMeta meta;
+  BQS_RETURN_NOT_OK(DecodeBlockFrame(
+      image.subspan(static_cast<std::size_t>(entry.offset),
+                    static_cast<std::size_t>(bytes)),
+      path, &frame_bytes, &meta, out));
+  if (!(meta == entry.meta)) {
+    return Status::Corruption("block metadata mismatch in " + path);
+  }
+  return Status::OK();
+}
+
+std::span<const uint8_t> AsBytes(const std::string& bytes) {
+  return {reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size()};
+}
+
 }  // namespace
 
 // --- compactor ------------------------------------------------------------
@@ -259,8 +294,7 @@ Status Compactor::CompactOnceLocked(uint64_t max_segment_exclusive) {
     WalRecoveryReport scan_report;
     for (const WalSegmentFile& file : consumed) {
       BQS_RETURN_NOT_OK(ReadFileBytes(file.path, &bytes));
-      const std::span<const uint8_t> image(
-          reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+      const std::span<const uint8_t> image = AsBytes(bytes);
       codec::FileHeader header;
       if (codec::DecodeFileHeader(image, wal::kWalMagic, &header)) {
         quant = header.quant;
@@ -460,8 +494,7 @@ Result<StoreRecovery> RecoverStore(const std::string& wal_dir,
       ++report.block_files_unreadable;
       return;
     }
-    const std::span<const uint8_t> image(
-        reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+    const std::span<const uint8_t> image = AsBytes(bytes);
     codec::FileHeader header;
     if (!codec::DecodeFileHeader(image, blk::kBlockMagic, &header)) {
       ++report.block_files_unreadable;
@@ -476,19 +509,16 @@ Result<StoreRecovery> RecoverStore(const std::string& wal_dir,
     for (uint32_t b = 0; b < header.count; ++b) {
       // Referenced walks jump by manifest offsets (and cross-check the
       // stored metadata); the fallback walks the frames sequentially.
-      if (expect != nullptr) {
-        if (b >= expect->blocks.size()) break;
-        offset = expect->blocks[b].offset <= image.size()
-                     ? static_cast<std::size_t>(expect->blocks[b].offset)
-                     : image.size();
-      }
       std::size_t frame_bytes = 0;
       blk::BlockMeta meta;
       std::vector<wal::WalCheckpoint> decoded;
-      if (!DecodeBlockFrame(image.subspan(offset), path, &frame_bytes, &meta,
-                            &decoded)
-               .ok() ||
-          (expect != nullptr && !(meta == expect->blocks[b].meta))) {
+      if (expect != nullptr && b >= expect->blocks.size()) break;
+      const Status st =
+          expect != nullptr
+              ? DecodeReferencedBlock(image, path, *expect, b, &decoded)
+              : DecodeBlockFrame(image.subspan(offset), path, &frame_bytes,
+                                 &meta, &decoded);
+      if (!st.ok()) {
         ++report.blocks_corrupt;
         if (expect == nullptr) break;  // framing lost; stop the walk
         continue;
@@ -580,10 +610,8 @@ Result<StoreRecovery> RecoverStore(const std::string& wal_dir,
 
 // --- range queries --------------------------------------------------------
 
-BlockStore::BlockStore(std::string dir, Manifest manifest, double cell_size)
-    : dir_(std::move(dir)),
-      manifest_(std::move(manifest)),
-      grid_(cell_size) {}
+BlockStore::BlockStore(Manifest manifest, double cell_size)
+    : manifest_(std::move(manifest)), grid_(cell_size) {}
 
 Result<BlockStore> BlockStore::Open(const std::string& block_dir) {
   Manifest manifest;
@@ -612,27 +640,39 @@ Result<BlockStore> BlockStore::Open(const std::string& block_dir) {
       count == 0 ? 500.0 : std::max(extent_sum / static_cast<double>(count),
                                     std::max(cq, 1e-6));
 
-  BlockStore store(block_dir, std::move(manifest), cell);
+  BlockStore store(std::move(manifest), cell);
   store.inflate_ = max_half_diag;
-  for (std::size_t slot = 0; slot < store.manifest_.files.size(); ++slot) {
-    const ManifestBlockFile& file = store.manifest_.files[slot];
+  store.blocks_.reserve(count);
+  std::string bytes;
+  std::vector<wal::WalCheckpoint> decoded;
+  for (const ManifestBlockFile& file : store.manifest_.files) {
+    const std::string path = block_dir + "/" + BlockFileName(file.file_id);
+    const Status read = ReadFileBytes(path, &bytes);
     for (std::size_t b = 0; b < file.blocks.size(); ++b) {
-      const ManifestBlockEntry& entry = file.blocks[b];
-      // Blocks are written back to back, so each one's frame ends where
-      // the next begins (the last one at the end of the file).
-      const uint64_t end = b + 1 < file.blocks.size()
-                               ? file.blocks[b + 1].offset
-                               : file.file_bytes;
-      const uint64_t id = store.blocks_.size();
-      const Vec2 center(
-          0.5 * static_cast<double>(entry.meta.qx_min + entry.meta.qx_max) *
-              cq,
-          0.5 * static_cast<double>(entry.meta.qy_min + entry.meta.qy_max) *
-              cq);
-      store.grid_.Insert(id, center);
-      store.blocks_.push_back(
-          BlockRef{slot, entry.offset,
-                   end > entry.offset ? end - entry.offset : 0, entry.meta});
+      const blk::BlockMeta& m = file.blocks[b].meta;
+      BlockRef ref{m, store.point_count_, 0, read};
+      if (read.ok()) {
+        ref.status =
+            DecodeReferencedBlock(AsBytes(bytes), path, file, b, &decoded);
+      }
+      if (ref.status.ok()) {
+        for (const wal::WalCheckpoint& c : decoded) {
+          for (const wal::WalPoint& p : c.points) {
+            const std::size_t i = store.point_count_++;
+            if (i % kChunkPoints == 0) {
+              store.chunks_.push_back(
+                  std::make_unique<KeyPoint[]>(kChunkPoints));
+            }
+            store.chunks_.back()[i % kChunkPoints] =
+                wal::Dequantize(p, store.manifest_.quant);
+          }
+        }
+      }
+      ref.end = store.point_count_;
+      const Vec2 center(0.5 * static_cast<double>(m.qx_min + m.qx_max) * cq,
+                        0.5 * static_cast<double>(m.qy_min + m.qy_max) * cq);
+      store.grid_.Insert(store.blocks_.size(), center);
+      store.blocks_.push_back(std::move(ref));
     }
   }
   return store;
@@ -645,6 +685,14 @@ Status BlockStore::Query(Vec2 center, double radius, double t_min,
   RangeQueryStats* const s = stats != nullptr ? stats : &local;
   *s = RangeQueryStats{};
   s->blocks_total = blocks_.size();
+  if (!std::isfinite(center.x) || !std::isfinite(center.y) ||
+      !std::isfinite(radius) || !std::isfinite(t_min) ||
+      !std::isfinite(t_max)) {
+    return Status::InvalidArgument("range query arguments must be finite");
+  }
+  if (radius < 0.0) {
+    return Status::InvalidArgument("range query radius must be >= 0");
+  }
 
   std::vector<uint64_t> candidates = grid_.Query(center, radius + inflate_);
   std::sort(candidates.begin(), candidates.end());  // deterministic order
@@ -654,10 +702,6 @@ Status BlockStore::Query(Vec2 center, double radius, double t_min,
   const double tq = manifest_.quant.time_quantum;
   const double radius_sq = radius * radius;
 
-  std::ifstream in;
-  std::string path;
-  std::size_t open_slot = SIZE_MAX;
-  std::string frame;
   for (const uint64_t id : candidates) {
     const BlockRef& ref = blocks_[static_cast<std::size_t>(id)];
     const blk::BlockMeta& m = ref.meta;
@@ -676,39 +720,18 @@ Status BlockStore::Query(Vec2 center, double radius, double t_min,
       ++s->blocks_pruned;
       continue;
     }
+    if (!ref.status.ok()) return ref.status;
 
-    if (ref.file_slot != open_slot) {
-      in.close();
-      in.clear();
-      path =
-          dir_ + "/" + BlockFileName(manifest_.files[ref.file_slot].file_id);
-      in.open(path, std::ios::binary);
-      if (!in) return Status::IoError("open " + path + " for read failed");
-      open_slot = ref.file_slot;
-    }
-    if (ref.bytes > codec::kFrameHeaderBytes + blk::kMaxBlockPayload) {
-      return Status::Corruption("implausible block extent in " + path);
-    }
-    frame.resize(static_cast<std::size_t>(ref.bytes));
-    in.clear();
-    in.seekg(static_cast<std::streamoff>(ref.offset));
-    if (!in.read(frame.data(), static_cast<std::streamsize>(frame.size()))) {
-      return Status::Corruption("short block in " + path);
-    }
-    std::size_t frame_bytes = 0;
-    blk::BlockMeta meta;
-    std::vector<wal::WalCheckpoint> decoded;
-    BQS_RETURN_NOT_OK(DecodeBlockFrame(
-        {reinterpret_cast<const uint8_t*>(frame.data()), frame.size()}, path,
-        &frame_bytes, &meta, &decoded));
-    if (!(meta == m)) {
-      return Status::Corruption("block metadata mismatch in " + path);
-    }
     ++s->blocks_decoded;
-    for (const wal::WalCheckpoint& c : decoded) {
-      s->points_scanned += c.points.size();
-      for (const wal::WalPoint& p : c.points) {
-        const KeyPoint key = wal::Dequantize(p, manifest_.quant);
+    s->points_scanned += ref.end - ref.begin;
+    // Chunk by chunk, so the inner loop is a plain array scan (indexing
+    // every point through the chunk table was ~15% slower per query).
+    for (std::size_t i = ref.begin; i < ref.end;) {
+      const KeyPoint* chunk = chunks_[i / kChunkPoints].get();
+      const std::size_t stop =
+          std::min(ref.end, (i / kChunkPoints + 1) * kChunkPoints);
+      for (; i < stop; ++i) {
+        const KeyPoint& key = chunk[i % kChunkPoints];
         if (key.point.t < t_min || key.point.t > t_max) continue;
         if (DistanceSq(key.point.pos, center) > radius_sq) continue;
         out->push_back(key);

@@ -48,6 +48,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -195,30 +196,43 @@ struct RangeQueryStats {
   uint64_t blocks_total = 0;      ///< Live blocks in the store.
   uint64_t grid_candidates = 0;   ///< Survived the grid-index sweep.
   uint64_t blocks_pruned = 0;     ///< Rejected by exact bbox/time test.
-  uint64_t blocks_decoded = 0;    ///< Actually read + decoded.
-  uint64_t points_scanned = 0;    ///< Points inside decoded blocks.
+  uint64_t blocks_decoded = 0;    ///< Surviving blocks whose points were
+                                  ///< scanned.
+  uint64_t points_scanned = 0;    ///< Points inside those blocks.
   uint64_t points_returned = 0;
 };
 
 /// Read-only view over a published block directory: answers
-/// spatio-temporal range queries off the compressed blocks, decoding only
+/// spatio-temporal range queries off the compressed blocks, scanning only
 /// the ones whose bounding box can intersect the query.
+///
+/// Open() reads every referenced block file once and verifies each block
+/// the way recovery does (frame CRC, the paranoid payload decode, and the
+/// manifest-metadata cross-check), then keeps the dequantized key points
+/// in memory — O(store bytes) to open, 32 B held per stored key point.
+/// Queries touch only memory: no file I/O, no CRC, no allocation per
+/// block. A block that fails to load does not fail Open(); its error
+/// (IoError for an unreadable file, Corruption for a short or damaged
+/// block) is returned by every query that cannot prune it, while queries
+/// that prune it still answer.
 ///
 /// Pruning is two-staged: a GridIndex over block-bbox centers (queried
 /// with the radius inflated by the largest block half-diagonal, so it can
 /// never miss an intersecting block) narrows to candidates, then the
-/// exact circle-vs-bbox + time-span test decides what to decode. Returned
+/// exact circle-vs-bbox + time-span test decides what to scan. Returned
 /// key points are dequantized; each is within quantum/2 per axis of what
 /// the compressor emitted, so results inherit the combined
 /// eps + quantum/2 error bound end to end.
 class BlockStore {
  public:
-  /// Reads the MANIFEST and builds the pruning index. NotFound when no
-  /// manifest exists, Corruption when it fails to decode.
+  /// Reads the MANIFEST and every block it references, and builds the
+  /// pruning index. NotFound when no manifest exists, Corruption when it
+  /// fails to decode; damaged blocks are reported per query instead.
   static Result<BlockStore> Open(const std::string& block_dir);
 
   /// Appends key points within `radius` of `center` (Euclidean) whose
-  /// timestamp lies in [t_min, t_max]. Decodes only matching blocks.
+  /// timestamp lies in [t_min, t_max]. Scans only matching blocks.
+  /// InvalidArgument for a non-finite argument or a negative radius.
   Status Query(Vec2 center, double radius, double t_min, double t_max,
                std::vector<KeyPoint>* out,
                RangeQueryStats* stats = nullptr) const;
@@ -229,17 +243,26 @@ class BlockStore {
 
  private:
   struct BlockRef {
-    std::size_t file_slot = 0;  ///< Index into manifest_.files.
-    uint64_t offset = 0;
-    uint64_t bytes = 0;  ///< Frame extent: up to the next block's offset.
     blk::BlockMeta meta;
+    std::size_t begin = 0;  ///< The block's key points: [begin, end).
+    std::size_t end = 0;
+    Status status;  ///< Why the block could not be loaded; OK when it was.
   };
 
-  BlockStore(std::string dir, Manifest manifest, double cell_size);
+  BlockStore(Manifest manifest, double cell_size);
 
-  std::string dir_;
   Manifest manifest_;
   std::vector<BlockRef> blocks_;
+  /// Every loaded block's key points, in order, in fixed-size chunks:
+  /// point i is chunks_[i / kChunkPoints][i % kChunkPoints], and only the
+  /// last chunk has unused room. A chunk stays below malloc's mmap
+  /// threshold, so reopening a store reuses the chunks the last one
+  /// freed. One array of the whole store would be mmapped instead, and
+  /// freeing it raises glibc's dynamic mmap and trim thresholds, after
+  /// which the heap keeps that much freed memory resident.
+  static constexpr std::size_t kChunkPoints = 2048;  // 64 KiB
+  std::vector<std::unique_ptr<KeyPoint[]>> chunks_;
+  std::size_t point_count_ = 0;
   GridIndex grid_;       ///< id = index into blocks_, pos = bbox center.
   double inflate_ = 0.0; ///< Largest block half-diagonal, metres.
 };

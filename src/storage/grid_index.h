@@ -12,7 +12,8 @@
 
 namespace bqs {
 
-/// Maps ids to positions and answers radius queries in O(cells touched).
+/// Maps ids to positions and answers radius queries in
+/// O(min(cells in the query's bounding square, entries)).
 class GridIndex {
  public:
   /// `cell_size` should be on the order of typical query radii.
@@ -24,7 +25,10 @@ class GridIndex {
   bool Remove(uint64_t id, Vec2 pos);
 
   /// Ids with position within `radius` of `center` (exact filter after the
-  /// cell sweep). Duplicate-free if ids were inserted once.
+  /// cell sweep), in (cell x, cell y) order. Duplicate-free if ids were
+  /// inserted once. When the query's bounding square holds more cells than
+  /// are occupied, or its cell coordinates overflow, every occupied cell is
+  /// walked instead; the result is the same.
   std::vector<uint64_t> Query(Vec2 center, double radius) const;
 
   std::size_t size() const { return size_; }

@@ -7,12 +7,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/fault_injector.h"
+#include "common/rng.h"
 #include "storage/compaction.h"
 #include "storage/keypoint_wal.h"
 #include "storage/manifest.h"
@@ -467,6 +469,295 @@ TEST(BlockStoreTest, RangeQueryPrunesAndHonorsQuantumBound) {
       store.Query(center, radius, 1e6, 2e6, &none, &late_stats).ok());
   EXPECT_TRUE(none.empty());
   EXPECT_EQ(late_stats.blocks_decoded, 0u);
+}
+
+/// Builds a store of `rounds` block files: four devices random-walk around
+/// far-apart cluster centers in checkpoints of `points` fixes, every fix
+/// one global time step later than the one before, and each round ends
+/// with a compaction of the sealed segments. Small blocks, so each file
+/// holds several per device.
+void BuildMultiFileStore(const std::string& wal_dir,
+                         const std::string& block_dir, int rounds,
+                         int points = 5) {
+  KeyPointWalOptions wal_options;
+  wal_options.dir = wal_dir;
+  wal_options.segment_bytes = 512;
+  KeyPointWal wal(wal_options);
+  ASSERT_TRUE(wal.Open().ok());
+  CompactionOptions options;
+  options.wal_dir = wal_dir;
+  options.block_dir = block_dir;
+  options.max_points_per_block = 12;
+  Compactor compactor(options);
+
+  Rng rng(0x5eed);
+  const Vec2 clusters[] = {{0, 0}, {20000, 0}, {0, 20000}, {20000, 20000}};
+  Vec2 pos[4] = {clusters[0], clusters[1], clusters[2], clusters[3]};
+  uint64_t index[4] = {0, 0, 0, 0};
+  double t = 0.0;
+  for (int r = 0; r < rounds; ++r) {
+    for (int c = 0; c < 24; ++c) {
+      const std::size_t d = static_cast<std::size_t>(c % 4);
+      std::vector<KeyPoint> keys;
+      for (int i = 0; i < points; ++i) {
+        pos[d] = pos[d] + Vec2{rng.Uniform(-80, 80), rng.Uniform(-80, 80)};
+        KeyPoint k;
+        k.index = index[d]++;
+        k.point.t = t;
+        k.point.pos = pos[d];
+        t += 1.0;
+        keys.push_back(k);
+      }
+      ASSERT_TRUE(wal.Append(1 + d, keys).ok());
+    }
+    ASSERT_TRUE(compactor.CompactOnce(wal.current_segment_index()).ok());
+  }
+  ASSERT_TRUE(wal.Close().ok());
+  ASSERT_TRUE(compactor.CompactOnce().ok());
+}
+
+/// Every point of a store, dequantized, as recovery reconstructs it.
+std::vector<KeyPoint> RecoveredPoints(const std::string& wal_dir,
+                                      const std::string& block_dir) {
+  Result<StoreRecovery> r = RecoverStore(wal_dir, block_dir);
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.value().report.clean());
+  std::vector<KeyPoint> points;
+  for (const wal::WalCheckpoint& c : r.value().wal.checkpoints) {
+    for (const wal::WalPoint& p : c.points) {
+      points.push_back(wal::Dequantize(p, r.value().wal.quant));
+    }
+  }
+  return points;
+}
+
+void SortKeys(std::vector<KeyPoint>* keys) {
+  std::sort(keys->begin(), keys->end(),
+            [](const KeyPoint& a, const KeyPoint& b) {
+              if (a.point.t != b.point.t) return a.point.t < b.point.t;
+              if (a.point.pos.x != b.point.pos.x) {
+                return a.point.pos.x < b.point.pos.x;
+              }
+              if (a.point.pos.y != b.point.pos.y) {
+                return a.point.pos.y < b.point.pos.y;
+              }
+              return a.index < b.index;
+            });
+}
+
+/// The brute-force answer, filtered exactly as BlockStore::Query filters.
+std::vector<KeyPoint> ScanAll(const std::vector<KeyPoint>& all, Vec2 center,
+                              double radius, double t_min, double t_max) {
+  std::vector<KeyPoint> hits;
+  for (const KeyPoint& k : all) {
+    if (k.point.t < t_min || k.point.t > t_max) continue;
+    if (DistanceSq(k.point.pos, center) > radius * radius) continue;
+    hits.push_back(k);
+  }
+  SortKeys(&hits);
+  return hits;
+}
+
+/// Runs one query, checks it against the brute-force scan and returns the
+/// number of points it found.
+std::size_t ExpectQueryExact(const BlockStore& store,
+                             const std::vector<KeyPoint>& all, Vec2 center,
+                             double radius, double t_min, double t_max,
+                             RangeQueryStats* stats = nullptr) {
+  std::vector<KeyPoint> got;
+  const Status st = store.Query(center, radius, t_min, t_max, &got, stats);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  SortKeys(&got);
+  EXPECT_EQ(got, ScanAll(all, center, radius, t_min, t_max))
+      << "center (" << center.x << ", " << center.y << ") radius " << radius
+      << " t [" << t_min << ", " << t_max << "]";
+  return got.size();
+}
+
+TEST(BlockStoreTest, MultiFileQueriesMatchBruteForce) {
+  const std::string wal_dir = FreshDir("blockstore_multi_wal");
+  const std::string block_dir = FreshDir("blockstore_multi_blk");
+  // 41-point blocks, 2952 points: blocks straddle the store's 2048-point
+  // allocation chunks.
+  BuildMultiFileStore(wal_dir, block_dir, 3, 41);
+  const std::vector<KeyPoint> all = RecoveredPoints(wal_dir, block_dir);
+  ASSERT_GT(all.size(), 2048u);
+
+  Result<BlockStore> opened = BlockStore::Open(block_dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const BlockStore& store = opened.value();
+  ASSERT_GE(store.manifest().files.size(), 3u);
+  const double t_end = all.back().point.t;
+
+  Rng rng(0xd1ff);
+  const auto last = static_cast<int64_t>(all.size()) - 1;
+  uint64_t nonempty = 0;
+  for (int q = 0; q < 240; ++q) {
+    Vec2 center;
+    double radius = 0.0, t_min = 0.0, t_max = 0.0;
+    if (q % 3 != 2) {
+      // Local: around a stored point, any time window (some span files,
+      // some fall past the end of the data).
+      const KeyPoint& k =
+          all[static_cast<std::size_t>(rng.UniformInt(0, last))];
+      center = k.point.pos + Vec2{rng.Uniform(-300, 300),
+                                  rng.Uniform(-300, 300)};
+      radius = rng.Uniform(0.0, 600.0);
+      t_min = rng.Uniform(-50.0, t_end + 50.0);
+      t_max = t_min + rng.Uniform(0.0, t_end / 2);
+    } else {
+      // Area: anywhere over (and beyond) the four clusters.
+      center = Vec2{rng.Uniform(-10000, 30000), rng.Uniform(-10000, 30000)};
+      radius = rng.Uniform(1000.0, 30000.0);
+      t_min = rng.Uniform(-t_end, t_end);
+      t_max = t_min + rng.Uniform(0.0, 2 * t_end);
+    }
+    RangeQueryStats stats;
+    ExpectQueryExact(store, all, center, radius, t_min, t_max, &stats);
+    EXPECT_EQ(stats.blocks_total, store.block_count());
+    EXPECT_LE(stats.blocks_decoded, stats.grid_candidates);
+    EXPECT_EQ(stats.blocks_pruned + stats.blocks_decoded,
+              stats.grid_candidates);
+    if (stats.points_returned > 0) ++nonempty;
+  }
+  EXPECT_GT(nonempty, 100u);
+
+  // One query spanning every file returns every point.
+  RangeQueryStats every;
+  ExpectQueryExact(store, all, Vec2{10000, 10000}, 1e6, -1.0, t_end + 1.0,
+                   &every);
+  EXPECT_EQ(every.points_returned, all.size());
+  EXPECT_EQ(every.blocks_decoded, store.block_count());
+
+  // Empty space and an empty time window scan no block at all.
+  RangeQueryStats nowhere;
+  ExpectQueryExact(store, all, {-90000, 90000}, 500.0, 0.0, t_end, &nowhere);
+  EXPECT_EQ(nowhere.blocks_decoded, 0u);
+  EXPECT_EQ(nowhere.points_returned, 0u);
+  RangeQueryStats never;
+  ExpectQueryExact(store, all, {0, 0}, 500.0, t_end + 10, t_end + 20, &never);
+  EXPECT_EQ(never.blocks_decoded, 0u);
+  EXPECT_EQ(never.points_returned, 0u);
+}
+
+TEST(BlockStoreTest, DamagedBlocksFailOnlyTheQueriesThatReachThem) {
+  const std::string wal_dir = FreshDir("blockstore_damaged_wal");
+  const std::string block_dir = FreshDir("blockstore_damaged_blk");
+  BuildMultiFileStore(wal_dir, block_dir, 3);
+  const std::vector<KeyPoint> all = RecoveredPoints(wal_dir, block_dir);
+  Manifest manifest;
+  ASSERT_TRUE(ReadManifest(block_dir, &manifest).ok());
+  ASSERT_GE(manifest.files.size(), 3u);
+  const double cq = manifest.quant.coord_quantum;
+  const double tq = manifest.quant.time_quantum;
+  const auto center_of = [&](const blk::BlockMeta& m) {
+    return Vec2{0.5 * static_cast<double>(m.qx_min + m.qx_max) * cq,
+                0.5 * static_cast<double>(m.qy_min + m.qy_max) * cq};
+  };
+  const double t_end = all.back().point.t;
+  // Queries that prune the damaged blocks answer exactly, and not emptily.
+  const auto expect_answered = [&](const BlockStore& bs, Vec2 center,
+                                   double radius, double t_min, double t_max) {
+    EXPECT_GT(ExpectQueryExact(bs, all, center, radius, t_min, t_max), 0u);
+  };
+
+  // Flip one byte in the middle of the first block's frame.
+  {
+    const ManifestBlockFile& file = manifest.files[0];
+    ASSERT_GE(file.blocks.size(), 2u);
+    const uint64_t at = (file.blocks[0].offset + file.blocks[1].offset) / 2;
+    const std::string path = block_dir + "/" + BlockFileName(file.file_id);
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekg(static_cast<std::streamoff>(at));
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x5a);
+    f.seekp(static_cast<std::streamoff>(at));
+    f.write(&byte, 1);
+  }
+  {
+    Result<BlockStore> opened = BlockStore::Open(block_dir);
+    ASSERT_TRUE(opened.ok()) << opened.status().message();
+    const BlockStore& store = opened.value();
+    const blk::BlockMeta& bad = manifest.files[0].blocks[0].meta;
+    const double bad_t0 = static_cast<double>(bad.qt_min) * tq;
+    const double bad_t1 = static_cast<double>(bad.qt_max) * tq;
+
+    std::vector<KeyPoint> got;
+    const Status st = store.Query(center_of(bad), 1.0, bad_t0, bad_t1, &got);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+
+    // Same place, after the damaged block's time span: pruned by time.
+    expect_answered(store, center_of(bad), 2000.0, bad_t1 + 1.0, t_end);
+    // Every other cluster, all of time: pruned by space.
+    for (const ManifestBlockEntry& entry : manifest.files[2].blocks) {
+      if (entry.meta.device == bad.device) continue;
+      expect_answered(store, center_of(entry.meta), 3000.0, 0.0, t_end);
+    }
+  }
+
+  // Delete the middle file outright.
+  const ManifestBlockFile& gone = manifest.files[1];
+  const std::string gone_path = block_dir + "/" + BlockFileName(gone.file_id);
+  ASSERT_TRUE(std::filesystem::remove(gone_path));
+  Result<BlockStore> opened = BlockStore::Open(block_dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const BlockStore& store = opened.value();
+  double gone_t0 = t_end, gone_t1 = 0.0;
+  for (const ManifestBlockEntry& entry : gone.blocks) {
+    gone_t0 = std::min(gone_t0, static_cast<double>(entry.meta.qt_min) * tq);
+    gone_t1 = std::max(gone_t1, static_cast<double>(entry.meta.qt_max) * tq);
+  }
+  const blk::BlockMeta& missing = gone.blocks.front().meta;
+  std::vector<KeyPoint> got;
+  const double missing_t0 = static_cast<double>(missing.qt_min) * tq;
+  const double missing_t1 = static_cast<double>(missing.qt_max) * tq;
+  const Status st =
+      store.Query(center_of(missing), 1.0, missing_t0, missing_t1, &got);
+  EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
+  // Windows before or after the missing file's time span never reach it;
+  // the earlier ones also stay clear of the damaged block's cluster.
+  for (const ManifestBlockEntry& entry : manifest.files[2].blocks) {
+    expect_answered(store, center_of(entry.meta), 3000.0, gone_t1 + 1.0, t_end);
+    if (entry.meta.device == manifest.files[0].blocks[0].meta.device) {
+      continue;
+    }
+    expect_answered(store, center_of(entry.meta), 3000.0, 0.0, gone_t0 - 1.0);
+  }
+}
+
+TEST(BlockStoreTest, QueryRejectsNonFiniteAndNegativeArguments) {
+  const std::string wal_dir = FreshDir("blockstore_args_wal");
+  const std::string block_dir = FreshDir("blockstore_args_blk");
+  BuildMultiFileStore(wal_dir, block_dir, 1);
+  Result<BlockStore> opened = BlockStore::Open(block_dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const BlockStore& store = opened.value();
+
+  const auto expect_rejected = [&](Vec2 center, double radius, double t_min,
+                                   double t_max) {
+    std::vector<KeyPoint> got;
+    const Status st = store.Query(center, radius, t_min, t_max, &got);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_TRUE(got.empty());
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_rejected({nan, 0}, 100, 0, 1e9);
+  expect_rejected({0, nan}, 100, 0, 1e9);
+  expect_rejected({inf, 0}, 100, 0, 1e9);
+  expect_rejected({0, 0}, nan, 0, 1e9);
+  expect_rejected({0, 0}, inf, 0, 1e9);
+  expect_rejected({0, 0}, 100, nan, 1e9);
+  expect_rejected({0, 0}, 100, -inf, 1e9);
+  expect_rejected({0, 0}, 100, 0, inf);
+  // A negative radius used to return the points within |radius|.
+  expect_rejected({0, 0}, -1.0, 0, 1e9);
+  expect_rejected({0, 0}, -1e9, 0, 1e9);
+  // A zero radius is a valid (point) query.
+  std::vector<KeyPoint> got;
+  EXPECT_TRUE(store.Query({0, 0}, 0.0, 0, 1e9, &got).ok());
 }
 
 TEST(BlockStoreTest, OpenReportsNotFoundWithoutManifest) {
