@@ -45,6 +45,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -527,6 +528,9 @@ int Run(int argc, char** argv) {
   json.Key("scale").Value(scale);
   json.Key("epsilon").Value(kEpsilon);
   json.Key("reps").Value(reps);
+  // Threaded rows only mean something next to the core count they ran on.
+  const unsigned nproc = std::thread::hardware_concurrency();
+  json.Key("nproc").Value(static_cast<uint64_t>(nproc));
   json.Key("devices").Value(static_cast<uint64_t>(fleet.devices.size()));
   json.Key("records").Value(static_cast<uint64_t>(total_points));
   json.Key("ingest_chunk").Value(static_cast<uint64_t>(kIngestChunk));

@@ -220,26 +220,26 @@ struct PushRun {
 
 template <typename Compressor>
 PushRun MeasurePush(const std::string& stream_name, const Trajectory& stream,
-                    const std::string& algorithm, BoundKernel kernel,
+                    const std::string& algorithm, bool reference_kernel,
                     int reps) {
   BqsOptions options;
   options.epsilon = kEpsilon;
-  options.bound_kernel = kernel;
+  const internal::KernelOracle oracle{.reference_kernel = reference_kernel};
   PushRun run;
   run.stream = stream_name;
   run.algorithm = algorithm;
-  run.kernel = kernel == BoundKernel::kFast ? "fast" : "reference";
+  run.kernel = reference_kernel ? "reference" : "fast";
   run.points = stream.size();
   CompressedTrajectory out;
   run.best_ms = BestMs(reps, [&] {
-    Compressor compressor(options);
+    Compressor compressor(options, oracle);
     out = CompressAll(compressor, stream);
   });
   // Dedicated untimed run for the op counters, so the deltas are per
   // single pass (the timed loop would multiply them by reps).
   {
     const ops::Snapshot before = ops::Read();
-    Compressor compressor(options);
+    Compressor compressor(options, oracle);
     const CompressedTrajectory counted = CompressAll(compressor, stream);
     run.op_delta = ops::Read().Delta(before);
     run.stats = compressor.stats();
@@ -391,13 +391,13 @@ int Run(int argc, char** argv) {
     for (const StreamCase& sc : streams) {
       std::vector<PushRun> runs;
       runs.push_back(MeasurePush<BqsCompressor>(
-          sc.name, *sc.stream, "BQS", BoundKernel::kFast, reps));
+          sc.name, *sc.stream, "BQS", /*reference_kernel=*/false, reps));
       runs.push_back(MeasurePush<BqsCompressor>(
-          sc.name, *sc.stream, "BQS", BoundKernel::kReference, reps));
+          sc.name, *sc.stream, "BQS", /*reference_kernel=*/true, reps));
       runs.push_back(MeasurePush<FbqsCompressor>(
-          sc.name, *sc.stream, "FBQS", BoundKernel::kFast, reps));
+          sc.name, *sc.stream, "FBQS", /*reference_kernel=*/false, reps));
       runs.push_back(MeasurePush<FbqsCompressor>(
-          sc.name, *sc.stream, "FBQS", BoundKernel::kReference, reps));
+          sc.name, *sc.stream, "FBQS", /*reference_kernel=*/true, reps));
 
       for (std::size_t i = 0; i < runs.size(); i += 2) {
         const PushRun& fast = runs[i];

@@ -4,15 +4,15 @@
 // (a) the merged empirical stream (the paper's Table III workload) and
 // (b) an adversarial slowly-drifting stream engineered to maximize the
 // inconclusive band d_lb <= eps < d_ub — the regime where the paper admits
-// BQS degrades to O(n^2) (Table I). The matrix covers both bound kernels
-// and the resolver family:
-//   BQS            — fast kernel + adaptive resolver (the defaults)
-//   BQS_hull       — fast kernel + pure Melkman-hull resolver
-//   BQS_bruteforce — reference kernel + whole-buffer rescan: the seed
-//                    implementation bit-for-bit (transcendental bound
-//                    path, O(n) resolves), kept as the baseline row the
-//                    speedup is quoted against
-//   FBQS           — fast kernel;  FBQS_reference — reference kernel
+// BQS degrades to O(n^2) (Table I). The matrix covers the production
+// configuration and the oracles internal::KernelOracle selects:
+//   BQS            — production kernel, hull migration at 256 points
+//   BQS_hull       — production kernel, Melkman hull from the first point
+//   BQS_bruteforce — reference kernel + whole-buffer rescan (never
+//                    migrates): the seed implementation bit-for-bit
+//                    (transcendental bound path, O(n) resolves), kept as
+//                    the baseline row the speedup is quoted against
+//   FBQS           — production kernel;  FBQS_reference — reference kernel
 // The run FAILS (exit 1, so CI fails) unless every BQS row is byte-
 // identical to every other and both FBQS rows agree; it also verifies the
 // epsilon error bound end to end.
@@ -142,7 +142,7 @@ int Run(int argc, char** argv) {
 
   bench::Banner(
       "Throughput — points/sec through PushBatch: fast vs reference bound "
-      "kernel, adaptive/hull/brute exact resolvers (eps = 10 m)",
+      "kernel, hull migration at 256 / 1 / never (eps = 10 m)",
       "Table I runtime + ISSUE 4: transcendental-free decision kernel; "
       "Melkman hull bounds the O(n^2) rescans, adaptively",
       scale);
@@ -172,38 +172,35 @@ int Run(int argc, char** argv) {
     std::printf("\n-- %s: %zu points (%s) --\n", c.dataset.name.c_str(),
                 stream.size(), c.note);
 
-    BqsOptions fast_options;  // the defaults: fast kernel + adaptive.
-    fast_options.epsilon = kEpsilon;
-    BqsOptions hull_options = fast_options;
-    hull_options.exact_resolver = ExactResolver::kHull;
+    BqsOptions options;
+    options.epsilon = kEpsilon;
+    const internal::KernelOracle hull{.hull_migration = 1};
+    const internal::KernelOracle reference{.reference_kernel = true};
     // The seed implementation bit-for-bit: transcendental bound kernel +
     // whole-buffer rescans. Every other row is checksummed against it.
-    BqsOptions seed_options = fast_options;
-    seed_options.bound_kernel = BoundKernel::kReference;
-    seed_options.exact_resolver = ExactResolver::kBruteForce;
-    BqsOptions fbqs_ref_options = fast_options;
-    fbqs_ref_options.bound_kernel = BoundKernel::kReference;
+    internal::KernelOracle seed_oracle = reference;
+    seed_oracle.hull_migration = SIZE_MAX;
 
     std::vector<MeasuredRun> runs;
     runs.push_back(MeasureStream(
         "BQS",
-        [&] { return std::make_unique<BqsCompressor>(fast_options); },
+        [&] { return std::make_unique<BqsCompressor>(options); },
         stream, reps));
     runs.push_back(MeasureStream(
         "BQS_hull",
-        [&] { return std::make_unique<BqsCompressor>(hull_options); },
+        [&] { return std::make_unique<BqsCompressor>(options, hull); },
         stream, reps));
     runs.push_back(MeasureStream(
         "BQS_bruteforce",
-        [&] { return std::make_unique<BqsCompressor>(seed_options); },
+        [&] { return std::make_unique<BqsCompressor>(options, seed_oracle); },
         stream, reps));
     runs.push_back(MeasureStream(
         "FBQS",
-        [&] { return std::make_unique<FbqsCompressor>(fast_options); },
+        [&] { return std::make_unique<FbqsCompressor>(options); },
         stream, reps));
     runs.push_back(MeasureStream(
         "FBQS_reference",
-        [&] { return std::make_unique<FbqsCompressor>(fbqs_ref_options); },
+        [&] { return std::make_unique<FbqsCompressor>(options, reference); },
         stream, reps));
     runs.push_back(MeasureDp(stream, reps));
 
@@ -211,8 +208,8 @@ int Run(int argc, char** argv) {
     const MeasuredRun& seed = runs[2];
     const double speedup =
         fast.best_ms > 0.0 ? seed.best_ms / fast.best_ms : 0.0;
-    // Byte-identity gates: all three BQS rows (kernels x resolvers) must
-    // agree, and the two FBQS rows (kernels) must agree.
+    // Byte-identity gates: all three BQS rows (kernels x migration points)
+    // must agree, and the two FBQS rows (kernels) must agree.
     bool identical = true;
     for (int r : {1, 2}) {
       identical = identical && runs[static_cast<std::size_t>(r)].checksum ==
@@ -246,7 +243,7 @@ int Run(int argc, char** argv) {
                : "-"});
     }
     table.Print(std::cout);
-    std::printf("BQS fast+adaptive vs seed reference: %.2fx faster, "
+    std::printf("BQS production vs seed reference: %.2fx faster, "
                 "output %s (%s)\n",
                 speedup, identical ? "byte-identical" : "DIVERGED",
                 HexChecksum(fast.checksum).c_str());

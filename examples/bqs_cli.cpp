@@ -6,9 +6,15 @@
 // Reads a trajectory CSV ("x,y,t[,vx,vy]" with header, metres/seconds, as
 // written by WriteTrajectoryCsv), compresses it with the chosen algorithm,
 // writes the retained key points as CSV, and prints verified statistics.
+// Malformed arguments (a non-finite or non-positive epsilon, trailing
+// characters after a number, an unknown algorithm, metric or option, a
+// negative or oversized buffer) exit with status 2 before any work is done.
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstddef>
 #include <cstdio>
-#include <cstring>
-#include <iostream>
+#include <cstdlib>
 #include <string>
 
 #include "eval/algorithms.h"
@@ -39,6 +45,36 @@ bqs::Result<bqs::AlgorithmId> ParseAlgo(const std::string& name) {
   return bqs::Status::InvalidArgument("unknown algorithm: " + name);
 }
 
+// Whole-argument numeric parses: "10abc" or "" fail instead of being read
+// as their numeric prefix.
+bool ParseDouble(const char* text, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(text, &end);
+  return end != text && *end == '\0';
+}
+
+bool ParseCount(const char* text, std::size_t* out) {
+  // strtoull accepts a sign and wraps "-1" to ULLONG_MAX; a count is
+  // digits only.
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  *out = static_cast<std::size_t>(value);
+  return true;
+}
+
+// Buffered baselines reserve the whole buffer up front; a larger request
+// is a typo, not a workload.
+constexpr std::size_t kMaxBufferPoints = std::size_t{1} << 24;
+
+int BadArgument(const std::string& message) {
+  std::fprintf(stderr, "bqs_cli: %s\n", message.c_str());
+  Usage();
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -53,46 +89,54 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--algo") {
-      const char* v = next();
-      if (!v) break;
-      const auto algo = ParseAlgo(v);
-      if (!algo.ok()) {
-        std::fprintf(stderr, "%s\n", algo.status().ToString().c_str());
-        return 2;
-      }
-      config.id = algo.value();
-    } else if (arg == "--epsilon") {
-      const char* v = next();
-      if (!v) break;
-      config.epsilon = std::atof(v);
-    } else if (arg == "--metric") {
-      const char* v = next();
-      if (!v) break;
-      config.metric = std::strcmp(v, "segment") == 0
-                          ? DistanceMetric::kPointToSegment
-                          : DistanceMetric::kPointToLine;
-    } else if (arg == "--buffer") {
-      const char* v = next();
-      if (!v) break;
-      config.buffer_size = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--demo") {
+    if (arg == "--demo") {
       demo = true;
-    } else if (arg == "--help" || arg == "-h") {
+      continue;
+    }
+    if (arg == "--help" || arg == "-h") {
       Usage();
       return 0;
-    } else if (in_path.empty()) {
-      in_path = arg;
-    } else if (out_path.empty()) {
-      out_path = arg;
     }
-  }
-  if (config.epsilon <= 0.0) {
-    std::fprintf(stderr, "epsilon must be positive\n");
-    return 2;
+    if (arg.rfind("--", 0) != 0) {
+      if (in_path.empty()) {
+        in_path = arg;
+      } else if (out_path.empty()) {
+        out_path = arg;
+      } else {
+        return BadArgument("unexpected argument: " + arg);
+      }
+      continue;
+    }
+    if (arg != "--algo" && arg != "--epsilon" && arg != "--metric" &&
+        arg != "--buffer") {
+      return BadArgument("unknown option: " + arg);
+    }
+    if (i + 1 >= argc) return BadArgument("missing value for " + arg);
+    const std::string value = argv[++i];
+    if (arg == "--algo") {
+      const auto algo = ParseAlgo(value);
+      if (!algo.ok()) return BadArgument(algo.status().ToString());
+      config.id = algo.value();
+    } else if (arg == "--epsilon") {
+      if (!ParseDouble(value.c_str(), &config.epsilon) ||
+          !std::isfinite(config.epsilon) || config.epsilon <= 0.0) {
+        return BadArgument("epsilon must be a positive finite number, got '" +
+                           value + "'");
+      }
+    } else if (arg == "--metric") {
+      if (value == "line") {
+        config.metric = DistanceMetric::kPointToLine;
+      } else if (value == "segment") {
+        config.metric = DistanceMetric::kPointToSegment;
+      } else {
+        return BadArgument("unknown metric: " + value);
+      }
+    } else if (!ParseCount(value.c_str(), &config.buffer_size) ||
+               config.buffer_size > kMaxBufferPoints) {
+      return BadArgument("buffer must be an integer in [0, " +
+                         std::to_string(kMaxBufferPoints) + "], got '" +
+                         value + "'");
+    }
   }
 
   Trajectory stream;

@@ -76,7 +76,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
   options.algorithm.id =
       in.Bool() ? bqs::AlgorithmId::kFbqs : bqs::AlgorithmId::kBqs;
   options.algorithm.epsilon = in.Range(0.5, 32.0);
-  options.algorithm.bqs.adaptive_resolver_threshold = in.IntIn(2, 64);
   options.num_shards = static_cast<std::size_t>(in.IntIn(0, 4));
   options.block_capacity = static_cast<std::size_t>(in.IntIn(16, 64));
   options.max_pending_blocks = static_cast<std::size_t>(in.IntIn(1, 8));

@@ -1,16 +1,17 @@
-// Differential fuzzer for the per-point bound kernel: BoundKernel::kFast
-// (the PR 4 transcendental-free kernel) must produce byte-identical key
-// points to BoundKernel::kReference (the seed's atan2/hypot path) for
-// every options combination and every input stream, and the vectorized
-// batch screen must produce byte-identical output across SIMD tiers
-// (scalar / SSE2 / AVX2) for the same stream. The kernel's guard-band
-// fallback makes both invariants exact, not statistical, so any
-// divergence is a bug — the harness aborts on the first mismatch.
+// Differential fuzzer for the per-point bound kernel: the production
+// transcendental-free kernel must produce byte-identical key points to the
+// reference kernel (the seed's atan2/hypot path, selected through
+// internal::KernelOracle) for every options combination, hull migration
+// point and input stream, and the vectorized batch screen must produce
+// byte-identical output across SIMD tiers (scalar / SSE2 / AVX2) for the
+// same stream. The kernel's guard-band fallback makes both invariants
+// exact, not statistical, so any divergence is a bug — the harness aborts
+// on the first mismatch.
 //
 // Input bytes drive: the options cube (epsilon, metric, rotation,
-// bounds mode, trivial-include ablation, resolver choice and threshold,
-// BQS vs FBQS) and one of three stream shapes aimed at the vector
-// kernel's edge cases:
+// bounds mode, trivial-include ablation, hull migration point — 1, a
+// drawn 2..64, or never — BQS vs FBQS) and one of three stream shapes
+// aimed at the vector kernel's edge cases:
 //   0  bounded random walk (the original mixed regime);
 //   1  stationary sliver run — a parked device jittering inside a small
 //      fraction of epsilon with rare escape jumps, the regime that lives
@@ -20,6 +21,7 @@
 //      offset of the 2- and 4-wide groups and chunk tails of every
 //      residue get exercised.
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -35,38 +37,39 @@
 
 namespace {
 
+using bqs::internal::KernelOracle;
 using bqs_fuzz::FuzzInput;
 namespace simd = bqs::simd;
 
 constexpr std::size_t kMaxPoints = 512;
 
 bqs::CompressedTrajectory RunOne(const bqs::BqsOptions& options,
+                                 const KernelOracle& oracle,
                                  bool use_fbqs,
                                  const std::vector<bqs::TrackPoint>& points) {
   if (use_fbqs) {
-    bqs::FbqsCompressor compressor(options);
+    bqs::FbqsCompressor compressor(options, oracle);
     return bqs::CompressAll(compressor, points);
   }
-  bqs::BqsCompressor compressor(options);
+  bqs::BqsCompressor compressor(options, oracle);
   return bqs::CompressAll(compressor, points);
 }
 
-void ReportMismatch(const bqs::BqsOptions& options, bool use_fbqs,
+void ReportMismatch(const bqs::BqsOptions& options,
+                    std::size_t hull_migration, bool use_fbqs,
                     const std::vector<bqs::TrackPoint>& points,
                     const bqs::CompressedTrajectory& fast,
                     const bqs::CompressedTrajectory& reference) {
   std::fprintf(stderr,
                "kernel mismatch: algo=%s eps=%.6f metric=%d rot=%d warmup=%d "
-               "trivial=%d bounds=%d resolver=%d threshold=%d points=%zu "
+               "trivial=%d bounds=%d migration=%zu points=%zu "
                "fast_keys=%zu ref_keys=%zu\n",
                use_fbqs ? "FBQS" : "BQS", options.epsilon,
                static_cast<int>(options.metric),
                options.data_centric_rotation ? 1 : 0, options.rotation_warmup,
                options.paper_trivial_include ? 1 : 0,
-               static_cast<int>(options.bounds_mode),
-               static_cast<int>(options.exact_resolver),
-               options.adaptive_resolver_threshold, points.size(),
-               fast.keys.size(), reference.keys.size());
+               static_cast<int>(options.bounds_mode), hull_migration,
+               points.size(), fast.keys.size(), reference.keys.size());
   const std::size_t n = fast.keys.size() < reference.keys.size()
                             ? fast.keys.size()
                             : reference.keys.size();
@@ -177,14 +180,14 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
   options.paper_trivial_include = in.Bool();
   options.bounds_mode =
       in.Bool() ? bqs::BoundsMode::kPaperEq8 : bqs::BoundsMode::kSound;
-  switch (in.IntIn(0, 2)) {
-    case 0: options.exact_resolver = bqs::ExactResolver::kAdaptive; break;
-    case 1: options.exact_resolver = bqs::ExactResolver::kHull; break;
-    default: options.exact_resolver = bqs::ExactResolver::kBruteForce; break;
-  }
-  // Low thresholds on purpose: force the adaptive resolver across its
-  // brute-force -> hull migration inside short fuzz streams.
-  options.adaptive_resolver_threshold = in.IntIn(2, 64);
+  // Hull migration point, drawn in the byte order of the committed corpus:
+  // the choice, then a low threshold (forcing the flat buffer -> hull
+  // migration inside short fuzz streams) that only choice 0 uses.
+  const int migration_choice = in.IntIn(0, 2);
+  const auto drawn_migration = static_cast<std::size_t>(in.IntIn(2, 64));
+  std::size_t hull_migration = SIZE_MAX;
+  if (migration_choice == 0) hull_migration = drawn_migration;
+  if (migration_choice == 1) hull_migration = 1;
   const bool use_fbqs = in.Bool();
 
   std::vector<bqs::TrackPoint> points;
@@ -202,18 +205,18 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
       break;
   }
 
-  bqs::BqsOptions fast_options = options;
-  fast_options.bound_kernel = bqs::BoundKernel::kFast;
-  bqs::BqsOptions reference_options = options;
-  reference_options.bound_kernel = bqs::BoundKernel::kReference;
+  const KernelOracle fast_oracle{.hull_migration = hull_migration};
+  KernelOracle reference_oracle = fast_oracle;
+  reference_oracle.reference_kernel = true;
 
   const bqs::CompressedTrajectory fast =
-      RunOne(fast_options, use_fbqs, points);
+      RunOne(options, fast_oracle, use_fbqs, points);
   const bqs::CompressedTrajectory reference =
-      RunOne(reference_options, use_fbqs, points);
+      RunOne(options, reference_oracle, use_fbqs, points);
 
   if (!(fast.keys == reference.keys)) {
-    ReportMismatch(options, use_fbqs, points, fast, reference);
+    ReportMismatch(options, hull_migration, use_fbqs, points, fast,
+                   reference);
   }
 
   // Cross-tier sweep: the fast kernel's output must not depend on which
@@ -227,7 +230,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
        {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
     const simd::ScopedForceTier guard(tier);
     const bqs::CompressedTrajectory forced =
-        RunOne(fast_options, use_fbqs, points);
+        RunOne(options, fast_oracle, use_fbqs, points);
     if (!(forced.keys == fast.keys)) {
       ReportTierMismatch(tier, options, use_fbqs, points, fast, forced);
     }

@@ -23,6 +23,10 @@ class BqsCompressor final : public StreamCompressor {
  public:
   explicit BqsCompressor(const BqsOptions& options = {})
       : engine_(options, /*exact_mode=*/true) {}
+  /// Test/bench-only: runs an oracle configuration (see KernelOracle).
+  BqsCompressor(const BqsOptions& options,
+                const internal::KernelOracle& oracle)
+      : engine_(options, /*exact_mode=*/true, oracle) {}
 
   void Push(const TrackPoint& pt, std::vector<KeyPoint>* out) override {
     engine_.Push(pt, out);
@@ -30,13 +34,6 @@ class BqsCompressor final : public StreamCompressor {
   void PushBatch(std::span<const TrackPoint> points,
                  std::vector<KeyPoint>* out) override {
     engine_.PushBatch(points, out);
-  }
-  void PushRun(std::span<const FleetRecord> run,
-               std::vector<TrackPoint>& /*gather*/,
-               std::vector<KeyPoint>* out) override {
-    // Fleet span runs enter the batch (and vector) kernel through a
-    // strided view of the records — no gather copy.
-    engine_.PushRecords(run, out);
   }
   void Finish(std::vector<KeyPoint>* out) override { engine_.Finish(out); }
   void Reset() override { engine_.Reset(); }

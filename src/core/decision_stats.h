@@ -23,14 +23,13 @@ struct DecisionStats {
                                       ///< d_lb <= epsilon < d_ub.
   uint64_t segments = 0;              ///< Segments closed (splits).
   uint64_t exact_points_scanned = 0;  ///< Points examined across all exact
-                                      ///< resolves: hull vertices with
-                                      ///< ExactResolver::kHull, whole-buffer
-                                      ///< points with kBruteForce (a
-                                      ///< distance rescan) and kAdaptive's
-                                      ///< flat phase (a squared-domain
-                                      ///< verdict under the fast kernel).
-                                      ///< The O(n^2)-vs-O(nh) story in one
-                                      ///< number.
+                                      ///< resolves: hull vertices once the
+                                      ///< segment migrated into the hull,
+                                      ///< whole-buffer points before (a
+                                      ///< squared-domain verdict, or the
+                                      ///< reference kernel's distance
+                                      ///< rescan). The O(n^2)-vs-O(nh)
+                                      ///< story in one number.
   uint64_t peak_exact_state = 0;      ///< Largest per-segment exact-resolve
                                       ///< structure (hull vertices or
                                       ///< buffered points) seen so far.
@@ -42,7 +41,7 @@ struct DecisionStats {
                                       ///< classification, or an extreme-
                                       ///< tracking tie band, each re-run
                                       ///< with the reference semantics.
-                                      ///< 0 under BoundKernel::kReference.
+                                      ///< 0 under the reference kernel.
 
   /// Paper definition: 1 - N_computed / N_total. Full-buffer scans only;
   /// warm-up checks touch a constant-size (<=W) buffer and are reported

@@ -17,6 +17,10 @@ class FbqsCompressor final : public StreamCompressor {
  public:
   explicit FbqsCompressor(const BqsOptions& options = {})
       : engine_(options, /*exact_mode=*/false) {}
+  /// Test/bench-only: runs an oracle configuration (see KernelOracle).
+  FbqsCompressor(const BqsOptions& options,
+                 const internal::KernelOracle& oracle)
+      : engine_(options, /*exact_mode=*/false, oracle) {}
 
   void Push(const TrackPoint& pt, std::vector<KeyPoint>* out) override {
     engine_.Push(pt, out);
@@ -24,13 +28,6 @@ class FbqsCompressor final : public StreamCompressor {
   void PushBatch(std::span<const TrackPoint> points,
                  std::vector<KeyPoint>* out) override {
     engine_.PushBatch(points, out);
-  }
-  void PushRun(std::span<const FleetRecord> run,
-               std::vector<TrackPoint>& /*gather*/,
-               std::vector<KeyPoint>* out) override {
-    // Fleet span runs enter the batch (and vector) kernel through a
-    // strided view of the records — no gather copy.
-    engine_.PushRecords(run, out);
   }
   void Finish(std::vector<KeyPoint>* out) override { engine_.Finish(out); }
   void Reset() override { engine_.Reset(); }

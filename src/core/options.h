@@ -2,6 +2,8 @@
 #ifndef BQS_CORE_OPTIONS_H_
 #define BQS_CORE_OPTIONS_H_
 
+#include <cmath>
+
 #include "common/status.h"
 #include "geometry/line2.h"
 
@@ -20,48 +22,6 @@ enum class BoundsMode {
   /// paper's Figs. 6-7) but *unsound* in degenerate and adversarial
   /// configurations: the error bound can be exceeded. For ablation only.
   kPaperEq8,
-};
-
-/// How BQS resolves the inconclusive case (d_lb <= epsilon < d_ub) exactly.
-enum class ExactResolver {
-  /// Brute-force below adaptive_resolver_threshold buffered points, hull
-  /// above: short segments pay the flat rescan (which beats hull
-  /// maintenance overhead on well-behaved streams, where segments rarely
-  /// grow long), adversarial segments get the O(h) hull. Byte-identical
-  /// to both pure modes because the two resolvers agree exactly (the
-  /// deviation maximum is attained at a hull vertex). Under the fast
-  /// kernel with the line metric and sound bounds the flat phase is a
-  /// squared-domain SIMD max|cross| verdict rather than a sqrt rescan;
-  /// only resolves inside its ~1e-12 relative guard band rescan with
-  /// distances (counted as kernel fallbacks). Default.
-  kAdaptive,
-  /// Scan the vertices of an incrementally-maintained convex hull of the
-  /// segment buffer (Melkman). O(h) per resolve, O(h) space, h << n; the
-  /// maximum deviation from a chord is attained at a hull vertex, so the
-  /// result matches the full scan.
-  kHull,
-  /// The paper's literal Table I behaviour: rescan the whole segment
-  /// buffer. O(n) per resolve, O(n) space — worst-case O(n^2) streams.
-  /// Kept as the reference implementation the hull path is checksummed
-  /// against (tests and bench_throughput).
-  kBruteForce,
-};
-
-/// Which per-point bound-maintenance kernel the engine runs.
-enum class BoundKernel {
-  /// Transcendental-free kernel: sign-test quadrant classification,
-  /// cross-product angular-extreme tracking, cached significant points,
-  /// and squared-deviation threshold tests (cross^2 vs eps^2*|end|^2 under
-  /// the line metric) with sqrt deferred to the inconclusive path. Any
-  /// comparison that lands inside a ~1e-12 relative guard band of the
-  /// threshold falls back to the reference composition for that push, so
-  /// decisions are reference-identical by construction. Default.
-  kFast,
-  /// The seed's transcendental path: atan2 classification + angular
-  /// tracking, significant points rebuilt per push, hypot-based distances
-  /// compared against epsilon. Reference implementation the fast kernel is
-  /// checksummed against (tests, bench_micro_ops, bench_throughput).
-  kReference,
 };
 
 /// Options for BqsCompressor / FbqsCompressor (and the 3-D variants, which
@@ -106,37 +66,14 @@ struct BqsOptions {
   /// together reproduce the paper's Algorithm 1 verbatim.
   BoundsMode bounds_mode = BoundsMode::kSound;
 
-  /// Exact-deviation resolver for BQS (FBQS never resolves exactly after
-  /// warm-up). kBruteForce reproduces the seed implementation bit-for-bit
-  /// and exists for differential tests and the bench reference.
-  ExactResolver exact_resolver = ExactResolver::kAdaptive;
-
-  /// kAdaptive switch-over: segments with fewer buffered points than this
-  /// resolve brute-force; at the threshold the buffer migrates into the
-  /// Melkman hull and stays there for the segment's remainder. Default
-  /// measured on the empirical stream (bench_throughput), whose segments
-  /// peak below this: flat rescans of a few dozen points beat Melkman
-  /// maintenance (robust orientation tests per insert) until segments grow
-  /// into the hundreds, and the O(h)-resolve win only dominates on
-  /// adversarial segments growing into the thousands.
-  int adaptive_resolver_threshold = 256;
-
-  /// Per-point bound-maintenance kernel; see BoundKernel. kReference
-  /// reproduces the seed's transcendental path bit-for-bit.
-  BoundKernel bound_kernel = BoundKernel::kFast;
-
   /// Validates ranges; returns InvalidArgument with an explanation if bad.
   Status Validate() const {
-    if (!(epsilon > 0.0)) {
-      return Status::InvalidArgument("epsilon must be positive");
+    if (!std::isfinite(epsilon) || epsilon <= 0.0) {
+      return Status::InvalidArgument("epsilon must be positive and finite");
     }
     if (rotation_warmup < 1 || rotation_warmup > kMaxRotationWarmup) {
       return Status::InvalidArgument(
           "rotation_warmup must be in [1, kMaxRotationWarmup]");
-    }
-    if (adaptive_resolver_threshold < 1) {
-      return Status::InvalidArgument(
-          "adaptive_resolver_threshold must be >= 1");
     }
     return Status::OK();
   }

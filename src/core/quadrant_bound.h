@@ -5,14 +5,14 @@
 // the bounding lines with the box are the "significant points" from which
 // the deviation bounds of Theorems 5.3-5.5 are computed.
 //
-// Two maintenance kernels feed the same state (ISSUE 4):
+// Two maintenance kernels feed the same state:
 //  - AddCross(): transcendental-free. Within one quadrant every pair of
 //    directions is less than a quarter turn apart, so angular order is
 //    exactly the sign of the 2-D cross product; the extreme-angle points
 //    are tracked by two cross comparisons and no angle is ever computed.
 //  - Add()/AddWithAngle(): the seed's atan2-based tracking, kept as the
-//    reference implementation (BoundKernel::kReference) and for
-//    differential tests.
+//    reference kernel the engine's tests select through
+//    internal::KernelOracle, and for differential tests.
 // Both use strict comparisons, so ties (equal angle / zero cross — e.g.
 // collinear scalings of the same direction, or +-0.0 coordinates on the
 // same axis) keep the earlier point. Distinct directions within ~1e-12

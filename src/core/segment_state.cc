@@ -67,10 +67,12 @@ int SquaredDeviationVerdict(const TrackPoint* pts, std::size_t n, Vec2 a,
 
 }  // namespace
 
-SegmentEngine::SegmentEngine(const BqsOptions& options, bool exact_mode)
+SegmentEngine::SegmentEngine(const BqsOptions& options, bool exact_mode,
+                             const KernelOracle& oracle)
     : options_(options),
       exact_mode_(exact_mode),
-      fast_kernel_(options.bound_kernel == BoundKernel::kFast),
+      fast_kernel_(!oracle.reference_kernel),
+      hull_migration_(oracle.hull_migration),
       quadrants_{QuadrantBound(0), QuadrantBound(1), QuadrantBound(2),
                  QuadrantBound(3)},
       kernels_(&simd::KernelsFor(simd::ActiveTier())) {
@@ -82,8 +84,6 @@ SegmentEngine::SegmentEngine(const BqsOptions& options, bool exact_mode)
   assert(options_.Validate().ok());
   options_.rotation_warmup = std::clamp(options_.rotation_warmup, 1,
                                         BqsOptions::kMaxRotationWarmup);
-  options_.adaptive_resolver_threshold =
-      std::max(options_.adaptive_resolver_threshold, 1);
   trivial_eps_sq_ = options_.epsilon * options_.epsilon;
   fast_line_sound_ = fast_kernel_ &&
                      options_.metric == DistanceMetric::kPointToLine &&
@@ -139,15 +139,6 @@ void SegmentEngine::Push(const TrackPoint& pt, std::vector<KeyPoint>* out) {
 
 void SegmentEngine::PushBatch(std::span<const TrackPoint> pts,
                               std::vector<KeyPoint>* out) {
-  PushView(PointView(pts), out);
-}
-
-void SegmentEngine::PushRecords(std::span<const FleetRecord> run,
-                                std::vector<KeyPoint>* out) {
-  PushView(PointView(run), out);
-}
-
-void SegmentEngine::PushView(PointView pts, std::vector<KeyPoint>* out) {
   if (pts.empty()) return;
   if (!have_first_) {
     have_first_ = true;
@@ -155,7 +146,7 @@ void SegmentEngine::PushView(PointView pts, std::vector<KeyPoint>* out) {
     ++stats_.points;
     EmitKey(pts[0], index, out);
     StartSegment(pts[0], index);
-    pts = pts.Sub(1, pts.size() - 1);
+    pts = pts.subspan(1);
     if (pts.empty()) return;
   }
   stats_.points += pts.size();
@@ -166,7 +157,7 @@ void SegmentEngine::PushView(PointView pts, std::vector<KeyPoint>* out) {
   }
 }
 
-void SegmentEngine::PrepareBatch(PointView pts) {
+void SegmentEngine::PrepareBatch(std::span<const TrackPoint> pts) {
   if (!scratch_) scratch_ = std::make_unique<BatchScratch>();
   // Straight-line SoA transform through the active tier's pre-rotation
   // kernel: the origin subtraction, the cached-cos/sin rotation and
@@ -174,13 +165,15 @@ void SegmentEngine::PrepareBatch(PointView pts) {
   // tier, so the prepared values are bit-identical to what Push would
   // compute point by point.
   const Vec2 origin = segment_start_.pos;
-  kernels_->prepare_rotated(pts.base(), pts.stride(), pts.size(), origin.x,
+  const auto* base = reinterpret_cast<const unsigned char*>(pts.data());
+  kernels_->prepare_rotated(base, sizeof(TrackPoint), pts.size(), origin.x,
                             origin.y, rot_cos_, rot_sin_, scratch_->rx,
                             scratch_->ry, scratch_->nsq);
 }
 
 template <bool kProbed>
-void SegmentEngine::RunBatch(PointView pts, std::vector<KeyPoint>* out) {
+void SegmentEngine::RunBatch(std::span<const TrackPoint> pts,
+                             std::vector<KeyPoint>* out) {
   std::size_t i = 0;
   const std::size_t n = pts.size();
   // Lane accounting is accumulated locally and bulk-flushed once per
@@ -205,11 +198,11 @@ void SegmentEngine::RunBatch(PointView pts, std::vector<KeyPoint>* out) {
           const std::size_t chunk = std::min(n - i, batch_fill_);
           if (!scratch_) scratch_ = std::make_unique<BatchScratch>();
           BatchScratch& s = *scratch_;
-          const PointView sub = pts.Sub(i, chunk);
+          const auto* base =
+              reinterpret_cast<const unsigned char*>(pts.data() + i);
           const Vec2 origin = segment_start_.pos;
-          kernels_->prepare_trivial(sub.base(), sub.stride(), sub.size(),
-                                    origin.x, origin.y, trivial_eps_sq_,
-                                    s.screen);
+          kernels_->prepare_trivial(base, sizeof(TrackPoint), chunk, origin.x,
+                                    origin.y, trivial_eps_sq_, s.screen);
           const uint64_t seg_mark = segment_start_index_;
           bool split = false;
           std::size_t j = 0;
@@ -252,7 +245,7 @@ void SegmentEngine::RunBatch(PointView pts, std::vector<KeyPoint>* out) {
           // the identity rotation, so the prepared rx/ry are exactly the
           // unrotated rel the verdict consumes.
           const std::size_t chunk = std::min(n - i, batch_fill_);
-          PrepareBatch(pts.Sub(i, chunk));
+          PrepareBatch(pts.subspan(i, chunk));
           BatchScratch& s = *scratch_;
           const uint64_t seg_mark = segment_start_index_;
           bool split = false;
@@ -307,7 +300,7 @@ void SegmentEngine::RunBatch(PointView pts, std::vector<KeyPoint>* out) {
       continue;
     }
     const std::size_t chunk = std::min(n - i, batch_fill_);
-    PrepareBatch(pts.Sub(i, chunk));
+    PrepareBatch(pts.subspan(i, chunk));
     BatchScratch& s = *scratch_;
     const uint64_t seg_mark = segment_start_index_;
     bool stale = false;
@@ -744,16 +737,15 @@ SegmentEngine::Decision SegmentEngine::ResolveInconclusive(
   }
 
   // BQS: resolve exactly — over the hull vertices of the segment buffer
-  // (O(h), the deviation maximum is attained there) or over the flat
-  // buffer (O(n): brute force, or adaptive before its migration point).
+  // (O(h), the deviation maximum is attained there) or, before the
+  // migration point, over the flat buffer (O(n)).
   ++stats_.exact_computations;
   bool include;
-  if (fast_line_sound_ && !hull_active_ &&
-      options_.exact_resolver == ExactResolver::kAdaptive) {
-    // Adaptive flat-buffer phase under the fast kernel: the same sqrt-free
-    // SIMD verdict as the warm-up check; the sqrt-bearing rescan runs only
-    // inside its guard band. kBruteForce keeps the literal rescan (it is
-    // the oracle this path is checked against).
+  if (fast_line_sound_ && !hull_active_) {
+    // Flat-buffer phase under the fast kernel: the same sqrt-free SIMD
+    // verdict as the warm-up check; the sqrt-bearing rescan runs only
+    // inside its guard band. The reference kernel keeps the literal
+    // rescan (it is the oracle this path is checked against).
     stats_.exact_points_scanned += buffer_.size();
     const int verdict =
         SquaredDeviationVerdict(buffer_.data(), buffer_.size(),
@@ -820,12 +812,10 @@ void SegmentEngine::AddExactPoint(const TrackPoint& pt) {
   buffer_.push_back(pt);
   stats_.peak_exact_state =
       std::max<uint64_t>(stats_.peak_exact_state, buffer_.size());
-  if (options_.exact_resolver == ExactResolver::kAdaptive &&
-      buffer_.size() >=
-          static_cast<std::size_t>(options_.adaptive_resolver_threshold)) {
+  if (buffer_.size() >= hull_migration_) {
     // Migration point: hand the segment to the hull. Feeding the buffer in
-    // arrival order makes the hull state identical to a kHull run that saw
-    // the same stream, and the resolvers agree exactly on the deviation
+    // arrival order makes the hull state identical to a run that migrated
+    // at the first point, and the resolvers agree exactly on the deviation
     // maximum, so the switch never changes a decision.
     for (const TrackPoint& p : buffer_) AddHullPoint(p.pos);
     buffer_.clear();
@@ -862,8 +852,8 @@ void SegmentEngine::StartSegment(const TrackPoint& pt, uint64_t index) {
   hull_.Clear();
   hull_pending_.clear();
   buffer_.clear();
-  hull_active_ = options_.exact_resolver == ExactResolver::kHull;
-  if (exact_mode_ && !hull_active_) {
+  hull_active_ = false;
+  if (exact_mode_) {
     // The warm-up points land here before any split can happen; reserving
     // them up front avoids the first few reallocations of every segment.
     buffer_.reserve(static_cast<std::size_t>(options_.rotation_warmup));

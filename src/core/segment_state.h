@@ -5,30 +5,32 @@
 // FBQS aggressively splits, which removes all per-point state and makes
 // per-point time and space O(1) (Section V-E).
 //
-// Per-point decision kernel (BqsOptions::bound_kernel): the default kFast
-// path classifies quadrants by coordinate sign tests, tracks angular
-// extremes by cross products, reuses each quadrant's cached significant
-// points, and compares squared deviations against epsilon^2 — no atan2 and
-// no square root on the conclusive path. Comparisons inside a ~1e-12
-// relative guard band of the threshold (and degenerate/near-axis end
-// vectors) re-run the reference transcendental composition, so decisions
-// are bit-identical to kReference by construction.
+// Per-point decision kernel: the engine classifies quadrants by coordinate
+// sign tests, tracks angular extremes by cross products, reuses each
+// quadrant's cached significant points, and compares squared deviations
+// against epsilon^2 — no atan2 and no square root on the conclusive path.
+// Comparisons inside a ~1e-12 relative guard band of the threshold (and
+// degenerate/near-axis end vectors) re-run the reference transcendental
+// composition, so decisions are bit-identical to the reference kernel by
+// construction.
 //
-// Under the line metric and the sound bounds, the fast kernel first tries
-// a box-corner include pre-test (Theorem 5.2's whole-box upper bound plus
+// Under the line metric and the sound bounds, the kernel first tries a
+// box-corner include pre-test (Theorem 5.2's whole-box upper bound plus
 // a rounding margin, squared): when it clears epsilon the tight
 // composition would include too, so the quadrant's invalidated
 // significant-point cache is not rebuilt for that point.
 //
-// BQS's exact resolve is driven by ExactResolver: kAdaptive (default)
-// scans the flat segment buffer while it is short — under the fast
-// kernel and line metric as a squared-domain SIMD max|cross| verdict, with
+// BQS's exact resolve scans the flat segment buffer while it is short —
+// under the line metric as a squared-domain SIMD max|cross| verdict, with
 // the sqrt-bearing rescan only inside its 1e-12 guard band — and migrates
-// to an incrementally-maintained Melkman hull at
-// adaptive_resolver_threshold points; kHull always maintains the hull
-// (O(h) resolves, O(h) space); kBruteForce keeps the paper's
-// O(n)-per-resolve whole-buffer distance rescan as the reference
-// implementation the other paths are verified against.
+// to an incrementally-maintained Melkman hull (O(h) resolves, O(h) space)
+// at kHullMigrationPoints buffered points.
+//
+// KernelOracle is the test- and bench-only hook that selects the seed's
+// transcendental reference kernel and moves the hull migration point
+// (1: hull from the first point; SIZE_MAX: the paper's O(n)-per-resolve
+// whole-buffer rescan). Those configurations exist only to be checksummed
+// against; production constructors never name the hook.
 #ifndef BQS_CORE_SEGMENT_STATE_H_
 #define BQS_CORE_SEGMENT_STATE_H_
 
@@ -51,42 +53,26 @@
 namespace bqs {
 namespace internal {
 
-/// Borrowed view of track points embedded in a larger record array at a
-/// fixed byte stride (TrackPoint spans, or the `point` member of
-/// FleetRecord runs). This is what lets the fleet span-dispatch path hand
-/// per-device runs straight to the batch kernel without gathering them
-/// into a contiguous vector first: the SoA pre-rotation kernel reads the
-/// two leading coordinates through the stride directly.
-class PointView {
- public:
-  explicit PointView(std::span<const TrackPoint> pts)
-      : base_(reinterpret_cast<const unsigned char*>(pts.data())),
-        stride_(sizeof(TrackPoint)),
-        size_(pts.size()) {}
-  explicit PointView(std::span<const FleetRecord> run)
-      : base_(reinterpret_cast<const unsigned char*>(run.data()) +
-              offsetof(FleetRecord, point)),
-        stride_(sizeof(FleetRecord)),
-        size_(run.size()) {}
+/// Buffered points at which BQS's exact state migrates from the flat
+/// segment buffer into the Melkman hull. Measured on the empirical stream
+/// (bench_throughput), whose segments peak below it: flat rescans of a few
+/// dozen points beat Melkman maintenance (robust orientation tests per
+/// insert) until segments grow into the hundreds, and the O(h)-resolve win
+/// only dominates on adversarial segments growing into the thousands.
+inline constexpr std::size_t kHullMigrationPoints = 256;
 
-  const TrackPoint& operator[](std::size_t i) const {
-    return *reinterpret_cast<const TrackPoint*>(base_ + i * stride_);
-  }
-  PointView Sub(std::size_t offset, std::size_t count) const {
-    return PointView(base_ + offset * stride_, stride_, count);
-  }
-  const unsigned char* base() const { return base_; }
-  std::size_t stride() const { return stride_; }
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
- private:
-  PointView(const unsigned char* base, std::size_t stride, std::size_t size)
-      : base_(base), stride_(stride), size_(size) {}
-
-  const unsigned char* base_;
-  std::size_t stride_;
-  std::size_t size_;
+/// Test/bench-only engine configuration: the oracles production output is
+/// checksummed against. Both resolvers return the same maximum (it is
+/// attained at a hull vertex), so the migration point changes scan costs,
+/// never a decision.
+struct KernelOracle {
+  /// Run the seed's transcendental path: atan2 classification + angular
+  /// tracking, significant points rebuilt per push, hypot-based distances
+  /// compared against epsilon, literal whole-buffer rescans.
+  bool reference_kernel = false;
+  /// Buffered points at which the segment migrates into the hull: 1 keeps
+  /// the hull from the first point, SIZE_MAX never migrates.
+  std::size_t hull_migration = kHullMigrationPoints;
 };
 
 /// Observation of one bound-based decision, for instrumentation (Fig. 3).
@@ -104,8 +90,9 @@ class SegmentEngine {
  public:
   /// `exact_mode` selects BQS (true: keep exact per-segment state, resolve
   /// inconclusive bounds) or FBQS (false: constant space, split on
-  /// inconclusive bounds).
-  SegmentEngine(const BqsOptions& options, bool exact_mode);
+  /// inconclusive bounds). `oracle` is for tests and benches only.
+  SegmentEngine(const BqsOptions& options, bool exact_mode,
+                const KernelOracle& oracle = {});
 
   void Reset();
   void Push(const TrackPoint& pt, std::vector<KeyPoint>* out);
@@ -117,11 +104,6 @@ class SegmentEngine {
   /// precomputed values. This is the hot path CompressAll and the benches
   /// use.
   void PushBatch(std::span<const TrackPoint> pts, std::vector<KeyPoint>* out);
-  /// PushBatch over a fleet span run: the per-device records enter the
-  /// batch (and vector) kernel directly through a strided view — no
-  /// gather copy. Decisions are identical to pushing each record's point.
-  void PushRecords(std::span<const FleetRecord> run,
-                   std::vector<KeyPoint>* out);
   void Finish(std::vector<KeyPoint>* out);
 
   const DecisionStats& stats() const { return stats_; }
@@ -168,8 +150,8 @@ class SegmentEngine {
   /// Lazily-allocated batch scratch; null before the first prepared chunk.
   const BatchScratch* batch_scratch() const { return scratch_.get(); }
   double rotation_angle() const { return rotation_angle_; }
-  /// Flat-buffer size (brute-force resolver, or adaptive before its
-  /// migration point); 0 once the hull owns the segment.
+  /// Flat-buffer size before the hull migration point; 0 once the hull
+  /// owns the segment.
   std::size_t buffer_size() const { return buffer_.size(); }
   /// Hull vertex count of the current segment (hull-owned segments only).
   std::size_t hull_size() const { return hull_.size(); }
@@ -193,10 +175,8 @@ class SegmentEngine {
   template <bool kProbed>
   void ProcessPrepared(const TrackPoint& pt, uint64_t index, Vec2 rel_rot,
                        double rel_norm_sq, std::vector<KeyPoint>* out);
-  /// Shared PushBatch/PushRecords body over the strided view.
-  void PushView(PointView pts, std::vector<KeyPoint>* out);
   template <bool kProbed>
-  void RunBatch(PointView pts, std::vector<KeyPoint>* out);
+  void RunBatch(std::span<const TrackPoint> pts, std::vector<KeyPoint>* out);
   template <bool kProbed>
   Decision Assess(const TrackPoint& pt, uint64_t index);
   /// Assess() once the rotated frame and |rel|^2 are in hand (shared by the
@@ -226,9 +206,9 @@ class SegmentEngine {
   Decision ResolveInconclusive(const TrackPoint& pt, Vec2 rel_rot,
                                bool trivial);
   void IncludeNonTrivial(const TrackPoint& pt, Vec2 rel_rot);
-  /// Routes a buffered point into the active exact structure: flat buffer
-  /// (brute force / adaptive pre-migration, with the adaptive migration
-  /// into the hull at the threshold) or the Melkman hull.
+  /// Routes a buffered point into the active exact structure: the flat
+  /// buffer (migrating it into the hull at hull_migration_ points) or the
+  /// Melkman hull.
   void AddExactPoint(const TrackPoint& pt);
   void StartSegment(const TrackPoint& pt, uint64_t index);
   void EstablishRotation();
@@ -249,7 +229,7 @@ class SegmentEngine {
   /// against the current segment origin/rotation, through the active
   /// SIMD tier's pre-rotation kernel (the scalar tier runs the identical
   /// expressions lane by lane).
-  void PrepareBatch(PointView pts);
+  void PrepareBatch(std::span<const TrackPoint> pts);
   /// Rebuilds the vector screen's per-quadrant context (candidate point
   /// sets, wedge guard flags, parity) from the current quadrant state.
   /// Called lazily when the screen observes a stale state_epoch; the
@@ -269,8 +249,8 @@ class SegmentEngine {
   void AddHullPoint(Vec2 pos);
   void DrainPendingHull();
   /// Exact deviation of the current segment's interior points against the
-  /// path (segment start, end_abs), via the configured resolver. Non-const:
-  /// drains the pending hull batch.
+  /// path (segment start, end_abs), over the hull or the flat buffer.
+  /// Non-const: drains the pending hull batch.
   double ExactDeviation(Vec2 end_abs);
   /// Exact deviation of the warm-up points (pre-rotation segment prefix).
   double WarmupDeviation(Vec2 end_abs) const;
@@ -278,7 +258,8 @@ class SegmentEngine {
 
   BqsOptions options_;
   bool exact_mode_;
-  bool fast_kernel_;  ///< options_.bound_kernel == BoundKernel::kFast.
+  bool fast_kernel_;            ///< !KernelOracle::reference_kernel.
+  std::size_t hull_migration_;  ///< KernelOracle::hull_migration.
   /// Fast kernel under the line metric and the sound bounds: the domain
   /// of the box-corner include pre-test (FastAssess) and the squared-
   /// domain flat-buffer resolve (ResolveInconclusive).
@@ -305,15 +286,15 @@ class SegmentEngine {
   /// Incremental hull of the segment buffer (hull-owned segments). BQS-
   /// only: FBQS keeps no exact state of any kind (O(1) space).
   MelkmanHull hull_;
-  /// True when the hull is the live exact structure for this segment:
-  /// always under kHull, past the migration point under kAdaptive.
+  /// True when the hull is the live exact structure for this segment
+  /// (past the migration point).
   bool hull_active_ = false;
   /// Points staged for the hull but not yet folded in (lazy maintenance).
   static constexpr std::size_t kHullDrainBatch = 256;
   std::vector<Vec2> hull_pending_;
 
-  /// Absolute-coordinate segment buffer; non-empty only under
-  /// ExactResolver::kBruteForce and kAdaptive before migration.
+  /// Absolute-coordinate segment buffer; non-empty only before the hull
+  /// migration point.
   std::vector<TrackPoint> buffer_;
 
   /// SoA scratch for PushBatch (see PrepareBatch and BatchScratch). The

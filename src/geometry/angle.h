@@ -42,7 +42,8 @@ int QuadrantOf(Vec2 v);
 /// The seed's transcendental classifier: atan2, normalize to [0, 2*pi),
 /// divide by pi/2. Kept as the reference implementation the sign-test
 /// classifier is differentially tested and micro-benchmarked against (and
-/// used by BoundKernel::kReference). Counts into ops::atan2_calls.
+/// used by the engine's reference kernel, a test oracle). Counts into
+/// ops::atan2_calls.
 int QuadrantOfAtan2(Vec2 v);
 
 /// Quadrant of an already-normalized angle theta in [0, 2*pi): the tail of

@@ -276,33 +276,6 @@ void FleetEngine::InlineDispatch(std::span<const FleetRecord> records) {
   AssumeProducer(shard);
   AssumeWorker(shard);
 
-  // Staging-free fast path: a batch that is one single-device run (the
-  // per-device upload shape) dispatches from the caller's buffer through
-  // the PushRunTo span hook — no grouping, no blocks, just the one
-  // strided gather into a reused scratch that any dispatch pays. Nothing
-  // is ever pending here: inline mode flushes before returning, so the
-  // grouped state is empty at every InlineDispatch entry.
-  const DeviceId first_device = records.front().device;
-  {
-    std::size_t j = 1;
-    while (j < records.size() && records[j].device == first_device) ++j;
-    if (j == records.size()) {
-      Session& session = SessionFor(shard, first_device);
-      shard.sink.set_device(first_device);
-      shard.sink.set_stage(
-          options_.wal != nullptr ? &session.staged : nullptr);
-      session.compressor->PushRunTo(records, shard.gather, shard.sink);
-      ++shard.counters.coalesced_runs;
-      shard.counters.records_ingested += records.size();
-      shard.counters.max_device_backlog =
-          std::max(shard.counters.max_device_backlog, records.size());
-      AfterRun(shard, session, first_device, records.back().point.t);
-      MaybeInjectEvict(shard, first_device);
-      if (options_.idle_timeout_seconds > 0.0) CloseIdleSessions(shard);
-      return;
-    }
-  }
-
   // Grouped routing: append each maximal same-device run to the device's
   // window group (DeviceSlotMap lookup once per run, not per record), so a
   // device scattered across hundreds of short bursts reaches the

@@ -31,10 +31,8 @@
 // shard IS the inline case. The inline router group-coalesces a window of
 // records (window size = block_capacity) per device through a
 // DeviceSlotMap, so a device interleaved into hundreds of short bursts
-// still reaches the compressor as a handful of PushBatch dispatches; a
-// batch that is one single-device run skips the grouping machinery and
-// dispatches from the caller's buffer via PushRunTo (paying only the one
-// strided gather into reused scratch that any dispatch pays). That is the
+// still reaches the compressor as a handful of PushBatch dispatches (a
+// single-device batch is one group, dispatched once). That is the
 // embedded/single-core deployment shape; everything else about the engine
 // (sessions, budgets, stats, sinks) behaves identically. Worker threads
 // start at num_shards >= 2.
@@ -517,8 +515,6 @@ class FleetEngine {
     std::vector<RouteGroup> groups GUARDED_BY(worker_role);
     /// Slots active this window.
     std::vector<uint32_t> used_groups GUARDED_BY(worker_role);
-    /// PushRunTo fast-path scratch.
-    std::vector<TrackPoint> gather GUARDED_BY(worker_role);
 
     // --- worker-owned (see visibility rules above) --------------------------
     std::unordered_map<DeviceId, Session> sessions GUARDED_BY(worker_role);

@@ -15,23 +15,6 @@ void StreamCompressor::PushBatchTo(std::span<const TrackPoint> points,
   for (const KeyPoint& key : sink_scratch_) sink.Emit(key);
 }
 
-void StreamCompressor::PushRun(std::span<const FleetRecord> run,
-                               std::vector<TrackPoint>& gather,
-                               std::vector<KeyPoint>* out) {
-  gather.clear();
-  if (gather.capacity() < run.size()) gather.reserve(run.size());
-  for (const FleetRecord& record : run) gather.push_back(record.point);
-  PushBatch(gather, out);
-}
-
-void StreamCompressor::PushRunTo(std::span<const FleetRecord> run,
-                                 std::vector<TrackPoint>& gather,
-                                 KeyPointSink& sink) {
-  sink_scratch_.clear();
-  PushRun(run, gather, &sink_scratch_);
-  for (const KeyPoint& key : sink_scratch_) sink.Emit(key);
-}
-
 void StreamCompressor::FinishTo(KeyPointSink& sink) {
   sink_scratch_.clear();
   Finish(&sink_scratch_);

@@ -91,25 +91,6 @@ class StreamCompressor {
   void PushBatchTo(std::span<const TrackPoint> points, KeyPointSink& sink);
   void FinishTo(KeyPointSink& sink);
 
-  /// Span-dispatch hook for fleet routers: pushes one coalesced
-  /// single-device run of an interleaved fleet feed, straight from the
-  /// caller's record buffer — semantically identical to pushing each
-  /// record's point, which is what the run-coalescing differential tests
-  /// enforce. The default gathers the strided TrackPoints through
-  /// `gather` (caller-owned and reused across runs, so steady state does
-  /// not allocate) and hands the contiguous result to the PushBatch fast
-  /// path; the BQS family overrides it to stream the records into the
-  /// batch (and vector) kernel through a strided view, skipping the
-  /// gather copy entirely. All records in `run` must belong to the same
-  /// device; the caller's router guarantees that by construction.
-  virtual void PushRun(std::span<const FleetRecord> run,
-                       std::vector<TrackPoint>& gather,
-                       std::vector<KeyPoint>* out);
-
-  /// Sink-path adapter over PushRun (see PushTo for the naming rationale).
-  void PushRunTo(std::span<const FleetRecord> run,
-                 std::vector<TrackPoint>& gather, KeyPointSink& sink);
-
   /// Restores the freshly-constructed state.
   virtual void Reset() = 0;
 

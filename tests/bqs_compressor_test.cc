@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -21,6 +22,15 @@ namespace {
 using testing_util::JaggedWalk;
 using testing_util::NoisyLine;
 using testing_util::SmoothWalk;
+
+// Oracle configurations: the hull from the first buffered point, the flat
+// buffer forever, the reference kernel, and the seed implementation
+// (reference kernel + literal whole-buffer rescans).
+using Oracle = internal::KernelOracle;
+constexpr Oracle kHullFirst{.hull_migration = 1};
+constexpr Oracle kFlatBuffer{.hull_migration = SIZE_MAX};
+constexpr Oracle kReferenceKernel{.reference_kernel = true};
+constexpr Oracle kSeed{.reference_kernel = true, .hull_migration = SIZE_MAX};
 
 class BqsErrorBoundTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, double>> {};
@@ -285,9 +295,9 @@ void ExpectByteIdenticalKeys(const CompressedTrajectory& a,
 }
 
 TEST(BqsCompressorTest, HullResolverIsByteIdenticalToBruteForce) {
-  // The tentpole guarantee: the Melkman-hull exact path takes exactly the
-  // decisions of the seed's whole-buffer rescan, over random_walk and
-  // von Mises streams, both metrics, a range of tolerances.
+  // The Melkman-hull exact path takes exactly the decisions of the seed's
+  // whole-buffer rescan, over random_walk and von Mises streams, both
+  // metrics, a range of tolerances.
   for (uint64_t seed : {71u, 72u, 73u}) {
     const Trajectory walks[] = {SmoothWalk(seed, 2500),
                                 JaggedWalk(seed, 2500),
@@ -296,15 +306,12 @@ TEST(BqsCompressorTest, HullResolverIsByteIdenticalToBruteForce) {
       for (double epsilon : {2.0, 5.0, 10.0, 25.0}) {
         for (DistanceMetric metric : {DistanceMetric::kPointToLine,
                                       DistanceMetric::kPointToSegment}) {
-          BqsOptions hull_options;
-          hull_options.epsilon = epsilon;
-          hull_options.metric = metric;
-          hull_options.exact_resolver = ExactResolver::kHull;
-          BqsOptions brute_options = hull_options;
-          brute_options.exact_resolver = ExactResolver::kBruteForce;
+          BqsOptions options;
+          options.epsilon = epsilon;
+          options.metric = metric;
 
-          BqsCompressor via_hull(hull_options);
-          BqsCompressor via_brute(brute_options);
+          BqsCompressor via_hull(options, kHullFirst);
+          BqsCompressor via_brute(options, kSeed);
           const CompressedTrajectory hull_out = CompressAll(via_hull, walk);
           const CompressedTrajectory brute_out = CompressAll(via_brute, walk);
           ExpectByteIdenticalKeys(hull_out, brute_out, "resolver diff");
@@ -329,9 +336,9 @@ TEST(BqsCompressorTest, HullResolverIsByteIdenticalToBruteForce) {
 TEST(BqsCompressorTest, FastKernelIsByteIdenticalToReferenceCorpus) {
   // ISSUE 4 acceptance: the transcendental-free kernel takes exactly the
   // decisions of the seed's atan2/sqrt path over the full fuzz corpus —
-  // every stream family x metric x rotation x resolver x bounds mode x
-  // tolerance. Any guard-band push re-runs the reference composition, so
-  // a divergence here means a genuine kernel bug.
+  // every stream family x metric x rotation x hull migration point x
+  // bounds mode x tolerance. Any guard-band push re-runs the reference
+  // composition, so a divergence here means a genuine kernel bug.
   int configs = 0;
   for (uint64_t seed : {171u, 172u, 173u}) {
     const Trajectory walks[] = {SmoothWalk(seed, 1200), JaggedWalk(seed, 1200),
@@ -341,23 +348,19 @@ TEST(BqsCompressorTest, FastKernelIsByteIdenticalToReferenceCorpus) {
         for (DistanceMetric metric : {DistanceMetric::kPointToLine,
                                       DistanceMetric::kPointToSegment}) {
           for (bool rotate : {false, true}) {
-            for (ExactResolver resolver :
-                 {ExactResolver::kAdaptive, ExactResolver::kHull,
-                  ExactResolver::kBruteForce}) {
+            for (const Oracle& oracle : {Oracle{}, kHullFirst, kFlatBuffer}) {
               for (BoundsMode mode :
                    {BoundsMode::kSound, BoundsMode::kPaperEq8}) {
-                BqsOptions fast_options;
-                fast_options.epsilon = epsilon;
-                fast_options.metric = metric;
-                fast_options.data_centric_rotation = rotate;
-                fast_options.exact_resolver = resolver;
-                fast_options.bounds_mode = mode;
-                fast_options.bound_kernel = BoundKernel::kFast;
-                BqsOptions reference_options = fast_options;
-                reference_options.bound_kernel = BoundKernel::kReference;
+                BqsOptions options;
+                options.epsilon = epsilon;
+                options.metric = metric;
+                options.data_centric_rotation = rotate;
+                options.bounds_mode = mode;
 
-                BqsCompressor fast(fast_options);
-                BqsCompressor reference(reference_options);
+                Oracle reference_oracle = oracle;
+                reference_oracle.reference_kernel = true;
+                BqsCompressor fast(options, oracle);
+                BqsCompressor reference(options, reference_oracle);
                 const CompressedTrajectory fast_out =
                     CompressAll(fast, walk);
                 const CompressedTrajectory reference_out =
@@ -367,7 +370,7 @@ TEST(BqsCompressorTest, FastKernelIsByteIdenticalToReferenceCorpus) {
                              << "seed=" << seed << " eps=" << epsilon
                              << " metric=" << static_cast<int>(metric)
                              << " rotate=" << rotate
-                             << " resolver=" << static_cast<int>(resolver)
+                             << " migration=" << oracle.hull_migration
                              << " mode=" << static_cast<int>(mode));
                 ExpectByteIdenticalKeys(fast_out, reference_out,
                                         "kernel diff");
@@ -421,62 +424,53 @@ TEST(BqsCompressorTest, FastKernelHandlesStationaryRuns) {
         stream.push_back(TrackPoint{{3.0 * i, 4.0 * i}, double(i), {}});
       }
     }
-    BqsOptions fast_options;
-    fast_options.epsilon = 10.0;
-    BqsOptions reference_options = fast_options;
-    reference_options.bound_kernel = BoundKernel::kReference;
-    BqsCompressor fast(fast_options);
-    BqsCompressor reference(reference_options);
+    BqsOptions options;
+    options.epsilon = 10.0;
+    BqsCompressor fast(options);
+    BqsCompressor reference(options, kReferenceKernel);
     const CompressedTrajectory fast_out = CompressAll(fast, stream);
     const CompressedTrajectory reference_out = CompressAll(reference, stream);
     ExpectByteIdenticalKeys(fast_out, reference_out, "stationary run");
   }
 }
 
-TEST(BqsCompressorTest, AdaptiveResolverIsByteIdenticalToBothPureModes) {
-  // The adaptive resolver must be a pure scheduling decision: outputs and
-  // decision mixes identical to kHull and kBruteForce at any threshold.
+TEST(BqsCompressorTest, HullMigrationPointIsByteIdenticalToBothPureModes) {
+  // The flat-buffer -> hull migration point must be a pure scheduling
+  // decision: outputs and decision mixes identical to the hull from the
+  // first point and to the flat buffer forever, at any threshold.
   for (uint64_t seed : {181u, 182u}) {
     const Trajectory walk = JaggedWalk(seed, 2500);
     for (double epsilon : {3.0, 10.0}) {
-      for (int threshold : {1, 4, 64, 1024}) {
-        BqsOptions adaptive_options;
-        adaptive_options.epsilon = epsilon;
-        adaptive_options.exact_resolver = ExactResolver::kAdaptive;
-        adaptive_options.adaptive_resolver_threshold = threshold;
-        BqsOptions hull_options = adaptive_options;
-        hull_options.exact_resolver = ExactResolver::kHull;
-        BqsOptions brute_options = adaptive_options;
-        brute_options.exact_resolver = ExactResolver::kBruteForce;
+      for (std::size_t threshold : {2u, 4u, 64u, 1024u}) {
+        BqsOptions options;
+        options.epsilon = epsilon;
 
-        BqsCompressor adaptive(adaptive_options);
-        BqsCompressor hull(hull_options);
-        BqsCompressor brute(brute_options);
-        const CompressedTrajectory adaptive_out = CompressAll(adaptive, walk);
+        BqsCompressor migrating(options, {.hull_migration = threshold});
+        BqsCompressor hull(options, kHullFirst);
+        BqsCompressor brute(options, kFlatBuffer);
+        const CompressedTrajectory migrating_out = CompressAll(migrating, walk);
         const CompressedTrajectory hull_out = CompressAll(hull, walk);
         const CompressedTrajectory brute_out = CompressAll(brute, walk);
         SCOPED_TRACE(::testing::Message() << "seed=" << seed << " eps="
                                           << epsilon << " thr=" << threshold);
-        ExpectByteIdenticalKeys(adaptive_out, hull_out, "adaptive vs hull");
-        ExpectByteIdenticalKeys(adaptive_out, brute_out, "adaptive vs brute");
-        EXPECT_EQ(adaptive.stats().exact_computations,
+        ExpectByteIdenticalKeys(migrating_out, hull_out, "migrating vs hull");
+        ExpectByteIdenticalKeys(migrating_out, brute_out, "migrating vs brute");
+        EXPECT_EQ(migrating.stats().exact_computations,
                   brute.stats().exact_computations);
-        EXPECT_EQ(adaptive.stats().segments, brute.stats().segments);
+        EXPECT_EQ(migrating.stats().segments, brute.stats().segments);
       }
     }
   }
 }
 
-TEST(BqsCompressorTest, AdaptiveResolverMigratesAtThreshold) {
+TEST(BqsCompressorTest, FlatBufferMigratesIntoHullAtThreshold) {
   // Drive one long split-free segment (a straight run with sub-epsilon
   // jitter) and watch the flat buffer hand over to the hull exactly at
   // the configured threshold.
   BqsOptions options;
   options.epsilon = 5.0;
   options.data_centric_rotation = false;
-  options.exact_resolver = ExactResolver::kAdaptive;
-  options.adaptive_resolver_threshold = 32;
-  BqsCompressor bqs(options);
+  BqsCompressor bqs(options, {.hull_migration = 32});
   std::vector<KeyPoint> keys;
   Rng rng(55);
   bool seen_buffer_phase = false;
@@ -505,11 +499,10 @@ TEST(BqsCompressorTest, HullProbeActualMatchesBruteForce) {
     uint64_t index;
     double actual;
   };
-  auto run = [&](ExactResolver resolver) {
+  auto run = [&](const Oracle& oracle) {
     BqsOptions options;
     options.epsilon = 6.0;
-    options.exact_resolver = resolver;
-    BqsCompressor bqs(options);
+    BqsCompressor bqs(options, oracle);
     std::vector<Obs> observations;
     bqs.SetProbe([&](const internal::BoundsProbe& probe) {
       observations.push_back(Obs{probe.index, probe.actual});
@@ -517,8 +510,8 @@ TEST(BqsCompressorTest, HullProbeActualMatchesBruteForce) {
     CompressAll(bqs, walk);
     return observations;
   };
-  const std::vector<Obs> via_hull = run(ExactResolver::kHull);
-  const std::vector<Obs> via_brute = run(ExactResolver::kBruteForce);
+  const std::vector<Obs> via_hull = run(kHullFirst);
+  const std::vector<Obs> via_brute = run(kFlatBuffer);
   ASSERT_EQ(via_hull.size(), via_brute.size());
   ASSERT_GT(via_hull.size(), 100u);
   for (std::size_t i = 0; i < via_hull.size(); ++i) {
@@ -577,8 +570,8 @@ TEST(BqsCompressorTest, DefaultKernelMatchesOraclesOnMovingStreams) {
   // Moving streams are where the fast kernel's box-corner include
   // pre-test and squared-domain flat-buffer resolve carry most decisions:
   // the default BQS and FBQS must take exactly the decisions of the
-  // reference kernel and (BQS) of the literal brute-force rescan on the
-  // fleet's random-walk vehicles and on the adversarial drift stream.
+  // reference kernel and (BQS) of the seed's literal brute-force rescan on
+  // the fleet's random-walk vehicles and on the adversarial drift stream.
   std::vector<Trajectory> streams;
   for (auto& [device, stream] : BuildFleetDataset(6, 0.1).devices) {
     streams.push_back(std::move(stream));
@@ -590,27 +583,23 @@ TEST(BqsCompressorTest, DefaultKernelMatchesOraclesOnMovingStreams) {
                                         << epsilon);
       BqsOptions options;
       options.epsilon = epsilon;
-      BqsOptions reference_options = options;
-      reference_options.bound_kernel = BoundKernel::kReference;
-      BqsOptions brute_options = options;
-      brute_options.exact_resolver = ExactResolver::kBruteForce;
 
       BqsCompressor bqs(options);
-      BqsCompressor bqs_reference(reference_options);
-      BqsCompressor bqs_brute(brute_options);
+      BqsCompressor bqs_reference(options, kReferenceKernel);
+      BqsCompressor bqs_brute(options, kSeed);
       const CompressedTrajectory out = CompressAll(bqs, streams[s]);
       ExpectByteIdenticalKeys(out, CompressAll(bqs_reference, streams[s]),
-                              "BQS vs kReference");
+                              "BQS vs reference kernel");
       ExpectByteIdenticalKeys(out, CompressAll(bqs_brute, streams[s]),
-                              "BQS vs kBruteForce");
+                              "BQS vs seed brute force");
       ExpectSameDecisions(bqs.stats(), bqs_reference.stats());
       ExpectSameDecisions(bqs.stats(), bqs_brute.stats());
 
       FbqsCompressor fbqs(options);
-      FbqsCompressor fbqs_reference(reference_options);
+      FbqsCompressor fbqs_reference(options, kReferenceKernel);
       ExpectByteIdenticalKeys(CompressAll(fbqs, streams[s]),
                               CompressAll(fbqs_reference, streams[s]),
-                              "FBQS vs kReference");
+                              "FBQS vs reference kernel");
       ExpectSameDecisions(fbqs.stats(), fbqs_reference.stats());
     }
   }
@@ -634,19 +623,25 @@ TEST(BqsCompressorTest, SquaredResolveFallsBackOnTheGuardBand) {
     BqsOptions options;
     options.epsilon = epsilon;
     options.data_centric_rotation = false;
-    BqsOptions brute_options = options;
-    brute_options.exact_resolver = ExactResolver::kBruteForce;
     BqsCompressor bqs(options);
-    BqsCompressor brute(brute_options);
+    BqsCompressor brute(options, kSeed);
+    // Same fast kernel, but the hull from the first point means the squared
+    // flat-buffer resolve never runs: any extra fallback in `bqs` is the
+    // guard band's.
+    BqsCompressor hull_first(options, kHullFirst);
     const CompressedTrajectory out = CompressAll(bqs, stream);
     ExpectByteIdenticalKeys(out, CompressAll(brute, stream),
-                            "adaptive vs brute");
+                            "default vs seed brute force");
+    ExpectByteIdenticalKeys(out, CompressAll(hull_first, stream),
+                            "default vs hull from the first point");
     ExpectSameDecisions(bqs.stats(), brute.stats());
+    ExpectSameDecisions(bqs.stats(), hull_first.stats());
     // The final fix is resolved exactly: included at eps = 10, split just
     // below it.
     EXPECT_EQ(out.size(), epsilon == 10.0 ? 2u : 3u);
     EXPECT_EQ(bqs.stats().exact_computations, 2u);
-    EXPECT_GT(bqs.stats().kernel_fallbacks, brute.stats().kernel_fallbacks);
+    EXPECT_GT(bqs.stats().kernel_fallbacks,
+              hull_first.stats().kernel_fallbacks);
   }
 }
 
@@ -661,6 +656,10 @@ TEST(BqsCompressorTest, InvalidOptionsAreReported) {
   EXPECT_FALSE(options.Validate().ok());
   options.rotation_warmup = 5;
   EXPECT_TRUE(options.Validate().ok());
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, -1.0}) {
+    options.epsilon = bad;
+    EXPECT_FALSE(options.Validate().ok()) << "epsilon " << bad;
+  }
 }
 
 }  // namespace

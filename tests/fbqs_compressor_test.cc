@@ -101,14 +101,12 @@ TEST(FbqsCompressorTest, FastKernelIsByteIdenticalToReference) {
       for (double epsilon : {2.5, 10.0}) {
         for (DistanceMetric metric : {DistanceMetric::kPointToLine,
                                       DistanceMetric::kPointToSegment}) {
-          BqsOptions fast_options;
-          fast_options.epsilon = epsilon;
-          fast_options.metric = metric;
-          BqsOptions reference_options = fast_options;
-          reference_options.bound_kernel = BoundKernel::kReference;
+          BqsOptions options;
+          options.epsilon = epsilon;
+          options.metric = metric;
 
-          FbqsCompressor fast(fast_options);
-          FbqsCompressor reference(reference_options);
+          FbqsCompressor fast(options);
+          FbqsCompressor reference(options, {.reference_kernel = true});
           const CompressedTrajectory fast_out = CompressAll(fast, walk);
           const CompressedTrajectory reference_out =
               CompressAll(reference, walk);

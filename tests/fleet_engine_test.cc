@@ -472,6 +472,22 @@ TEST(FleetEngineTest, PipelineCountersExposeIngestShape) {
   EXPECT_EQ(stats.worker_wakes, 0u);
   EXPECT_EQ(stats.backpressure_waits, 0u);
   EXPECT_EQ(stats.peak_queue_depth, 0u);
+
+  // A batch holding one device's whole stream (the per-device upload
+  // shape), longer than the grouping window: one group, one dispatch, and
+  // the same bytes as compressing the stream alone.
+  const Trajectory upload = testing_util::SmoothWalk(7201, 600);
+  ASSERT_GT(upload.size(), options.block_capacity);
+  constexpr DeviceId kUploader = 99;
+  std::vector<FleetRecord> batch;
+  for (const TrackPoint& pt : upload) batch.push_back({kUploader, pt});
+  engine.IngestBatch(batch);
+  const FleetStats after = engine.Stats();
+  EXPECT_EQ(after.coalesced_runs, stats.coalesced_runs + 1);
+  EXPECT_EQ(after.records_ingested, stats.records_ingested + upload.size());
+  engine.FinishDevice(kUploader);
+  auto reference = MakeStreamCompressor(options.algorithm);
+  EXPECT_EQ(sink.keys().at(kUploader), CompressAll(*reference, upload).keys);
 }
 
 TEST(FleetEngineTest, InlineModeCompressesSynchronously) {

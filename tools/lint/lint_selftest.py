@@ -268,6 +268,26 @@ class LintHarness(unittest.TestCase):
         code, out = self.lint()
         self.assertEqual(code, 0, out)
 
+    # -- oracle-hook-containment -------------------------------------------
+
+    def test_oracle_hook_in_service_fails(self):
+        self.write("src/service/fleet_engine.cc",
+                   "const internal::KernelOracle oracle{};\n")
+        code, out = self.lint()
+        self.assertEqual(code, 1, out)
+        self.assertIn("oracle-hook-containment", out)
+        self.assertIn("src/service/fleet_engine.cc:1", out)
+
+    def test_oracle_hook_in_engine_and_compressors_passes(self):
+        self.write("src/core/segment_state.h",
+                   "namespace bqs::internal { struct KernelOracle {}; }\n")
+        self.write("src/core/bqs_compressor.h",
+                   "BqsCompressor(const internal::KernelOracle& oracle);\n")
+        self.write("src/core/fbqs_compressor.h",
+                   "FbqsCompressor(const internal::KernelOracle& oracle);\n")
+        code, out = self.lint()
+        self.assertEqual(code, 0, out)
+
     # -- file-io-containment -----------------------------------------------
 
     def test_ofstream_outside_storage_fails(self):

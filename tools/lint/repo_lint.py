@@ -40,6 +40,16 @@ cannot see:
       quietly sprouting in a compressor kernel would otherwise be
       invisible until it misfired in production.
 
+  oracle-hook-containment
+      internal::KernelOracle selects the test oracles production output is
+      checksummed against: the seed's transcendental reference kernel and
+      the flat-buffer/hull migration point. Production runs one kernel and
+      one migration point, so the hook may be named only where the engine
+      defines and forwards it (ORACLE_HOOK_ALLOWLIST: segment_state.{h,cc}
+      and the BQS/FBQS compressor headers). Tests, fuzzers and benches
+      live outside src/ and are unrestricted. A production caller naming
+      the hook would put an oracle configuration back on the fleet path.
+
   file-io-containment
       Durable state has exactly one home: src/storage (the WAL and its
       recovery path), where every write is CRC-framed, fsync-gated and
@@ -148,6 +158,16 @@ FAULT_INJECTION_ALLOWLIST = {
 FAULT_TOKEN_RE = re.compile(r"\b(?:FaultInjector|FaultSite)\b")
 FAULT_INCLUDE_RE = re.compile(
     r'^\s*#\s*include\s+"common/fault_injector\.h"')
+
+# The only src/ files that may name the kernel oracle hook: the engine
+# that defines it and the two compressors that forward it.
+ORACLE_HOOK_ALLOWLIST = {
+    "src/core/segment_state.h",
+    "src/core/segment_state.cc",
+    "src/core/bqs_compressor.h",
+    "src/core/fbqs_compressor.h",
+}
+ORACLE_HOOK_TOKEN_RE = re.compile(r"\bKernelOracle\b")
 
 # File I/O belongs to the storage layer; these two files are the pinned
 # exceptions (import/export boundary and report emission).
@@ -445,6 +465,22 @@ def check_fault_injection_containment(files, violations):
                  "src/ are unrestricted)"))
 
 
+def check_oracle_hook_containment(files, violations):
+    for src in files:
+        if src.relpath in ORACLE_HOOK_ALLOWLIST:
+            continue
+        for idx, code in enumerate(src.code_lines):
+            if not ORACLE_HOOK_TOKEN_RE.search(code):
+                continue
+            violations.append(
+                ("oracle-hook-containment", src.relpath, idx + 1,
+                 "test/bench-only kernel oracle hook named in production "
+                 "code: only "
+                 f"{', '.join(sorted(ORACLE_HOOK_ALLOWLIST))} may name "
+                 "KernelOracle (tests, fuzzers and benches outside src/ "
+                 "are unrestricted)"))
+
+
 def check_file_io_containment(files, violations):
     for src in files:
         if (src.relpath in FILE_IO_ALLOWLIST
@@ -526,6 +562,7 @@ def run(root, allowlist_path, budget_path, out=sys.stdout):
     check_service_budgets(files, budgets, violations)
     check_include_hygiene(files, violations)
     check_fault_injection_containment(files, violations)
+    check_oracle_hook_containment(files, violations)
     check_file_io_containment(files, violations)
     check_intrinsics_containment(files, violations)
     check_framing_containment(files, violations)
