@@ -1,5 +1,6 @@
 // Ablation: data-centric rotation (paper Section V-D) on vs off, and
-// warm-up length sensitivity. The paper argues rotation tightens the
+// warm-up length sensitivity, set through the test/bench-only
+// internal::KernelOracle hook. The paper argues rotation tightens the
 // hulls "significantly"; this bench quantifies it per dataset.
 #include <cstdio>
 #include <iostream>
@@ -27,15 +28,15 @@ int Run(double scale) {
         if (!rotate && warmup != 8) continue;  // warm-up only matters on.
         BqsOptions options;
         options.epsilon = 10.0;
-        options.data_centric_rotation = rotate;
-        options.rotation_warmup = warmup;
+        const internal::KernelOracle oracle{.data_centric_rotation = rotate,
+                                            .rotation_warmup = warmup};
 
-        BqsCompressor bqs(options);
+        BqsCompressor bqs(options, oracle);
         std::vector<KeyPoint> keys;
         for (const TrackPoint& p : dataset.stream) bqs.Push(p, &keys);
         bqs.Finish(&keys);
 
-        FbqsCompressor fbqs(options);
+        FbqsCompressor fbqs(options, oracle);
         const CompressedTrajectory fast = CompressAll(fbqs, dataset.stream);
 
         table.AddRow({dataset.name, rotate ? "on" : "off",

@@ -8,10 +8,13 @@
 // exact, not statistical, so any divergence is a bug — the harness aborts
 // on the first mismatch.
 //
-// Input bytes drive: the options cube (epsilon, metric, rotation,
-// bounds mode, trivial-include ablation, hull migration point — 1, a
-// drawn 2..64, or never — BQS vs FBQS) and one of three stream shapes
-// aimed at the vector kernel's edge cases:
+// Input bytes drive: the options cube (epsilon, metric, and the oracle
+// hook's rotation, warm-up length, trivial-include ablation, bounds mode
+// and hull migration point — 1, a drawn 2..64, or never — BQS vs FBQS)
+// and one of three stream shapes
+// aimed at the vector kernel's edge cases. (A paper-literal draw runs the
+// reference kernel on both sides, so it exercises the reference path and
+// the cross-tier sweep only.)
 //   0  bounded random walk (the original mixed regime);
 //   1  stationary sliver run — a parked device jittering inside a small
 //      fraction of epsilon with rare escape jumps, the regime that lives
@@ -56,7 +59,7 @@ bqs::CompressedTrajectory RunOne(const bqs::BqsOptions& options,
 }
 
 void ReportMismatch(const bqs::BqsOptions& options,
-                    std::size_t hull_migration, bool use_fbqs,
+                    const KernelOracle& oracle, bool use_fbqs,
                     const std::vector<bqs::TrackPoint>& points,
                     const bqs::CompressedTrajectory& fast,
                     const bqs::CompressedTrajectory& reference) {
@@ -66,9 +69,9 @@ void ReportMismatch(const bqs::BqsOptions& options,
                "fast_keys=%zu ref_keys=%zu\n",
                use_fbqs ? "FBQS" : "BQS", options.epsilon,
                static_cast<int>(options.metric),
-               options.data_centric_rotation ? 1 : 0, options.rotation_warmup,
-               options.paper_trivial_include ? 1 : 0,
-               static_cast<int>(options.bounds_mode), hull_migration,
+               oracle.data_centric_rotation ? 1 : 0, oracle.rotation_warmup,
+               oracle.paper_trivial_include ? 1 : 0,
+               static_cast<int>(oracle.bounds_mode), oracle.hull_migration,
                points.size(), fast.keys.size(), reference.keys.size());
   const std::size_t n = fast.keys.size() < reference.keys.size()
                             ? fast.keys.size()
@@ -91,7 +94,7 @@ void ReportMismatch(const bqs::BqsOptions& options,
 }
 
 void ReportTierMismatch(simd::Tier tier, const bqs::BqsOptions& options,
-                        bool use_fbqs,
+                        const KernelOracle& oracle, bool use_fbqs,
                         const std::vector<bqs::TrackPoint>& points,
                         const bqs::CompressedTrajectory& native,
                         const bqs::CompressedTrajectory& forced) {
@@ -100,8 +103,8 @@ void ReportTierMismatch(simd::Tier tier, const bqs::BqsOptions& options,
                "trivial=%d points=%zu native_keys=%zu forced_keys=%zu\n",
                simd::TierName(tier), use_fbqs ? "FBQS" : "BQS",
                options.epsilon, static_cast<int>(options.metric),
-               options.data_centric_rotation ? 1 : 0,
-               options.paper_trivial_include ? 1 : 0, points.size(),
+               oracle.data_centric_rotation ? 1 : 0,
+               oracle.paper_trivial_include ? 1 : 0, points.size(),
                native.keys.size(), forced.keys.size());
   std::abort();
 }
@@ -175,19 +178,20 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
   options.epsilon = in.Range(0.25, 64.0);
   options.metric = in.Bool() ? bqs::DistanceMetric::kPointToSegment
                              : bqs::DistanceMetric::kPointToLine;
-  options.data_centric_rotation = in.Bool();
-  options.rotation_warmup = in.IntIn(1, bqs::BqsOptions::kMaxRotationWarmup);
-  options.paper_trivial_include = in.Bool();
-  options.bounds_mode =
+  KernelOracle fast_oracle;
+  fast_oracle.data_centric_rotation = in.Bool();
+  fast_oracle.rotation_warmup = in.IntIn(1, bqs::internal::kMaxRotationWarmup);
+  fast_oracle.paper_trivial_include = in.Bool();
+  fast_oracle.bounds_mode =
       in.Bool() ? bqs::BoundsMode::kPaperEq8 : bqs::BoundsMode::kSound;
   // Hull migration point, drawn in the byte order of the committed corpus:
   // the choice, then a low threshold (forcing the flat buffer -> hull
   // migration inside short fuzz streams) that only choice 0 uses.
   const int migration_choice = in.IntIn(0, 2);
   const auto drawn_migration = static_cast<std::size_t>(in.IntIn(2, 64));
-  std::size_t hull_migration = SIZE_MAX;
-  if (migration_choice == 0) hull_migration = drawn_migration;
-  if (migration_choice == 1) hull_migration = 1;
+  fast_oracle.hull_migration = SIZE_MAX;
+  if (migration_choice == 0) fast_oracle.hull_migration = drawn_migration;
+  if (migration_choice == 1) fast_oracle.hull_migration = 1;
   const bool use_fbqs = in.Bool();
 
   std::vector<bqs::TrackPoint> points;
@@ -205,7 +209,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
       break;
   }
 
-  const KernelOracle fast_oracle{.hull_migration = hull_migration};
   KernelOracle reference_oracle = fast_oracle;
   reference_oracle.reference_kernel = true;
 
@@ -215,8 +218,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
       RunOne(options, reference_oracle, use_fbqs, points);
 
   if (!(fast.keys == reference.keys)) {
-    ReportMismatch(options, hull_migration, use_fbqs, points, fast,
-                   reference);
+    ReportMismatch(options, fast_oracle, use_fbqs, points, fast, reference);
   }
 
   // Cross-tier sweep: the fast kernel's output must not depend on which
@@ -232,7 +234,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
     const bqs::CompressedTrajectory forced =
         RunOne(options, fast_oracle, use_fbqs, points);
     if (!(forced.keys == fast.keys)) {
-      ReportTierMismatch(tier, options, use_fbqs, points, fast, forced);
+      ReportTierMismatch(tier, options, fast_oracle, use_fbqs, points, fast,
+                         forced);
     }
   }
   return 0;

@@ -36,15 +36,15 @@ bool ForceScalarEnv() {
 // Scalar tier: the same expressions the engine's own scalar loops use.
 // ---------------------------------------------------------------------------
 
-void PrepareRotatedScalar(const unsigned char* base, std::size_t stride,
-                          std::size_t n, double origin_x, double origin_y,
-                          double rot_cos, double rot_sin, double* rx,
-                          double* ry, double* nsq) {
+void PrepareRotatedScalar(const double* points, std::size_t n,
+                          double origin_x, double origin_y, double rot_cos,
+                          double rot_sin, double* rx, double* ry,
+                          double* nsq) {
   if (rot_sin == 0.0 && rot_cos == 1.0) {
     // Exact-identity shortcut, mirrored in simd_lanes.h and
     // SegmentEngine::ToRotatedFrame (see the note there on signed zeros).
     for (std::size_t i = 0; i < n; ++i) {
-      const double* p = reinterpret_cast<const double*>(base + i * stride);
+      const double* p = points + i * kPointStrideDoubles;
       const double relx = p[0] - origin_x;
       const double rely = p[1] - origin_y;
       nsq[i] = relx * relx + rely * rely;
@@ -54,7 +54,7 @@ void PrepareRotatedScalar(const unsigned char* base, std::size_t stride,
     return;
   }
   for (std::size_t i = 0; i < n; ++i) {
-    const double* p = reinterpret_cast<const double*>(base + i * stride);
+    const double* p = points + i * kPointStrideDoubles;
     const double relx = p[0] - origin_x;
     const double rely = p[1] - origin_y;
     nsq[i] = relx * relx + rely * rely;
@@ -72,19 +72,17 @@ void ScreenLanesScalar(const ScreenState& /*state*/, const double* /*rx*/,
   for (std::size_t i = 0; i < n; ++i) verdicts[i] = 0;
 }
 
-void PrepareTrivialScalar(const unsigned char* /*base*/,
-                          std::size_t /*stride*/, std::size_t n,
+void PrepareTrivialScalar(const double* /*points*/, std::size_t n,
                           double /*origin_x*/, double /*origin_y*/,
                           double /*eps_sq*/, unsigned char* verdicts) {
   for (std::size_t i = 0; i < n; ++i) verdicts[i] = 0;
 }
 
-double MaxAbsCrossScalar(const unsigned char* base, std::size_t stride,
-                         std::size_t n, double ax, double ay, double dx,
-                         double dy) {
+double MaxAbsCrossScalar(const double* points, std::size_t n, double ax,
+                         double ay, double dx, double dy) {
   double vmax = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double* p = reinterpret_cast<const double*>(base + i * stride);
+    const double* p = points + i * kPointStrideDoubles;
     vmax = std::max(vmax, std::fabs(dx * (p[1] - ay) - dy * (p[0] - ax)));
   }
   return vmax;

@@ -71,7 +71,7 @@ class ScopedForceTier {
 // extreme, plus at most the four box corners (near/far and wedge-interior
 // corners overlap in the same four slots).
 inline constexpr int kScreenPointCap = 10;
-// Warm-up candidate cap (mirrors BqsOptions::kMaxRotationWarmup; the
+// Warm-up candidate cap (mirrors internal::kMaxRotationWarmup; the
 // engine static_asserts the two agree).
 inline constexpr int kWarmupPointCap = 16;
 
@@ -80,11 +80,9 @@ inline constexpr int kWarmupPointCap = 16;
 // hazard"; kQuadrant mode can additionally report verdict 2 for a
 // non-trivial lane whose conclusive include is proven — the decision is
 // final, but the include's state effects (quadrant add, exact-state
-// append) still run scalar-side.
+// append) still run scalar-side. (A pre-rotation segment whose warm-up
+// buffer is still empty needs the trivial test alone: PrepareTrivialFn.)
 enum class ScreenMode : int {
-  // The trivial test alone: the paper's unconditional Lemma 1 include,
-  // or a pre-rotation segment whose warm-up buffer is still empty.
-  kTrivialOnly = 0,
   // Pre-rotation: the warm-up deviation check (max |rel x q| over the
   // buffered warm-up candidates) must conclusively pass below the guard
   // band, with a non-degenerate end. Trivial lanes only.
@@ -128,11 +126,16 @@ struct ScreenState {
 // Kernel table.
 // ---------------------------------------------------------------------------
 
-// Pre-rotation: for each of n points at `base + i * stride` (two leading
-// doubles: x then y), compute rel = p - origin, |rel|^2, and the rotated
-// coordinates {c*rel.x + s*rel.y, -s*rel.x + c*rel.y} into rx/ry/nsq.
-using PrepareRotatedFn = void (*)(const unsigned char* base,
-                                  std::size_t stride, std::size_t n,
+// Doubles per input point: the kernels read point i's x and y at
+// points[i * kPointStrideDoubles] and the double after it. This is the
+// layout of TrackPoint (x, y leading, then t and a 2-D velocity), which
+// the engine static_asserts where it passes its points in.
+inline constexpr std::size_t kPointStrideDoubles = 5;
+
+// Pre-rotation: for each of n points, compute rel = p - origin, |rel|^2,
+// and the rotated coordinates {c*rel.x + s*rel.y, -s*rel.x + c*rel.y}
+// into rx/ry/nsq.
+using PrepareRotatedFn = void (*)(const double* points, std::size_t n,
                                   double origin_x, double origin_y,
                                   double rot_cos, double rot_sin, double* rx,
                                   double* ry, double* nsq);
@@ -150,23 +153,21 @@ using ScreenLanesFn = void (*)(const ScreenState& state, const double* rx,
                                const double* ry, const double* nsq,
                                std::size_t n, unsigned char* verdicts);
 
-// Fused trivial screen for pre-rotation chunks in kTrivialOnly mode: one
-// pass computing |p_i - origin|^2 and writing verdicts[i] = 1 iff it is
-// <= eps_sq (the same ordered compare as the scalar trivial test; NaN
-// lanes decline). No SoA arrays are written — the mode needs neither the
-// rotated frame nor the norm downstream, so the fused form halves the
-// memory traffic of the dominant parked-device path. Lanes past the last
-// full vector group are written 0 (scalar tail decides).
-using PrepareTrivialFn = void (*)(const unsigned char* base,
-                                  std::size_t stride, std::size_t n,
+// Fused trivial screen for pre-rotation chunks whose warm-up buffer is
+// empty: one pass computing |p_i - origin|^2 and writing verdicts[i] = 1
+// iff it is <= eps_sq (the same ordered compare as the scalar trivial
+// test; NaN lanes decline). No SoA arrays are written — the decision
+// needs neither the rotated frame nor the norm downstream, so the fused
+// form halves the memory traffic of the dominant parked-device path.
+// Lanes past the last full vector group are written 0 (scalar tail
+// decides).
+using PrepareTrivialFn = void (*)(const double* points, std::size_t n,
                                   double origin_x, double origin_y,
                                   double eps_sq, unsigned char* verdicts);
 
-// Warm-up deviation scan: max over i of |d x (p_i - a)| for points at
-// `base + i * stride` (two leading doubles: x then y).
-using MaxAbsCrossFn = double (*)(const unsigned char* base, std::size_t stride,
-                                 std::size_t n, double ax, double ay,
-                                 double dx, double dy);
+// Warm-up deviation scan: max over the n points of |d x (p_i - a)|.
+using MaxAbsCrossFn = double (*)(const double* points, std::size_t n,
+                                 double ax, double ay, double dx, double dy);
 
 struct KernelTable {
   PrepareRotatedFn prepare_rotated;

@@ -59,15 +59,12 @@ struct V4 {
   // leading doubles are x then y: four 128-bit pair loads and a 4x2
   // transpose (pure loads and lane moves — the values are bit-identical
   // to scalar loads, just cheaper than eight of them).
-  static void GatherXY(const unsigned char* base, std::size_t stride, V4* x,
-                       V4* y) {
-    const __m128d p0 = _mm_loadu_pd(reinterpret_cast<const double*>(base));
-    const __m128d p1 =
-        _mm_loadu_pd(reinterpret_cast<const double*>(base + stride));
-    const __m128d p2 =
-        _mm_loadu_pd(reinterpret_cast<const double*>(base + 2 * stride));
-    const __m128d p3 =
-        _mm_loadu_pd(reinterpret_cast<const double*>(base + 3 * stride));
+  static void GatherXY(const double* p, V4* x, V4* y) {
+    constexpr std::size_t kStride = kPointStrideDoubles;
+    const __m128d p0 = _mm_loadu_pd(p);
+    const __m128d p1 = _mm_loadu_pd(p + kStride);
+    const __m128d p2 = _mm_loadu_pd(p + 2 * kStride);
+    const __m128d p3 = _mm_loadu_pd(p + 3 * kStride);
     const __m256d a02 = _mm256_insertf128_pd(_mm256_castpd128_pd256(p0), p2, 1);
     const __m256d a13 = _mm256_insertf128_pd(_mm256_castpd128_pd256(p1), p3, 1);
     x->v = _mm256_unpacklo_pd(a02, a13);
@@ -75,11 +72,10 @@ struct V4 {
   }
 };
 
-void PrepareRotatedAvx2(const unsigned char* base, std::size_t stride,
-                        std::size_t n, double origin_x, double origin_y,
-                        double rot_cos, double rot_sin, double* rx, double* ry,
-                        double* nsq) {
-  lanes::PrepareRotatedImpl<V4>(base, stride, n, origin_x, origin_y, rot_cos,
+void PrepareRotatedAvx2(const double* points, std::size_t n, double origin_x,
+                        double origin_y, double rot_cos, double rot_sin,
+                        double* rx, double* ry, double* nsq) {
+  lanes::PrepareRotatedImpl<V4>(points, n, origin_x, origin_y, rot_cos,
                                 rot_sin, rx, ry, nsq);
 }
 
@@ -89,16 +85,15 @@ void ScreenLanesAvx2(const ScreenState& state, const double* rx,
   lanes::ScreenLanesImpl<V4>(state, rx, ry, nsq, n, verdicts);
 }
 
-double MaxAbsCrossAvx2(const unsigned char* base, std::size_t stride,
-                       std::size_t n, double ax, double ay, double dx,
-                       double dy) {
-  return lanes::MaxAbsCrossImpl<V4>(base, stride, n, ax, ay, dx, dy);
+double MaxAbsCrossAvx2(const double* points, std::size_t n, double ax,
+                       double ay, double dx, double dy) {
+  return lanes::MaxAbsCrossImpl<V4>(points, n, ax, ay, dx, dy);
 }
 
-void PrepareTrivialAvx2(const unsigned char* base, std::size_t stride,
-                        std::size_t n, double origin_x, double origin_y,
-                        double eps_sq, unsigned char* verdicts) {
-  lanes::PrepareTrivialImpl<V4>(base, stride, n, origin_x, origin_y, eps_sq,
+void PrepareTrivialAvx2(const double* points, std::size_t n, double origin_x,
+                        double origin_y, double eps_sq,
+                        unsigned char* verdicts) {
+  lanes::PrepareTrivialImpl<V4>(points, n, origin_x, origin_y, eps_sq,
                                 verdicts);
 }
 

@@ -18,8 +18,8 @@
 // Required V interface:
 //   static constexpr std::size_t kLanes;
 //   static V Broadcast(double), Zero(), LoadU(const double*);
-//   static void GatherXY(const unsigned char* base, std::size_t stride,
-//                        V* x, V* y);   // kLanes strided (x, y) pairs
+//   static void GatherXY(const double* p, V* x, V* y);
+//       // kLanes (x, y) pairs, kPointStrideDoubles apart
 //   void StoreU(double*) const;
 //   operators + - * ; V Abs() const;
 //   static V Min(V, V), Max(V, V);              // lane-wise minpd/maxpd
@@ -33,8 +33,8 @@
 namespace bqs::simd::lanes {
 
 template <typename V>
-inline void PrepareRotatedImpl(const unsigned char* base, std::size_t stride,
-                               std::size_t n, double origin_x, double origin_y,
+inline void PrepareRotatedImpl(const double* points, std::size_t n,
+                               double origin_x, double origin_y,
                                double rot_cos, double rot_sin, double* rx,
                                double* ry, double* nsq) {
   constexpr std::size_t kW = V::kLanes;
@@ -49,7 +49,7 @@ inline void PrepareRotatedImpl(const unsigned char* base, std::size_t stride,
     // bit.
     for (; i + kW <= n; i += kW) {
       V px, py;
-      V::GatherXY(base + i * stride, stride, &px, &py);
+      V::GatherXY(points + i * kPointStrideDoubles, &px, &py);
       const V relx = px - ox;
       const V rely = py - oy;
       (relx * relx + rely * rely).StoreU(nsq + i);
@@ -57,7 +57,7 @@ inline void PrepareRotatedImpl(const unsigned char* base, std::size_t stride,
       rely.StoreU(ry + i);
     }
     for (; i < n; ++i) {
-      const double* p = reinterpret_cast<const double*>(base + i * stride);
+      const double* p = points + i * kPointStrideDoubles;
       const double relx = p[0] - origin_x;
       const double rely = p[1] - origin_y;
       nsq[i] = relx * relx + rely * rely;
@@ -71,7 +71,7 @@ inline void PrepareRotatedImpl(const unsigned char* base, std::size_t stride,
   const V ns = V::Broadcast(-rot_sin);
   for (; i + kW <= n; i += kW) {
     V px, py;
-    V::GatherXY(base + i * stride, stride, &px, &py);
+    V::GatherXY(points + i * kPointStrideDoubles, &px, &py);
     const V relx = px - ox;
     const V rely = py - oy;
     (relx * relx + rely * rely).StoreU(nsq + i);
@@ -79,7 +79,7 @@ inline void PrepareRotatedImpl(const unsigned char* base, std::size_t stride,
     (ns * relx + c * rely).StoreU(ry + i);
   }
   for (; i < n; ++i) {
-    const double* p = reinterpret_cast<const double*>(base + i * stride);
+    const double* p = points + i * kPointStrideDoubles;
     const double relx = p[0] - origin_x;
     const double rely = p[1] - origin_y;
     nsq[i] = relx * relx + rely * rely;
@@ -89,8 +89,8 @@ inline void PrepareRotatedImpl(const unsigned char* base, std::size_t stride,
 }
 
 template <typename V>
-inline void PrepareTrivialImpl(const unsigned char* base, std::size_t stride,
-                               std::size_t n, double origin_x, double origin_y,
+inline void PrepareTrivialImpl(const double* points, std::size_t n,
+                               double origin_x, double origin_y,
                                double eps_sq, unsigned char* verdicts) {
   constexpr std::size_t kW = V::kLanes;
   const V ox = V::Broadcast(origin_x);
@@ -99,7 +99,7 @@ inline void PrepareTrivialImpl(const unsigned char* base, std::size_t stride,
   std::size_t i = 0;
   for (; i + kW <= n; i += kW) {
     V px, py;
-    V::GatherXY(base + i * stride, stride, &px, &py);
+    V::GatherXY(points + i * kPointStrideDoubles, &px, &py);
     const V relx = px - ox;
     const V rely = py - oy;
     const int mask = (relx * relx + rely * rely).Le(eps).MoveMask();
@@ -127,13 +127,6 @@ inline void ScreenLanesImpl(const ScreenState& state, const double* rx,
     // Trivial test: |rel|^2 <= eps^2 (ordered, so NaN lanes decline
     // here exactly as the scalar compare does).
     const V trivial = q.Le(eps_sq);
-    if (state.mode == ScreenMode::kTrivialOnly) {
-      const int mask = trivial.MoveMask();
-      for (std::size_t k = 0; k < kW; ++k) {
-        verdicts[i + k] = static_cast<unsigned char>((mask >> k) & 1);
-      }
-      continue;
-    }
     if (state.mode == ScreenMode::kWarmup) {
       V ok = trivial;
       if (ok.MoveMask() == 0) {
@@ -235,9 +228,8 @@ inline void ScreenLanesImpl(const ScreenState& state, const double* rx,
 }
 
 template <typename V>
-inline double MaxAbsCrossImpl(const unsigned char* base, std::size_t stride,
-                              std::size_t n, double ax, double ay, double dx,
-                              double dy) {
+inline double MaxAbsCrossImpl(const double* points, std::size_t n, double ax,
+                              double ay, double dx, double dy) {
   constexpr std::size_t kW = V::kLanes;
   const V vax = V::Broadcast(ax);
   const V vay = V::Broadcast(ay);
@@ -247,7 +239,7 @@ inline double MaxAbsCrossImpl(const unsigned char* base, std::size_t stride,
   std::size_t i = 0;
   for (; i + kW <= n; i += kW) {
     V px, py;
-    V::GatherXY(base + i * stride, stride, &px, &py);
+    V::GatherXY(points + i * kPointStrideDoubles, &px, &py);
     const V relx = px - vax;
     const V rely = py - vay;
     acc = V::Max(acc, (vdx * rely - vdy * relx).Abs());
@@ -255,7 +247,7 @@ inline double MaxAbsCrossImpl(const unsigned char* base, std::size_t stride,
   double vmax = 0.0;
   for (std::size_t k = 0; k < kW; ++k) vmax = std::max(vmax, acc.Lane(k));
   for (; i < n; ++i) {
-    const double* p = reinterpret_cast<const double*>(base + i * stride);
+    const double* p = points + i * kPointStrideDoubles;
     vmax = std::max(vmax,
                     std::fabs(dx * (p[1] - ay) - dy * (p[0] - ax)));
   }

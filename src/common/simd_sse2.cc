@@ -56,21 +56,18 @@ struct V2 {
 
   // Strided (x, y) pair gather: two 128-bit pair loads and an unpack
   // (bit-identical to scalar loads).
-  static void GatherXY(const unsigned char* base, std::size_t stride, V2* x,
-                       V2* y) {
-    const __m128d p0 = _mm_loadu_pd(reinterpret_cast<const double*>(base));
-    const __m128d p1 =
-        _mm_loadu_pd(reinterpret_cast<const double*>(base + stride));
+  static void GatherXY(const double* p, V2* x, V2* y) {
+    const __m128d p0 = _mm_loadu_pd(p);
+    const __m128d p1 = _mm_loadu_pd(p + kPointStrideDoubles);
     x->v = _mm_unpacklo_pd(p0, p1);
     y->v = _mm_unpackhi_pd(p0, p1);
   }
 };
 
-void PrepareRotatedSse2(const unsigned char* base, std::size_t stride,
-                        std::size_t n, double origin_x, double origin_y,
-                        double rot_cos, double rot_sin, double* rx, double* ry,
-                        double* nsq) {
-  lanes::PrepareRotatedImpl<V2>(base, stride, n, origin_x, origin_y, rot_cos,
+void PrepareRotatedSse2(const double* points, std::size_t n, double origin_x,
+                        double origin_y, double rot_cos, double rot_sin,
+                        double* rx, double* ry, double* nsq) {
+  lanes::PrepareRotatedImpl<V2>(points, n, origin_x, origin_y, rot_cos,
                                 rot_sin, rx, ry, nsq);
 }
 
@@ -80,16 +77,15 @@ void ScreenLanesSse2(const ScreenState& state, const double* rx,
   lanes::ScreenLanesImpl<V2>(state, rx, ry, nsq, n, verdicts);
 }
 
-double MaxAbsCrossSse2(const unsigned char* base, std::size_t stride,
-                       std::size_t n, double ax, double ay, double dx,
-                       double dy) {
-  return lanes::MaxAbsCrossImpl<V2>(base, stride, n, ax, ay, dx, dy);
+double MaxAbsCrossSse2(const double* points, std::size_t n, double ax,
+                       double ay, double dx, double dy) {
+  return lanes::MaxAbsCrossImpl<V2>(points, n, ax, ay, dx, dy);
 }
 
-void PrepareTrivialSse2(const unsigned char* base, std::size_t stride,
-                        std::size_t n, double origin_x, double origin_y,
-                        double eps_sq, unsigned char* verdicts) {
-  lanes::PrepareTrivialImpl<V2>(base, stride, n, origin_x, origin_y, eps_sq,
+void PrepareTrivialSse2(const double* points, std::size_t n, double origin_x,
+                        double origin_y, double eps_sq,
+                        unsigned char* verdicts) {
+  lanes::PrepareTrivialImpl<V2>(points, n, origin_x, origin_y, eps_sq,
                                 verdicts);
 }
 

@@ -55,32 +55,4 @@ double Percentile(std::vector<double> values, double q) {
   return values[lo] + frac * (values[hi] - values[lo]);
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {}
-
-void Histogram::Add(double x) {
-  std::ptrdiff_t idx =
-      static_cast<std::ptrdiff_t>(std::floor((x - lo_) / width_));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + static_cast<double>(i) * width_;
-}
-
-double Histogram::CdfAt(double x) const {
-  if (total_ == 0) return 0.0;
-  int64_t below = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (bin_lo(i) + width_ <= x) {
-      below += counts_[i];
-    }
-  }
-  return static_cast<double>(below) / static_cast<double>(total_);
-}
-
 }  // namespace bqs

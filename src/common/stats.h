@@ -4,7 +4,6 @@
 #ifndef BQS_COMMON_STATS_H_
 #define BQS_COMMON_STATS_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -47,29 +46,6 @@ class RunningStats {
 /// Batch percentile over a copy of the data (nearest-rank with linear
 /// interpolation). `q` in [0, 1]. Returns 0 for empty input.
 double Percentile(std::vector<double> values, double q);
-
-/// Fixed-bin histogram over [lo, hi); values outside clamp to edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void Add(double x);
-  /// Count in bin i.
-  int64_t bin_count(std::size_t i) const { return counts_[i]; }
-  std::size_t num_bins() const { return counts_.size(); }
-  int64_t total() const { return total_; }
-  /// Inclusive lower edge of bin i.
-  double bin_lo(std::size_t i) const;
-  /// Fraction of mass at or below x (empirical CDF on bin granularity).
-  double CdfAt(double x) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
-};
 
 }  // namespace bqs
 

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstddef>
 
-#include "core/options.h"
 #include "core/quadrant_bound.h"
 #include "geometry/line2.h"
 #include "geometry/vec2.h"
@@ -30,6 +29,23 @@ inline double ThirdLargest(double a, double b, double c, double d) {
   return std::min(std::max(lo_ab, lo_cd), std::min(hi_ab, hi_cd));
 }
 }  // namespace detail
+
+/// Which deviation-bound formulas the reference composition uses.
+enum class BoundsMode {
+  /// Provably sound bounds: the paper's candidates plus the in-wedge box
+  /// corners and extreme-angle points on the upper side, and the
+  /// edge-distance lower bound under the segment metric (see DESIGN.md,
+  /// paper-faithfulness notes). Guarantees the error bound; slightly
+  /// looser on imperfectly-rotated straight runs. The only mode the fast
+  /// kernel implements.
+  kSound,
+  /// The paper's literal Theorem 5.3-5.5 / Eq. (8)/(11) bounds. Tighter
+  /// (higher pruning power, better FBQS compression — these reproduce the
+  /// paper's Figs. 6-7) but *unsound* in degenerate and adversarial
+  /// configurations: the error bound can be exceeded. Ablation only,
+  /// reached through the test/bench-only internal::KernelOracle hook.
+  kPaperEq8,
+};
 
 /// A lower/upper bound pair on the maximum deviation.
 struct DeviationBounds {
@@ -68,7 +84,8 @@ DeviationBounds QuadrantDeviationBounds(
 /// comparison domain: under kPointToLine, `lower`/`upper` are
 /// |cross(end, p)| magnitudes (distance numerators — divide by |end| for
 /// metres); under kPointToSegment they are squared distances. The min/max
-/// compositions mirror QuadrantDeviationBounds exactly, and both domains
+/// compositions mirror QuadrantDeviationBounds' kSound composition
+/// exactly, and both domains
 /// map to the reference's rounded distances through a weakly monotone
 /// function, so threshold comparisons against epsilon agree with the
 /// reference outside a ~1e-12 relative guard band (the engine falls back
@@ -98,8 +115,7 @@ struct FastQuadrantBounds {
 /// cross-TU call in the engine.
 inline FastQuadrantBounds QuadrantFastBounds(const QuadrantBound& qb,
                                              Vec2 end, bool end_in_quadrant,
-                                             DistanceMetric metric,
-                                             BoundsMode mode) {
+                                             DistanceMetric metric) {
   const QuadrantBound::SignificantPoints& sig = qb.Significant();
   FastQuadrantBounds out;
 
@@ -126,22 +142,6 @@ inline FastQuadrantBounds QuadrantFastBounds(const QuadrantBound& qb,
   const double vcn = vc[sig.near_corner_index];
   const double vcf = vc[sig.far_corner_index];
 
-  if (mode == BoundsMode::kPaperEq8) {
-    if (end_in_quadrant) {
-      out.lower = std::max({std::min(vl1, vl2), std::min(vu1, vu2),
-                            std::max(vcn, vcf)});
-      out.upper = line ? std::max({vl1, vl2, vu1, vu2})
-                       : std::max({vl1, vl2, vu1, vu2, vcn, vcf});
-    } else {
-      out.lower = std::max({std::min(vl1, vl2), std::min(vu1, vu2),
-                            detail::ThirdLargest(vc[0], vc[1], vc[2], vc[3])});
-      out.upper = std::max({vc[0], vc[1], vc[2], vc[3]});
-    }
-    if (out.lower > out.upper) out.lower = out.upper;
-    return out;
-  }
-
-  // Only the kSound compositions consume the extreme-point term.
   const double vpoints =
       std::max(value(sig.min_angle_point), value(sig.max_angle_point));
 

@@ -15,6 +15,7 @@
 #include "core/bounds3d.h"
 #include "core/decision_stats.h"
 #include "core/octant_bound.h"
+#include "core/options.h"
 #include "core/point3.h"
 #include "geometry/line2.h"
 #include "trajectory/deviation.h"
@@ -32,16 +33,11 @@ struct Bqs3dOptions {
   Bounds3dMode mode = Bounds3dMode::kClippedHull;
 
   /// Paper-faithful unconditional include of near-start points; see
-  /// BqsOptions::paper_trivial_include for why the default is the safe
-  /// end-validity check.
+  /// internal::KernelOracle::paper_trivial_include (core/segment_state.h)
+  /// for why the default is the safe end-validity check.
   bool paper_trivial_include = false;
 
-  Status Validate() const {
-    if (!(epsilon > 0.0)) {
-      return Status::InvalidArgument("epsilon must be positive");
-    }
-    return Status::OK();
-  }
+  Status Validate() const { return ValidateEpsilon(epsilon); }
 };
 
 /// Online, error-bounded 3-D trajectory compressor.

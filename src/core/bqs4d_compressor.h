@@ -23,6 +23,7 @@
 #include "common/status.h"
 #include "core/bounds.h"
 #include "core/decision_stats.h"
+#include "core/options.h"
 #include "geometry/line2.h"
 #include "geometry/vec4.h"
 #include "trajectory/deviation.h"
@@ -82,12 +83,7 @@ struct Bqs4dOptions {
   double epsilon = 10.0;
   DistanceMetric metric = DistanceMetric::kPointToLine;
 
-  Status Validate() const {
-    if (!(epsilon > 0.0)) {
-      return Status::InvalidArgument("epsilon must be positive");
-    }
-    return Status::OK();
-  }
+  Status Validate() const { return ValidateEpsilon(epsilon); }
 };
 
 /// Online, error-bounded 4-D trajectory compressor (exact or fast engine,

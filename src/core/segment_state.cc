@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 
 #include "common/math_utils.h"
 #include "common/op_counters.h"
@@ -13,6 +14,17 @@ namespace bqs {
 namespace internal {
 
 namespace {
+
+// The SIMD kernels read point coordinates as a flat double array: x and y
+// leading each TrackPoint, simd::kPointStrideDoubles doubles apart.
+static_assert(offsetof(TrackPoint, pos) == 0 &&
+                  offsetof(Vec2, y) == sizeof(double),
+              "TrackPoint must lead with its x, y coordinates");
+static_assert(sizeof(TrackPoint) == simd::kPointStrideDoubles * sizeof(double),
+              "simd::kPointStrideDoubles must match the TrackPoint stride");
+
+/// The coordinate array the SIMD kernels read for `pts`.
+const double* PointCoords(const TrackPoint* pts) { return &pts->pos.x; }
 
 /// True when v lies within the sub-ulp sliver of a coordinate axis where
 /// the sign-test classifier and the reference's atan2+fmod formula can
@@ -50,8 +62,7 @@ int SquaredDeviationVerdict(const TrackPoint* pts, std::size_t n, Vec2 a,
     // max over |d x (p - a)| through the active SIMD tier: max over fabs
     // values is associative/commutative bitwise, so the lane-parallel
     // reduction returns the same bits as the scalar scan.
-    vmax = kernels.max_abs_cross(reinterpret_cast<const unsigned char*>(pts),
-                                 sizeof(TrackPoint), n, a.x, a.y, d.x, d.y);
+    vmax = kernels.max_abs_cross(PointCoords(pts), n, a.x, a.y, d.x, d.y);
     vmax *= vmax;
     threshold = eps * eps * d.NormSq();
   } else {
@@ -71,36 +82,34 @@ SegmentEngine::SegmentEngine(const BqsOptions& options, bool exact_mode,
                              const KernelOracle& oracle)
     : options_(options),
       exact_mode_(exact_mode),
-      fast_kernel_(!oracle.reference_kernel),
+      fast_kernel_(!oracle.reference_kernel && !oracle.paper_literal()),
       hull_migration_(oracle.hull_migration),
+      data_centric_rotation_(oracle.data_centric_rotation),
+      // An out-of-range warm-up length would index past the fixed warm-up
+      // buffer: asserted below, clamped as a release-mode backstop.
+      rotation_warmup_(static_cast<std::size_t>(
+          std::clamp(oracle.rotation_warmup, 1, kMaxRotationWarmup))),
+      paper_trivial_include_(oracle.paper_trivial_include),
+      bounds_mode_(oracle.bounds_mode),
       quadrants_{QuadrantBound(0), QuadrantBound(1), QuadrantBound(2),
                  QuadrantBound(3)},
       kernels_(&simd::KernelsFor(simd::ActiveTier())) {
   // Misconfiguration is a caller bug (BqsOptions::Validate() rejects it),
-  // but nothing forces callers through Validate() and an out-of-range
-  // warm-up length would index past the fixed warm-up buffer — so assert
-  // in debug and clamp as a release-mode backstop. options() reports the
-  // clamped value actually in force.
+  // but nothing forces callers through Validate(), so assert in debug.
   assert(options_.Validate().ok());
-  options_.rotation_warmup = std::clamp(options_.rotation_warmup, 1,
-                                        BqsOptions::kMaxRotationWarmup);
+  assert(oracle.rotation_warmup >= 1 &&
+         oracle.rotation_warmup <= kMaxRotationWarmup);
   trivial_eps_sq_ = options_.epsilon * options_.epsilon;
-  fast_line_sound_ = fast_kernel_ &&
-                     options_.metric == DistanceMetric::kPointToLine &&
-                     options_.bounds_mode == BoundsMode::kSound;
-  // The vector conclusive screen mass-includes trivial points whose
-  // decision is a pure function of (rel_rot, quadrant state): the fast
-  // kernel's upper-bound test under the line metric, or the paper's
-  // unconditional trivial include (any kernel/metric). The segment metric
-  // without the paper rule keeps per-point directional state, so it stays
-  // on the scalar path.
-  screen_vector_ = kernels_->tier != simd::Tier::kScalar;
-  screen_enabled_ =
-      screen_vector_ &&
-      (options_.paper_trivial_include ||
-       (fast_kernel_ && options_.metric == DistanceMetric::kPointToLine));
-  screen_warmup_ok_ = screen_vector_ && fast_kernel_ &&
-                      options_.metric == DistanceMetric::kPointToLine;
+  fast_line_ = fast_kernel_ && options_.metric == DistanceMetric::kPointToLine;
+  // The fused pre-rotation screen replicates the trivial include of an
+  // empty warm-up buffer, which is kernel- and metric-independent. The
+  // quadrant and warm-up screens replicate the fast kernel's line-metric
+  // decisions; the segment metric keeps per-point directional state, so
+  // it stays on the scalar path. The paper-literal rules are never
+  // screened.
+  screen_vector_ =
+      kernels_->tier != simd::Tier::kScalar && !oracle.paper_literal();
+  screen_enabled_ = screen_vector_ && fast_line_;
   // Screen a few vector-widths per call: enough lanes to amortize the
   // dispatch-call overhead, few enough that a quadrant mutation (which
   // invalidates screened-ahead verdicts) discards little work.
@@ -165,8 +174,7 @@ void SegmentEngine::PrepareBatch(std::span<const TrackPoint> pts) {
   // tier, so the prepared values are bit-identical to what Push would
   // compute point by point.
   const Vec2 origin = segment_start_.pos;
-  const auto* base = reinterpret_cast<const unsigned char*>(pts.data());
-  kernels_->prepare_rotated(base, sizeof(TrackPoint), pts.size(), origin.x,
+  kernels_->prepare_rotated(PointCoords(pts.data()), pts.size(), origin.x,
                             origin.y, rot_cos_, rot_sin_, scratch_->rx,
                             scratch_->ry, scratch_->nsq);
 }
@@ -188,21 +196,18 @@ void SegmentEngine::RunBatch(std::span<const TrackPoint> pts,
         // parked device's segment never establishes a rotation — which
         // makes this path, not the rotated screen, the volume carrier
         // on stop-and-go streams.
-        const bool trivial_only_mode =
-            options_.paper_trivial_include || warmup_count_ == 0;
-        if (screen_vector_ && trivial_only_mode) {
-          // Trivial-only screen: the decision for a trivial lane is the
-          // trivial test itself (the paper rule, or an empty warm-up
-          // buffer), so the fused kernel computes it in one pass with no
-          // SoA stores and no separate screen call.
+        if (screen_vector_ && warmup_count_ == 0) {
+          // Trivial-only screen: with an empty warm-up buffer the decision
+          // for a trivial lane is the trivial test itself, so the fused
+          // kernel computes it in one pass with no SoA stores and no
+          // separate screen call.
           const std::size_t chunk = std::min(n - i, batch_fill_);
           if (!scratch_) scratch_ = std::make_unique<BatchScratch>();
           BatchScratch& s = *scratch_;
-          const auto* base =
-              reinterpret_cast<const unsigned char*>(pts.data() + i);
           const Vec2 origin = segment_start_.pos;
-          kernels_->prepare_trivial(base, sizeof(TrackPoint), chunk, origin.x,
-                                    origin.y, trivial_eps_sq_, s.screen);
+          kernels_->prepare_trivial(PointCoords(pts.data() + i), chunk,
+                                    origin.x, origin.y, trivial_eps_sq_,
+                                    s.screen);
           const uint64_t seg_mark = segment_start_index_;
           bool split = false;
           std::size_t j = 0;
@@ -225,8 +230,7 @@ void SegmentEngine::RunBatch(std::span<const TrackPoint> pts,
             ++scalar_points;
             ++j;
             split = segment_start_index_ != seg_mark;
-            if (split || rotation_established_ ||
-                (!options_.paper_trivial_include && warmup_count_ != 0)) {
+            if (split || rotation_established_ || warmup_count_ != 0) {
               // The origin moved, the frame changed, or trivial lanes now
               // need the warm-up verdict: the fused verdicts are stale.
               break;
@@ -239,7 +243,7 @@ void SegmentEngine::RunBatch(std::span<const TrackPoint> pts,
               split ? kBatchSeed : std::min(batch_fill_ * 4, kBatchChunk);
           continue;
         }
-        if (screen_vector_ && screen_warmup_ok_) {
+        if (screen_enabled_) {
           // Warm-up screen: trivial lanes must pass the warm-up deviation
           // verdict against the buffered candidates. The frame is still
           // the identity rotation, so the prepared rx/ry are exactly the
@@ -389,80 +393,63 @@ void SegmentEngine::MarshalScreenState() {
   simd::ScreenState& st = scratch_->state;
   st.num_quads = 0;
   st.eps_sq = trivial_eps_sq_;
-  st.mode = options_.paper_trivial_include ? simd::ScreenMode::kTrivialOnly
-                                           : simd::ScreenMode::kQuadrant;
-  if (st.mode == simd::ScreenMode::kQuadrant) {
-    // Per occupied quadrant, precompute the two candidate sets whose
-    // max |end x p| reproduces QuadrantFastBounds' upper bound for any
-    // end: the in-quadrant composition (intersections, angular extremes,
-    // near/far and wedge-interior corners — duplicates are harmless under
-    // max) and the out-of-quadrant corner composition. The wedge test is
-    // end-independent, so its guard band collapses to one flag: lanes
-    // whose end lands in a blocked quadrant are left to the scalar path,
-    // which re-runs the per-point test and takes the reference fallback
-    // exactly as an unscreened push would.
-    const bool paper = options_.bounds_mode == BoundsMode::kPaperEq8;
-    for (const QuadrantBound& q : quadrants_) {
-      if (q.empty()) continue;
-      const QuadrantBound::SignificantPoints& sig = q.Significant();
-      simd::ScreenQuadrant& sq = st.quads[st.num_quads++];
-      sq.parity = q.quadrant() & 1;
-      sq.wedge_blocked = false;
-      int count = 0;
-      const auto add_in = [&sq, &count](Vec2 p) {
-        sq.in_px[count] = p.x;
-        sq.in_py[count] = p.y;
-        ++count;
-      };
-      add_in(sig.l1);
-      add_in(sig.l2);
-      add_in(sig.u1);
-      add_in(sig.u2);
-      bool corner_in[4] = {false, false, false, false};
-      if (!paper) {
-        add_in(sig.min_angle_point);
-        add_in(sig.max_angle_point);
-        corner_in[sig.near_corner_index] = true;
-        corner_in[sig.far_corner_index] = true;
-        // Wedge classification comes cached with the significant points
-        // (end-independent; see ComputeSignificant), so the marshal and
-        // the per-point composition agree by construction.
-        sq.wedge_blocked = !sig.wedge_ok;
-        for (std::size_t k = 0; k < 4; ++k) {
-          if (sig.corner_in_wedge[k]) corner_in[k] = true;
-        }
+  st.mode = simd::ScreenMode::kQuadrant;
+  // Per occupied quadrant, precompute the two candidate sets whose
+  // max |end x p| reproduces QuadrantFastBounds' upper bound for any end:
+  // the in-quadrant composition (intersections, angular extremes, near/far
+  // and wedge-interior corners — duplicates are harmless under max) and
+  // the out-of-quadrant corner composition. The wedge test is
+  // end-independent, so its guard band collapses to one flag: lanes whose
+  // end lands in a blocked quadrant are left to the scalar path, which
+  // re-runs the per-point test and takes the reference fallback exactly as
+  // an unscreened push would.
+  for (const QuadrantBound& q : quadrants_) {
+    if (q.empty()) continue;
+    const QuadrantBound::SignificantPoints& sig = q.Significant();
+    simd::ScreenQuadrant& sq = st.quads[st.num_quads++];
+    sq.parity = q.quadrant() & 1;
+    int count = 0;
+    const auto add_in = [&sq, &count](Vec2 p) {
+      sq.in_px[count] = p.x;
+      sq.in_py[count] = p.y;
+      ++count;
+    };
+    add_in(sig.l1);
+    add_in(sig.l2);
+    add_in(sig.u1);
+    add_in(sig.u2);
+    add_in(sig.min_angle_point);
+    add_in(sig.max_angle_point);
+    // Wedge classification comes cached with the significant points
+    // (end-independent; see ComputeSignificant), so the marshal and the
+    // per-point composition agree by construction.
+    sq.wedge_blocked = !sig.wedge_ok;
+    for (std::size_t k = 0; k < 4; ++k) {
+      sq.out_px[k] = sig.corners[k].x;
+      sq.out_py[k] = sig.corners[k].y;
+      if (k == sig.near_corner_index || k == sig.far_corner_index ||
+          sig.corner_in_wedge[k]) {
+        add_in(sig.corners[k]);
       }
-      for (std::size_t k = 0; k < 4; ++k) {
-        sq.out_px[k] = sig.corners[k].x;
-        sq.out_py[k] = sig.corners[k].y;
-        if (corner_in[k]) add_in(sig.corners[k]);
-      }
-      sq.in_count = count;
     }
+    sq.in_count = count;
   }
   scratch_->state_epoch = quad_epoch_;
 }
 
 void SegmentEngine::MarshalWarmupScreen() {
-  static_assert(simd::kWarmupPointCap >= BqsOptions::kMaxRotationWarmup,
+  static_assert(simd::kWarmupPointCap >= kMaxRotationWarmup,
                 "screen warm-up capacity must cover the warm-up buffer");
   simd::ScreenState& st = scratch_->state;
   st.eps_sq = trivial_eps_sq_;
-  if (options_.paper_trivial_include || warmup_count_ == 0) {
-    // No warm-up check runs for these lanes scalar-side (the paper rule
-    // short-circuits before it; an empty buffer skips it), so the screen
-    // is the trivial test alone.
-    st.mode = simd::ScreenMode::kTrivialOnly;
-  } else {
-    st.mode = simd::ScreenMode::kWarmup;
-    st.warm_count = static_cast<int>(warmup_count_);
-    for (std::size_t k = 0; k < warmup_count_; ++k) {
-      // The same p - a subtraction SquaredDeviationVerdict's scan
-      // performs, hoisted out of the per-lane loop (end-independent).
-      const Vec2 q = warmup_[k].pos - segment_start_.pos;
-      st.warm_px[k] = q.x;
-      st.warm_py[k] = q.y;
-    }
+  st.mode = simd::ScreenMode::kWarmup;
+  st.warm_count = static_cast<int>(warmup_count_);
+  for (std::size_t k = 0; k < warmup_count_; ++k) {
+    // The same p - a subtraction SquaredDeviationVerdict's scan performs,
+    // hoisted out of the per-lane loop (end-independent).
+    const Vec2 q = warmup_[k].pos - segment_start_.pos;
+    st.warm_px[k] = q.x;
+    st.warm_py[k] = q.y;
   }
   scratch_->state_epoch = quad_epoch_;
 }
@@ -520,10 +507,10 @@ SegmentEngine::Decision SegmentEngine::Assess(const TrackPoint& pt,
   // deviate by more than epsilon from any path out of the start, so it
   // never enters the bounding structures or the buffer. It may still end
   // the segment later, so by default it must pass the same end-validity
-  // assessment as any other candidate end (see BqsOptions::
+  // assessment as any other candidate end (see KernelOracle::
   // paper_trivial_include for the paper's unconditional include).
   const bool trivial = rel.NormSq() <= eps * eps;
-  if (trivial && options_.paper_trivial_include) {
+  if (trivial && paper_trivial_include_) {
     ++stats_.trivial_includes;
     return Decision::kInclude;
   }
@@ -564,7 +551,7 @@ SegmentEngine::Decision SegmentEngine::Assess(const TrackPoint& pt,
       // warm-up checks scan the warmup_ array directly.
       AddExactPoint(pt);
     }
-    if (warmup_count_ >= static_cast<std::size_t>(options_.rotation_warmup)) {
+    if (warmup_count_ >= rotation_warmup_) {
       EstablishRotation();
     }
     return Decision::kInclude;
@@ -582,7 +569,7 @@ SegmentEngine::Decision SegmentEngine::AssessPrepared(const TrackPoint& pt,
   // Assess() minus the warm-up branch, on precomputed inputs.
   const double eps = options_.epsilon;
   const bool trivial = rel_norm_sq <= eps * eps;
-  if (trivial && options_.paper_trivial_include) {
+  if (trivial && paper_trivial_include_) {
     ++stats_.trivial_includes;
     return Decision::kInclude;
   }
@@ -669,7 +656,7 @@ SegmentEngine::FastOutcome SegmentEngine::FastAssess(Vec2 end,
   // too (or fall back to a reference check that includes), so decide
   // without the significant points. On moving streams most includes grow
   // a box; this keeps the invalidated cache stale instead of rebuilding it.
-  if (fast_line_sound_) {
+  if (fast_line_) {
     double box_upper = 0.0;
     for (const QuadrantBound& q : quadrants_) {
       if (q.empty()) continue;
@@ -689,8 +676,7 @@ SegmentEngine::FastOutcome SegmentEngine::FastAssess(Vec2 end,
     // directional (paper Section V-G) — the end's own quadrant only.
     const bool in_q = line ? (end_q & 1) == (q.quadrant() & 1)
                            : end_q == q.quadrant();
-    agg.MergeMax(QuadrantFastBounds(q, end, in_q, options_.metric,
-                                    options_.bounds_mode));
+    agg.MergeMax(QuadrantFastBounds(q, end, in_q, options_.metric));
     if (!agg.ok) return FastOutcome::kFallback;
   }
 
@@ -741,7 +727,7 @@ SegmentEngine::Decision SegmentEngine::ResolveInconclusive(
   // migration point, over the flat buffer (O(n)).
   ++stats_.exact_computations;
   bool include;
-  if (fast_line_sound_ && !hull_active_) {
+  if (fast_line_ && !hull_active_) {
     // Flat-buffer phase under the fast kernel: the same sqrt-free SIMD
     // verdict as the warm-up check; the sqrt-bearing rescan runs only
     // inside its guard band. The reference kernel keeps the literal
@@ -846,7 +832,7 @@ void SegmentEngine::StartSegment(const TrackPoint& pt, uint64_t index) {
   rot_sin_ = 0.0;
   // Without data-centric rotation the quadrant system is active (unrotated)
   // from the first point on; with it, warm-up gathers points first.
-  rotation_established_ = !options_.data_centric_rotation;
+  rotation_established_ = !data_centric_rotation_;
   warmup_count_ = 0;
   for (QuadrantBound& q : quadrants_) q.Reset();
   hull_.Clear();
@@ -856,7 +842,7 @@ void SegmentEngine::StartSegment(const TrackPoint& pt, uint64_t index) {
   if (exact_mode_) {
     // The warm-up points land here before any split can happen; reserving
     // them up front avoids the first few reallocations of every segment.
-    buffer_.reserve(static_cast<std::size_t>(options_.rotation_warmup));
+    buffer_.reserve(rotation_warmup_);
   }
 }
 
@@ -936,8 +922,8 @@ DeviationBounds SegmentEngine::AggregateBounds(Vec2 end_rel_rotated) const {
     const QuadrantBound::SignificantPoints* sig =
         fast_kernel_ ? &q.Significant() : nullptr;
     bounds.MergeMax(QuadrantDeviationBounds(q, end_rel_rotated,
-                                            options_.metric,
-                                            options_.bounds_mode, sig));
+                                            options_.metric, bounds_mode_,
+                                            sig));
   }
   return bounds;
 }

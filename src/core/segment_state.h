@@ -14,11 +14,11 @@
 // composition, so decisions are bit-identical to the reference kernel by
 // construction.
 //
-// Under the line metric and the sound bounds, the kernel first tries a
-// box-corner include pre-test (Theorem 5.2's whole-box upper bound plus
-// a rounding margin, squared): when it clears epsilon the tight
-// composition would include too, so the quadrant's invalidated
-// significant-point cache is not rebuilt for that point.
+// Under the line metric, the kernel first tries a box-corner include
+// pre-test (Theorem 5.2's whole-box upper bound plus a rounding margin,
+// squared): when it clears epsilon the tight composition would include
+// too, so the quadrant's invalidated significant-point cache is not
+// rebuilt for that point.
 //
 // BQS's exact resolve scans the flat segment buffer while it is short —
 // under the line metric as a squared-domain SIMD max|cross| verdict, with
@@ -27,10 +27,12 @@
 // at kHullMigrationPoints buffered points.
 //
 // KernelOracle is the test- and bench-only hook that selects the seed's
-// transcendental reference kernel and moves the hull migration point
+// transcendental reference kernel, moves the hull migration point
 // (1: hull from the first point; SIZE_MAX: the paper's O(n)-per-resolve
-// whole-buffer rescan). Those configurations exist only to be checksummed
-// against; production constructors never name the hook.
+// whole-buffer rescan), tunes or disables data-centric rotation, and
+// turns on the paper-literal (unsound) Algorithm 1 rules. Those
+// configurations exist only to be checksummed against or measured;
+// production constructors never name the hook.
 #ifndef BQS_CORE_SEGMENT_STATE_H_
 #define BQS_CORE_SEGMENT_STATE_H_
 
@@ -61,10 +63,16 @@ namespace internal {
 /// only dominates on adversarial segments growing into the thousands.
 inline constexpr std::size_t kHullMigrationPoints = 256;
 
+/// Upper limit for KernelOracle::rotation_warmup (the fixed-capacity
+/// warm-up buffer keeps FBQS free of dynamic allocation).
+inline constexpr int kMaxRotationWarmup = 16;
+
 /// Test/bench-only engine configuration: the oracles production output is
-/// checksummed against. Both resolvers return the same maximum (it is
-/// attained at a hull vertex), so the migration point changes scan costs,
-/// never a decision.
+/// checksummed against, and the ablations the benches measure. Both
+/// resolvers return the same maximum (it is attained at a hull vertex),
+/// so the migration point changes scan costs, never a decision. Setting
+/// either paper-literal field runs the reference kernel with the vector
+/// screens off, so the fast kernel implements the sound rule alone.
 struct KernelOracle {
   /// Run the seed's transcendental path: atan2 classification + angular
   /// tracking, significant points rebuilt per push, hypot-based distances
@@ -73,6 +81,35 @@ struct KernelOracle {
   /// Buffered points at which the segment migrates into the hull: 1 keeps
   /// the hull from the first point, SIZE_MAX never migrates.
   std::size_t hull_migration = kHullMigrationPoints;
+  /// Data-centric rotation (paper Section V-D): rotate the axes toward
+  /// the first `rotation_warmup` out-of-epsilon points so the data splits
+  /// across two quadrants and the hulls are tighter. false runs the
+  /// quadrant system unrotated from the first point.
+  bool data_centric_rotation = true;
+  /// Out-of-epsilon points buffered before the rotation is fixed. The
+  /// paper suggests ~5; 8 is the default because a longer baseline
+  /// reduces the rotation-estimate bias, which directly tightens the
+  /// sound upper bound on straight runs. Clamped to
+  /// [1, kMaxRotationWarmup].
+  int rotation_warmup = 8;
+  /// Paper-faithful handling of points within epsilon of the segment
+  /// start: Algorithm 1 includes them unconditionally (Theorem 5.1). That
+  /// is sound for them as *interior* points but not as segment
+  /// *endpoints*: if such a point ends a segment (split-at-previous or
+  /// stream end), the deviation of the earlier buffered points against
+  /// that end was never verified and the error bound can be exceeded.
+  /// With this false (default), near-start points still skip all
+  /// structure updates (the real content of Theorem 5.1) but run the O(1)
+  /// bound check for end-validity.
+  bool paper_trivial_include = false;
+  /// Bound formulas; kPaperEq8 + paper_trivial_include together reproduce
+  /// the paper's Algorithm 1 verbatim.
+  BoundsMode bounds_mode = BoundsMode::kSound;
+
+  /// True when either paper-literal rule is on.
+  constexpr bool paper_literal() const {
+    return paper_trivial_include || bounds_mode != BoundsMode::kSound;
+  }
 };
 
 /// Observation of one bound-based decision, for instrumentation (Fig. 3).
@@ -236,10 +273,10 @@ class SegmentEngine {
   /// wedge test and candidate selection are end-independent, which is
   /// what makes this a per-mutation (not per-point) cost.
   void MarshalScreenState();
-  /// Rebuilds the vector screen's pre-rotation context: the trivial test
-  /// alone when the warm-up buffer is empty (or the paper rule is on),
-  /// else the buffered warm-up candidates relative to the segment start
-  /// so the screen can run the warm-up deviation verdict lane-parallel.
+  /// Rebuilds the vector screen's pre-rotation context: the buffered
+  /// warm-up candidates relative to the segment start, so the screen can
+  /// run the warm-up deviation verdict lane-parallel. (An empty warm-up
+  /// buffer takes the fused trivial path instead.)
   void MarshalWarmupScreen();
   /// Stages a buffered point for the hull. Hull maintenance is lazy: the
   /// point lands in a small pending batch (cap kHullDrainBatch, so space
@@ -258,12 +295,19 @@ class SegmentEngine {
 
   BqsOptions options_;
   bool exact_mode_;
-  bool fast_kernel_;            ///< !KernelOracle::reference_kernel.
+  /// Fast kernel: neither KernelOracle::reference_kernel nor a
+  /// paper-literal field is set.
+  bool fast_kernel_;
   std::size_t hull_migration_;  ///< KernelOracle::hull_migration.
-  /// Fast kernel under the line metric and the sound bounds: the domain
-  /// of the box-corner include pre-test (FastAssess) and the squared-
-  /// domain flat-buffer resolve (ResolveInconclusive).
-  bool fast_line_sound_ = false;
+  bool data_centric_rotation_;  ///< KernelOracle::data_centric_rotation.
+  std::size_t rotation_warmup_;  ///< Clamped KernelOracle::rotation_warmup.
+  bool paper_trivial_include_;  ///< KernelOracle::paper_trivial_include.
+  BoundsMode bounds_mode_;      ///< KernelOracle::bounds_mode.
+  /// Fast kernel under the line metric: the domain of the box-corner
+  /// include pre-test (FastAssess), the squared-domain flat-buffer resolve
+  /// (ResolveInconclusive) and, on a vector tier, the quadrant and warm-up
+  /// screens.
+  bool fast_line_ = false;
   DecisionStats stats_;
 
   bool have_first_ = false;
@@ -279,7 +323,7 @@ class SegmentEngine {
   double rot_cos_ = 1.0;
   double rot_sin_ = 0.0;
   std::size_t warmup_count_ = 0;
-  std::array<TrackPoint, BqsOptions::kMaxRotationWarmup> warmup_{};
+  std::array<TrackPoint, kMaxRotationWarmup> warmup_{};
 
   std::array<QuadrantBound, 4> quadrants_;
 
@@ -309,20 +353,15 @@ class SegmentEngine {
   /// Kernel table snapshotted at construction (runtime CPUID dispatch +
   /// the BQS_FORCE_SCALAR override; see common/simd.h).
   const simd::KernelTable* kernels_;
-  /// True when the vector conclusive screen applies: a vector tier is
-  /// active and the decision for a trivial point is the pure function of
-  /// (rel_rot, quadrant state) the screen replicates — the fast kernel
-  /// under the line metric, or the paper's unconditional trivial include
-  /// under any kernel/metric.
-  bool screen_enabled_ = false;
-  /// A vector tier is active at all (necessary condition for any screen).
+  /// A vector tier is active and no paper-literal field is set: the fused
+  /// pre-rotation trivial screen (empty warm-up buffer) applies under
+  /// either kernel and metric.
   bool screen_vector_ = false;
-  /// The pre-rotation warm-up verdict is screenable: fast kernel under
-  /// the line metric (the vectorized verdict replicates exactly that
-  /// scalar path; the segment metric and the reference kernel stay
-  /// scalar). Trivial-only pre-rotation screening (empty warm-up buffer,
-  /// or the paper rule) needs only screen_vector_.
-  bool screen_warmup_ok_ = false;
+  /// screen_vector_ under the fast kernel and the line metric: the
+  /// quadrant and warm-up screens replicate exactly that scalar path, so
+  /// only it is screened (the segment metric and the reference kernel
+  /// stay scalar).
+  bool screen_enabled_ = false;
   /// Lanes screened per screen_lanes call; a small multiple of the vector
   /// width, trading call overhead against re-screening after a mutation.
   std::size_t screen_group_ = 0;

@@ -6,9 +6,11 @@
 #ifndef BQS_CORE_TIME_SENSITIVE_H_
 #define BQS_CORE_TIME_SENSITIVE_H_
 
+#include <cmath>
 #include <vector>
 
 #include "core/bqs3d_compressor.h"
+#include "core/options.h"
 #include "trajectory/compressor.h"
 
 namespace bqs {
@@ -26,11 +28,9 @@ struct TimeSensitiveOptions {
   bool exact = false;
 
   Status Validate() const {
-    if (!(epsilon > 0.0)) {
-      return Status::InvalidArgument("epsilon must be positive");
-    }
-    if (!(time_scale >= 0.0)) {
-      return Status::InvalidArgument("time_scale must be >= 0");
+    BQS_RETURN_NOT_OK(ValidateEpsilon(epsilon));
+    if (!std::isfinite(time_scale) || time_scale < 0.0) {
+      return Status::InvalidArgument("time_scale must be finite and >= 0");
     }
     return Status::OK();
   }

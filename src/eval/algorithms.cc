@@ -52,9 +52,7 @@ std::unique_ptr<StreamCompressor> MakeStreamCompressor(
   switch (config.id) {
     case AlgorithmId::kBqs:
     case AlgorithmId::kFbqs: {
-      BqsOptions options = config.bqs;
-      options.epsilon = config.epsilon;
-      options.metric = config.metric;
+      const BqsOptions options{config.epsilon, config.metric};
       if (config.id == AlgorithmId::kBqs) {
         return std::make_unique<BqsCompressor>(options);
       }

@@ -10,7 +10,7 @@
 #include <string_view>
 
 #include "core/decision_stats.h"
-#include "core/options.h"
+#include "geometry/line2.h"
 #include "trajectory/compressor.h"
 
 namespace bqs {
@@ -51,8 +51,6 @@ struct AlgorithmConfig {
   DistanceMetric metric = DistanceMetric::kPointToLine;
   /// Buffer size for BDP/BGD (paper default 32; 0 = unbounded BGD).
   std::size_t buffer_size = 32;
-  /// Extra knobs for the BQS family (epsilon/metric above take precedence).
-  BqsOptions bqs;
 };
 
 /// Result of one compression run.

@@ -177,7 +177,7 @@ struct StoreRecoveryReport {
 /// Everything RecoverStore() gives back. `wal.checkpoints` holds the full
 /// reconstructed acked prefix — block contents ∪ surviving WAL tail,
 /// seq-sorted, duplicate-free — with `wal.quant`/`wal.next_seq` set from
-/// the union, so TrajectoryStore::RestoreFromWal consumes it unchanged.
+/// the union, in the same shape a plain WAL replay returns.
 /// `wal.report` covers only the WAL segments actually replayed.
 struct StoreRecovery {
   WalRecovery wal;
@@ -220,9 +220,10 @@ struct RangeQueryStats {
 /// with the radius inflated by the largest block half-diagonal, so it can
 /// never miss an intersecting block) narrows to candidates, then the
 /// exact circle-vs-bbox + time-span test decides what to scan. Returned
-/// key points are dequantized; each is within quantum/2 per axis of what
-/// the compressor emitted, so results inherit the combined
-/// eps + quantum/2 error bound end to end.
+/// key points are dequantized; each is within quantum/2 per axis (so
+/// within coord_quantum·√2/2 in the plane) of what the compressor
+/// emitted, and results inherit the combined eps + coord_quantum·√2/2
+/// error bound end to end.
 class BlockStore {
  public:
   /// Reads the MANIFEST and every block it references, and builds the

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <string>
 #include <utility>
 
 #include "baselines/douglas_peucker.h"
@@ -104,56 +102,6 @@ Result<TrajectoryStore::AppendResult> TrajectoryStore::Append(
     polylines_.push_back(std::move(current_polyline));
   }
   return result;
-}
-
-Result<TrajectoryStore::WalRestoreStats> TrajectoryStore::RestoreFromWal(
-    const WalRecovery& recovery) {
-  WalRestoreStats stats;
-  // Per-device rebuild state. Checkpoints arrive in replay order, which is
-  // sequence (append) order within each device, so concatenating per
-  // device reconstructs each session's emitted key-point stream; a
-  // non-increasing index marks the next session's stream starting over.
-  struct DeviceBuild {
-    CompressedTrajectory trajectory;
-    uint64_t last_index = 0;
-  };
-  std::map<DeviceId, DeviceBuild> devices;
-
-  const auto flush = [&](DeviceBuild& build) -> Status {
-    if (build.trajectory.keys.size() < 2) {
-      if (!build.trajectory.keys.empty()) ++stats.short_trajectories;
-      build.trajectory.keys.clear();
-      return Status::OK();
-    }
-    const Result<AppendResult> appended = Append(build.trajectory);
-    BQS_RETURN_NOT_OK(appended.status());
-    ++stats.trajectories_appended;
-    stats.totals.segments_in += appended.value().segments_in;
-    stats.totals.segments_merged += appended.value().segments_merged;
-    stats.totals.segments_stored += appended.value().segments_stored;
-    build.trajectory.keys.clear();
-    return Status::OK();
-  };
-
-  for (const wal::WalCheckpoint& checkpoint : recovery.checkpoints) {
-    DeviceBuild& build = devices[checkpoint.device];
-    for (const wal::WalPoint& point : checkpoint.points) {
-      if (!build.trajectory.keys.empty() &&
-          point.index <= build.last_index) {
-        BQS_RETURN_NOT_OK(flush(build));
-      }
-      build.trajectory.keys.push_back(
-          wal::Dequantize(point, recovery.quant));
-      build.last_index = point.index;
-      ++stats.points_restored;
-    }
-    ++stats.checkpoints_applied;
-  }
-  for (auto& [device, build] : devices) {
-    (void)device;
-    BQS_RETURN_NOT_OK(flush(build));
-  }
-  return stats;
 }
 
 std::size_t TrajectoryStore::Age(double new_epsilon) {

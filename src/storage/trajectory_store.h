@@ -14,7 +14,6 @@
 #include "common/status.h"
 #include "geometry/line2.h"
 #include "storage/grid_index.h"
-#include "storage/keypoint_wal.h"
 #include "trajectory/trajectory.h"
 
 namespace bqs {
@@ -57,17 +56,6 @@ class TrajectoryStore {
     std::size_t segments_stored = 0;  ///< Newly stored.
   };
 
-  /// What a WAL replay rebuilt (RestoreFromWal).
-  struct WalRestoreStats {
-    std::size_t checkpoints_applied = 0;
-    std::size_t points_restored = 0;
-    std::size_t trajectories_appended = 0;
-    /// Recovered runs of < 2 points — nothing storable (e.g. a session
-    /// whose only other key points were lost with the torn tail).
-    std::size_t short_trajectories = 0;
-    AppendResult totals;  ///< Summed over every appended trajectory.
-  };
-
   /// Appends a compressed trajectory, merging duplicate segments.
   /// Errors instead of silently storing nothing: InvalidArgument for an
   /// empty or single-point trajectory (no segment to store) and for
@@ -75,15 +63,6 @@ class TrajectoryStore {
   /// index and every Hausdorff comparison after them). On error the store
   /// is unchanged.
   Result<AppendResult> Append(const CompressedTrajectory& compressed);
-
-  /// Rebuilds store contents from a WAL replay: recovered checkpoints are
-  /// grouped per device in sequence order, dequantized with the
-  /// recovery's quanta, split into trajectories where the key-point index
-  /// restarts (a new session), and appended. Deviation bound of the
-  /// rebuilt polylines: compressor epsilon + coord_quantum (the split
-  /// error budget). The store need not be empty — replay after a partial
-  /// flush just merges duplicates, by design.
-  Result<WalRestoreStats> RestoreFromWal(const WalRecovery& recovery);
 
   /// Re-compresses every stored polyline with tolerance `new_epsilon`
   /// (Douglas-Peucker over the stored key points) and rebuilds the index.

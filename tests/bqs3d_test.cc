@@ -4,6 +4,7 @@
 #include "core/bqs3d_compressor.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include <gtest/gtest.h>
 
@@ -184,6 +185,15 @@ TEST(Bqs3dCompressorTest, StatsCoverEveryPoint) {
   Bqs3dCompressor compressor(Bqs3dOptions{}, false);
   Compress3dAll(compressor, walk);
   EXPECT_EQ(compressor.stats().points, walk.size());
+}
+
+TEST(Bqs3dCompressorTest, OptionsValidate) {
+  Bqs3dOptions options;
+  EXPECT_TRUE(options.Validate().ok());
+  for (const double bad : {0.0, -1.0, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    options.epsilon = bad;
+    EXPECT_FALSE(options.Validate().ok()) << "epsilon " << bad;
+  }
 }
 
 TEST(Bqs3dCompressorTest, LineToRectDistanceAgreesWithSampling) {

@@ -2,6 +2,8 @@
 // bound for <x, y, z, scaled t> streams.
 #include "core/bqs4d_compressor.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -178,6 +180,10 @@ TEST(Bqs4dCompressorTest, OptionsValidate) {
   EXPECT_TRUE(options.Validate().ok());
   options.epsilon = 0.0;
   EXPECT_FALSE(options.Validate().ok());
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    options.epsilon = bad;
+    EXPECT_FALSE(options.Validate().ok()) << "epsilon " << bad;
+  }
 }
 
 }  // namespace

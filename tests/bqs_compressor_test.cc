@@ -24,13 +24,15 @@ using testing_util::NoisyLine;
 using testing_util::SmoothWalk;
 
 // Oracle configurations: the hull from the first buffered point, the flat
-// buffer forever, the reference kernel, and the seed implementation
-// (reference kernel + literal whole-buffer rescans).
+// buffer forever, the reference kernel, the seed implementation
+// (reference kernel + literal whole-buffer rescans), and the unrotated
+// quadrant system.
 using Oracle = internal::KernelOracle;
 constexpr Oracle kHullFirst{.hull_migration = 1};
 constexpr Oracle kFlatBuffer{.hull_migration = SIZE_MAX};
 constexpr Oracle kReferenceKernel{.reference_kernel = true};
 constexpr Oracle kSeed{.reference_kernel = true, .hull_migration = SIZE_MAX};
+constexpr Oracle kNoRotation{.data_centric_rotation = false};
 
 class BqsErrorBoundTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, double>> {};
@@ -237,24 +239,21 @@ TEST(BqsCompressorTest, PaperTrivialIncludeCanViolateTheBound) {
   walk.push_back(TrackPoint{{10.0, 0.0}, 1.0, {}});
   walk.push_back(TrackPoint{{0.1, 0.5}, 2.0, {}});
 
-  BqsOptions paper;
-  paper.epsilon = 1.0;
-  paper.paper_trivial_include = true;
-  paper.data_centric_rotation = false;
-  BqsCompressor paper_bqs(paper);
+  BqsOptions options;
+  options.epsilon = 1.0;
+  BqsCompressor paper_bqs(options, {.data_centric_rotation = false,
+                                    .paper_trivial_include = true});
   const CompressedTrajectory paper_out = CompressAll(paper_bqs, walk);
   const double paper_dev =
-      EvaluateCompression(walk, paper_out, paper.metric).max_deviation;
-  EXPECT_GT(paper_dev, paper.epsilon)
+      EvaluateCompression(walk, paper_out, options.metric).max_deviation;
+  EXPECT_GT(paper_dev, options.epsilon)
       << "expected the documented paper-mode violation on this input";
 
-  BqsOptions safe = paper;
-  safe.paper_trivial_include = false;
-  BqsCompressor safe_bqs(safe);
+  BqsCompressor safe_bqs(options, kNoRotation);
   const CompressedTrajectory safe_out = CompressAll(safe_bqs, walk);
   const double safe_dev =
-      EvaluateCompression(walk, safe_out, safe.metric).max_deviation;
-  EXPECT_LE(safe_dev, safe.epsilon * (1.0 + 1e-9));
+      EvaluateCompression(walk, safe_out, options.metric).max_deviation;
+  EXPECT_LE(safe_dev, options.epsilon * (1.0 + 1e-9));
 }
 
 TEST(BqsCompressorTest, RotationTogglePreservesTheBound) {
@@ -262,8 +261,7 @@ TEST(BqsCompressorTest, RotationTogglePreservesTheBound) {
     const Trajectory walk = JaggedWalk(55, 2000);
     BqsOptions options;
     options.epsilon = 6.0;
-    options.data_centric_rotation = rotate;
-    BqsCompressor bqs(options);
+    BqsCompressor bqs(options, {.data_centric_rotation = rotate});
     const CompressedTrajectory compressed = CompressAll(bqs, walk);
     const DeviationReport report =
         EvaluateCompression(walk, compressed, options.metric);
@@ -334,11 +332,12 @@ TEST(BqsCompressorTest, HullResolverIsByteIdenticalToBruteForce) {
 }
 
 TEST(BqsCompressorTest, FastKernelIsByteIdenticalToReferenceCorpus) {
-  // ISSUE 4 acceptance: the transcendental-free kernel takes exactly the
-  // decisions of the seed's atan2/sqrt path over the full fuzz corpus —
-  // every stream family x metric x rotation x hull migration point x
-  // bounds mode x tolerance. Any guard-band push re-runs the reference
-  // composition, so a divergence here means a genuine kernel bug.
+  // The transcendental-free kernel takes exactly the decisions of the
+  // seed's atan2/sqrt path over the full fuzz corpus — every stream
+  // family x metric x rotation x hull migration point x tolerance. Any
+  // guard-band push re-runs the reference composition, so a divergence
+  // here means a genuine kernel bug. (The paper-literal bound modes always
+  // run the reference kernel, so they have no fast side to compare.)
   int configs = 0;
   for (uint64_t seed : {171u, 172u, 173u}) {
     const Trajectory walks[] = {SmoothWalk(seed, 1200), JaggedWalk(seed, 1200),
@@ -348,49 +347,42 @@ TEST(BqsCompressorTest, FastKernelIsByteIdenticalToReferenceCorpus) {
         for (DistanceMetric metric : {DistanceMetric::kPointToLine,
                                       DistanceMetric::kPointToSegment}) {
           for (bool rotate : {false, true}) {
-            for (const Oracle& oracle : {Oracle{}, kHullFirst, kFlatBuffer}) {
-              for (BoundsMode mode :
-                   {BoundsMode::kSound, BoundsMode::kPaperEq8}) {
-                BqsOptions options;
-                options.epsilon = epsilon;
-                options.metric = metric;
-                options.data_centric_rotation = rotate;
-                options.bounds_mode = mode;
+            for (Oracle oracle : {Oracle{}, kHullFirst, kFlatBuffer}) {
+              BqsOptions options;
+              options.epsilon = epsilon;
+              options.metric = metric;
+              oracle.data_centric_rotation = rotate;
 
-                Oracle reference_oracle = oracle;
-                reference_oracle.reference_kernel = true;
-                BqsCompressor fast(options, oracle);
-                BqsCompressor reference(options, reference_oracle);
-                const CompressedTrajectory fast_out =
-                    CompressAll(fast, walk);
-                const CompressedTrajectory reference_out =
-                    CompressAll(reference, walk);
-                ++configs;
-                SCOPED_TRACE(::testing::Message()
-                             << "seed=" << seed << " eps=" << epsilon
-                             << " metric=" << static_cast<int>(metric)
-                             << " rotate=" << rotate
-                             << " migration=" << oracle.hull_migration
-                             << " mode=" << static_cast<int>(mode));
-                ExpectByteIdenticalKeys(fast_out, reference_out,
-                                        "kernel diff");
-                EXPECT_EQ(fast.stats().segments,
-                          reference.stats().segments);
-                EXPECT_EQ(fast.stats().upper_bound_includes,
-                          reference.stats().upper_bound_includes);
-                EXPECT_EQ(fast.stats().lower_bound_splits,
-                          reference.stats().lower_bound_splits);
-                EXPECT_EQ(fast.stats().exact_computations,
-                          reference.stats().exact_computations);
-                EXPECT_EQ(reference.stats().kernel_fallbacks, 0u);
-              }
+              Oracle reference_oracle = oracle;
+              reference_oracle.reference_kernel = true;
+              BqsCompressor fast(options, oracle);
+              BqsCompressor reference(options, reference_oracle);
+              const CompressedTrajectory fast_out = CompressAll(fast, walk);
+              const CompressedTrajectory reference_out =
+                  CompressAll(reference, walk);
+              ++configs;
+              SCOPED_TRACE(::testing::Message()
+                           << "seed=" << seed << " eps=" << epsilon
+                           << " metric=" << static_cast<int>(metric)
+                           << " rotate=" << rotate
+                           << " migration=" << oracle.hull_migration);
+              ExpectByteIdenticalKeys(fast_out, reference_out,
+                                      "kernel diff");
+              EXPECT_EQ(fast.stats().segments, reference.stats().segments);
+              EXPECT_EQ(fast.stats().upper_bound_includes,
+                        reference.stats().upper_bound_includes);
+              EXPECT_EQ(fast.stats().lower_bound_splits,
+                        reference.stats().lower_bound_splits);
+              EXPECT_EQ(fast.stats().exact_computations,
+                        reference.stats().exact_computations);
+              EXPECT_EQ(reference.stats().kernel_fallbacks, 0u);
             }
           }
         }
       }
     }
   }
-  EXPECT_EQ(configs, 3 * 3 * 2 * 2 * 2 * 3 * 2);  // 432 kernel pairs.
+  EXPECT_EQ(configs, 3 * 3 * 2 * 2 * 2 * 3);  // 216 kernel pairs.
 }
 
 TEST(BqsCompressorTest, FastKernelHandlesStationaryRuns) {
@@ -469,8 +461,8 @@ TEST(BqsCompressorTest, FlatBufferMigratesIntoHullAtThreshold) {
   // the configured threshold.
   BqsOptions options;
   options.epsilon = 5.0;
-  options.data_centric_rotation = false;
-  BqsCompressor bqs(options, {.hull_migration = 32});
+  BqsCompressor bqs(options,
+                    {.hull_migration = 32, .data_centric_rotation = false});
   std::vector<KeyPoint> keys;
   Rng rng(55);
   bool seen_buffer_phase = false;
@@ -622,13 +614,15 @@ TEST(BqsCompressorTest, SquaredResolveFallsBackOnTheGuardBand) {
     SCOPED_TRACE(::testing::Message() << "eps " << epsilon);
     BqsOptions options;
     options.epsilon = epsilon;
-    options.data_centric_rotation = false;
-    BqsCompressor bqs(options);
-    BqsCompressor brute(options, kSeed);
+    BqsCompressor bqs(options, kNoRotation);
+    BqsCompressor brute(options, {.reference_kernel = true,
+                                  .hull_migration = SIZE_MAX,
+                                  .data_centric_rotation = false});
     // Same fast kernel, but the hull from the first point means the squared
     // flat-buffer resolve never runs: any extra fallback in `bqs` is the
     // guard band's.
-    BqsCompressor hull_first(options, kHullFirst);
+    BqsCompressor hull_first(
+        options, {.hull_migration = 1, .data_centric_rotation = false});
     const CompressedTrajectory out = CompressAll(bqs, stream);
     ExpectByteIdenticalKeys(out, CompressAll(brute, stream),
                             "default vs seed brute force");
@@ -650,11 +644,6 @@ TEST(BqsCompressorTest, InvalidOptionsAreReported) {
   options.epsilon = 0.0;
   EXPECT_FALSE(options.Validate().ok());
   options.epsilon = 5.0;
-  options.rotation_warmup = 0;
-  EXPECT_FALSE(options.Validate().ok());
-  options.rotation_warmup = BqsOptions::kMaxRotationWarmup + 1;
-  EXPECT_FALSE(options.Validate().ok());
-  options.rotation_warmup = 5;
   EXPECT_TRUE(options.Validate().ok());
   for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, -1.0}) {
     options.epsilon = bad;

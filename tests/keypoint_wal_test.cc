@@ -1,8 +1,8 @@
 // KeyPointWal: append/recover round trips across every durability policy,
 // segment rotation, the corruption matrix (RecoverSegment on crafted
 // images), deterministic fault injection (torn write, failed fsync, crash
-// after write), and the fleet-engine checkpoint integration ending in
-// TrajectoryStore::RestoreFromWal.
+// after write), and the fleet-engine checkpoint integration ending in a
+// per-point quantized round trip through recovery.
 #include "storage/keypoint_wal.h"
 
 #include <cmath>
@@ -19,7 +19,6 @@
 #include "service/fleet_engine.h"
 #include "simulation/datasets.h"
 #include "storage/codec.h"
-#include "storage/trajectory_store.h"
 #include "storage/wal_format.h"
 
 namespace bqs {
@@ -687,50 +686,6 @@ TEST(KeyPointWalFleetTest, CheckpointWalBarrierDrainsStagedPoints) {
   const FleetStats stats = engine.Stats();
   EXPECT_EQ(stats.wal_points, stats.key_points_emitted);
   EXPECT_GE(stats.wal_points, after_barrier);
-}
-
-TEST(KeyPointWalFleetTest, TrajectoryStoreRestoresFromReplay) {
-  // The full crash-recovery arc: fleet -> WAL -> (crash) -> recover ->
-  // RestoreFromWal, with the rebuilt store populated per session.
-  const FleetDataset fleet = BuildFleetDataset(5, 0.05, 4244);
-  KeyPointWalOptions wal_options;
-  wal_options.dir = FreshDir("wal_fleet_restore");
-  KeyPointWal wal(wal_options);
-  ASSERT_TRUE(wal.Open().ok());
-
-  KeyCollectSink sink;
-  FleetEngineOptions options;
-  options.algorithm.id = AlgorithmId::kBqs;
-  options.algorithm.epsilon = 10.0;
-  options.num_shards = 2;
-  options.wal = &wal;
-  options.wal_checkpoint_points = 16;
-  {
-    FleetEngine engine(options, sink);
-    engine.IngestBatch(fleet.feed);
-    engine.FinishAll();
-  }
-  ASSERT_TRUE(wal.Close().ok());
-
-  const auto recovered = WalReader::Recover(wal_options.dir);
-  ASSERT_TRUE(recovered.ok());
-  ASSERT_TRUE(recovered.value().report.clean());
-
-  TrajectoryStore store;
-  const auto restored = store.RestoreFromWal(recovered.value());
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored.value().checkpoints_applied,
-            recovered.value().checkpoints.size());
-  std::size_t total_points = 0;
-  for (const auto& [device, keys] : sink.keys()) {
-    (void)device;
-    total_points += keys.size();
-  }
-  EXPECT_EQ(restored.value().points_restored, total_points);
-  // One session per device, each with >= 2 key points on these datasets.
-  EXPECT_EQ(restored.value().trajectories_appended, sink.keys().size());
-  EXPECT_EQ(restored.value().short_trajectories, 0u);
-  EXPECT_GT(store.segment_count(), 0u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/simd.h"
 #include "core/bqs_compressor.h"
 #include "core/fbqs_compressor.h"
@@ -159,6 +160,24 @@ TEST_F(SimdDispatchTest, BatchScratchIsVectorAligned) {
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(s->nsq) % 32, 0u);
 }
 
+// A parked device: fixes jittering within 3 m of an anchor (well inside
+// the default 10 m epsilon), with an escape jump every 257 fixes. The
+// stream opens parked, so its first segment runs on the fused
+// pre-rotation trivial path across chunk and lane boundaries.
+Trajectory ParkedRun(uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  Trajectory out;
+  Vec2 anchor{0.0, 0.0};
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 257 == 256) {
+      anchor += Vec2{rng.Uniform(20.0, 60.0), rng.Uniform(-60.0, 60.0)};
+    }
+    const Vec2 jitter{rng.Uniform(-3.0, 3.0), rng.Uniform(-3.0, 3.0)};
+    out.push_back(TrackPoint{anchor + jitter, static_cast<double>(i), {}});
+  }
+  return out;
+}
+
 // The core guarantee the dispatch layer sells: identical key streams no
 // matter which tier ran the batch screen, across stream shapes chosen to
 // exercise the fused trivial path, the warm-up screen, and the
@@ -171,11 +190,11 @@ TEST_F(SimdDispatchTest, OutputByteIdenticalAcrossTiers) {
   const StreamCase streams[] = {
       {"smooth", testing_util::SmoothWalk(5, 3000)},
       {"jagged", testing_util::JaggedWalk(9, 3000)},
+      {"parked", ParkedRun(13, 3000)},
   };
-  BqsOptions options_cube[3];
+  BqsOptions options_cube[2];
   options_cube[0] = {};
-  options_cube[1].paper_trivial_include = true;
-  options_cube[2].metric = DistanceMetric::kPointToSegment;
+  options_cube[1].metric = DistanceMetric::kPointToSegment;
 
   for (const StreamCase& sc : streams) {
     for (const BqsOptions& options : options_cube) {

@@ -81,31 +81,5 @@ TEST(PercentileTest, InterpolatesLinearly) {
   EXPECT_DOUBLE_EQ(Percentile({7.0}, 0.99), 7.0);
 }
 
-TEST(HistogramTest, BinsAndClamps) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(0.5);   // bin 0
-  h.Add(9.5);   // bin 4
-  h.Add(-3.0);  // clamps to bin 0
-  h.Add(42.0);  // clamps to bin 4
-  EXPECT_EQ(h.total(), 4);
-  EXPECT_EQ(h.bin_count(0), 2);
-  EXPECT_EQ(h.bin_count(4), 2);
-  EXPECT_EQ(h.bin_count(2), 0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-}
-
-TEST(HistogramTest, CdfIsMonotone) {
-  Histogram h(0.0, 1.0, 10);
-  Rng rng(3);
-  for (int i = 0; i < 500; ++i) h.Add(rng.Uniform(0.0, 1.0));
-  double prev = 0.0;
-  for (double x = 0.0; x <= 1.0; x += 0.1) {
-    const double c = h.CdfAt(x);
-    EXPECT_GE(c, prev);
-    prev = c;
-  }
-  EXPECT_NEAR(h.CdfAt(1.0), 1.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace bqs

@@ -2,6 +2,8 @@
 // (x, y, scaled-t) space, which is the paper's Section V-G use case.
 #include "core/time_sensitive.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "core/fbqs_compressor.h"
@@ -110,9 +112,19 @@ TEST(TimeSensitiveTest, OptionsValidate) {
   EXPECT_TRUE(options.Validate().ok());
   options.epsilon = -1.0;
   EXPECT_FALSE(options.Validate().ok());
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    options.epsilon = bad;
+    EXPECT_FALSE(options.Validate().ok()) << "epsilon " << bad;
+  }
   options.epsilon = 5.0;
   options.time_scale = -0.1;
   EXPECT_FALSE(options.Validate().ok());
+  for (const double bad : {std::nan(""), HUGE_VAL}) {
+    options.time_scale = bad;
+    EXPECT_FALSE(options.Validate().ok()) << "time_scale " << bad;
+  }
+  options.time_scale = 0.0;
+  EXPECT_TRUE(options.Validate().ok());
 }
 
 }  // namespace

@@ -42,13 +42,18 @@ cannot see:
 
   oracle-hook-containment
       internal::KernelOracle selects the test oracles production output is
-      checksummed against: the seed's transcendental reference kernel and
-      the flat-buffer/hull migration point. Production runs one kernel and
-      one migration point, so the hook may be named only where the engine
-      defines and forwards it (ORACLE_HOOK_ALLOWLIST: segment_state.{h,cc}
-      and the BQS/FBQS compressor headers). Tests, fuzzers and benches
-      live outside src/ and are unrestricted. A production caller naming
-      the hook would put an oracle configuration back on the fleet path.
+      checksummed against (the seed's transcendental reference kernel and
+      the flat-buffer/hull migration point) and the ablations the benches
+      measure (rotation on/off and warm-up length, and the paper-literal
+      trivial include and Eq. (8) bounds, which can exceed the error
+      bound). Production runs one kernel, one migration point and the
+      sound rules with the default rotation, and BqsOptions carries only
+      epsilon and the metric, so the hook may be named only where the
+      engine defines and forwards it (ORACLE_HOOK_ALLOWLIST:
+      segment_state.{h,cc} and the BQS/FBQS compressor headers). Tests,
+      fuzzers and benches live outside src/ and are unrestricted. A
+      production caller naming the hook would put an oracle or an unsound
+      configuration back on the fleet path.
 
   file-io-containment
       Durable state has exactly one home: src/storage (the WAL and its
