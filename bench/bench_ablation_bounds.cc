@@ -1,6 +1,8 @@
 // Ablation: sound corrected bounds (default) vs the paper's literal
 // Eq. (8)/(10)/(11) bounds plus its unconditional trivial include, both
-// reached through the test/bench-only internal::KernelOracle hook.
+// reached through the test/bench-only internal::KernelOracle hook, both with
+// the hull from the first point, the paper's bounds-before-scan order, so
+// pruning power is Algorithm 1's.
 // Quantifies the "soundness tax" — the compression-rate and pruning-power
 // cost of fixing the paper's bound gaps — and counts actual error-bound
 // violations of the paper-literal mode on each workload. Exits 1 when a
@@ -29,7 +31,7 @@ ModeResult RunMode(const Dataset& dataset, double eps, bool fast,
                    bool paper) {
   BqsOptions options;
   options.epsilon = eps;
-  internal::KernelOracle oracle;
+  internal::KernelOracle oracle{.hull_migration = 1};
   if (paper) {
     oracle.bounds_mode = BoundsMode::kPaperEq8;
     oracle.paper_trivial_include = true;

@@ -1,7 +1,9 @@
 // Ablation: point-to-line (paper default) vs point-to-segment deviation
 // (paper Section V-G / Eq. 11). The segment metric is strictly stricter,
 // so it keeps more points; this bench quantifies the difference and
-// verifies both bounds end to end.
+// verifies both bounds end to end. BQS keeps the hull from the first point
+// (bench-only internal::KernelOracle hook), the paper's bounds-before-scan
+// order, so its pruning power is Algorithm 1's.
 #include <cstdio>
 #include <iostream>
 
@@ -31,7 +33,8 @@ int Run(double scale) {
         options.epsilon = eps;
         options.metric = metric;
 
-        BqsCompressor bqs(options);
+        BqsCompressor bqs(options,
+                          internal::KernelOracle{.hull_migration = 1});
         const CompressedTrajectory exact = CompressAll(bqs, dataset.stream);
         FbqsCompressor fbqs(options);
         const CompressedTrajectory fast = CompressAll(fbqs, dataset.stream);

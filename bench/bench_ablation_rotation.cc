@@ -1,7 +1,9 @@
 // Ablation: data-centric rotation (paper Section V-D) on vs off, and
 // warm-up length sensitivity, set through the test/bench-only
 // internal::KernelOracle hook. The paper argues rotation tightens the
-// hulls "significantly"; this bench quantifies it per dataset.
+// hulls "significantly"; this bench quantifies it per dataset, with the
+// hull from the first point (the paper's bounds-before-scan order) so BQS
+// pruning power is Algorithm 1's.
 #include <cstdio>
 #include <iostream>
 
@@ -28,7 +30,8 @@ int Run(double scale) {
         if (!rotate && warmup != 8) continue;  // warm-up only matters on.
         BqsOptions options;
         options.epsilon = 10.0;
-        const internal::KernelOracle oracle{.data_centric_rotation = rotate,
+        const internal::KernelOracle oracle{.hull_migration = 1,
+                                            .data_centric_rotation = rotate,
                                             .rotation_warmup = warmup};
 
         BqsCompressor bqs(options, oracle);

@@ -16,7 +16,10 @@ struct DecisionStats {
                                       ///< buffer before rotation is fixed.
   uint64_t upper_bound_includes = 0;  ///< d_ub <= epsilon: include, no scan.
   uint64_t lower_bound_splits = 0;    ///< d_lb > epsilon: split, no scan.
-  uint64_t exact_computations = 0;    ///< Full buffer scans (BQS only).
+  uint64_t exact_computations = 0;    ///< Decisive exact scans (BQS only):
+                                      ///< inconclusive-bound resolves and
+                                      ///< flat-buffer scans that settled a
+                                      ///< box pre-test miss.
   uint64_t exact_includes = 0;        ///< Scans that allowed inclusion.
   uint64_t exact_splits = 0;          ///< Scans that forced a split.
   uint64_t uncertain_splits = 0;      ///< FBQS aggressive splits when
@@ -45,7 +48,12 @@ struct DecisionStats {
 
   /// Paper definition: 1 - N_computed / N_total. Full-buffer scans only;
   /// warm-up checks touch a constant-size (<=W) buffer and are reported
-  /// separately (see PruningPowerInclWarmup).
+  /// separately (see PruningPowerInclWarmup). The paper's value (Fig. 6)
+  /// is Algorithm 1's, bounds before any scan, which the fast kernel runs
+  /// with the hull from the first point (internal::KernelOracle::
+  /// hull_migration = 1). The default BQS kernel scans a short flat
+  /// buffer instead of composing tight bounds after a box pre-test miss,
+  /// so it reports a lower value for the same decisions.
   double PruningPower() const {
     if (points == 0) return 1.0;
     return 1.0 - static_cast<double>(exact_computations) /

@@ -586,16 +586,21 @@ SegmentEngine::Decision SegmentEngine::AssessRotated(const TrackPoint& pt,
   // Fast kernel: squared-domain threshold test, no transcendentals. A set
   // probe forces the reference composition (it reports bounds in metres);
   // kProbed implies probe_ is set, so the branch folds at compile time.
+  bool flat_band = false;
   if constexpr (!kProbed) {
     if (fast_kernel_) {
-      switch (FastAssess(rel_rot, eps)) {
+      switch (FastAssess(pt.pos, rel_rot, eps, &flat_band)) {
         case FastOutcome::kInclude:
           return IncludeByUpper(pt, rel_rot, trivial);
         case FastOutcome::kSplit:
           ++stats_.lower_bound_splits;
           return Decision::kSplit;
         case FastOutcome::kInconclusive:
-          return ResolveInconclusive(pt, rel_rot, trivial);
+          return ResolveInconclusive(pt, rel_rot, trivial, flat_band);
+        case FastOutcome::kExactInclude:
+          return ApplyExactVerdict(pt, rel_rot, trivial, true);
+        case FastOutcome::kExactSplit:
+          return ApplyExactVerdict(pt, rel_rot, trivial, false);
         case FastOutcome::kFallback:
           ++stats_.kernel_fallbacks;
           break;  // re-decide via the reference composition below.
@@ -626,19 +631,15 @@ SegmentEngine::Decision SegmentEngine::AssessRotated(const TrackPoint& pt,
     ++stats_.lower_bound_splits;
     return Decision::kSplit;
   }
-  return ResolveInconclusive(pt, rel_rot, trivial);
+  return ResolveInconclusive(pt, rel_rot, trivial, flat_band);
 }
 
-SegmentEngine::FastOutcome SegmentEngine::FastAssess(Vec2 end,
-                                                     double eps) const {
+SegmentEngine::FastOutcome SegmentEngine::FastAssess(Vec2 end_abs, Vec2 end,
+                                                     double eps,
+                                                     bool* flat_band) {
   // Degenerate ends (duplicate fixes) force the reference's Theorem 5.5
-  // branch; near-axis ends (direction within 1e-12 relative of an axis,
-  // but not exactly on it) are where the reference's atan2-normalizing
-  // in-quadrant test can round onto a quadrant boundary that the sign
-  // tests resolve exactly (see QuadrantOf). Both take the reference path;
-  // the guard is ~1e4x wider than the actual disagreement sliver (~5e-16).
+  // branch, before anything else.
   if (end == Vec2{0.0, 0.0}) return FastOutcome::kFallback;
-  if (NearAxisSliver(end)) return FastOutcome::kFallback;
 
   // Threshold test in the squared domain: the reference compares
   // max|cross|/|end| (resp. hypot distances) against eps; squaring both
@@ -665,7 +666,30 @@ SegmentEngine::FastOutcome SegmentEngine::FastAssess(Vec2 end,
     if (box_upper * box_upper <= threshold * kBandLo) {
       return FastOutcome::kInclude;
     }
+    // Box miss in BQS's flat-buffer phase: the exact scan is cheaper than
+    // rebuilding the significant points, and the tight bounds it would
+    // replace are inconclusive for most such points anyway. A decisive
+    // verdict is the decision (sound bounds cannot contradict it); a guard
+    // band verdict falls through to the bounds-first path unchanged.
+    if (exact_mode_ && !hull_active_) {
+      const int verdict = FlatBufferVerdict(end_abs);
+      if (verdict == 0) {
+        *flat_band = true;
+      } else {
+        ++stats_.exact_computations;
+        return verdict > 0 ? FastOutcome::kExactInclude
+                           : FastOutcome::kExactSplit;
+      }
+    }
   }
+
+  // Near-axis ends (direction within 1e-12 relative of an axis, but not
+  // exactly on it) are where the reference's atan2-normalizing in-quadrant
+  // test can round onto a quadrant boundary that the sign tests resolve
+  // exactly (see QuadrantOf); they take the reference path. The guard is
+  // ~1e4x wider than the actual disagreement sliver (~5e-16). Neither step
+  // above classifies the end, so it only guards the tight composition.
+  if (NearAxisSliver(end)) return FastOutcome::kFallback;
 
   const int end_q = QuadrantOf(end);
   FastQuadrantBounds agg;
@@ -714,7 +738,7 @@ SegmentEngine::Decision SegmentEngine::IncludeByUpper(const TrackPoint& pt,
 }
 
 SegmentEngine::Decision SegmentEngine::ResolveInconclusive(
-    const TrackPoint& pt, Vec2 rel_rot, bool trivial) {
+    const TrackPoint& pt, Vec2 rel_rot, bool trivial, bool flat_band) {
   if (!exact_mode_) {
     // FBQS (Section V-E): when uncertain, aggressively take the point and
     // start a new segment — no buffer, no full deviation calculation.
@@ -731,13 +755,9 @@ SegmentEngine::Decision SegmentEngine::ResolveInconclusive(
     // Flat-buffer phase under the fast kernel: the same sqrt-free SIMD
     // verdict as the warm-up check; the sqrt-bearing rescan runs only
     // inside its guard band. The reference kernel keeps the literal
-    // rescan (it is the oracle this path is checked against).
-    stats_.exact_points_scanned += buffer_.size();
-    const int verdict =
-        SquaredDeviationVerdict(buffer_.data(), buffer_.size(),
-                                segment_start_.pos, pt.pos, options_.metric,
-                                options_.epsilon, *kernels_);
-    if (verdict == 0) ++stats_.kernel_fallbacks;
+    // rescan (it is the oracle this path is checked against). A band
+    // verdict FastAssess already took is not scanned (or counted) again.
+    const int verdict = flat_band ? 0 : FlatBufferVerdict(pt.pos);
     include = verdict == 0 ? ExactDeviation(pt.pos) <= options_.epsilon
                            : verdict > 0;
   } else {
@@ -746,6 +766,22 @@ SegmentEngine::Decision SegmentEngine::ResolveInconclusive(
         hull_active_ ? hull_.size() : buffer_.size();
     include = dev <= options_.epsilon;
   }
+  return ApplyExactVerdict(pt, rel_rot, trivial, include);
+}
+
+int SegmentEngine::FlatBufferVerdict(Vec2 end_abs) {
+  stats_.exact_points_scanned += buffer_.size();
+  const int verdict = SquaredDeviationVerdict(
+      buffer_.data(), buffer_.size(), segment_start_.pos, end_abs,
+      options_.metric, options_.epsilon, *kernels_);
+  if (verdict == 0) ++stats_.kernel_fallbacks;
+  return verdict;
+}
+
+SegmentEngine::Decision SegmentEngine::ApplyExactVerdict(const TrackPoint& pt,
+                                                         Vec2 rel_rot,
+                                                         bool trivial,
+                                                         bool include) {
   if (include) {
     if (trivial) {
       ++stats_.trivial_includes;

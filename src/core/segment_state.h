@@ -20,11 +20,19 @@
 // too, so the quadrant's invalidated significant-point cache is not
 // rebuilt for that point.
 //
-// BQS's exact resolve scans the flat segment buffer while it is short —
-// under the line metric as a squared-domain SIMD max|cross| verdict, with
-// the sqrt-bearing rescan only inside its 1e-12 guard band — and migrates
-// to an incrementally-maintained Melkman hull (O(h) resolves, O(h) space)
-// at kHullMigrationPoints buffered points.
+// BQS's exact state is the flat segment buffer while the segment is short,
+// migrating to an incrementally-maintained Melkman hull (O(h) resolves,
+// O(h) space) at kHullMigrationPoints buffered points. In the flat phase a
+// box pre-test miss is settled by the exact scan itself — a squared-domain
+// SIMD max|cross| verdict over the buffer — before any significant point
+// is rebuilt: on short segments that scan is cheaper than the tight bound
+// composition, which leaves most such points inconclusive anyway. Only a
+// verdict inside its 1e-12 guard band falls through to the tight bounds
+// (then the reference composition, then the sqrt-bearing rescan). Sound
+// bounds cannot contradict a decisive exact verdict, so the reordering
+// never changes a decision. FBQS and the hull phase keep the paper's
+// bounds-first order, so a hull from the first point (KernelOracle::
+// hull_migration = 1) runs Algorithm 1's order throughout.
 //
 // KernelOracle is the test- and bench-only hook that selects the seed's
 // transcendental reference kernel, moves the hull migration point
@@ -61,6 +69,11 @@ namespace internal {
 /// dozen points beat Melkman maintenance (robust orientation tests per
 /// insert) until segments grow into the hundreds, and the O(h)-resolve win
 /// only dominates on adversarial segments growing into the thousands.
+/// It thereby also caps the flat buffer the scan-before-bounds order
+/// scans: with the flat buffer never migrating, scan-first measured no
+/// slower than bounds-first on the adversarial drift stream up to 4,096
+/// buffered points (4-core Xeon VM, AVX2), so that order needs no gate of
+/// its own.
 inline constexpr std::size_t kHullMigrationPoints = 256;
 
 /// Upper limit for KernelOracle::rotation_warmup (the fixed-capacity
@@ -79,7 +92,11 @@ struct KernelOracle {
   /// compared against epsilon, literal whole-buffer rescans.
   bool reference_kernel = false;
   /// Buffered points at which the segment migrates into the hull: 1 keeps
-  /// the hull from the first point, SIZE_MAX never migrates.
+  /// the hull from the first point, SIZE_MAX never migrates. The decisions
+  /// never depend on it; the decision mix does, because BQS settles box
+  /// pre-test misses with the flat-buffer scan only before migrating. With
+  /// 1 every decision follows Algorithm 1's bounds-before-scan order,
+  /// which is how the paper's pruning power (Fig. 6) is measured.
   std::size_t hull_migration = kHullMigrationPoints;
   /// Data-centric rotation (paper Section V-D): rotate the axes toward
   /// the first `rotation_warmup` out-of-epsilon points so the data splits
@@ -201,7 +218,14 @@ class SegmentEngine {
  private:
   enum class Decision { kInclude, kSplit };
   /// Verdict of the fast kernel's aggregated threshold test.
-  enum class FastOutcome { kInclude, kSplit, kInconclusive, kFallback };
+  enum class FastOutcome {
+    kInclude,
+    kSplit,
+    kInconclusive,
+    kFallback,
+    kExactInclude,
+    kExactSplit
+  };
 
   template <bool kProbed>
   void ProcessPoint(const TrackPoint& pt, uint64_t index,
@@ -228,8 +252,11 @@ class SegmentEngine {
                          bool trivial);
   /// Aggregated fast-kernel bounds + squared threshold test. kFallback:
   /// guard band hit, degenerate end, or near-axis end — caller re-runs the
-  /// reference composition.
-  FastOutcome FastAssess(Vec2 end_rel_rotated, double eps) const;
+  /// reference composition. kExactInclude/kExactSplit: the flat-buffer
+  /// scan decided a box pre-test miss (counted as an exact computation).
+  /// *flat_band is set when that scan ran and landed in its guard band.
+  FastOutcome FastAssess(Vec2 end_abs, Vec2 end_rel_rotated, double eps,
+                         bool* flat_band);
   /// Sign-test quadrant classification with the sub-ulp axis-sliver
   /// deferral to the atan2 semantics (counts a kernel fallback).
   int FastClassify(Vec2 rel_rot);
@@ -240,8 +267,18 @@ class SegmentEngine {
   /// Conclusive-include tail (d_ub <= eps) shared by both kernels.
   Decision IncludeByUpper(const TrackPoint& pt, Vec2 rel_rot, bool trivial);
   /// Inconclusive tail: exact resolve (BQS) or aggressive split (FBQS).
+  /// flat_band: FastAssess's flat-buffer scan already landed in its guard
+  /// band for this point, so the exact resolve skips straight to the
+  /// sqrt-bearing rescan.
   Decision ResolveInconclusive(const TrackPoint& pt, Vec2 rel_rot,
-                               bool trivial);
+                               bool trivial, bool flat_band);
+  /// Applies an exact-resolve verdict (stats and state), shared by
+  /// ResolveInconclusive and the scan-before-bounds path.
+  Decision ApplyExactVerdict(const TrackPoint& pt, Vec2 rel_rot, bool trivial,
+                             bool include);
+  /// Squared-domain flat-buffer verdict against the path (segment start,
+  /// end_abs): +1 include, -1 split, 0 guard band (a kernel fallback).
+  int FlatBufferVerdict(Vec2 end_abs);
   void IncludeNonTrivial(const TrackPoint& pt, Vec2 rel_rot);
   /// Routes a buffered point into the active exact structure: the flat
   /// buffer (migrating it into the hull at hull_migration_ points) or the
