@@ -59,7 +59,7 @@ int Run(double scale) {
   bench::Banner(
       "Ablation — sound bounds vs paper-literal bounds (eps = 10 m)",
       "the paper-literal mode is tighter but can exceed the error bound "
-      "(DESIGN.md, paper-faithfulness notes)",
+      "(README.md, \"Paper-faithfulness notes\")",
       scale);
   TablePrinter table({"dataset", "engine", "mode", "rate", "pruning",
                       "max_dev_m", "bounded"});

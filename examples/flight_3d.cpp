@@ -30,13 +30,13 @@ int main() {
         t});
   }
 
-  Bqs3dOptions options3d;
+  BqsOptions options3d;
   options3d.epsilon = 15.0;
   Bqs3dCompressor compressor3d(options3d, /*exact_mode=*/false);
   const CompressedTrajectory3 compressed3d =
-      Compress3dAll(compressor3d, flight);
+      CompressAll(compressor3d, flight);
   const DeviationReport report3d =
-      Evaluate3dCompression(flight, compressed3d, options3d.metric);
+      EvaluateCompression(flight, compressed3d, options3d.metric);
   std::printf("3-D survey flight: %zu fixes -> %zu key points (%.1f%%), "
               "max 3-D deviation %.2f m (bound %.0f m)\n",
               flight.size(), compressed3d.size(),

@@ -89,8 +89,8 @@ DeviationBounds QuadrantDeviationBounds(
 
   DeviationBounds bounds;
   if (mode == BoundsMode::kPaperEq8) {
-    // The paper's literal formulas (ablation only; see DESIGN.md for the
-    // counterexamples that make these unsound in general).
+    // The paper's literal formulas (ablation only; README.md,
+    // "Paper-faithfulness notes", says why they are unsound in general).
     if (in_quadrant) {
       bounds.lower = std::max({std::min(dl1, dl2), std::min(du1, du2),
                                std::max(dcn, dcf)});
@@ -137,15 +137,16 @@ DeviationBounds QuadrantDeviationBounds(
                              std::max(dcn, dcf), dpoints});
     // Eq. (8) is max{d_intersection} only; the near/far corners and any
     // corner inside the wedge must join it (see the dwedge_corners note
-    // above and DESIGN.md). When the paper's triangle argument holds these
-    // extra candidates are dominated by the intersections, so the bound is
-    // exactly Eq. (8)-tight on non-degenerate data.
+    // above and README.md, "Paper-faithfulness notes"). When the paper's
+    // triangle argument holds these extra candidates are dominated by the
+    // intersections, so the bound is exactly Eq. (8)-tight on
+    // non-degenerate data.
     bounds.upper = std::max(
         {dl1, dl2, du1, du2, dcn, dcf, dpoints, dwedge_corners});
   } else {
     // Theorem 5.5. Note: the paper's Eq. (9) second term reads
     // min{d(u1), d(l2)}; by symmetry with Eq. (7) we implement the safe
-    // reading min{d(u1), d(u2)} (see DESIGN.md, paper-faithfulness notes).
+    // reading min{d(u1), d(u2)} (see README.md, "Paper-faithfulness notes").
     bounds.lower = std::max({std::min(dl1, dl2), std::min(du1, du2),
                              detail::ThirdLargest(dc[0], dc[1], dc[2], dc[3]),
                              dpoints});

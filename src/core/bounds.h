@@ -34,8 +34,8 @@ inline double ThirdLargest(double a, double b, double c, double d) {
 enum class BoundsMode {
   /// Provably sound bounds: the paper's candidates plus the in-wedge box
   /// corners and extreme-angle points on the upper side, and the
-  /// edge-distance lower bound under the segment metric (see DESIGN.md,
-  /// paper-faithfulness notes). Guarantees the error bound; slightly
+  /// edge-distance lower bound under the segment metric (see README.md,
+  /// "Paper-faithfulness notes"). Guarantees the error bound; slightly
   /// looser on imperfectly-rotated straight runs. The only mode the fast
   /// kernel implements.
   kSound,

@@ -8,16 +8,6 @@
 
 namespace bqs {
 
-namespace {
-
-double PathDistance3(Vec3 p, Vec3 end, DistanceMetric metric) {
-  return metric == DistanceMetric::kPointToLine
-             ? PointToLineDistance3(p, Vec3{}, end)
-             : PointToSegmentDistance3(p, Vec3{}, end);
-}
-
-}  // namespace
-
 double LineToRectDistance(Vec3 a, Vec3 b, const std::array<Vec3, 4>& rect) {
   // The distance-to-line function restricted to the rectangle's plane is
   // convex; its unconstrained minimizer is the pierce point (distance 0)
@@ -78,27 +68,25 @@ double LineToRectDistance(Vec3 a, Vec3 b, const std::array<Vec3, 4>& rect) {
 
 DeviationBounds OctantDeviationBounds(const OctantBound& ob, Vec3 end,
                                       DistanceMetric metric,
-                                      Bounds3dMode mode) {
+                                      std::span<const Vec3> significant) {
   // Work in the canonical (reflected) frame; the reflection is an isometry
   // so all distances match the original frame.
   const Vec3 end_c = ob.Flip(end);
 
   DeviationBounds bounds;
 
-  // Upper bound: max distance over the significant points (cached in the
-  // octant; only an Add() invalidates them).
-  const std::vector<Vec3>& sig = mode == Bounds3dMode::kClippedHull
-                                     ? ob.HullVertices()
-                                     : ob.PaperSignificantPoints();
-  for (const Vec3& v : sig) {
-    bounds.upper = std::max(bounds.upper, PathDistance3(v, end_c, metric));
+  // Upper bound: max distance over the significant points.
+  for (const Vec3& v : significant) {
+    bounds.upper =
+        std::max(bounds.upper, PointDeviation(v, Vec3{}, end_c, metric));
   }
   // Fallback: if clipping degenerated (e.g. a flat prism whose wedge cuts
   // removed everything within tolerance), bound by the prism corners,
   // which always contain the points.
-  if (sig.empty()) {
+  if (significant.empty()) {
     for (const Vec3& c : ob.box().Corners()) {
-      bounds.upper = std::max(bounds.upper, PathDistance3(c, end_c, metric));
+      bounds.upper =
+          std::max(bounds.upper, PointDeviation(c, Vec3{}, end_c, metric));
     }
   }
 

@@ -9,29 +9,25 @@
 #define BQS_CORE_BOUNDS3D_H_
 
 #include <array>
+#include <span>
 
 #include "core/bounds.h"
 #include "core/octant_bound.h"
-#include "geometry/line2.h"
+#include "geometry/line3.h"
 #include "geometry/vec3.h"
 
 namespace bqs {
 
-/// Which significant-point set the 3-D upper bound uses.
-enum class Bounds3dMode {
-  /// Exact vertices of (prism intersect wedges); provably safe. Default.
-  kClippedHull,
-  /// The paper's cheaper <= 17-point scheme (plane/prism intersections
-  /// plus the far corner). Evaluated as an ablation.
-  kPaperSignificant,
-};
-
 /// Bounds on the max deviation of the points summarized by `ob` to the
 /// 3-D path from the origin to `end` (original frame, relative to the
-/// octant system's origin). Precondition: !ob.empty() and end != 0.
+/// octant system's origin). The upper bound is the max distance over
+/// `significant` (canonical frame), so it is sound only when their hull
+/// contains every summarized point: ob.HullVertices() does; the paper's
+/// ob.PaperSignificantPoints() can shave corners and under-estimate.
+/// Precondition: !ob.empty() and end != 0.
 DeviationBounds OctantDeviationBounds(const OctantBound& ob, Vec3 end,
                                       DistanceMetric metric,
-                                      Bounds3dMode mode);
+                                      std::span<const Vec3> significant);
 
 /// Distance from the infinite line (a, b) to a rectangle given by its four
 /// corners (coplanar); 0 when the line pierces the rectangle. Exposed for

@@ -1,20 +1,9 @@
 #include "core/bqs4d_compressor.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 
 namespace bqs {
-
-namespace {
-
-double PathDistance4(Vec4 p, Vec4 end, DistanceMetric metric) {
-  return metric == DistanceMetric::kPointToLine
-             ? PointToLineDistance4(p, Vec4{}, end)
-             : PointToSegmentDistance4(p, Vec4{}, end);
-}
-
-}  // namespace
 
 void OrthantBound4::Reset() {
   count_ = 0;
@@ -53,23 +42,7 @@ std::array<Vec4, 16> OrthantBound4::Corners() const {
   return out;
 }
 
-Bqs4dCompressor::Bqs4dCompressor(const Bqs4dOptions& options,
-                                 bool exact_mode)
-    : options_(options), exact_mode_(exact_mode) {
-  Reset();
-}
-
-void Bqs4dCompressor::Reset() {
-  stats_ = DecisionStats{};
-  have_first_ = false;
-  next_index_ = 0;
-  prev_ = TrackPoint4{};
-  prev_index_ = 0;
-  last_emitted_index_ = UINT64_MAX;
-  StartSegment(TrackPoint4{}, 0);
-}
-
-int Bqs4dCompressor::OrthantOf4(Vec4 v) {
+int Orthant4dPolicy::OrthantOf(Vec4 v) {
   int idx = 0;
   if (v.x < 0.0) idx |= 1;
   if (v.y < 0.0) idx |= 2;
@@ -78,161 +51,19 @@ int Bqs4dCompressor::OrthantOf4(Vec4 v) {
   return idx;
 }
 
-void Bqs4dCompressor::Push(const TrackPoint4& pt,
-                           std::vector<KeyPoint4>* out) {
-  const uint64_t index = next_index_++;
-  ++stats_.points;
-  if (!have_first_) {
-    have_first_ = true;
-    EmitKey(pt, index, out);
-    StartSegment(pt, index);
-    return;
+DeviationBounds Orthant4dPolicy::Bounds(const OrthantBound4& o, Vec4 end,
+                                        DistanceMetric metric) {
+  // Upper: max over hyper-box corners (convexity; sound in any dimension).
+  // Lower: max over actual extreme points.
+  DeviationBounds b;
+  for (const Vec4& c : o.Corners()) {
+    b.upper = std::max(b.upper, PointDeviation(c, Vec4{}, end, metric));
   }
-  ProcessPoint(pt, index, out, 0);
-}
-
-void Bqs4dCompressor::Finish(std::vector<KeyPoint4>* out) {
-  if (have_first_ && prev_index_ != last_emitted_index_) {
-    EmitKey(prev_, prev_index_, out);
+  for (const Vec4& p : o.extreme_points()) {
+    b.lower = std::max(b.lower, PointDeviation(p, Vec4{}, end, metric));
   }
-}
-
-void Bqs4dCompressor::ProcessPoint(const TrackPoint4& pt, uint64_t index,
-                                   std::vector<KeyPoint4>* out, int depth) {
-  assert(depth <= 1);
-  if (Assess(pt) == Decision::kInclude) {
-    prev_ = pt;
-    prev_index_ = index;
-    return;
-  }
-  EmitKey(prev_, prev_index_, out);
-  ++stats_.segments;
-  StartSegment(prev_, prev_index_);
-  ProcessPoint(pt, index, out, depth + 1);
-}
-
-Bqs4dCompressor::Decision Bqs4dCompressor::Assess(const TrackPoint4& pt) {
-  const Vec4 rel = pt.pos - segment_start_.pos;
-  const double eps = options_.epsilon;
-
-  // Theorem 5.1 holds in any dimension: a near-start point deviates at
-  // most |p - s| from any path through s. As in 2-D/3-D, it must still be
-  // validated as a potential segment end.
-  const bool trivial = rel.NormSq() <= eps * eps;
-
-  const DeviationBounds bounds = AggregateBounds(rel);
-  if (bounds.upper <= eps) {
-    if (trivial) {
-      ++stats_.trivial_includes;
-    } else {
-      ++stats_.upper_bound_includes;
-      orthants_[static_cast<std::size_t>(OrthantOf4(rel))].Add(rel);
-      if (exact_mode_) buffer_.push_back(pt);
-    }
-    return Decision::kInclude;
-  }
-  if (bounds.lower > eps) {
-    ++stats_.lower_bound_splits;
-    return Decision::kSplit;
-  }
-  if (!exact_mode_) {
-    ++stats_.uncertain_splits;
-    return Decision::kSplit;
-  }
-
-  ++stats_.exact_computations;
-  double dev = 0.0;
-  for (const TrackPoint4& p : buffer_) {
-    const double d = options_.metric == DistanceMetric::kPointToLine
-                         ? PointToLineDistance4(p.pos, segment_start_.pos,
-                                                pt.pos)
-                         : PointToSegmentDistance4(p.pos, segment_start_.pos,
-                                                   pt.pos);
-    dev = std::max(dev, d);
-  }
-  if (dev <= eps) {
-    if (trivial) {
-      ++stats_.trivial_includes;
-    } else {
-      ++stats_.exact_includes;
-      orthants_[static_cast<std::size_t>(OrthantOf4(rel))].Add(rel);
-      buffer_.push_back(pt);
-    }
-    return Decision::kInclude;
-  }
-  ++stats_.exact_splits;
-  return Decision::kSplit;
-}
-
-void Bqs4dCompressor::StartSegment(const TrackPoint4& pt, uint64_t index) {
-  segment_start_ = pt;
-  prev_ = pt;
-  prev_index_ = index;
-  for (OrthantBound4& o : orthants_) o.Reset();
-  buffer_.clear();
-}
-
-void Bqs4dCompressor::EmitKey(const TrackPoint4& pt, uint64_t index,
-                              std::vector<KeyPoint4>* out) {
-  out->push_back(KeyPoint4{pt, index});
-  last_emitted_index_ = index;
-}
-
-DeviationBounds Bqs4dCompressor::AggregateBounds(Vec4 end_rel) const {
-  DeviationBounds bounds;
-  for (const OrthantBound4& o : orthants_) {
-    if (o.empty()) continue;
-    DeviationBounds b;
-    // Upper: max over hyper-box corners (convexity; sound in any
-    // dimension). Lower: max over actual extreme points.
-    for (const Vec4& c : o.Corners()) {
-      b.upper = std::max(b.upper, PathDistance4(c, end_rel, options_.metric));
-    }
-    for (const Vec4& p : o.extreme_points()) {
-      b.lower = std::max(b.lower, PathDistance4(p, end_rel, options_.metric));
-    }
-    if (b.lower > b.upper) b.lower = b.upper;
-    bounds.MergeMax(b);
-  }
-  return bounds;
-}
-
-CompressedTrajectory4 Compress4dAll(Bqs4dCompressor& compressor,
-                                    std::span<const TrackPoint4> points) {
-  CompressedTrajectory4 out;
-  compressor.Reset();
-  for (const TrackPoint4& p : points) compressor.Push(p, &out.keys);
-  compressor.Finish(&out.keys);
-  return out;
-}
-
-DeviationReport Evaluate4dCompression(std::span<const TrackPoint4> original,
-                                      const CompressedTrajectory4& compressed,
-                                      DistanceMetric metric) {
-  DeviationReport report;
-  const auto& keys = compressed.keys;
-  if (keys.size() < 2) return report;
-  report.per_segment.reserve(keys.size() - 1);
-  for (std::size_t s = 0; s + 1 < keys.size(); ++s) {
-    const std::size_t from = static_cast<std::size_t>(keys[s].index);
-    std::size_t to = static_cast<std::size_t>(keys[s + 1].index);
-    if (to >= original.size()) to = original.size() - 1;
-    double dev = 0.0;
-    const Vec4 a = original[from].pos;
-    const Vec4 b = original[to].pos;
-    for (std::size_t i = from + 1; i < to; ++i) {
-      const double d = metric == DistanceMetric::kPointToLine
-                           ? PointToLineDistance4(original[i].pos, a, b)
-                           : PointToSegmentDistance4(original[i].pos, a, b);
-      dev = std::max(dev, d);
-    }
-    report.per_segment.push_back(dev);
-    if (dev > report.max_deviation) {
-      report.max_deviation = dev;
-      report.worst_segment = s;
-    }
-  }
-  return report;
+  if (b.lower > b.upper) b.lower = b.upper;
+  return b;
 }
 
 }  // namespace bqs

@@ -16,17 +16,12 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <string_view>
 #include <vector>
 
-#include "common/status.h"
 #include "core/bounds.h"
-#include "core/decision_stats.h"
-#include "core/options.h"
-#include "geometry/line2.h"
+#include "core/orthant_compressor.h"
 #include "geometry/vec4.h"
-#include "trajectory/deviation.h"
 
 namespace bqs {
 
@@ -56,16 +51,19 @@ struct CompressedTrajectory4 {
   }
 };
 
-/// Per-orthant bounding state: hyper-box + per-axis extreme points.
+/// Per-orthant bounding state: hyper-box + per-axis extreme points. Works
+/// in the original frame, so the orthant index is only recorded.
 class OrthantBound4 {
  public:
-  OrthantBound4() = default;
+  OrthantBound4() : OrthantBound4(0) {}
+  explicit OrthantBound4(int orthant) : orthant_(orthant) {}
 
   void Reset();
   /// Folds a point (relative to the origin) into the box and extremes.
   void Add(Vec4 p);
   bool empty() const { return count_ == 0; }
   uint64_t count() const { return count_; }
+  int orthant() const { return orthant_; }
 
   /// The 16 hyper-box corners.
   std::array<Vec4, 16> Corners() const;
@@ -73,69 +71,33 @@ class OrthantBound4 {
   const std::array<Vec4, 8>& extreme_points() const { return extremes_; }
 
  private:
+  int orthant_;
   uint64_t count_ = 0;
   Vec4 min_{}, max_{};
   std::array<Vec4, 8> extremes_{};  ///< [axis*2] = argmin, [axis*2+1] = argmax.
 };
 
-/// Options for the 4-D compressor.
-struct Bqs4dOptions {
-  double epsilon = 10.0;
-  DistanceMetric metric = DistanceMetric::kPointToLine;
+/// The 4-D bound policy: hyper-box corners for the upper bound, the
+/// tracked extreme points for the lower bound.
+struct Orthant4dPolicy {
+  using Vec = Vec4;
+  using Point = TrackPoint4;
+  using Key = KeyPoint4;
+  using Compressed = CompressedTrajectory4;
+  using Bound = OrthantBound4;
+  static constexpr std::size_t kOrthants = 16;
+  static constexpr std::string_view kExactName = "BQS4D";
+  static constexpr std::string_view kFastName = "FBQS4D";
 
-  Status Validate() const { return ValidateEpsilon(epsilon); }
+  /// Bit i set when coordinate i (x, y, z, w) is negative.
+  static int OrthantOf(Vec4 v);
+  static DeviationBounds Bounds(const OrthantBound4& o, Vec4 end,
+                                DistanceMetric metric);
 };
 
 /// Online, error-bounded 4-D trajectory compressor (exact or fast engine,
 /// mirroring the 2-D/3-D family).
-class Bqs4dCompressor {
- public:
-  explicit Bqs4dCompressor(const Bqs4dOptions& options = {},
-                           bool exact_mode = false);
-
-  void Push(const TrackPoint4& pt, std::vector<KeyPoint4>* out);
-  void Finish(std::vector<KeyPoint4>* out);
-  void Reset();
-
-  std::string_view name() const { return exact_mode_ ? "BQS4D" : "FBQS4D"; }
-  const DecisionStats& stats() const { return stats_; }
-  const Bqs4dOptions& options() const { return options_; }
-
- private:
-  enum class Decision { kInclude, kSplit };
-
-  void ProcessPoint(const TrackPoint4& pt, uint64_t index,
-                    std::vector<KeyPoint4>* out, int depth);
-  Decision Assess(const TrackPoint4& pt);
-  void StartSegment(const TrackPoint4& pt, uint64_t index);
-  void EmitKey(const TrackPoint4& pt, uint64_t index,
-               std::vector<KeyPoint4>* out);
-  DeviationBounds AggregateBounds(Vec4 end_rel) const;
-  static int OrthantOf4(Vec4 v);
-
-  Bqs4dOptions options_;
-  bool exact_mode_;
-  DecisionStats stats_;
-
-  bool have_first_ = false;
-  uint64_t next_index_ = 0;
-  TrackPoint4 segment_start_{};
-  TrackPoint4 prev_{};
-  uint64_t prev_index_ = 0;
-  uint64_t last_emitted_index_ = UINT64_MAX;
-
-  std::array<OrthantBound4, 16> orthants_;
-  std::vector<TrackPoint4> buffer_;  ///< Exact mode only.
-};
-
-/// Runs a 4-D compressor over a whole stream.
-CompressedTrajectory4 Compress4dAll(Bqs4dCompressor& compressor,
-                                    std::span<const TrackPoint4> points);
-
-/// Exact per-segment deviation verification in 4-D.
-DeviationReport Evaluate4dCompression(std::span<const TrackPoint4> original,
-                                      const CompressedTrajectory4& compressed,
-                                      DistanceMetric metric);
+using Bqs4dCompressor = OrthantCompressor<Orthant4dPolicy>;
 
 }  // namespace bqs
 

@@ -5,8 +5,7 @@ namespace bqs {
 TimeSensitiveCompressor::TimeSensitiveCompressor(
     const TimeSensitiveOptions& options)
     : options_(options),
-      inner_(Bqs3dOptions{options.epsilon, DistanceMetric::kPointToLine,
-                          options.mode},
+      inner_(BqsOptions{options.epsilon, DistanceMetric::kPointToLine},
              options.exact) {}
 
 TrackPoint3 TimeSensitiveCompressor::Lift(const TrackPoint& pt) const {

@@ -22,8 +22,6 @@ struct TimeSensitiveOptions {
   /// Metres of error one second of temporal displacement is worth. E.g.
   /// 1.0 means being 10 s early/late counts like being 10 m off-path.
   double time_scale = 1.0;
-  /// Significant-point scheme of the underlying 3-D BQS.
-  Bounds3dMode mode = Bounds3dMode::kClippedHull;
   /// Exact (buffered) or fast (constant-space) 3-D engine.
   bool exact = false;
 

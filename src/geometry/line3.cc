@@ -30,6 +30,12 @@ double PointToSegmentDistance3(Vec3 p, Vec3 a, Vec3 b) {
   return Distance(p, ClosestPointOnSegment3(p, a, b));
 }
 
+double PointDeviation(Vec3 p, Vec3 a, Vec3 b, DistanceMetric metric) {
+  return metric == DistanceMetric::kPointToLine
+             ? PointToLineDistance3(p, a, b)
+             : PointToSegmentDistance3(p, a, b);
+}
+
 double LineToSegmentDistance3(Vec3 a, Vec3 b, Vec3 c, Vec3 d) {
   const Vec3 u = b - a;  // line direction
   const Vec3 v = d - c;  // segment direction

@@ -2,6 +2,7 @@
 #ifndef BQS_GEOMETRY_LINE3_H_
 #define BQS_GEOMETRY_LINE3_H_
 
+#include "geometry/line2.h"
 #include "geometry/vec3.h"
 
 namespace bqs {
@@ -12,6 +13,9 @@ double PointToLineDistance3(Vec3 p, Vec3 a, Vec3 b);
 
 /// Distance from p to the closed segment [a, b].
 double PointToSegmentDistance3(Vec3 p, Vec3 a, Vec3 b);
+
+/// Dispatches on `metric` (the 3-D counterpart of the 2-D PointDeviation).
+double PointDeviation(Vec3 p, Vec3 a, Vec3 b, DistanceMetric metric);
 
 /// Parameter t of the orthogonal projection of p onto a + t*(b-a); 0 if a==b.
 double ProjectParam3(Vec3 p, Vec3 a, Vec3 b);

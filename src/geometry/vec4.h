@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "geometry/line2.h"
 #include "geometry/vec3.h"
 
 namespace bqs {
@@ -84,6 +85,13 @@ inline double PointToSegmentDistance4(Vec4 p, Vec4 a, Vec4 b) {
   double t = (p - a).Dot(d) / len_sq;
   t = t < 0.0 ? 0.0 : (t > 1.0 ? 1.0 : t);
   return Distance(p, a + d * t);
+}
+
+/// Dispatches on `metric` (the 4-D counterpart of the 2-D PointDeviation).
+inline double PointDeviation(Vec4 p, Vec4 a, Vec4 b, DistanceMetric metric) {
+  return metric == DistanceMetric::kPointToLine
+             ? PointToLineDistance4(p, a, b)
+             : PointToSegmentDistance4(p, a, b);
 }
 
 }  // namespace bqs

@@ -4,7 +4,8 @@
 // compression-relevant statistics: long camp (roost) stays with metre-scale
 // GPS jitter, nightly foraging trips of ~10 km at 20-50 km/h, unconstrained
 // 3-D flight giving arbitrary heading changes, and 1-fix-per-minute
-// sampling. See DESIGN.md for the substitution rationale.
+// sampling. See README.md, "Paper-faithfulness notes", for why it
+// substitutes for the real data.
 #ifndef BQS_SIMULATION_FLYING_FOX_H_
 #define BQS_SIMULATION_FLYING_FOX_H_
 

@@ -1,21 +1,6 @@
 #include "trajectory/deviation.h"
 
-#include <algorithm>
-
 namespace bqs {
-
-double SegmentDeviation(std::span<const TrackPoint> points, std::size_t from,
-                        std::size_t to, DistanceMetric metric) {
-  double dev = 0.0;
-  if (to >= points.size()) to = points.size() - 1;
-  if (to <= from + 1) return 0.0;
-  const Vec2 a = points[from].pos;
-  const Vec2 b = points[to].pos;
-  for (std::size_t i = from + 1; i < to; ++i) {
-    dev = std::max(dev, PointDeviation(points[i].pos, a, b, metric));
-  }
-  return dev;
-}
 
 double BufferDeviation(std::span<const TrackPoint> buffer, Vec2 a, Vec2 b,
                        DistanceMetric metric) {
@@ -24,26 +9,6 @@ double BufferDeviation(std::span<const TrackPoint> buffer, Vec2 a, Vec2 b,
     dev = std::max(dev, PointDeviation(p.pos, a, b, metric));
   }
   return dev;
-}
-
-DeviationReport EvaluateCompression(std::span<const TrackPoint> original,
-                                    const CompressedTrajectory& compressed,
-                                    DistanceMetric metric) {
-  DeviationReport report;
-  const auto& keys = compressed.keys;
-  if (keys.size() < 2) return report;
-  report.per_segment.reserve(keys.size() - 1);
-  for (std::size_t s = 0; s + 1 < keys.size(); ++s) {
-    const std::size_t from = static_cast<std::size_t>(keys[s].index);
-    const std::size_t to = static_cast<std::size_t>(keys[s + 1].index);
-    const double dev = SegmentDeviation(original, from, to, metric);
-    report.per_segment.push_back(dev);
-    if (dev > report.max_deviation) {
-      report.max_deviation = dev;
-      report.worst_segment = s;
-    }
-  }
-  return report;
 }
 
 }  // namespace bqs

@@ -100,10 +100,9 @@ TEST(OctantBoundsTest, ClippedHullNeverLooserThanPaper17OnUpper) {
                    rng.Uniform(-120, 120)};
     if (end == Vec3{}) continue;
     const DeviationBounds hull = OctantDeviationBounds(
-        ob, end, DistanceMetric::kPointToLine, Bounds3dMode::kClippedHull);
-    const DeviationBounds paper =
-        OctantDeviationBounds(ob, end, DistanceMetric::kPointToLine,
-                              Bounds3dMode::kPaperSignificant);
+        ob, end, DistanceMetric::kPointToLine, ob.HullVertices());
+    const DeviationBounds paper = OctantDeviationBounds(
+        ob, end, DistanceMetric::kPointToLine, ob.PaperSignificantPoints());
     ++compared;
     EXPECT_LE(hull.upper, paper.upper + 1e-6 * (1.0 + paper.upper));
   }
@@ -128,9 +127,8 @@ TEST(OctantBoundsTest, SegmentMetricBoundsSandwich) {
     for (const Vec3& p : points) {
       exact = std::max(exact, PointToSegmentDistance3(p, Vec3{}, end));
     }
-    const DeviationBounds bounds =
-        OctantDeviationBounds(ob, end, DistanceMetric::kPointToSegment,
-                              Bounds3dMode::kClippedHull);
+    const DeviationBounds bounds = OctantDeviationBounds(
+        ob, end, DistanceMetric::kPointToSegment, ob.HullVertices());
     const double tol = 1e-6 * (1.0 + exact);
     EXPECT_LE(bounds.lower, exact + tol);
     EXPECT_GE(bounds.upper, exact - tol);

@@ -1,6 +1,6 @@
-// 3-D BQS: bound sandwich property per octant, end-to-end error bound of
-// the compressor in both exact and fast mode, and the clipped-hull vs
-// paper-significant-point comparison.
+// 3-D BQS: bound sandwich property per octant (clipped hull and the paper's
+// significant points), end-to-end error bound of the compressor in both
+// exact and fast mode, and its pinned output.
 #include "core/bqs3d_compressor.h"
 
 #include <algorithm>
@@ -11,6 +11,8 @@
 #include "common/rng.h"
 #include "core/bounds3d.h"
 #include "geometry/line3.h"
+#include "test_util.h"
+#include "trajectory/deviation.h"
 
 namespace bqs {
 namespace {
@@ -63,13 +65,13 @@ std::vector<TrackPoint3> Walk3(uint64_t seed, std::size_t n) {
   return out;
 }
 
+// Parameter: (paper significant points instead of the clipped hull, octant).
 class Bounds3dPropertyTest
-    : public ::testing::TestWithParam<std::tuple<Bounds3dMode, int>> {};
+    : public ::testing::TestWithParam<std::tuple<bool, int>> {};
 
 TEST_P(Bounds3dPropertyTest, SandwichesExactDeviation) {
-  const auto [mode, octant] = GetParam();
+  const auto [paper, octant] = GetParam();
   Rng rng(100u + static_cast<uint64_t>(octant));
-  const bool safe_mode = mode == Bounds3dMode::kClippedHull;
 
   int upper_violations = 0;
   for (int iter = 0; iter < 600; ++iter) {
@@ -90,19 +92,21 @@ TEST_P(Bounds3dPropertyTest, SandwichesExactDeviation) {
 
     const double exact =
         ExactMax3(points, end, DistanceMetric::kPointToLine);
-    const DeviationBounds bounds =
-        OctantDeviationBounds(ob, end, DistanceMetric::kPointToLine, mode);
+    const DeviationBounds bounds = OctantDeviationBounds(
+        ob, end, DistanceMetric::kPointToLine,
+        paper ? ob.PaperSignificantPoints() : ob.HullVertices());
     const double tol = 1e-6 * (1.0 + exact);
     EXPECT_LE(bounds.lower, exact + tol) << "octant " << octant;
     if (bounds.upper < exact - tol) ++upper_violations;
   }
-  if (safe_mode) {
+  if (!paper) {
     EXPECT_EQ(upper_violations, 0)
         << "clipped-hull upper bound must never under-estimate";
   }
   // The paper's 17-point scheme is reported, not asserted: its polyhedron
-  // can shave corners in rare configurations (see DESIGN.md).
-  if (!safe_mode && upper_violations > 0) {
+  // can shave corners in rare configurations (see README.md,
+  // "Paper-faithfulness notes").
+  if (paper && upper_violations > 0) {
     GTEST_LOG_(INFO) << "paper-significant mode under-estimated "
                      << upper_violations << "/600 times in octant "
                      << octant;
@@ -111,15 +115,13 @@ TEST_P(Bounds3dPropertyTest, SandwichesExactDeviation) {
 
 INSTANTIATE_TEST_SUITE_P(
     ModesAndOctants, Bounds3dPropertyTest,
-    ::testing::Combine(::testing::Values(Bounds3dMode::kClippedHull,
-                                         Bounds3dMode::kPaperSignificant),
+    ::testing::Combine(::testing::Bool(),
                        ::testing::Values(0, 1, 2, 3, 4, 5, 6, 7)),
     [](const auto& naming_info) {
-      const Bounds3dMode mode = std::get<0>(naming_info.param);
+      const bool paper = std::get<0>(naming_info.param);
       const int octant = std::get<1>(naming_info.param);
-      return std::string(mode == Bounds3dMode::kClippedHull ? "Hull"
-                                                            : "Paper") +
-             "O" + std::to_string(octant);
+      return std::string(paper ? "Paper" : "Hull") + "O" +
+             std::to_string(octant);
     });
 
 class Bqs3dErrorBoundTest
@@ -128,14 +130,13 @@ class Bqs3dErrorBoundTest
 TEST_P(Bqs3dErrorBoundTest, CompressionIsErrorBounded) {
   const auto [seed, exact_mode] = GetParam();
   const auto walk = Walk3(seed, 2000);
-  Bqs3dOptions options;
+  BqsOptions options;
   options.epsilon = 6.0;
-  options.mode = Bounds3dMode::kClippedHull;
   Bqs3dCompressor compressor(options, exact_mode);
   const CompressedTrajectory3 compressed =
-      Compress3dAll(compressor, walk);
+      CompressAll(compressor, walk);
   const DeviationReport report =
-      Evaluate3dCompression(walk, compressed, options.metric);
+      EvaluateCompression(walk, compressed, options.metric);
   EXPECT_LE(report.max_deviation, options.epsilon * (1.0 + 1e-9))
       << "seed=" << seed << " exact=" << exact_mode;
   EXPECT_GE(compressed.size(), 2u);
@@ -148,12 +149,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Bqs3dCompressorTest, ExactModeNeverTakesMorePointsThanFast) {
   const auto walk = Walk3(17, 3000);
-  Bqs3dOptions options;
+  BqsOptions options;
   options.epsilon = 8.0;
   Bqs3dCompressor exact(options, /*exact_mode=*/true);
   Bqs3dCompressor fast(options, /*exact_mode=*/false);
-  const auto via_exact = Compress3dAll(exact, walk);
-  const auto via_fast = Compress3dAll(fast, walk);
+  const auto via_exact = CompressAll(exact, walk);
+  const auto via_fast = CompressAll(fast, walk);
   EXPECT_LE(via_exact.size(), via_fast.size());
 }
 
@@ -161,12 +162,12 @@ TEST(Bqs3dCompressorTest, FlatWalkMatchesPlanarIntuition) {
   // A z = 0 walk must compress without ever exceeding the 2-D deviation.
   auto walk = Walk3(23, 1500);
   for (auto& p : walk) p.pos.z = 0.0;
-  Bqs3dOptions options;
+  BqsOptions options;
   options.epsilon = 5.0;
   Bqs3dCompressor compressor(options, /*exact_mode=*/false);
-  const auto compressed = Compress3dAll(compressor, walk);
+  const auto compressed = CompressAll(compressor, walk);
   const DeviationReport report =
-      Evaluate3dCompression(walk, compressed, options.metric);
+      EvaluateCompression(walk, compressed, options.metric);
   EXPECT_LE(report.max_deviation, options.epsilon * (1.0 + 1e-9));
 }
 
@@ -175,24 +176,48 @@ TEST(Bqs3dCompressorTest, StationaryStreamCompressesToTwo) {
   for (std::size_t i = 0; i < walk.size(); ++i) {
     walk[i].t = static_cast<double>(i);
   }
-  Bqs3dCompressor compressor(Bqs3dOptions{}, false);
-  const auto compressed = Compress3dAll(compressor, walk);
+  Bqs3dCompressor compressor(BqsOptions{}, false);
+  const auto compressed = CompressAll(compressor, walk);
   EXPECT_EQ(compressed.size(), 2u);
 }
 
 TEST(Bqs3dCompressorTest, StatsCoverEveryPoint) {
   const auto walk = Walk3(29, 2000);
-  Bqs3dCompressor compressor(Bqs3dOptions{}, false);
-  Compress3dAll(compressor, walk);
+  Bqs3dCompressor compressor(BqsOptions{}, false);
+  CompressAll(compressor, walk);
   EXPECT_EQ(compressor.stats().points, walk.size());
 }
 
-TEST(Bqs3dCompressorTest, OptionsValidate) {
-  Bqs3dOptions options;
-  EXPECT_TRUE(options.Validate().ok());
-  for (const double bad : {0.0, -1.0, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
-    options.epsilon = bad;
-    EXPECT_FALSE(options.Validate().ok()) << "epsilon " << bad;
+// Output identity across refactors: key indices and every decision counter
+// of both engines under both metrics, recorded from the standalone 3-D
+// compressor before the 3-D and 4-D control loops merged.
+TEST(Bqs3dCompressorTest, OutputIsPinned) {
+  const auto walk = Walk3(7, 2000);
+  struct Case {
+    bool exact;
+    DistanceMetric metric;
+    const char* pin;
+  };
+  const Case cases[] = {
+      {false, DistanceMetric::kPointToLine,
+       "keys=762 digest=535630175909384210 "
+       "stats=2000,81,0,1918,710,0,0,0,50,760,0,0,0,"},
+      {true, DistanceMetric::kPointToLine,
+       "keys=739 digest=7568014399073730858 "
+       "stats=2000,56,0,1852,721,107,91,16,0,737,0,0,0,"},
+      {false, DistanceMetric::kPointToSegment,
+       "keys=829 digest=1548655890065567928 "
+       "stats=2000,79,0,1920,685,0,0,0,142,827,0,0,0,"},
+      {true, DistanceMetric::kPointToSegment,
+       "keys=810 digest=1298305520186364885 "
+       "stats=2000,53,0,1869,698,187,77,110,0,808,0,0,0,"},
+  };
+  for (const Case& c : cases) {
+    Bqs3dCompressor compressor(
+        BqsOptions{.epsilon = 6.0, .metric = c.metric}, c.exact);
+    const CompressedTrajectory3 out = CompressAll(compressor, walk);
+    EXPECT_EQ(testing_util::OutputPin(out.keys, compressor.stats()), c.pin)
+        << compressor.name() << " metric " << static_cast<int>(c.metric);
   }
 }
 

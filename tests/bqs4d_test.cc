@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "test_util.h"
+#include "trajectory/deviation.h"
 
 namespace bqs {
 namespace {
@@ -119,13 +121,13 @@ class Bqs4dErrorBoundTest
 TEST_P(Bqs4dErrorBoundTest, CompressionIsErrorBounded) {
   const auto [seed, exact_mode] = GetParam();
   const auto walk = Walk4(seed, 1500);
-  Bqs4dOptions options;
+  BqsOptions options;
   options.epsilon = 8.0;
   Bqs4dCompressor compressor(options, exact_mode);
   const CompressedTrajectory4 compressed =
-      Compress4dAll(compressor, walk);
+      CompressAll(compressor, walk);
   const DeviationReport report =
-      Evaluate4dCompression(walk, compressed, options.metric);
+      EvaluateCompression(walk, compressed, options.metric);
   EXPECT_LE(report.max_deviation, options.epsilon * (1.0 + 1e-9))
       << "seed=" << seed << " exact=" << exact_mode;
   EXPECT_GE(compressed.size(), 2u);
@@ -138,12 +140,12 @@ INSTANTIATE_TEST_SUITE_P(SeedsAndModes, Bqs4dErrorBoundTest,
 
 TEST(Bqs4dCompressorTest, ExactNeverWorseThanFast) {
   const auto walk = Walk4(11, 2000);
-  Bqs4dOptions options;
+  BqsOptions options;
   options.epsilon = 10.0;
   Bqs4dCompressor exact(options, true);
   Bqs4dCompressor fast(options, false);
-  EXPECT_LE(Compress4dAll(exact, walk).size(),
-            Compress4dAll(fast, walk).size());
+  EXPECT_LE(CompressAll(exact, walk).size(),
+            CompressAll(fast, walk).size());
 }
 
 TEST(Bqs4dCompressorTest, StationaryStreamCompressesToTwo) {
@@ -152,8 +154,8 @@ TEST(Bqs4dCompressorTest, StationaryStreamCompressesToTwo) {
   for (std::size_t i = 0; i < walk.size(); ++i) {
     walk[i].t = static_cast<double>(i);
   }
-  Bqs4dCompressor compressor(Bqs4dOptions{}, false);
-  EXPECT_EQ(Compress4dAll(compressor, walk).size(), 2u);
+  Bqs4dCompressor compressor(BqsOptions{}, false);
+  EXPECT_EQ(CompressAll(compressor, walk).size(), 2u);
 }
 
 TEST(Bqs4dCompressorTest, DegeneratesToLowerDimensions) {
@@ -165,24 +167,46 @@ TEST(Bqs4dCompressorTest, DegeneratesToLowerDimensions) {
     pos = pos + Vec4{rng.Normal(0, 6), rng.Normal(0, 6), 0, 0};
     walk.push_back(TrackPoint4{pos, static_cast<double>(i)});
   }
-  Bqs4dOptions options;
+  BqsOptions options;
   options.epsilon = 10.0;
   Bqs4dCompressor compressor(options, true);
-  const auto compressed = Compress4dAll(compressor, walk);
+  const auto compressed = CompressAll(compressor, walk);
   const DeviationReport report =
-      Evaluate4dCompression(walk, compressed, options.metric);
+      EvaluateCompression(walk, compressed, options.metric);
   EXPECT_LE(report.max_deviation, options.epsilon * (1.0 + 1e-9));
   EXPECT_LT(compressed.size(), walk.size() / 3);
 }
 
-TEST(Bqs4dCompressorTest, OptionsValidate) {
-  Bqs4dOptions options;
-  EXPECT_TRUE(options.Validate().ok());
-  options.epsilon = 0.0;
-  EXPECT_FALSE(options.Validate().ok());
-  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
-    options.epsilon = bad;
-    EXPECT_FALSE(options.Validate().ok()) << "epsilon " << bad;
+// Output identity across refactors: key indices and every decision counter
+// of both engines under both metrics, recorded from the standalone 4-D
+// compressor before the 3-D and 4-D control loops merged.
+TEST(Bqs4dCompressorTest, OutputIsPinned) {
+  const auto walk = Walk4(1, 1500);
+  struct Case {
+    bool exact;
+    DistanceMetric metric;
+    const char* pin;
+  };
+  const Case cases[] = {
+      {false, DistanceMetric::kPointToLine,
+       "keys=523 digest=10421982486142416427 "
+       "stats=1500,131,0,1368,446,0,0,0,75,521,0,0,0,"},
+      {true, DistanceMetric::kPointToLine,
+       "keys=490 digest=5120052315977564905 "
+       "stats=1500,64,0,1292,486,145,143,2,0,488,0,0,0,"},
+      {false, DistanceMetric::kPointToSegment,
+       "keys=562 digest=15597218261296940995 "
+       "stats=1500,113,0,1386,487,0,0,0,73,560,0,0,0,"},
+      {true, DistanceMetric::kPointToSegment,
+       "keys=535 digest=13860399128186145264 "
+       "stats=1500,54,0,1331,531,116,114,2,0,533,0,0,0,"},
+  };
+  for (const Case& c : cases) {
+    Bqs4dCompressor compressor(
+        BqsOptions{.epsilon = 8.0, .metric = c.metric}, c.exact);
+    const CompressedTrajectory4 out = CompressAll(compressor, walk);
+    EXPECT_EQ(testing_util::OutputPin(out.keys, compressor.stats()), c.pin)
+        << compressor.name() << " metric " << static_cast<int>(c.metric);
   }
 }
 

@@ -770,6 +770,7 @@ TEST(BqsCompressorTest, StraightRunComposesNoSqrt) {
 
 TEST(BqsCompressorTest, InvalidOptionsAreReported) {
   BqsOptions options;
+  EXPECT_TRUE(options.Validate().ok());
   options.epsilon = 0.0;
   EXPECT_FALSE(options.Validate().ok());
   options.epsilon = 5.0;

@@ -147,10 +147,10 @@ TEST(FbqsCompressorTest, SubToleranceNoisyLineCompressesWell) {
   // (~0.01-0.03 rad here), the run therefore drifts off the rotated x axis,
   // and the sound upper bound over box-intersect-wedge grows with segment
   // length until FBQS conservatively splits. (The paper's Eq. (8) would
-  // keep 2 points, but it is unsound — see DESIGN.md for the
-  // counterexample.) What we require: a high compression rate and, of
-  // course, the error bound. BQS proper resolves these cases exactly and
-  // does reach 2 points (see BqsCompressorTest).
+  // keep 2 points, but it is unsound — see README.md, "Paper-faithfulness
+  // notes".) What we require: a high compression rate and, of course, the
+  // error bound. BQS proper resolves these cases exactly and does reach 2
+  // points (see BqsCompressorTest).
   EXPECT_LE(compressed.size(), 16u);
   const DeviationReport report =
       EvaluateCompression(walk, compressed, DistanceMetric::kPointToLine);

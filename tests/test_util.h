@@ -4,11 +4,13 @@
 #define BQS_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <cmath>
 
 #include "common/math_utils.h"
+#include "core/decision_stats.h"
 #include "common/rng.h"
 #include "simulation/random_walk.h"
 #include "simulation/von_mises.h"
@@ -96,6 +98,39 @@ inline Trajectory NoisyLine(uint64_t seed, std::size_t n, double noise) {
                              static_cast<double>(i), {10.0, 0.0}});
   }
   return out;
+}
+
+/// One line pinning a compressor run exactly: the key count, an FNV-1a
+/// digest of the key indices, and every DecisionStats counter in
+/// declaration order. A single changed decision changes the line.
+template <typename Key>
+std::string OutputPin(const std::vector<Key>& keys,
+                      const DecisionStats& s) {
+  static_assert(sizeof(DecisionStats) == 13 * sizeof(uint64_t),
+                "a new DecisionStats counter belongs in the pin");
+  uint64_t digest = 14695981039346656037ull;
+  for (const Key& k : keys) {
+    digest ^= k.index;
+    digest *= 1099511628211ull;
+  }
+  std::string line = "keys=" + std::to_string(keys.size()) +
+                     " digest=" + std::to_string(digest);
+  const uint64_t counters[] = {s.points,
+                               s.trivial_includes,
+                               s.warmup_checks,
+                               s.upper_bound_includes,
+                               s.lower_bound_splits,
+                               s.exact_computations,
+                               s.exact_includes,
+                               s.exact_splits,
+                               s.uncertain_splits,
+                               s.segments,
+                               s.exact_points_scanned,
+                               s.peak_exact_state,
+                               s.kernel_fallbacks};
+  line += " stats=";
+  for (const uint64_t c : counters) line += std::to_string(c) + ",";
+  return line;
 }
 
 }  // namespace testing_util

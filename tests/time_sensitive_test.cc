@@ -7,8 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "core/fbqs_compressor.h"
-#include "geometry/line3.h"
+#include "simulation/datasets.h"
 #include "test_util.h"
+#include "trajectory/deviation.h"
 
 namespace bqs {
 namespace {
@@ -20,22 +21,13 @@ using testing_util::SmoothWalk;
 double LiftedMaxDeviation(const Trajectory& walk,
                           const CompressedTrajectory& keys,
                           double time_scale) {
-  if (keys.size() < 2 || walk.empty()) return 0.0;
-  const double t0 = walk.front().t;
-  const auto lift = [&](const TrackPoint& p) {
-    return Vec3{p.pos.x, p.pos.y, (p.t - t0) * time_scale};
-  };
-  double worst = 0.0;
-  for (std::size_t s = 0; s + 1 < keys.size(); ++s) {
-    const std::size_t from = static_cast<std::size_t>(keys.keys[s].index);
-    const std::size_t to = static_cast<std::size_t>(keys.keys[s + 1].index);
-    const Vec3 a = lift(walk[from]);
-    const Vec3 b = lift(walk[to]);
-    for (std::size_t i = from + 1; i < to; ++i) {
-      worst = std::max(worst, PointToLineDistance3(lift(walk[i]), a, b));
-    }
+  std::vector<TrackPoint3> lifted;
+  for (const TrackPoint& p : walk) {
+    lifted.push_back(TrackPoint3{
+        Vec3{p.pos.x, p.pos.y, (p.t - walk.front().t) * time_scale}, p.t});
   }
-  return worst;
+  return EvaluateCompression(lifted, keys, DistanceMetric::kPointToLine)
+      .max_deviation;
 }
 
 TEST(TimeSensitiveTest, LiftedDeviationIsBounded) {
@@ -104,6 +96,27 @@ TEST(TimeSensitiveTest, ResetAllowsReuse) {
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first.keys[i].index, second.keys[i].index);
+  }
+}
+
+// Output identity across refactors: TSBQS key indices and every decision
+// counter of the inner 3-D engine on the synthetic benchmark stream,
+// recorded before the 3-D and 4-D control loops merged.
+TEST(TimeSensitiveTest, OutputIsPinned) {
+  const Dataset synthetic = BuildSyntheticDataset(0.15);
+  for (const bool exact : {false, true}) {
+    TimeSensitiveOptions options;
+    options.epsilon = 10.0;
+    options.time_scale = 1.0;
+    options.exact = exact;
+    TimeSensitiveCompressor ts(options);
+    const CompressedTrajectory out = CompressAll(ts, synthetic.stream);
+    EXPECT_EQ(testing_util::OutputPin(out.keys, ts.stats()),
+              exact ? "keys=261 digest=13577282642547042335 stats=4500,243,0,"
+                      "2874,69,1572,1382,190,0,259,0,0,0,"
+                    : "keys=406 digest=3407908736790779630 stats=4500,258,0,"
+                      "4241,63,0,0,0,341,404,0,0,0,")
+        << "exact " << exact;
   }
 }
 
