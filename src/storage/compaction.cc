@@ -1,13 +1,8 @@
 #include "storage/compaction.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
 #include <system_error>
@@ -15,34 +10,11 @@
 
 #include "common/fault_injector.h"
 #include "storage/codec.h"
+#include "storage/file_io.h"
 
 namespace bqs {
 
 namespace {
-
-Status ReadFileBytes(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("open " + path + " for read failed");
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  if (size < 0) return Status::IoError("size " + path + " failed");
-  in.seekg(0, std::ios::beg);
-  out->resize(static_cast<std::size_t>(size));
-  if (size > 0 && !in.read(out->data(), size)) {
-    return Status::IoError("read " + path + " failed");
-  }
-  return Status::OK();
-}
-
-/// Best-effort directory fsync (same stance as the WAL writer: data-path
-/// fsyncs gate the contract, the directory sync narrows the window).
-void FsyncDirBestEffort(const std::string& dir) {
-  const int dirfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dirfd >= 0) {
-    (void)::fsync(dirfd);
-    (void)::close(dirfd);
-  }
-}
 
 /// The crash-point ladder: At() is consulted at every state-machine
 /// transition, in execution order. When the armed kCompactionCrashAt
@@ -119,8 +91,10 @@ Status DecodeReferencedBlock(std::span<const uint8_t> image,
   return Status::OK();
 }
 
-std::span<const uint8_t> AsBytes(const std::string& bytes) {
-  return {reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size()};
+std::set<uint64_t> ReferencedIds(const Manifest& manifest) {
+  std::set<uint64_t> ids;
+  for (const ManifestBlockFile& file : manifest.files) ids.insert(file.file_id);
+  return ids;
 }
 
 }  // namespace
@@ -219,50 +193,28 @@ Status Compactor::CompactOnceLocked(uint64_t max_segment_exclusive) {
   if (!st.ok()) return fail(st);
 
   st = step([&]() -> Status {
-    uint64_t tmp_removed = 0, orphans_removed = 0;
-    std::set<uint64_t> referenced;
-    for (const ManifestBlockFile& file : manifest.files) {
-      referenced.insert(file.file_id);
-    }
-    std::error_code ec;
-    std::filesystem::directory_iterator it(options_.block_dir, ec);
-    if (ec) {
-      return Status::IoError("list " + options_.block_dir + ": " +
-                             ec.message());
-    }
-    const std::filesystem::directory_iterator end;
-    std::vector<std::filesystem::path> doomed;
-    while (it != end) {
-      const std::string name = it->path().filename().string();
-      uint64_t id = 0;
-      if (name.size() > 4 &&
-          name.compare(name.size() - 4, 4, ".tmp") == 0) {
-        doomed.push_back(it->path());
-        ++tmp_removed;
-      } else if (ParseBlockFileName(name, &id) &&
-                 referenced.find(id) == referenced.end()) {
-        // Published but never referenced: a crash landed between block
-        // and manifest publication. The WAL still holds its contents
-        // (segments are deleted only after the manifest rename), so the
-        // orphan is redundant bytes, not data.
-        doomed.push_back(it->path());
-        ++orphans_removed;
-      }
-      it.increment(ec);
-      if (ec) {
-        return Status::IoError("list " + options_.block_dir + ": " +
-                               ec.message());
+    Result<NumberedListing> listed =
+        ListNumberedFiles(options_.block_dir, kBlockFiles);
+    if (!listed.ok()) return listed.status();
+    const NumberedListing& listing = listed.value();
+    const std::set<uint64_t> referenced = ReferencedIds(manifest);
+    std::vector<std::string> doomed = listing.temps;
+    // Published but never referenced: a crash landed between block and
+    // manifest publication. The WAL still holds its contents (segments are
+    // deleted only after the manifest rename), so the orphan is redundant
+    // bytes, not data.
+    for (const auto* group : {&listing.files, &listing.duplicates}) {
+      for (const NumberedFile& file : *group) {
+        if (!referenced.contains(file.index)) doomed.push_back(file.path);
       }
     }
-    for (const std::filesystem::path& path : doomed) {
+    for (const std::string& path : doomed) {
+      std::error_code ec;
       std::filesystem::remove(path, ec);
-      if (ec) {
-        return Status::IoError("remove " + path.string() + ": " +
-                               ec.message());
-      }
+      if (ec) return Status::IoError("remove " + path + ": " + ec.message());
     }
-    stats_.orphan_tmp_removed += tmp_removed;
-    stats_.orphan_blocks_removed += orphans_removed;
+    stats_.orphan_tmp_removed += listing.temps.size();
+    stats_.orphan_blocks_removed += doomed.size() - listing.temps.size();
     return Status::OK();
   });
   if (!st.ok()) return fail(st);
@@ -272,45 +224,26 @@ Status Compactor::CompactOnceLocked(uint64_t max_segment_exclusive) {
   // does not already cover.
   std::vector<WalSegmentFile> consumed;
   std::vector<wal::WalCheckpoint> fresh;
-  wal::WalQuantization quant = manifest.quant;
+  wal::WalQuantization quant;
   uint64_t already = 0;
   st = step([&]() -> Status {
     consumed.clear();
     fresh.clear();
     already = 0;
-    Result<std::vector<WalSegmentFile>> listed =
-        ListWalSegments(options_.wal_dir);
-    if (!listed.ok()) {
-      if (listed.status().code() == StatusCode::kNotFound) {
+    Result<WalRecovery> scanned =
+        WalReader::Recover(options_.wal_dir, max_segment_exclusive, &consumed);
+    if (!scanned.ok()) {
+      if (scanned.status().code() == StatusCode::kNotFound) {
         return Status::OK();  // no WAL directory: nothing to drain
       }
-      return listed.status();
+      return scanned.status();
     }
-    const std::vector<WalSegmentFile>& all = listed.value();
-    for (const WalSegmentFile& file : all) {
-      if (file.index < max_segment_exclusive) consumed.push_back(file);
-    }
-    std::string bytes;
-    WalRecoveryReport scan_report;
-    for (const WalSegmentFile& file : consumed) {
-      BQS_RETURN_NOT_OK(ReadFileBytes(file.path, &bytes));
-      const std::span<const uint8_t> image = AsBytes(bytes);
-      codec::FileHeader header;
-      if (codec::DecodeFileHeader(image, wal::kWalMagic, &header)) {
-        quant = header.quant;
-      }
-      // Same torn-tail rule as WalReader::Recover: only the directory's
-      // final segment gets truncation semantics, so the compactor reads
-      // exactly what recovery would have.
-      const bool is_last = !all.empty() && file.index == all.back().index;
-      std::vector<wal::WalCheckpoint> replayed;
-      WalReader::RecoverSegment(image, is_last, &replayed, &scan_report);
-      for (wal::WalCheckpoint& c : replayed) {
-        if (c.seq <= manifest.last_applied_seq) {
-          ++already;
-        } else {
-          fresh.push_back(std::move(c));
-        }
+    quant = scanned.value().quant;
+    for (wal::WalCheckpoint& c : scanned.value().checkpoints) {
+      if (c.seq <= manifest.last_applied_seq) {
+        ++already;
+      } else {
+        fresh.push_back(std::move(c));
       }
     }
     return Status::OK();
@@ -431,7 +364,7 @@ Status Compactor::CompactOnceLocked(uint64_t max_segment_exclusive) {
     if (!st.ok()) return fail(st);
     ++stats_.segments_deleted;
   }
-  FsyncDirBestEffort(options_.wal_dir);
+  (void)FsyncDir(options_.wal_dir);  // best-effort, like the WAL writer's
 
   ++stats_.runs_completed;
   return Status::OK();
@@ -460,28 +393,12 @@ Result<StoreRecovery> RecoverStore(const std::string& wal_dir,
   }
 
   // Census of the block directory: stale temp files are counted (the next
-  // compaction quarantines them); block files are collected for either
-  // the referenced walk or the manifest-less fallback scan.
-  std::map<uint64_t, std::string> on_disk;  // id -> path, deterministic
-  {
-    std::error_code ec;
-    std::filesystem::directory_iterator it(block_dir, ec);
-    if (!ec) {
-      const std::filesystem::directory_iterator end;
-      while (it != end) {
-        const std::string name = it->path().filename().string();
-        uint64_t id = 0;
-        if (name.size() > 4 &&
-            name.compare(name.size() - 4, 4, ".tmp") == 0) {
-          ++report.orphan_tmp_files;
-        } else if (ParseBlockFileName(name, &id)) {
-          on_disk.emplace(id, it->path().string());
-        }
-        it.increment(ec);
-        if (ec) break;
-      }
-    }
-  }
+  // compaction quarantines them); block files are collected for the
+  // manifest-less fallback scan and the unreferenced count.
+  Result<NumberedListing> census = ListNumberedFiles(block_dir, kBlockFiles);
+  const NumberedListing on_disk =
+      census.ok() ? std::move(census.value()) : NumberedListing{};
+  report.orphan_tmp_files = on_disk.temps.size();
 
   std::vector<wal::WalCheckpoint> from_blocks;
   std::set<uint64_t> block_seqs;
@@ -525,7 +442,12 @@ Result<StoreRecovery> RecoverStore(const std::string& wal_dir,
       }
       ++report.blocks_decoded;
       for (wal::WalCheckpoint& c : decoded) {
-        block_seqs.insert(c.seq);
+        // The first copy of a seq wins: a block file copied under another
+        // name must not return its checkpoints twice.
+        if (!block_seqs.insert(c.seq).second) {
+          ++report.duplicates_dropped;
+          continue;
+        }
         from_blocks.push_back(std::move(c));
       }
       offset += frame_bytes;
@@ -535,41 +457,24 @@ Result<StoreRecovery> RecoverStore(const std::string& wal_dir,
   if (have_manifest) {
     recovery.wal.quant = manifest.quant;
     quant_known = true;
+    // A referenced id means the name the compactor wrote and BlockStore
+    // reads, never another spelling that happens to parse to the same id.
     for (const ManifestBlockFile& file : manifest.files) {
-      const auto it = on_disk.find(file.file_id);
-      if (it == on_disk.end()) {
-        ++report.block_files_unreadable;  // referenced but gone: data loss
-        continue;
-      }
-      walk_file(it->second, &file);
+      walk_file(block_dir + "/" + BlockFileName(file.file_id), &file);
     }
-    for (const auto& [id, path] : on_disk) {
-      (void)path;
-      bool referenced = false;
-      for (const ManifestBlockFile& file : manifest.files) {
-        if (file.file_id == id) {
-          referenced = true;
-          break;
-        }
-      }
-      if (!referenced) ++report.unreferenced_blocks;
+    const std::set<uint64_t> referenced = ReferencedIds(manifest);
+    for (const NumberedFile& file : on_disk.files) {
+      if (!referenced.contains(file.index)) ++report.unreferenced_blocks;
     }
   } else {
     // No (trustworthy) manifest: scan every published block file. Each is
     // complete by construction (published via atomic rename), so whatever
     // decodes is real data; the WAL union below dedupes by seq.
-    for (const auto& [id, path] : on_disk) {
-      (void)id;
-      walk_file(path, nullptr);
-    }
+    for (const NumberedFile& file : on_disk.files) walk_file(file.path, nullptr);
   }
   report.checkpoints_from_blocks = from_blocks.size();
 
   // The WAL side: full replay, then take what blocks do not already hold.
-  uint64_t max_block_seq = 0;
-  for (const wal::WalCheckpoint& c : from_blocks) {
-    max_block_seq = std::max(max_block_seq, c.seq);
-  }
   Result<WalRecovery> walr = WalReader::Recover(wal_dir);
   if (!walr.ok()) {
     if (walr.status().code() != StatusCode::kNotFound) return walr.status();
@@ -647,7 +552,11 @@ Result<BlockStore> BlockStore::Open(const std::string& block_dir) {
   std::vector<wal::WalCheckpoint> decoded;
   for (const ManifestBlockFile& file : store.manifest_.files) {
     const std::string path = block_dir + "/" + BlockFileName(file.file_id);
-    const Status read = ReadFileBytes(path, &bytes);
+    Status read = ReadFileBytes(path, &bytes);
+    // A referenced file that is gone is lost data, not an absent store.
+    if (read.code() == StatusCode::kNotFound) {
+      read = Status::IoError(read.message());
+    }
     for (std::size_t b = 0; b < file.blocks.size(); ++b) {
       const blk::BlockMeta& m = file.blocks[b].meta;
       BlockRef ref{m, store.point_count_, 0, read};

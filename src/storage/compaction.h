@@ -35,7 +35,7 @@
 //
 // Every I/O step runs under the deterministic retry/backoff policy
 // (common/backoff.h). Transient failures retry; persistent ENOSPC
-// (classified by manifest.h's IsEnospc) flips the compactor into degraded
+// (classified by file_io.h's IsEnospc) flips the compactor into degraded
 // mode: CompactOnce becomes a fast no-op error, the WAL keeps ingesting,
 // and FleetEngine surfaces storage_healthy=false — degrade-and-continue,
 // never fail ingest. ResetDegraded() re-arms once space is back.
@@ -160,9 +160,12 @@ struct StoreRecoveryReport {
   uint64_t blocks_corrupt = 0;
   uint64_t checkpoints_from_blocks = 0;
   uint64_t checkpoints_from_wal = 0;
-  /// WAL checkpoints already covered by blocks (below the watermark, or
-  /// seq-matched in the manifest-less fallback). Expected after a crash
-  /// between manifest publication and segment deletion — not a loss.
+  /// Checkpoints dropped as copies of one already recovered: WAL
+  /// checkpoints covered by blocks (below the watermark, or seq-matched in
+  /// the manifest-less fallback), and block checkpoints whose seq an
+  /// earlier block file already supplied (a block file copied under another
+  /// name). The first is expected after a crash between manifest
+  /// publication and segment deletion — neither is a loss.
   uint64_t duplicates_dropped = 0;
   uint64_t orphan_tmp_files = 0;     ///< Stale *.tmp seen (left in place).
   uint64_t unreferenced_blocks = 0;  ///< Published but not in the manifest.

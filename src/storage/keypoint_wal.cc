@@ -4,74 +4,15 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 #include <utility>
 
 #include "common/fault_injector.h"
 #include "storage/codec.h"
+#include "storage/file_io.h"
 
 namespace bqs {
-
-namespace {
-
-std::string SegmentFileName(uint64_t index) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "wal-%06llu.log",
-                static_cast<unsigned long long>(index));
-  return buf;
-}
-
-/// Parses "wal-NNNNNN.log" (any digit count) into its index; false for
-/// every other name — foreign files in the directory are simply ignored.
-bool ParseSegmentFileName(const std::string& name, uint64_t* index) {
-  constexpr std::string_view kPrefix = "wal-";
-  constexpr std::string_view kSuffix = ".log";
-  if (name.size() <= kPrefix.size() + kSuffix.size()) return false;
-  if (name.compare(0, kPrefix.size(), kPrefix) != 0) return false;
-  if (name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-      0) {
-    return false;
-  }
-  const std::string digits =
-      name.substr(kPrefix.size(),
-                  name.size() - kPrefix.size() - kSuffix.size());
-  if (digits.empty() || digits.size() > 19) return false;  // > 19: overflow
-  uint64_t value = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *index = value;
-  return true;
-}
-
-Status ErrnoError(const std::string& what) {
-  return Status::IoError(what + ": " + std::strerror(errno));
-}
-
-/// Reads a whole file into `out`. Segments are bounded by the writer's
-/// rotation threshold, so whole-file images are the right granularity for
-/// recovery (and what RecoverSegment wants anyway).
-Status ReadFileBytes(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("open " + path + " for read failed");
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  if (size < 0) return Status::IoError("size " + path + " failed");
-  in.seekg(0, std::ios::beg);
-  out->resize(static_cast<std::size_t>(size));
-  if (size > 0 && !in.read(out->data(), size)) {
-    return Status::IoError("read " + path + " failed");
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 // --- writer ---------------------------------------------------------------
 
@@ -215,12 +156,12 @@ Status KeyPointWal::AppendLocked(DeviceId device,
 Status KeyPointWal::OpenSegmentLocked() {
   ++segment_index_;
   const std::string path =
-      options_.dir + "/" + SegmentFileName(segment_index_);
+      options_.dir + "/" + NumberedFileName(kWalSegmentFiles, segment_index_);
   // O_EXCL: Open() numbered this segment past every existing one, so a
   // collision means two writers own the directory — refuse, don't clobber.
   const int fd =
       ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC, 0644);
-  if (fd < 0) return ErrnoError("open " + path);
+  if (fd < 0) return ErrnoStatus("open " + path);
   fd_ = fd;
   segment_written_ = 0;
   ++stats_.segments_opened;
@@ -236,12 +177,7 @@ Status KeyPointWal::OpenSegmentLocked() {
     // Make the new directory entry itself durable: a crash that keeps the
     // inode but loses the name loses the data with it. Best-effort — the
     // data-path fsyncs are what gate the acks.
-    const int dirfd =
-        ::open(options_.dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-    if (dirfd >= 0) {
-      (void)::fsync(dirfd);
-      (void)::close(dirfd);
-    }
+    (void)FsyncDir(options_.dir);
   }
   return Status::OK();
 }
@@ -272,7 +208,7 @@ Status KeyPointWal::FlushLocked() {
       const std::size_t cut = static_cast<std::size_t>(
           injector->param(FaultSite::kWriteShortAtByte) %
           (buffer_.size() + 1));
-      const Status st = WriteFully(buffer_.data(), cut);
+      const Status st = WriteFully(fd_, {buffer_.data(), cut}, "write");
       if (st.ok()) {
         segment_written_ += cut;
         unsynced_bytes_ += cut;
@@ -284,7 +220,7 @@ Status KeyPointWal::FlushLocked() {
       return dead_st;
     }
   }
-  const Status st = WriteFully(buffer_.data(), buffer_.size());
+  const Status st = WriteFully(fd_, buffer_, "write");
   if (!st.ok()) {
     MarkDeadLocked(st);
     return st;
@@ -306,26 +242,13 @@ Status KeyPointWal::SyncLocked() {
     }
   }
   if (fd_ >= 0 && ::fdatasync(fd_) != 0) {
-    const Status st = ErrnoError("fdatasync");
+    const Status st = ErrnoStatus("fdatasync");
     MarkDeadLocked(st);
     return st;
   }
   unsynced_bytes_ = 0;
   last_sync_ = std::chrono::steady_clock::now();
   ++stats_.syncs;
-  return Status::OK();
-}
-
-Status KeyPointWal::WriteFully(const char* data, std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd_, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoError("write");
-    }
-    done += static_cast<std::size_t>(n);
-  }
   return Status::OK();
 }
 
@@ -363,7 +286,7 @@ Status KeyPointWal::Close() {
     st = SyncLocked();
   }
   if (fd_ >= 0) {
-    if (::close(fd_) != 0 && st.ok()) st = ErrnoError("close");
+    if (::close(fd_) != 0 && st.ok()) st = ErrnoStatus("close");
     fd_ = -1;
   }
   return st;
@@ -393,50 +316,17 @@ KeyPointWalStats KeyPointWal::stats() const {
 
 Result<std::vector<WalSegmentFile>> ListWalSegments(
     const std::string& dir, std::vector<std::string>* ignored) {
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir, ec);
-  if (ec) {
-    if (ec == std::errc::no_such_file_or_directory) {
-      return Status::NotFound("wal dir " + dir + " does not exist");
+  Result<NumberedListing> listed = ListNumberedFiles(dir, kWalSegmentFiles);
+  if (!listed.ok()) return listed.status();
+  NumberedListing& listing = listed.value();
+  if (ignored != nullptr) {
+    ignored->insert(ignored->end(), listing.temps.begin(),
+                    listing.temps.end());
+    for (WalSegmentFile& duplicate : listing.duplicates) {
+      ignored->push_back(std::move(duplicate.path));
     }
-    return Status::IoError("list " + dir + ": " + ec.message());
   }
-  std::vector<WalSegmentFile> out;
-  const std::filesystem::directory_iterator end;
-  while (it != end) {
-    const std::filesystem::directory_entry& entry = *it;
-    const std::string name = entry.path().filename().string();
-    uint64_t index = 0;
-    if (ParseSegmentFileName(name, &index)) {
-      out.push_back(WalSegmentFile{index, entry.path().string()});
-    } else if (ignored != nullptr && name.size() > 4 &&
-               name.compare(name.size() - 4, 4, ".tmp") == 0) {
-      // Debris of a crashed atomic publication sharing the directory.
-      ignored->push_back(entry.path().string());
-    }
-    it.increment(ec);
-    if (ec) return Status::IoError("list " + dir + ": " + ec.message());
-  }
-  // Index order; ties (e.g. "wal-1.log" vs "wal-000001.log") broken by
-  // path so the winner is the same on every filesystem.
-  std::sort(out.begin(), out.end(),
-            [](const WalSegmentFile& a, const WalSegmentFile& b) {
-              return a.index != b.index ? a.index < b.index : a.path < b.path;
-            });
-  // Duplicate indices carry the same records twice (a copy, a hard link, a
-  // renamed zero-pad); replaying both would double-count. Keep the first
-  // per index, quarantine the rest.
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < out.size(); ++r) {
-    if (w > 0 && out[r].index == out[w - 1].index) {
-      if (ignored != nullptr) ignored->push_back(std::move(out[r].path));
-      continue;
-    }
-    if (w != r) out[w] = std::move(out[r]);
-    ++w;
-  }
-  out.resize(w);
-  return out;
+  return std::move(listing.files);
 }
 
 void WalReader::RecoverSegment(std::span<const uint8_t> segment, bool is_last,
@@ -501,23 +391,30 @@ void WalReader::RecoverSegment(std::span<const uint8_t> segment, bool is_last,
   }
 }
 
-Result<WalRecovery> WalReader::Recover(const std::string& dir) {
+Result<WalRecovery> WalReader::Recover(const std::string& dir,
+                                      uint64_t max_segment_exclusive,
+                                      std::vector<WalSegmentFile>* replayed) {
   Result<std::vector<WalSegmentFile>> segments = ListWalSegments(dir);
   if (!segments.ok()) return segments.status();
   const std::vector<WalSegmentFile>& files = segments.value();
   WalRecovery recovery;
   std::string bytes;
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    BQS_RETURN_NOT_OK(ReadFileBytes(files[i].path, &bytes));
-    const std::span<const uint8_t> image(
-        reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+  for (const WalSegmentFile& file : files) {
+    if (file.index >= max_segment_exclusive) break;  // files are sorted
+    const Status read = ReadFileBytes(file.path, &bytes);
+    // A segment listed a moment ago and gone now is not a missing log.
+    if (!read.ok()) return Status::IoError(read.message());
+    const std::span<const uint8_t> image = AsBytes(bytes);
     codec::FileHeader header;
     if (codec::DecodeFileHeader(image, wal::kWalMagic, &header)) {
       recovery.quant = header.quant;  // newest valid header wins
       recovery.next_seq = std::max(recovery.next_seq, header.seq);
     }
-    RecoverSegment(image, /*is_last=*/i + 1 == files.size(),
+    // Only the directory's final segment gets torn-tail truncation, so a
+    // bounded replay reads exactly what a full one reads of its segments.
+    RecoverSegment(image, /*is_last=*/file.index == files.back().index,
                    &recovery.checkpoints, &recovery.report);
+    if (replayed != nullptr) replayed->push_back(file);
   }
   for (const wal::WalCheckpoint& checkpoint : recovery.checkpoints) {
     if (checkpoint.seq != UINT64_MAX &&

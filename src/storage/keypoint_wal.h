@@ -29,8 +29,11 @@
 // to ack would forge the contract above. The process-level analogue of
 // "crash and recover" is: open a new KeyPointWal after running recovery.
 //
-// Recovery semantics (WalReader): segments replay in filename order,
-// records in offset order. Per segment:
+// Segment names, directory listing, whole-file reads, the write loop and
+// the directory fsync are the shared file layer (storage/file_io.h).
+//
+// Recovery semantics (WalReader): segments replay in index order, records
+// in offset order. Per segment:
 //   * unreadable/garbled segment header -> the whole segment is skipped
 //     (segments_bad_header; an empty file is clean, not an error);
 //   * a record whose CRC fails in the *last* segment -> torn tail: the log
@@ -66,6 +69,7 @@
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "storage/file_io.h"
 #include "storage/wal_format.h"
 #include "trajectory/point.h"
 
@@ -199,7 +203,6 @@ class KeyPointWal {
   Status FlushLocked() REQUIRES(mu_);
   /// fdatasync (kFsyncFail hook). Precondition: buffer already flushed.
   Status SyncLocked() REQUIRES(mu_);
-  Status WriteFully(const char* data, std::size_t size) REQUIRES(mu_);
   void MarkDeadLocked(const Status& cause) REQUIRES(mu_);
 
   const KeyPointWalOptions options_;
@@ -270,18 +273,17 @@ struct WalRecovery {
 };
 
 /// One "wal-NNNNNN.log" file found in a WAL directory.
-struct WalSegmentFile {
-  uint64_t index = 0;
-  std::string path;
-};
+using WalSegmentFile = NumberedFile;
 
-/// Segment files under `dir`, sorted by index. Foreign names are ignored
+/// Segment files under `dir`, sorted by index: ListNumberedFiles() over
+/// the "wal-" family (storage/file_io.h). Foreign names are ignored
 /// silently; two dirty-directory shapes are quarantined *deterministically*
 /// and reported through `ignored` (when non-null):
 ///   * stale "*.tmp" files — debris of a crashed atomic publication;
 ///   * duplicate segment indices ("wal-1.log" vs "wal-000001.log" both
-///     parse to 1): the lexicographically smallest path wins, the rest are
-///     ignored — replaying both would double every record in them.
+///     parse to 1): the canonical name wins, else the lexicographically
+///     smallest path; the rest are ignored — replaying both would double
+///     every record in them.
 /// NotFound when the directory does not exist.
 Result<std::vector<WalSegmentFile>> ListWalSegments(
     const std::string& dir, std::vector<std::string>* ignored = nullptr);
@@ -297,10 +299,17 @@ class WalReader {
                              std::vector<wal::WalCheckpoint>* out,
                              WalRecoveryReport* report);
 
-  /// Replays every segment under `dir` in filename order. IoError only for
+  /// Replays the segments under `dir` with index below
+  /// `max_segment_exclusive` (all of them by default), in index order, and
+  /// appends each one replayed to `replayed` when non-null. Only the
+  /// directory's final segment gets torn-tail truncation, whatever the
+  /// bound, so the compactor's bounded replay reads exactly what recovery
+  /// reads. NotFound when `dir` does not exist; IoError only for other
   /// environmental failures (unreadable directory or file); corruption is
   /// never an error — it is what the report is for.
-  static Result<WalRecovery> Recover(const std::string& dir);
+  static Result<WalRecovery> Recover(
+      const std::string& dir, uint64_t max_segment_exclusive = UINT64_MAX,
+      std::vector<WalSegmentFile>* replayed = nullptr);
 };
 
 }  // namespace bqs

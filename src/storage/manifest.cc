@@ -1,59 +1,6 @@
 #include "storage/manifest.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-
-#include "common/fault_injector.h"
-
 namespace bqs {
-
-namespace {
-
-/// errno -> status, with disk-full made classifiable: IsEnospc() keys on
-/// the "ENOSPC" prefix, which this is the only real-I/O source of.
-Status ErrnoError(const std::string& what) {
-  if (errno == ENOSPC) {
-    return Status::IoError("ENOSPC: " + what + ": " + std::strerror(errno));
-  }
-  return Status::IoError(what + ": " + std::strerror(errno));
-}
-
-Status InjectedEnospc(const std::string& what) {
-  return Status::IoError("ENOSPC (injected): " + what);
-}
-
-Status WriteFully(int fd, const char* data, std::size_t size,
-                  const std::string& what) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoError("write " + what);
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status FsyncDir(const std::string& dir) {
-  const int dirfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dirfd < 0) return ErrnoError("open dir " + dir);
-  if (::fsync(dirfd) != 0) {
-    const Status st = ErrnoError("fsync dir " + dir);
-    (void)::close(dirfd);
-    return st;
-  }
-  (void)::close(dirfd);
-  return Status::OK();
-}
-
-}  // namespace
 
 // --- codec ----------------------------------------------------------------
 
@@ -129,78 +76,7 @@ bool DecodeManifest(std::span<const uint8_t> bytes, Manifest* out) {
   return true;
 }
 
-// --- file naming ----------------------------------------------------------
-
-std::string BlockFileName(uint64_t file_id) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "blk-%06llu.bqb",
-                static_cast<unsigned long long>(file_id));
-  return buf;
-}
-
-std::string BlockTempFileName(uint64_t file_id) {
-  // WriteFileAtomic's temp naming (final + ".tmp"), so the quarantine scan
-  // for stale "*.tmp" covers crashed block publication too.
-  return BlockFileName(file_id) + ".tmp";
-}
-
-bool ParseBlockFileName(const std::string& name, uint64_t* file_id) {
-  constexpr std::string_view kPrefix = "blk-";
-  constexpr std::string_view kSuffix = ".bqb";
-  if (name.size() <= kPrefix.size() + kSuffix.size()) return false;
-  if (name.compare(0, kPrefix.size(), kPrefix) != 0) return false;
-  if (name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-      0) {
-    return false;
-  }
-  const std::string digits = name.substr(
-      kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
-  if (digits.empty() || digits.size() > 19) return false;  // > 19: overflow
-  uint64_t value = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *file_id = value;
-  return true;
-}
-
 // --- I/O ------------------------------------------------------------------
-
-Status WriteFileAtomic(const std::string& dir, const std::string& final_name,
-                       std::string_view bytes, FaultInjector* injector,
-                       const std::function<Status()>& crash_point) {
-  const std::string tmp_path = dir + "/" + final_name + ".tmp";
-  const std::string final_path = dir + "/" + final_name;
-
-  if (injector != nullptr &&
-      injector->ShouldFire(FaultSite::kEnospc)) {
-    return InjectedEnospc("write " + tmp_path);
-  }
-  const int fd = ::open(tmp_path.c_str(),
-                        O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
-  if (fd < 0) return ErrnoError("open " + tmp_path);
-  Status st = WriteFully(fd, bytes.data(), bytes.size(), tmp_path);
-  if (st.ok() && ::fsync(fd) != 0) st = ErrnoError("fsync " + tmp_path);
-  if (::close(fd) != 0 && st.ok()) st = ErrnoError("close " + tmp_path);
-  if (!st.ok()) return st;
-
-  if (crash_point) BQS_RETURN_NOT_OK(crash_point());  // temp durable
-
-  if (injector != nullptr &&
-      injector->ShouldFire(FaultSite::kRenameFail)) {
-    return Status::IoError("injected rename failure: " + tmp_path + " -> " +
-                           final_path);
-  }
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    return ErrnoError("rename " + tmp_path + " -> " + final_path);
-  }
-
-  if (crash_point) BQS_RETURN_NOT_OK(crash_point());  // renamed, dir not yet
-
-  BQS_RETURN_NOT_OK(FsyncDir(dir));
-  return Status::OK();
-}
 
 Status WriteManifest(const std::string& dir, const Manifest& manifest,
                      FaultInjector* injector,
@@ -214,27 +90,12 @@ Status WriteManifest(const std::string& dir, const Manifest& manifest,
 
 Status ReadManifest(const std::string& dir, Manifest* out) {
   const std::string path = dir + "/" + kManifestName;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("no manifest at " + path);
   std::string bytes;
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  if (size < 0) return Status::IoError("size " + path + " failed");
-  in.seekg(0, std::ios::beg);
-  bytes.resize(static_cast<std::size_t>(size));
-  if (size > 0 && !in.read(bytes.data(), size)) {
-    return Status::IoError("read " + path + " failed");
-  }
-  if (!DecodeManifest(
-          {reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size()},
-          out)) {
+  BQS_RETURN_NOT_OK(ReadFileBytes(path, &bytes));
+  if (!DecodeManifest(AsBytes(bytes), out)) {
     return Status::Corruption("manifest at " + path + " failed to decode");
   }
   return Status::OK();
-}
-
-bool IsEnospc(const Status& status) {
-  return !status.ok() && status.message().rfind("ENOSPC", 0) == 0;
 }
 
 }  // namespace bqs

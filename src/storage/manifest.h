@@ -1,6 +1,7 @@
 // The MANIFEST: the single versioned file that says which compacted block
 // files are live and how much of the WAL they cover. The header and frame
-// layouts are the shared storage codec (storage/codec.h).
+// layouts are the shared storage codec (storage/codec.h); reading, naming
+// and atomic publication are the shared file layer (storage/file_io.h).
 //
 // Layout ("MANIFEST" in the block directory): a codec file header (magic
 // 'BQMF', seq = last_applied_seq, count = the number of entries) followed
@@ -33,12 +34,12 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
 #include "storage/block_format.h"
 #include "storage/codec.h"
+#include "storage/file_io.h"
 
 namespace bqs {
 
@@ -93,32 +94,17 @@ struct Manifest {
 /// than none.
 bool DecodeManifest(std::span<const uint8_t> bytes, Manifest* out);
 
-// --- file naming ----------------------------------------------------------
+// --- files ----------------------------------------------------------------
 
 inline constexpr const char* kManifestName = "MANIFEST";
-inline constexpr const char* kManifestTempName = "MANIFEST.tmp";
 
-std::string BlockFileName(uint64_t file_id);      // "blk-%06llu.bqb"
-std::string BlockTempFileName(uint64_t file_id);  // "blk-%06llu.bqb.tmp"
+/// "blk-000001.bqb": the only name a manifest-referenced file id means.
+inline std::string BlockFileName(uint64_t file_id) {
+  return NumberedFileName(kBlockFiles, file_id);
+}
 
-/// Parses "blk-NNNNNN.bqb" into its id; false for every other name.
-bool ParseBlockFileName(const std::string& name, uint64_t* file_id);
-
-// --- I/O ------------------------------------------------------------------
-
-/// Writes `bytes` as `dir`/`final_name` atomically: write `final_name`.tmp,
-/// fsync it, rename over `final_name`, fsync the directory. Consults the
-/// fault injector's kEnospc site at the write/fsync and kRenameFail at the
-/// rename (both also map real ENOSPC errno to a status whose message
-/// starts with "ENOSPC", which is how the compactor classifies disk-full).
-/// `crash_point`, when set, is invoked after the temp file is durable and
-/// again after the rename — the compactor's crash gate aborts there to
-/// simulate dying between sub-steps.
-Status WriteFileAtomic(const std::string& dir, const std::string& final_name,
-                       std::string_view bytes, FaultInjector* injector,
-                       const std::function<Status()>& crash_point = {});
-
-/// Encodes and atomically publishes `manifest` as dir/MANIFEST.
+/// Encodes and atomically publishes `manifest` as dir/MANIFEST
+/// (WriteFileAtomic, with its fault sites and crash points).
 Status WriteManifest(const std::string& dir, const Manifest& manifest,
                      FaultInjector* injector = nullptr,
                      const std::function<Status()>& crash_point = {});
@@ -126,11 +112,6 @@ Status WriteManifest(const std::string& dir, const Manifest& manifest,
 /// Reads and decodes dir/MANIFEST. NotFound when the file does not exist,
 /// Corruption when it exists but fails DecodeManifest.
 Status ReadManifest(const std::string& dir, Manifest* out);
-
-/// True when a status smells like disk-full: statuses minted by this
-/// layer's I/O prefix "ENOSPC" onto errno==ENOSPC failures and injected
-/// kEnospc firings alike.
-bool IsEnospc(const Status& status);
 
 }  // namespace bqs
 

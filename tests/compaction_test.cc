@@ -200,7 +200,7 @@ TEST(CompactionTest, QuarantinesStaleTempAndOrphanBlocks) {
 
   std::filesystem::create_directories(block_dir);
   {
-    std::ofstream tmp(block_dir + "/" + BlockTempFileName(5),
+    std::ofstream tmp(block_dir + "/" + BlockFileName(5) + ".tmp",
                       std::ios::binary);
     tmp << "half-written block file";
     std::ofstream mtmp(block_dir + "/MANIFEST.tmp", std::ios::binary);
@@ -325,37 +325,91 @@ TEST(CompactionTest, CorruptManifestFallbackRecoversExactly) {
   EXPECT_FALSE(again.degraded());
 }
 
-TEST(WalSegmentListingTest, QuarantinesDuplicatesAndTempsDeterministically) {
-  const std::string dir = FreshDir("wal_dirty_dir");
-  std::filesystem::create_directories(dir);
-  const auto touch = [&](const std::string& name, const std::string& body) {
-    std::ofstream out(dir + "/" + name, std::ios::binary);
-    out << body;
-  };
-  touch("wal-000001.log", "a");
-  touch("wal-1.log", "duplicate of 1");  // same index, different spelling
-  touch("wal-000002.log", "b");
-  touch("wal-000002.log.tmp", "stale temp");
-  touch("notes.txt", "foreign");
-
-  for (int round = 0; round < 3; ++round) {  // deterministic across calls
-    std::vector<std::string> ignored;
-    Result<std::vector<WalSegmentFile>> listed = ListWalSegments(dir, &ignored);
-    ASSERT_TRUE(listed.ok());
-    ASSERT_EQ(listed.value().size(), 2u);
-    EXPECT_EQ(listed.value()[0].index, 1u);
-    // Lexicographically smallest path wins the duplicate index.
-    EXPECT_EQ(listed.value()[0].path, dir + "/wal-000001.log");
-    EXPECT_EQ(listed.value()[1].index, 2u);
-    std::sort(ignored.begin(), ignored.end());
-    ASSERT_EQ(ignored.size(), 2u);
-    EXPECT_EQ(ignored[0], dir + "/wal-000002.log.tmp");
-    EXPECT_EQ(ignored[1], dir + "/wal-1.log");
+/// A store of three acked checkpoints, all compacted into blk-000001.bqb
+/// (the WAL segments are deleted); returns the acked checkpoints.
+std::vector<wal::WalCheckpoint> BuildCompactedStore(
+    const std::string& wal_dir, const std::string& block_dir) {
+  KeyPointWalOptions wal_options;
+  wal_options.dir = wal_dir;
+  KeyPointWal wal(wal_options);
+  EXPECT_TRUE(wal.Open().ok());
+  for (int c = 0; c < 3; ++c) {
+    EXPECT_TRUE(wal.Append(1, MakeKeys(static_cast<uint64_t>(c) * 10, 4,
+                                       100.0 * c, 0.0, 0.0))
+                    .ok());
   }
-  // The no-out-param overload still dedupes (foreign/tmp just unreported).
-  Result<std::vector<WalSegmentFile>> listed = ListWalSegments(dir);
-  ASSERT_TRUE(listed.ok());
-  EXPECT_EQ(listed.value().size(), 2u);
+  EXPECT_TRUE(wal.Close().ok());
+  const std::vector<wal::WalCheckpoint> acked = AckedCheckpoints(wal_dir);
+  CompactionOptions options;
+  options.wal_dir = wal_dir;
+  options.block_dir = block_dir;
+  Compactor compactor(options);
+  EXPECT_TRUE(compactor.CompactOnce(UINT64_MAX).ok());
+  EXPECT_TRUE(std::filesystem::exists(block_dir + "/blk-000001.bqb"));
+  EXPECT_EQ(CountFiles(wal_dir, ".log"), 0u);
+  return acked;
+}
+
+TEST(StoreRecoveryTest, ReadsTheBlockFileTheManifestNames) {
+  // Other spellings of referenced id 1, sorting before and after the real
+  // file in whatever order the directory yields them.
+  for (const char* stray : {"blk-1.bqb", "blk-01.bqb", "blk-0000001.bqb"}) {
+    SCOPED_TRACE(stray);
+    const std::string wal_dir = FreshDir("recover_stray_wal");
+    const std::string block_dir = FreshDir("recover_stray_blk");
+    const std::vector<wal::WalCheckpoint> acked =
+        BuildCompactedStore(wal_dir, block_dir);
+    {
+      std::ofstream out(block_dir + "/" + stray, std::ios::binary);
+      out << "garbage that parses as block file 1 by name only";
+    }
+
+    Result<StoreRecovery> r = RecoverStore(wal_dir, block_dir);
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    const StoreRecoveryReport& report = r.value().report;
+    EXPECT_TRUE(report.clean());
+    EXPECT_EQ(report.block_files_unreadable, 0u);
+    EXPECT_EQ(report.block_files_read, 1u);
+    ExpectExactRecovery(wal_dir, block_dir, acked);
+
+    // The query path reads the same file.
+    Result<BlockStore> store = BlockStore::Open(block_dir);
+    ASSERT_TRUE(store.ok()) << store.status().message();
+    EXPECT_EQ(store.value().block_count(), 1u);
+
+    // The compactor keeps the stray (a spelling of a referenced id is not
+    // an orphan) and recovery stays exact after another run.
+    CompactionOptions options;
+    options.wal_dir = wal_dir;
+    options.block_dir = block_dir;
+    Compactor compactor(options);
+    ASSERT_TRUE(compactor.CompactOnce().ok());
+    EXPECT_EQ(compactor.stats().orphan_blocks_removed, 0u);
+    ExpectExactRecovery(wal_dir, block_dir, acked);
+  }
+}
+
+TEST(StoreRecoveryTest, ManifestlessFallbackDropsCopiedBlockFiles) {
+  const std::string wal_dir = FreshDir("recover_copy_wal");
+  const std::string block_dir = FreshDir("recover_copy_blk");
+  const std::vector<wal::WalCheckpoint> acked =
+      BuildCompactedStore(wal_dir, block_dir);
+  std::filesystem::copy_file(block_dir + "/blk-000001.bqb",
+                             block_dir + "/blk-2.bqb");
+  {
+    std::ofstream out(block_dir + "/MANIFEST",
+                      std::ios::binary | std::ios::trunc);
+    out << "garbage";
+  }
+
+  Result<StoreRecovery> r = RecoverStore(wal_dir, block_dir);
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  const StoreRecoveryReport& report = r.value().report;
+  EXPECT_TRUE(report.manifest_corrupt);
+  EXPECT_EQ(report.block_files_read, 2u);
+  EXPECT_EQ(report.checkpoints_from_blocks, acked.size());
+  EXPECT_EQ(report.duplicates_dropped, acked.size());  // the copy's
+  ExpectExactRecovery(wal_dir, block_dir, acked);
 }
 
 TEST(WalHealthTest, StatsReportCauseOfDeath) {

@@ -1,6 +1,6 @@
 // MANIFEST codec and atomic publication: round-trips, totality on
 // corrupted bytes (every truncation and every byte flip must reject —
-// never mis-decode), file naming, and the injected failure modes of
+// never mis-decode), and the injected failure modes of
 // WriteFileAtomic (ENOSPC classification, rename failure leaves the old
 // manifest intact).
 #include <cstdint>
@@ -100,21 +100,6 @@ TEST(ManifestCodecTest, EveryByteFlipRejects) {
     EXPECT_FALSE(DecodeManifest(AsBytes(corrupt), &decoded))
         << "flip at byte " << i << " decoded";
   }
-}
-
-TEST(ManifestCodecTest, BlockFileNaming) {
-  EXPECT_EQ(BlockFileName(1), "blk-000001.bqb");
-  EXPECT_EQ(BlockTempFileName(1), "blk-000001.bqb.tmp");
-  uint64_t id = 0;
-  EXPECT_TRUE(ParseBlockFileName("blk-000042.bqb", &id));
-  EXPECT_EQ(id, 42u);
-  EXPECT_TRUE(ParseBlockFileName("blk-7.bqb", &id));  // any digit count
-  EXPECT_EQ(id, 7u);
-  EXPECT_FALSE(ParseBlockFileName("blk-000042.bqb.tmp", &id));
-  EXPECT_FALSE(ParseBlockFileName("blk-.bqb", &id));
-  EXPECT_FALSE(ParseBlockFileName("blk-12x.bqb", &id));
-  EXPECT_FALSE(ParseBlockFileName("wal-000001.log", &id));
-  EXPECT_FALSE(ParseBlockFileName("MANIFEST", &id));
 }
 
 TEST(ManifestIoTest, WriteReadRoundTripAndNotFound) {

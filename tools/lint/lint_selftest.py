@@ -316,24 +316,48 @@ class LintHarness(unittest.TestCase):
     def test_storage_layer_may_do_file_io(self):
         self.write("src/storage/keypoint_wal.cc",
                    "#include <filesystem>\n"
-                   "#include <fstream>\n"
                    "void f(int fd) { fdatasync(fd); }\n"
-                   'std::ifstream in("wal-000001.log");\n')
+                   'int g() { return ::open("wal-000001.log", 0); }\n')
         code, out = self.lint()
         self.assertEqual(code, 0, out)
 
     def test_compaction_files_may_do_file_io(self):
         # The compaction pipeline lives under src/storage/ and is covered
-        # by the layer prefix, not by per-file pins: atomic publication
-        # needs the full fstream/filesystem/fsync vocabulary.
+        # by the layer prefix, not by per-file pins: descriptors, fsync and
+        # std::filesystem stay open to every storage file.
         self.write("src/storage/compaction.cc",
                    "#include <filesystem>\n"
-                   "#include <fstream>\n"
-                   'std::ifstream in("blk-000001.bqb");\n')
+                   "void Drop() { std::filesystem::remove(\"x\"); }\n")
         self.write("src/storage/manifest.cc",
+                   "void Publish(int fd) { fsync(fd); }\n")
+        code, out = self.lint()
+        self.assertEqual(code, 0, out)
+
+    def test_file_handling_in_storage_outside_file_layer_fails(self):
+        # Streams, directory descriptors and renames have one home inside
+        # the storage layer; a second copy is what let the WAL, manifest
+        # and compactor each grow their own rules.
+        self.write("src/storage/manifest.cc",
+                   "#include <cstdio>\n"
+                   "int Publish() { return ::rename(\"a.tmp\", \"a\"); }\n")
+        code, out = self.lint()
+        self.assertEqual(code, 1, out)
+        self.assertIn("file-io-containment", out)
+        self.assertIn("src/storage/manifest.cc:2", out)
+        for line in ('std::ifstream in("wal-000001.log");\n',
+                     "int d = ::open(dir, O_RDONLY | O_DIRECTORY);\n"):
+            self.write("src/storage/manifest.cc", "int x = 0;\n")
+            self.write("src/storage/keypoint_wal.cc", line)
+            code, out = self.lint()
+            self.assertEqual(code, 1, out)
+            self.assertIn("src/storage/keypoint_wal.cc:1", out)
+
+    def test_file_layer_may_stream_rename_and_open_dirs(self):
+        self.write("src/storage/file_io.cc",
                    "#include <fstream>\n"
-                   "void Publish(int fd) { fsync(fd); }\n"
-                   'std::ofstream tmp("MANIFEST.tmp");\n')
+                   'std::ofstream out("MANIFEST.tmp");\n'
+                   "int d = ::open(dir, O_RDONLY | O_DIRECTORY);\n"
+                   'int r = ::rename("MANIFEST.tmp", "MANIFEST");\n')
         code, out = self.lint()
         self.assertEqual(code, 0, out)
 

@@ -64,6 +64,10 @@ cannot see:
       are pinned in FILE_IO_ALLOWLIST: csv_io.cc (the documented CSV
       import/export boundary) and eval/table.cc (report emission, not
       state). Tests/benches/fuzzers live outside src/ and may do I/O.
+      Inside src/storage, whole-file streams, directory descriptors and
+      renames belong to the one file layer (FILE_IO_HOME,
+      storage/file_io.cc): those are the tokens whose private copies in
+      the WAL, the manifest and the compactor each grew their own rules.
 
   intrinsics-containment
       The SIMD dispatch layer (common/simd.h) promises the rest of the
@@ -155,6 +159,8 @@ FAULT_INJECTION_ALLOWLIST = {
     "src/service/fleet_engine.cc",
     "src/storage/compaction.h",
     "src/storage/compaction.cc",
+    "src/storage/file_io.h",
+    "src/storage/file_io.cc",
     "src/storage/keypoint_wal.h",
     "src/storage/keypoint_wal.cc",
     "src/storage/manifest.h",
@@ -184,6 +190,11 @@ FILE_IO_LAYER_PREFIX = "src/storage/"
 FILE_IO_TOKEN_RE = re.compile(
     r"\b(?:std::(?:o|i)?fstream|std::filesystem|fopen|freopen|fsync"
     r"|fdatasync)\b|::(?:open|creat|write|pwrite)\s*\(")
+# Within the storage layer, only the shared file layer may stream whole
+# files, open directories or rename.
+FILE_IO_HOME = "src/storage/file_io.cc"
+STORAGE_FILE_IO_TOKEN_RE = re.compile(
+    r"\bstd::(?:o|i)?fstream\b|\bO_DIRECTORY\b|::rename\s*\(")
 
 # The only src/ files that may touch x86 SIMD intrinsics: the two kernel
 # tiers behind the runtime-dispatch table in common/simd.h.
@@ -488,13 +499,23 @@ def check_oracle_hook_containment(files, violations):
 
 def check_file_io_containment(files, violations):
     for src in files:
-        if (src.relpath in FILE_IO_ALLOWLIST
-                or src.relpath.startswith(FILE_IO_LAYER_PREFIX)):
+        if src.relpath in FILE_IO_ALLOWLIST or src.relpath == FILE_IO_HOME:
             continue
+        in_storage = src.relpath.startswith(FILE_IO_LAYER_PREFIX)
+        token_re = STORAGE_FILE_IO_TOKEN_RE if in_storage else FILE_IO_TOKEN_RE
         for idx, code in enumerate(src.code_lines):
-            if not FILE_IO_TOKEN_RE.search(code):
+            if not token_re.search(code):
                 continue
             raw = src.raw_lines[idx] if idx < len(src.raw_lines) else code
+            if in_storage:
+                violations.append(
+                    ("file-io-containment", src.relpath, idx + 1,
+                     f"file handling outside the storage file layer: "
+                     f"'{raw.strip()}' — inside src/storage only "
+                     f"{FILE_IO_HOME} may use std::ifstream/std::ofstream, "
+                     "O_DIRECTORY or ::rename(; call ReadFileBytes, FsyncDir "
+                     "or WriteFileAtomic from storage/file_io.h instead"))
+                continue
             violations.append(
                 ("file-io-containment", src.relpath, idx + 1,
                  f"file I/O outside the storage layer: '{raw.strip()}' — "
