@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <map>
+#include <ranges>
 #include <set>
 #include <system_error>
 #include <utility>
@@ -515,39 +516,13 @@ Result<StoreRecovery> RecoverStore(const std::string& wal_dir,
 
 // --- range queries --------------------------------------------------------
 
-BlockStore::BlockStore(Manifest manifest, double cell_size)
-    : manifest_(std::move(manifest)), grid_(cell_size) {}
-
 Result<BlockStore> BlockStore::Open(const std::string& block_dir) {
   Manifest manifest;
   BQS_RETURN_NOT_OK(ReadManifest(block_dir, &manifest));
 
-  // Size the grid cells to the typical block footprint so a query sweeps
-  // O(1) cells per intersecting block; the inflate radius makes the
-  // center-point index conservative (a block is findable from anywhere
-  // within half its diagonal of its center).
-  const double cq = manifest.quant.coord_quantum;
-  double max_half_diag = 0.0;
-  double extent_sum = 0.0;
-  std::size_t count = 0;
-  for (const ManifestBlockFile& file : manifest.files) {
-    for (const ManifestBlockEntry& entry : file.blocks) {
-      const double w =
-          static_cast<double>(entry.meta.qx_max - entry.meta.qx_min) * cq;
-      const double h =
-          static_cast<double>(entry.meta.qy_max - entry.meta.qy_min) * cq;
-      max_half_diag = std::max(max_half_diag, 0.5 * std::hypot(w, h));
-      extent_sum += std::max(w, h);
-      ++count;
-    }
-  }
-  const double cell =
-      count == 0 ? 500.0 : std::max(extent_sum / static_cast<double>(count),
-                                    std::max(cq, 1e-6));
-
-  BlockStore store(std::move(manifest), cell);
-  store.inflate_ = max_half_diag;
-  store.blocks_.reserve(count);
+  BlockStore store(std::move(manifest));
+  const double cq = store.manifest_.quant.coord_quantum;
+  const double tq = store.manifest_.quant.time_quantum;
   std::string bytes;
   std::vector<wal::WalCheckpoint> decoded;
   for (const ManifestBlockFile& file : store.manifest_.files) {
@@ -559,7 +534,7 @@ Result<BlockStore> BlockStore::Open(const std::string& block_dir) {
     }
     for (std::size_t b = 0; b < file.blocks.size(); ++b) {
       const blk::BlockMeta& m = file.blocks[b].meta;
-      BlockRef ref{m, store.point_count_, 0, read};
+      BlockRef ref{store.point_count_, 0, true, read};
       if (read.ok()) {
         ref.status =
             DecodeReferencedBlock(AsBytes(bytes), path, file, b, &decoded);
@@ -572,15 +547,21 @@ Result<BlockStore> BlockStore::Open(const std::string& block_dir) {
               store.chunks_.push_back(
                   std::make_unique<KeyPoint[]>(kChunkPoints));
             }
-            store.chunks_.back()[i % kChunkPoints] =
-                wal::Dequantize(p, store.manifest_.quant);
+            KeyPoint& key = store.chunks_.back()[i % kChunkPoints];
+            key = wal::Dequantize(p, store.manifest_.quant);
+            if (i > ref.begin && key.point.t < store.At(i - 1).point.t) {
+              ref.time_sorted = false;
+            }
           }
         }
       }
       ref.end = store.point_count_;
-      const Vec2 center(0.5 * static_cast<double>(m.qx_min + m.qx_max) * cq,
-                        0.5 * static_cast<double>(m.qy_min + m.qy_max) * cq);
-      store.grid_.Insert(store.blocks_.size(), center);
+      store.bounds_.push_back({static_cast<double>(m.qt_min) * tq,
+                               static_cast<double>(m.qt_max) * tq,
+                               static_cast<double>(m.qx_min) * cq,
+                               static_cast<double>(m.qx_max) * cq,
+                               static_cast<double>(m.qy_min) * cq,
+                               static_cast<double>(m.qy_max) * cq});
       store.blocks_.push_back(std::move(ref));
     }
   }
@@ -603,42 +584,40 @@ Status BlockStore::Query(Vec2 center, double radius, double t_min,
     return Status::InvalidArgument("range query radius must be >= 0");
   }
 
-  std::vector<uint64_t> candidates = grid_.Query(center, radius + inflate_);
-  std::sort(candidates.begin(), candidates.end());  // deterministic order
-  s->grid_candidates = candidates.size();
-
-  const double cq = manifest_.quant.coord_quantum;
-  const double tq = manifest_.quant.time_quantum;
   const double radius_sq = radius * radius;
-
-  for (const uint64_t id : candidates) {
-    const BlockRef& ref = blocks_[static_cast<std::size_t>(id)];
-    const blk::BlockMeta& m = ref.meta;
-    // Exact prune: circle vs dequantized bbox, plus time-span overlap.
-    const double t0 = static_cast<double>(m.qt_min) * tq;
-    const double t1 = static_cast<double>(m.qt_max) * tq;
-    const double rx0 = static_cast<double>(m.qx_min) * cq;
-    const double rx1 = static_cast<double>(m.qx_max) * cq;
-    const double ry0 = static_cast<double>(m.qy_min) * cq;
-    const double ry1 = static_cast<double>(m.qy_max) * cq;
-    const double dx =
-        std::max({rx0 - center.x, center.x - rx1, 0.0});
-    const double dy =
-        std::max({ry0 - center.y, center.y - ry1, 0.0});
-    if (t1 < t_min || t0 > t_max || dx * dx + dy * dy > radius_sq) {
+  for (std::size_t b = 0; b < bounds_.size(); ++b) {
+    const BlockBounds& box = bounds_[b];
+    if (box.t1 < t_min || box.t0 > t_max) continue;
+    ++s->grid_candidates;
+    // Exact prune: circle vs dequantized bbox.
+    const double dx = std::max({box.x0 - center.x, center.x - box.x1, 0.0});
+    const double dy = std::max({box.y0 - center.y, center.y - box.y1, 0.0});
+    if (dx * dx + dy * dy > radius_sq) {
       ++s->blocks_pruned;
       continue;
     }
+    const BlockRef& ref = blocks_[b];
     if (!ref.status.ok()) return ref.status;
 
     ++s->blocks_decoded;
-    s->points_scanned += ref.end - ref.begin;
+    std::size_t i = ref.begin;
+    std::size_t end = ref.end;
+    if (ref.time_sorted) {
+      // Only [first t >= t_min, first t > t_max) can match.
+      i = *std::ranges::partition_point(
+          std::views::iota(ref.begin, ref.end),
+          [&](std::size_t k) { return At(k).point.t < t_min; });
+      end = *std::ranges::partition_point(
+          std::views::iota(i, ref.end),
+          [&](std::size_t k) { return At(k).point.t <= t_max; });
+    }
+    s->points_scanned += end - i;
     // Chunk by chunk, so the inner loop is a plain array scan (indexing
     // every point through the chunk table was ~15% slower per query).
-    for (std::size_t i = ref.begin; i < ref.end;) {
+    while (i < end) {
       const KeyPoint* chunk = chunks_[i / kChunkPoints].get();
       const std::size_t stop =
-          std::min(ref.end, (i / kChunkPoints + 1) * kChunkPoints);
+          std::min(end, (i / kChunkPoints + 1) * kChunkPoints);
       for (; i < stop; ++i) {
         const KeyPoint& key = chunk[i % kChunkPoints];
         if (key.point.t < t_min || key.point.t > t_max) continue;

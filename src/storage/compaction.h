@@ -50,13 +50,13 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/backoff.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "geometry/vec2.h"
-#include "storage/grid_index.h"
 #include "storage/keypoint_wal.h"
 #include "storage/manifest.h"
 #include "trajectory/point.h"
@@ -197,41 +197,49 @@ Result<StoreRecovery> RecoverStore(const std::string& wal_dir,
 
 struct RangeQueryStats {
   uint64_t blocks_total = 0;      ///< Live blocks in the store.
-  uint64_t grid_candidates = 0;   ///< Survived the grid-index sweep.
-  uint64_t blocks_pruned = 0;     ///< Rejected by exact bbox/time test.
+  uint64_t grid_candidates = 0;   ///< Blocks whose time span overlaps the
+                                  ///< window.
+  uint64_t blocks_pruned = 0;     ///< Candidates the circle-vs-bbox test
+                                  ///< rejects: pruned + decoded ==
+                                  ///< grid_candidates.
   uint64_t blocks_decoded = 0;    ///< Surviving blocks whose points were
                                   ///< scanned.
-  uint64_t points_scanned = 0;    ///< Points inside those blocks.
+  uint64_t points_scanned = 0;    ///< Points examined in those blocks: a
+                                  ///< time-sorted block's window slice, an
+                                  ///< unsorted block's every point.
   uint64_t points_returned = 0;
 };
 
 /// Read-only view over a published block directory: answers
 /// spatio-temporal range queries off the compressed blocks, scanning only
-/// the ones whose bounding box can intersect the query.
+/// the ones whose time span and bounding box can intersect the query.
 ///
 /// Open() reads every referenced block file once and verifies each block
 /// the way recovery does (frame CRC, the paranoid payload decode, and the
 /// manifest-metadata cross-check), then keeps the dequantized key points
-/// in memory — O(store bytes) to open, 32 B held per stored key point.
-/// Queries touch only memory: no file I/O, no CRC, no allocation per
-/// block. A block that fails to load does not fail Open(); its error
-/// (IoError for an unreadable file, Corruption for a short or damaged
-/// block) is returned by every query that cannot prune it, while queries
-/// that prune it still answer.
+/// in memory — O(store bytes) to open, 48 B (sizeof(KeyPoint)) held per
+/// stored key point. Queries touch only memory: no file I/O, no CRC, no
+/// allocation per block. A block that fails to load does not fail Open();
+/// its error (IoError for an unreadable file, Corruption for a short or
+/// damaged block) is returned by every query that cannot prune it, while
+/// queries that prune it still answer.
 ///
-/// Pruning is two-staged: a GridIndex over block-bbox centers (queried
-/// with the radius inflated by the largest block half-diagonal, so it can
-/// never miss an intersecting block) narrows to candidates, then the
-/// exact circle-vs-bbox + time-span test decides what to scan. Returned
-/// key points are dequantized; each is within quantum/2 per axis (so
-/// within coord_quantum·√2/2 in the plane) of what the compressor
-/// emitted, and results inherit the combined eps + coord_quantum·√2/2
-/// error bound end to end.
+/// A query is one pass over the blocks' dequantized bounds in block-id
+/// (manifest) order: the time-span overlap test, then the exact
+/// circle-vs-bbox test, decide what to scan. Within a block whose
+/// timestamps never decrease, binary search narrows the scan to the
+/// points inside [t_min, t_max]; any other block (FleetRecord promises
+/// stream order, not time order) is scanned in full. Results come in
+/// block order, each block's points in stored order. Returned key points
+/// are dequantized; each is within quantum/2 per axis (so within
+/// coord_quantum·√2/2 in the plane) of what the compressor emitted, and
+/// results inherit the combined eps + coord_quantum·√2/2 error bound end
+/// to end.
 class BlockStore {
  public:
-  /// Reads the MANIFEST and every block it references, and builds the
-  /// pruning index. NotFound when no manifest exists, Corruption when it
-  /// fails to decode; damaged blocks are reported per query instead.
+  /// Reads the MANIFEST and every block it references. NotFound when no
+  /// manifest exists, Corruption when it fails to decode; damaged blocks
+  /// are reported per query instead.
   static Result<BlockStore> Open(const std::string& block_dir);
 
   /// Appends key points within `radius` of `center` (Euclidean) whose
@@ -246,29 +254,38 @@ class BlockStore {
   uint64_t last_applied_seq() const { return manifest_.last_applied_seq; }
 
  private:
+  /// A block's metadata dequantized once at Open: seconds and metres.
+  struct BlockBounds {
+    double t0, t1, x0, x1, y0, y1;
+  };
   struct BlockRef {
-    blk::BlockMeta meta;
     std::size_t begin = 0;  ///< The block's key points: [begin, end).
     std::size_t end = 0;
+    bool time_sorted = true;  ///< Timestamps never decrease in [begin, end).
     Status status;  ///< Why the block could not be loaded; OK when it was.
   };
 
-  BlockStore(Manifest manifest, double cell_size);
+  explicit BlockStore(Manifest manifest) : manifest_(std::move(manifest)) {}
+
+  const KeyPoint& At(std::size_t i) const {
+    return chunks_[i / kChunkPoints][i % kChunkPoints];
+  }
 
   Manifest manifest_;
+  std::vector<BlockBounds> bounds_;  ///< Parallel to blocks_; the filter.
   std::vector<BlockRef> blocks_;
   /// Every loaded block's key points, in order, in fixed-size chunks:
-  /// point i is chunks_[i / kChunkPoints][i % kChunkPoints], and only the
-  /// last chunk has unused room. A chunk stays below malloc's mmap
-  /// threshold, so reopening a store reuses the chunks the last one
-  /// freed. One array of the whole store would be mmapped instead, and
-  /// freeing it raises glibc's dynamic mmap and trim thresholds, after
-  /// which the heap keeps that much freed memory resident.
-  static constexpr std::size_t kChunkPoints = 2048;  // 64 KiB
+  /// point i is At(i), and only the last chunk has unused room. A chunk
+  /// stays below malloc's mmap threshold, so reopening a store reuses the
+  /// chunks the last one freed. One array of the whole store would be
+  /// mmapped instead, and freeing it raises glibc's dynamic mmap and trim
+  /// thresholds, after which the heap keeps that much freed memory
+  /// resident.
+  static constexpr std::size_t kChunkPoints = 2048;  // 96 KiB
+  static_assert(kChunkPoints * sizeof(KeyPoint) < 128 * 1024,
+                "a chunk must stay below glibc's default mmap threshold");
   std::vector<std::unique_ptr<KeyPoint[]>> chunks_;
   std::size_t point_count_ = 0;
-  GridIndex grid_;       ///< id = index into blocks_, pos = bbox center.
-  double inflate_ = 0.0; ///< Largest block half-diagonal, metres.
 };
 
 }  // namespace bqs

@@ -570,36 +570,43 @@ void BuildMultiFileStore(const std::string& wal_dir,
   ASSERT_TRUE(compactor.CompactOnce().ok());
 }
 
-/// Every point of a store, dequantized, as recovery reconstructs it.
-std::vector<KeyPoint> RecoveredPoints(const std::string& wal_dir,
-                                      const std::string& block_dir) {
+/// Every point of a store, dequantized as recovery reconstructs it, in
+/// the order a query returns its hits: block by block in manifest order,
+/// each block's checkpoints by seq (a block is one device's run of whole
+/// checkpoints, so its meta names them).
+std::vector<KeyPoint> StoredPoints(const std::string& wal_dir,
+                                   const std::string& block_dir) {
   Result<StoreRecovery> r = RecoverStore(wal_dir, block_dir);
   EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.value().report.clean());
+  const WalRecovery& recovered = r.value().wal;
+  Manifest manifest;
+  EXPECT_TRUE(ReadManifest(block_dir, &manifest).ok());
   std::vector<KeyPoint> points;
-  for (const wal::WalCheckpoint& c : r.value().wal.checkpoints) {
-    for (const wal::WalPoint& p : c.points) {
-      points.push_back(wal::Dequantize(p, r.value().wal.quant));
+  for (const ManifestBlockFile& file : manifest.files) {
+    for (const ManifestBlockEntry& entry : file.blocks) {
+      const blk::BlockMeta& m = entry.meta;
+      for (const wal::WalCheckpoint& c : recovered.checkpoints) {
+        if (c.device != m.device || c.seq < m.first_seq ||
+            c.seq > m.last_seq) {
+          continue;
+        }
+        for (const wal::WalPoint& p : c.points) {
+          points.push_back(wal::Dequantize(p, recovered.quant));
+        }
+      }
     }
   }
+  std::size_t total = 0;
+  for (const wal::WalCheckpoint& c : recovered.checkpoints) {
+    total += c.points.size();
+  }
+  EXPECT_EQ(points.size(), total) << "every point lives in one block";
   return points;
 }
 
-void SortKeys(std::vector<KeyPoint>* keys) {
-  std::sort(keys->begin(), keys->end(),
-            [](const KeyPoint& a, const KeyPoint& b) {
-              if (a.point.t != b.point.t) return a.point.t < b.point.t;
-              if (a.point.pos.x != b.point.pos.x) {
-                return a.point.pos.x < b.point.pos.x;
-              }
-              if (a.point.pos.y != b.point.pos.y) {
-                return a.point.pos.y < b.point.pos.y;
-              }
-              return a.index < b.index;
-            });
-}
-
-/// The brute-force answer, filtered exactly as BlockStore::Query filters.
+/// The brute-force answer, filtered exactly as BlockStore::Query filters
+/// and kept in `all`'s order.
 std::vector<KeyPoint> ScanAll(const std::vector<KeyPoint>& all, Vec2 center,
                               double radius, double t_min, double t_max) {
   std::vector<KeyPoint> hits;
@@ -608,11 +615,11 @@ std::vector<KeyPoint> ScanAll(const std::vector<KeyPoint>& all, Vec2 center,
     if (DistanceSq(k.point.pos, center) > radius * radius) continue;
     hits.push_back(k);
   }
-  SortKeys(&hits);
   return hits;
 }
 
-/// Runs one query, checks it against the brute-force scan and returns the
+/// Runs one query, checks it against the brute-force scan over
+/// StoredPoints() — same points, same order, unsorted — and returns the
 /// number of points it found.
 std::size_t ExpectQueryExact(const BlockStore& store,
                              const std::vector<KeyPoint>& all, Vec2 center,
@@ -621,11 +628,16 @@ std::size_t ExpectQueryExact(const BlockStore& store,
   std::vector<KeyPoint> got;
   const Status st = store.Query(center, radius, t_min, t_max, &got, stats);
   EXPECT_TRUE(st.ok()) << st.ToString();
-  SortKeys(&got);
   EXPECT_EQ(got, ScanAll(all, center, radius, t_min, t_max))
       << "center (" << center.x << ", " << center.y << ") radius " << radius
       << " t [" << t_min << ", " << t_max << "]";
   return got.size();
+}
+
+double LatestTime(const std::vector<KeyPoint>& all) {
+  double t = all.front().point.t;
+  for (const KeyPoint& k : all) t = std::max(t, k.point.t);
+  return t;
 }
 
 TEST(BlockStoreTest, MultiFileQueriesMatchBruteForce) {
@@ -634,14 +646,14 @@ TEST(BlockStoreTest, MultiFileQueriesMatchBruteForce) {
   // 41-point blocks, 2952 points: blocks straddle the store's 2048-point
   // allocation chunks.
   BuildMultiFileStore(wal_dir, block_dir, 3, 41);
-  const std::vector<KeyPoint> all = RecoveredPoints(wal_dir, block_dir);
+  const std::vector<KeyPoint> all = StoredPoints(wal_dir, block_dir);
   ASSERT_GT(all.size(), 2048u);
 
   Result<BlockStore> opened = BlockStore::Open(block_dir);
   ASSERT_TRUE(opened.ok()) << opened.status().message();
   const BlockStore& store = opened.value();
   ASSERT_GE(store.manifest().files.size(), 3u);
-  const double t_end = all.back().point.t;
+  const double t_end = LatestTime(all);
 
   Rng rng(0xd1ff);
   const auto last = static_cast<int64_t>(all.size()) - 1;
@@ -694,11 +706,97 @@ TEST(BlockStoreTest, MultiFileQueriesMatchBruteForce) {
   EXPECT_EQ(never.points_returned, 0u);
 }
 
+TEST(BlockStoreTest, UnsortedBlocksAndBoundaryTimesMatchBruteForce) {
+  const std::string wal_dir = FreshDir("blockstore_unsorted_wal");
+  const std::string block_dir = FreshDir("blockstore_unsorted_blk");
+  // One block per device, each device in its own corner of the plane:
+  // device 1 goes back in time inside a checkpoint, device 2 repeats
+  // timestamps, device 3 is sorted within each checkpoint but its second
+  // checkpoint starts before its first ends.
+  const std::vector<std::vector<double>> times = {
+      {100, 90, 95, 80, 120, 110},
+      {0, 10, 10, 10, 20, 30, 30, 40},
+      {200, 210, 220, 230},
+      {150, 160, 170},
+  };
+  const DeviceId devices[] = {1, 2, 3, 3};
+  KeyPointWalOptions wal_options;
+  wal_options.dir = wal_dir;
+  KeyPointWal wal(wal_options);
+  ASSERT_TRUE(wal.Open().ok());
+  uint64_t index = 0;
+  for (std::size_t c = 0; c < times.size(); ++c) {
+    const double corner = 10000.0 * static_cast<double>(devices[c]);
+    std::vector<KeyPoint> keys;
+    for (const double t : times[c]) {
+      KeyPoint k;
+      k.index = index++;
+      k.point.t = t;
+      k.point.pos = {corner + 7.0 * static_cast<double>(keys.size()),
+                     -corner};
+      keys.push_back(k);
+    }
+    ASSERT_TRUE(wal.Append(devices[c], keys).ok());
+  }
+  ASSERT_TRUE(wal.Close().ok());
+  CompactionOptions options;
+  options.wal_dir = wal_dir;
+  options.block_dir = block_dir;
+  Compactor compactor(options);
+  ASSERT_TRUE(compactor.CompactOnce().ok());
+
+  const std::vector<KeyPoint> all = StoredPoints(wal_dir, block_dir);
+  Result<BlockStore> opened = BlockStore::Open(block_dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const BlockStore& store = opened.value();
+  ASSERT_EQ(store.block_count(), 3u);
+
+  // Every window whose ends are stored times (or just past them), over
+  // the whole plane and over each device's corner.
+  std::vector<double> ends;
+  for (const KeyPoint& k : all) {
+    ends.push_back(k.point.t);
+    ends.push_back(k.point.t + 0.5);
+  }
+  std::vector<Vec2> centers = {{20000, -20000}};
+  for (const double d : {1.0, 2.0, 3.0}) {
+    centers.push_back({10000.0 * d, -10000.0 * d});
+  }
+  for (const Vec2 center : centers) {
+    const double radius = center == centers[0] ? 1e5 : 100.0;
+    for (const double t_min : ends) {
+      for (const double t_max : ends) {
+        ExpectQueryExact(store, all, center, radius, t_min, t_max);
+      }
+    }
+  }
+
+  // Only device 1's block, a window holding one point: the unsorted block
+  // is scanned in full. Device 2's sorted block scans just the window,
+  // duplicates included.
+  RangeQueryStats unsorted;
+  EXPECT_EQ(ExpectQueryExact(store, all, centers[1], 100.0, 95, 95,
+                             &unsorted),
+            1u);
+  EXPECT_EQ(unsorted.blocks_decoded, 1u);
+  EXPECT_EQ(unsorted.points_scanned, times[0].size());
+  RangeQueryStats sorted;
+  EXPECT_EQ(ExpectQueryExact(store, all, centers[2], 100.0, 10, 10, &sorted),
+            3u);
+  EXPECT_EQ(sorted.blocks_decoded, 1u);
+  EXPECT_EQ(sorted.points_scanned, 3u);
+  RangeQueryStats crossed;
+  EXPECT_EQ(ExpectQueryExact(store, all, centers[3], 100.0, 160, 210,
+                             &crossed),
+            4u);
+  EXPECT_EQ(crossed.points_scanned, times[2].size() + times[3].size());
+}
+
 TEST(BlockStoreTest, DamagedBlocksFailOnlyTheQueriesThatReachThem) {
   const std::string wal_dir = FreshDir("blockstore_damaged_wal");
   const std::string block_dir = FreshDir("blockstore_damaged_blk");
   BuildMultiFileStore(wal_dir, block_dir, 3);
-  const std::vector<KeyPoint> all = RecoveredPoints(wal_dir, block_dir);
+  const std::vector<KeyPoint> all = StoredPoints(wal_dir, block_dir);
   Manifest manifest;
   ASSERT_TRUE(ReadManifest(block_dir, &manifest).ok());
   ASSERT_GE(manifest.files.size(), 3u);
@@ -708,7 +806,7 @@ TEST(BlockStoreTest, DamagedBlocksFailOnlyTheQueriesThatReachThem) {
     return Vec2{0.5 * static_cast<double>(m.qx_min + m.qx_max) * cq,
                 0.5 * static_cast<double>(m.qy_min + m.qy_max) * cq};
   };
-  const double t_end = all.back().point.t;
+  const double t_end = LatestTime(all);
   // Queries that prune the damaged blocks answer exactly, and not emptily.
   const auto expect_answered = [&](const BlockStore& bs, Vec2 center,
                                    double radius, double t_min, double t_max) {
