@@ -17,9 +17,10 @@
 //             power, also deterministic for the seeded workload.
 //
 // The run FAILS (exit 1) if recovery is not bit-exact or any block query
-// disagrees with the brute-force reference. Latency is reported for
-// trend-watching; check_perf gates only the machine-independent fields
-// (exactness, density, decoded fraction, workload identity).
+// disagrees with the brute-force reference: the same points, in the same
+// (block) order. Latency is reported for trend-watching; check_perf gates
+// only the machine-independent fields (exactness, density, decoded
+// fraction, workload identity).
 //
 // Usage: bench_compaction [scale | --scale S] [--out PATH] [--dir PATH]
 #include <algorithm>
@@ -34,6 +35,7 @@
 
 #include "bench_common.h"
 #include "common/rng.h"
+#include "storage/block_format.h"
 #include "storage/compaction.h"
 #include "storage/keypoint_wal.h"
 #include "storage/manifest.h"
@@ -124,6 +126,38 @@ uint64_t DirBytes(const std::string& dir) {
   std::fprintf(stderr, "bench_compaction: %s: %s\n", what,
                st.ToString().c_str());
   std::exit(2);
+}
+
+/// Every stored point, dequantized, in MANIFEST block order (a block's
+/// checkpoints in seq order): the order BlockStore::Query returns its hits
+/// in. Exits if a recovered point lies in no block.
+std::vector<KeyPoint> PointsInBlockOrder(const Manifest& manifest,
+                                         const WalRecovery& recovered) {
+  std::vector<KeyPoint> points;
+  std::size_t total = 0;
+  for (const wal::WalCheckpoint& cp : recovered.checkpoints) {
+    total += cp.points.size();
+  }
+  points.reserve(total);
+  for (const ManifestBlockFile& file : manifest.files) {
+    for (const ManifestBlockEntry& entry : file.blocks) {
+      const blk::BlockMeta& m = entry.meta;
+      for (const wal::WalCheckpoint& cp : recovered.checkpoints) {
+        if (cp.device != m.device || cp.seq < m.first_seq ||
+            cp.seq > m.last_seq) {
+          continue;
+        }
+        for (const wal::WalPoint& p : cp.points) {
+          points.push_back(wal::Dequantize(p, manifest.quant));
+        }
+      }
+    }
+  }
+  if (points.size() != total) {
+    Die("brute-force reference",
+        Status::Internal("recovered points outside every block"));
+  }
+  return points;
 }
 
 }  // namespace
@@ -229,16 +263,11 @@ int main(int argc, char** argv) {
   Result<BlockStore> opened = BlockStore::Open(block_dir);
   if (!opened.ok()) Die("block store open", opened.status());
   const BlockStore& store = opened.value();
-  const wal::WalQuantization quant = store.manifest().quant;
 
-  // The brute-force reference: every point, dequantized, in memory.
-  std::vector<KeyPoint> all_points;
-  all_points.reserve(workload.total_points);
-  for (const wal::WalCheckpoint& cp : recovered.value().wal.checkpoints) {
-    for (const wal::WalPoint& p : cp.points) {
-      all_points.push_back(wal::Dequantize(p, quant));
-    }
-  }
+  // The brute-force reference: every point, dequantized, in memory, in the
+  // order a block query returns them.
+  const std::vector<KeyPoint> all_points =
+      PointsInBlockOrder(store.manifest(), recovered.value().wal);
 
   Rng qrng(0x9e3779b9u);
   const auto query_count = static_cast<std::size_t>(64.0 * scale) + 8;
@@ -271,16 +300,16 @@ int main(int argc, char** argv) {
             : 0.0;
 
     const auto fs_begin = std::chrono::steady_clock::now();
-    std::size_t expected = 0;
+    std::vector<KeyPoint> expected;
     for (const KeyPoint& k : all_points) {
       if (k.point.t >= t_lo && k.point.t <= t_hi &&
           DistanceSq(k.point.pos, center) <= radius * radius) {
-        ++expected;
+        expected.push_back(k);
       }
     }
     scan_query_s += Seconds(fs_begin, std::chrono::steady_clock::now());
-    total_hits += expected;
-    if (from_blocks.size() != expected) queries_match = false;
+    total_hits += expected.size();
+    if (from_blocks != expected) queries_match = false;
   }
   const double avg_decoded_fraction =
       decoded_fraction_sum / static_cast<double>(query_count);

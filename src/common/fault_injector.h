@@ -74,8 +74,9 @@ enum class FaultSite : uint8_t {
   /// pipeline at every transition in turn.
   kCompactionCrashAt,
   /// The atomic rename (block or manifest publication) reports failure.
-  /// Retried under the backoff policy; persistent failure degrades the
-  /// compactor, never the WAL ingest path.
+  /// Retried immediately, up to kCompactionAttempts tries per step; a
+  /// rename that keeps failing fails the compaction run (the WAL keeps its
+  /// checkpoints), never the WAL ingest path.
   kRenameFail,
   /// A write/fsync reports ENOSPC (disk full). In the WAL this trips the
   /// fsync gate (fail-stop); in the compactor it is retried and then

@@ -12,6 +12,15 @@ namespace bqs {
 
 namespace {
 
+/// Token-bucket capacity of a kShedByDevice device, in seconds of its
+/// admission rate: twice the rate is one second of burst on top of steady
+/// state. The capacity never drops below one record.
+constexpr double kDeviceBurstSeconds = 2.0;
+
+/// Eps-ladder hysteresis: a degraded session steps one rung back down once
+/// its shard's usage drops below this fraction of the shard budget.
+constexpr double kRecoverHeadroom = 0.5;
+
 /// splitmix64 finalizer: device ids are often sequential, so shard
 /// assignment needs a real mixer, not `id % shards`.
 uint64_t MixDeviceId(DeviceId device) {
@@ -62,8 +71,8 @@ FleetEngine::FleetEngine(const FleetEngineOptions& options, FleetSink& sink)
   shedding_ = !inline_ && options_.overload.policy != OverloadPolicy::kBlock;
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>(
-        sink_, options_.block_capacity, options_.max_pending_blocks));
+    shards_.push_back(std::make_unique<Shard>(options_.block_capacity,
+                                              options_.max_pending_blocks));
   }
   if (!inline_) {
     for (auto& shard : shards_) {
@@ -232,8 +241,7 @@ void FleetEngine::SealForIngest(
 bool FleetEngine::CompactByDevice(Shard& shard) {
   RecordBlock& block = *shard.filling;
   const double rate = options_.overload.device_rate_per_second;
-  double burst = options_.overload.device_burst;
-  if (burst <= 0.0) burst = std::max(rate * 2.0, 1.0);
+  const double burst = std::max(rate * kDeviceBurstSeconds, 1.0);
   const uint64_t seed = options_.overload.shed_seed;
   std::vector<TrackPoint>& points = block.points;
   shard.run_scratch.clear();
@@ -401,7 +409,7 @@ FleetStats FleetEngine::Stats() {
     }
     const FleetStats& c = shard.counters;
     total.records_ingested += c.records_ingested;
-    total.key_points_emitted += shard.sink.emitted();
+    total.key_points_emitted += c.key_points_emitted;
     total.sessions_opened += c.sessions_opened;
     total.sessions_finished += c.sessions_finished;
     total.sessions_evicted += c.sessions_evicted;
@@ -579,9 +587,10 @@ void FleetEngine::DispatchGroups(Shard& shard) {
 void FleetEngine::DispatchRun(Shard& shard, DeviceId device,
                               std::span<const TrackPoint> points) {
   Session& session = SessionFor(shard, device);
-  shard.sink.set_device(device);
-  shard.sink.set_stage(options_.wal != nullptr ? &session.staged : nullptr);
-  session.compressor->PushBatchTo(points, shard.sink);
+  std::vector<KeyPoint>& keys = EmitBuffer(shard, session);
+  const std::size_t from = keys.size();
+  session.compressor->PushBatch(points, &keys);
+  ForwardKeyPoints(shard, device, keys, from);
   ++shard.counters.coalesced_runs;
   shard.counters.records_ingested += points.size();
   shard.counters.max_device_backlog =
@@ -653,11 +662,26 @@ void FleetEngine::AfterRun(Shard& shard, Session& session, DeviceId device,
   if (session.eps_level > 0 &&
       shard.state_bytes + shard.pool_bytes <
           static_cast<std::size_t>(
-              options_.overload.recover_headroom *
-              static_cast<double>(per_shard_budget_))) {
+              kRecoverHeadroom * static_cast<double>(per_shard_budget_))) {
     ReseatSession(shard, device, session, session.eps_level - 1);
   }
   EnforceBudget(shard);
+}
+
+std::vector<KeyPoint>& FleetEngine::EmitBuffer(Shard& shard,
+                                               Session& session) {
+  if (options_.wal != nullptr) return session.staged;
+  shard.emit_scratch.clear();
+  return shard.emit_scratch;
+}
+
+void FleetEngine::ForwardKeyPoints(Shard& shard, DeviceId device,
+                                   const std::vector<KeyPoint>& keys,
+                                   std::size_t from) {
+  for (std::size_t i = from; i < keys.size(); ++i) {
+    sink_.OnKeyPoint(device, keys[i]);
+  }
+  shard.counters.key_points_emitted += keys.size() - from;
 }
 
 void FleetEngine::NoteStreamTime(Shard& shard, double t) {
@@ -671,14 +695,14 @@ void FleetEngine::CloseSession(Shard& shard, DeviceId device,
                                SessionEndReason reason) {
   auto it = shard.sessions.find(device);
   Session& session = it->second;
-  shard.sink.set_device(device);
-  shard.sink.set_stage(options_.wal != nullptr ? &session.staged : nullptr);
-  session.compressor->FinishTo(shard.sink);
+  std::vector<KeyPoint>& keys = EmitBuffer(shard, session);
+  const std::size_t from = keys.size();
+  session.compressor->Finish(&keys);
+  ForwardKeyPoints(shard, device, keys, from);
   // The closing key points are staged now: make the whole session durable
   // before it disappears. Every close reason takes this path, so finish,
   // idle sweep and memory eviction all checkpoint.
   CheckpointSession(shard, device, session);
-  shard.sink.set_stage(nullptr);  // the staging buffer dies with `session`
   if (const DecisionStats* stats = session.compressor->decision_stats()) {
     AccumulateDecisionStats(shard.counters.decisions, *stats);
   }
@@ -795,9 +819,10 @@ void FleetEngine::ReseatSession(Shard& shard, DeviceId device,
   // guarantee; the stream then continues on a compressor minted at the
   // new rung's epsilon. The old compressor is destroyed outright — this
   // is the step that actually returns heap to the budget.
-  shard.sink.set_device(device);
-  shard.sink.set_stage(options_.wal != nullptr ? &session.staged : nullptr);
-  session.compressor->FinishTo(shard.sink);
+  std::vector<KeyPoint>& keys = EmitBuffer(shard, session);
+  const std::size_t from = keys.size();
+  session.compressor->Finish(&keys);
+  ForwardKeyPoints(shard, device, keys, from);
   // A reseat closes the compressed segment under the old bound — a
   // durability edge like any close: checkpoint what the old compressor
   // emitted before the stream continues under the new epsilon.

@@ -20,9 +20,12 @@
 //        │  bounded SPSC ring per shard, edge-triggered condvar wakes,
 //        │  backpressure when max_pending_blocks behind
 //        ▼
-//   shard worker: for each run, one PushBatchTo straight from block
+//   shard worker: for each run, one PushBatch straight from block
 //   memory into the compressor's SoA fast path — no per-record replay,
-//   no second copy, no steady-state allocation.
+//   no second copy, no steady-state allocation. The compressor appends
+//   its key points to the session's WAL staging buffer (or a reused
+//   scratch vector without a WAL), and the new tail goes to the
+//   FleetSink in order.
 //
 // Inline mode (the single-shard shortcut): num_shards <= 1 bypasses
 // threads and queues entirely and compresses on the caller thread inside
@@ -418,31 +421,6 @@ class FleetEngine {
     std::vector<KeyPoint> staged;
   };
 
-  /// KeyPointSink forwarding to the FleetSink under the device id currently
-  /// being processed; also counts emissions for FleetStats.
-  class ShardSink final : public KeyPointSink {
-   public:
-    explicit ShardSink(FleetSink& fleet) : fleet_(fleet) {}
-    void set_device(DeviceId device) { device_ = device; }
-    /// WAL staging buffer of the session being dispatched (nullptr = no
-    /// WAL). Rebound alongside set_device at every dispatch — the pointer
-    /// is only valid for the duration of one compressor call, since the
-    /// session table may rehash between dispatches.
-    void set_stage(std::vector<KeyPoint>* stage) { stage_ = stage; }
-    uint64_t emitted() const { return emitted_; }
-    void Emit(const KeyPoint& key) override {
-      ++emitted_;
-      if (stage_ != nullptr) stage_->push_back(key);
-      fleet_.OnKeyPoint(device_, key);
-    }
-
-   private:
-    FleetSink& fleet_;
-    DeviceId device_ = 0;
-    std::vector<KeyPoint>* stage_ = nullptr;
-    uint64_t emitted_ = 0;
-  };
-
   /// One shard: the producer-side routing state, the SPSC handoff, and the
   /// worker-owned session table.
   ///
@@ -458,9 +436,8 @@ class FleetEngine {
   ///    protocol, stated to the compiler. In inline mode there is no
   ///    worker and the caller holds both roles.
   struct Shard {
-    Shard(FleetSink& fleet, std::size_t block_capacity,
-          std::size_t ring_depth)
-        : ring(ring_depth), arena(block_capacity, ring_depth), sink(fleet) {}
+    Shard(std::size_t block_capacity, std::size_t ring_depth)
+        : ring(ring_depth), arena(block_capacity, ring_depth) {}
 
     /// Capability of the single API-caller (routing) thread.
     ThreadRole producer_role;
@@ -524,7 +501,9 @@ class FleetEngine {
     /// unique, the activity clock is monotone). Maintained only under a
     /// memory budget; gives O(log S) LRU eviction instead of an O(S) scan.
     std::map<uint64_t, DeviceId> lru GUARDED_BY(worker_role);
-    ShardSink sink GUARDED_BY(worker_role);
+    /// Where compressors append key points when no WAL is set (with one,
+    /// they append straight into Session::staged); reused across calls.
+    std::vector<KeyPoint> emit_scratch GUARDED_BY(worker_role);
     /// Bulk-close staging.
     std::vector<DeviceId> device_scratch GUARDED_BY(worker_role);
     uint64_t activity_clock GUARDED_BY(worker_role) = 0;
@@ -609,6 +588,17 @@ class FleetEngine {
   void AfterRun(Shard& shard, Session& session, DeviceId device,
                 double last_t) REQUIRES(shard.worker_role);
   void NoteStreamTime(Shard& shard, double t) REQUIRES(shard.worker_role);
+  /// The vector a compressor call on `session` appends its key points to:
+  /// the session's WAL staging buffer, or (no WAL) the shard's emptied
+  /// scratch. Valid for one compressor call: the session table may rehash
+  /// between calls.
+  std::vector<KeyPoint>& EmitBuffer(Shard& shard, Session& session)
+      REQUIRES(shard.worker_role);
+  /// Hands `keys[from..]`, what the last compressor call appended, to the
+  /// FleetSink in order and counts them.
+  void ForwardKeyPoints(Shard& shard, DeviceId device,
+                        const std::vector<KeyPoint>& keys, std::size_t from)
+      REQUIRES(shard.worker_role);
   void CloseSession(Shard& shard, DeviceId device, SessionEndReason reason)
       REQUIRES(shard.worker_role);
   /// Appends `session`'s staged key points to the WAL as one checkpoint

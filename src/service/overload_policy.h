@@ -34,9 +34,9 @@
 // (closing the current compressed segment under the old bound, then
 // continuing the stream on a compressor minted at the widened epsilon)
 // before it resorts to evicting sessions outright; sessions step back down
-// when usage clears `recover_headroom`. Every emitted point still honors
-// the bound of the compressor that produced it, which the engine reports
-// through FleetSink::OnErrorBoundChanged.
+// when usage drops below half the shard budget. Every emitted point still
+// honors the bound of the compressor that produced it, which the engine
+// reports through FleetSink::OnErrorBoundChanged.
 #ifndef BQS_SERVICE_OVERLOAD_POLICY_H_
 #define BQS_SERVICE_OVERLOAD_POLICY_H_
 
@@ -78,25 +78,21 @@ struct OverloadOptions {
   /// Per-device admission rate for kShedByDevice, in records per second of
   /// *stream time* (the t field of the records themselves, so decisions
   /// replay identically regardless of wall-clock speed). 0 disables rate
-  /// accounting, making kShedByDevice behave like kShedNewest.
+  /// accounting, making kShedByDevice behave like kShedNewest. A device's
+  /// token bucket holds max(2 * rate, 1) records: one second of burst on
+  /// top of steady state.
   double device_rate_per_second = 0.0;
-
-  /// Token-bucket capacity, records. 0 picks a default of twice the
-  /// configured rate (one second of burst on top of steady state).
-  double device_burst = 0.0;
 
   /// Eps-coarsening ladder: epsilon multipliers applied in order as memory
   /// pressure mounts (e.g. {2.0, 4.0} = degrade 1x -> 2x -> 4x). Empty
   /// disables degradation (budget pressure evicts, as before). Requires
   /// memory_budget_bytes > 0 to ever engage. Degraded sessions produce
   /// output that differs from the sequential reference — byte-identity is
-  /// guaranteed only for configurations that never degrade.
+  /// guaranteed only for configurations that never degrade. A degraded
+  /// session steps one rung back down (at a block boundary, when it next
+  /// receives records) once its shard's usage drops below half the shard
+  /// budget.
   std::vector<double> eps_ladder;
-
-  /// Hysteresis for recovery: a degraded session steps one ladder rung
-  /// back down (at a block boundary, when it next receives records) once
-  /// its shard's usage drops below this fraction of the shard budget.
-  double recover_headroom = 0.5;
 };
 
 /// splitmix64 — the repo-standard mixer (same constants as the device

@@ -10,7 +10,7 @@
 //    handoff, writing each record's TrackPoint directly into the block and
 //    coalescing consecutive same-device records into a DeviceRun as it
 //    goes. The worker dispatches each run's contiguous points straight
-//    into StreamCompressor::PushBatchTo — no second copy, no per-record
+//    into StreamCompressor::PushBatch — no second copy, no per-record
 //    replay.
 //  - Blocks recycle through a BlockArena: the worker returns a processed
 //    block over a lock-free SPSC ring and the producer reuses it, heap

@@ -132,25 +132,20 @@ Status Compactor::CompactOnceLocked(uint64_t max_segment_exclusive) {
   FaultInjector* const injector = options_.fault_injector;
   CrashGate gate;
   gate.injector = injector;
-  // Seeded per run so every run replays its own schedule: the sweep can
-  // re-execute run k and see identical retry timing.
-  Backoff backoff(options_.backoff,
-                  options_.backoff_seed + stats_.runs_started,
-                  options_.sleep, options_.sleep_ctx);
   ++stats_.runs_started;
 
-  // Every I/O step goes through here: bounded deterministic retries, a
-  // crashed gate short-circuits re-attempts (a dead process retries
-  // nothing), and retry counts exclude crash-aborted steps.
+  // Every I/O step goes through here: up to kCompactionAttempts tries, back
+  // to back (the steps are idempotent). A crashed gate short-circuits
+  // re-attempts (a dead process retries nothing), and retry counts exclude
+  // crash-aborted steps.
   const auto step = [&](auto&& op) -> Status {
-    const uint64_t before = backoff.attempts();
-    const Status st = backoff.Run([&]() -> Status {
-      if (gate.crashed) return gate.status;
-      return op();
-    });
-    if (!gate.crashed && backoff.attempts() > before) {
-      stats_.io_retries += backoff.attempts() - before - 1;
-    }
+    Status st;
+    uint32_t attempts = 0;
+    do {
+      st = gate.crashed ? gate.status : op();
+      ++attempts;
+    } while (!st.ok() && attempts < kCompactionAttempts);
+    if (!gate.crashed) stats_.io_retries += attempts - 1;
     return st;
   };
   const auto fail = [&](const Status& st) -> Status {

@@ -33,12 +33,14 @@
 // (FaultSite::kCompactionCrashAt, param = transition index) and at every
 // MANIFEST byte-truncation offset and asserts exactly that.
 //
-// Every I/O step runs under the deterministic retry/backoff policy
-// (common/backoff.h). Transient failures retry; persistent ENOSPC
-// (classified by file_io.h's IsEnospc) flips the compactor into degraded
-// mode: CompactOnce becomes a fast no-op error, the WAL keeps ingesting,
-// and FleetEngine surfaces storage_healthy=false — degrade-and-continue,
-// never fail ingest. ResetDegraded() re-arms once space is back.
+// Every I/O step is tried up to kCompactionAttempts times, back to back
+// with no delay: the steps are idempotent, and an attempt count (never a
+// clock) bounds the loop, so a fault schedule replays exactly. Transient
+// failures retry; persistent ENOSPC (classified by file_io.h's IsEnospc)
+// flips the compactor into degraded mode: CompactOnce becomes a fast no-op
+// error, the WAL keeps ingesting, and FleetEngine surfaces
+// storage_healthy=false — degrade-and-continue, never fail ingest.
+// ResetDegraded() re-arms once space is back.
 //
 // Threading: CompactOnce/stats are serialized by an internal mutex; the
 // engine drives compaction from its checkpoint barrier, one run at a
@@ -53,7 +55,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/backoff.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "geometry/vec2.h"
@@ -64,6 +65,10 @@
 namespace bqs {
 
 class FaultInjector;  // common/fault_injector.h (test harness; see lint)
+
+/// Tries per compaction I/O step, including the first; a step still
+/// failing after the last one fails the run.
+inline constexpr uint32_t kCompactionAttempts = 4;
 
 struct CompactionOptions {
   /// The WAL directory to drain (KeyPointWalOptions::dir).
@@ -76,12 +81,6 @@ struct CompactionOptions {
   /// checkpoints — one oversized checkpoint makes one oversized block).
   /// Smaller blocks prune better; larger ones delta-code denser.
   std::size_t max_points_per_block = 4096;
-
-  /// Retry discipline for every I/O step, seeded so schedules replay.
-  BackoffPolicy backoff;
-  uint64_t backoff_seed = 0xb4c0ffULL;
-  BackoffSleepFn sleep = nullptr;  ///< Null: retry without sleeping.
-  void* sleep_ctx = nullptr;
 
   /// Deterministic fault injection for tests; nullptr in production.
   /// Sites consulted: kCompactionCrashAt (param = transition index),
@@ -104,7 +103,7 @@ struct CompactionStats {
   uint64_t block_bytes_written = 0;
   uint64_t orphan_tmp_removed = 0;
   uint64_t orphan_blocks_removed = 0;
-  uint64_t io_retries = 0;      ///< Backoff attempts beyond the first.
+  uint64_t io_retries = 0;      ///< Step attempts beyond the first.
   uint64_t enospc_events = 0;   ///< Steps that exhausted retries on ENOSPC.
   StatusCode last_error_code = StatusCode::kOk;
   std::string last_error;

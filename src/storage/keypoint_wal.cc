@@ -14,6 +14,16 @@
 
 namespace bqs {
 
+namespace {
+
+/// kNone: user-space buffer size that triggers a flush.
+constexpr std::size_t kBufferBytes = std::size_t{64} << 10;
+
+/// kGroupCommit: unsynced record bytes that trigger an fdatasync.
+constexpr std::size_t kGroupCommitBytes = std::size_t{256} << 10;
+
+}  // namespace
+
 // --- writer ---------------------------------------------------------------
 
 KeyPointWal::KeyPointWal(const KeyPointWalOptions& options)
@@ -105,7 +115,7 @@ Status KeyPointWal::AppendLocked(DeviceId device,
 
   switch (options_.durability) {
     case WalDurability::kNone:
-      if (buffer_.size() >= options_.buffer_bytes) {
+      if (buffer_.size() >= kBufferBytes) {
         BQS_RETURN_NOT_OK(FlushLocked());
       }
       break;
@@ -118,7 +128,7 @@ Status KeyPointWal::AppendLocked(DeviceId device,
       break;
     case WalDurability::kGroupCommit: {
       BQS_RETURN_NOT_OK(FlushLocked());
-      bool due = unsynced_bytes_ >= options_.group_commit_bytes;
+      bool due = unsynced_bytes_ >= kGroupCommitBytes;
       if (!due && options_.group_commit_interval_ms >= 0.0) {
         const auto elapsed =
             std::chrono::steady_clock::now() - last_sync_;

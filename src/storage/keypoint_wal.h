@@ -3,22 +3,24 @@
 //
 // The compressors throw away most of the input by design; the key points
 // they *keep* are the only copy of the trajectory. A process crash between
-// "compressor emitted the point" and "TrajectoryStore persisted it" loses
-// paper-precious data. KeyPointWal closes that window: sessions append
-// checkpoints (batches of emitted key points) to an append-only segmented
-// log, and after a crash WalReader::Recover() replays every checkpoint
-// that was acked — or says exactly what was lost, and why.
+// "compressor emitted the point" and "the compactor drained it into a
+// BlockStore file" (storage/compaction.h) loses paper-precious data.
+// KeyPointWal closes that window: sessions append checkpoints (batches of
+// emitted key points) to an append-only segmented log, and after a crash
+// WalReader::Recover() replays every checkpoint that was acked — or says
+// exactly what was lost, and why.
 //
 // Ack contract. Append() returning OK means the checkpoint is durable *to
 // the level the configured WalDurability promises*:
 //
-//   kNone             in the writer's user-space buffer only; a process
-//                     crash can lose it (cheapest; for tests and bulk jobs)
+//   kNone             in the writer's user-space buffer only, flushed once
+//                     64 KiB accumulate; a process crash can lose it
+//                     (cheapest; for tests and bulk jobs)
 //   kFlushEveryBatch  handed to the OS (write(2)); survives a process
 //                     crash, not a machine crash
 //   kFsyncEveryBatch  fdatasync'd; survives power loss (the full contract)
 //   kGroupCommit      handed to the OS immediately, fdatasync'd when
-//                     group_commit_bytes accumulate or
+//                     256 KiB of unsynced records accumulate or
 //                     group_commit_interval_ms elapse — amortized
 //                     durability with a bounded exposure window
 //
@@ -79,10 +81,10 @@ class FaultInjector;  // common/fault_injector.h (test harness; see lint)
 
 /// How much durability an OK Append() promises. See the file comment.
 enum class WalDurability : uint8_t {
-  kNone,            ///< Buffered in user space; flushed at buffer_bytes.
+  kNone,            ///< Buffered in user space; flushed at 64 KiB.
   kFlushEveryBatch, ///< write(2) per append; survives process crash.
   kFsyncEveryBatch, ///< fdatasync per append; survives power loss.
-  kGroupCommit,     ///< write(2) per append; fdatasync by bytes/time.
+  kGroupCommit,     ///< write(2) per append; fdatasync at 256 KiB/time.
 };
 
 struct KeyPointWalOptions {
@@ -101,12 +103,9 @@ struct KeyPointWalOptions {
   /// the boundary before it).
   std::size_t segment_bytes = std::size_t{4} << 20;
 
-  /// kNone only: user-space buffer size that triggers a flush.
-  std::size_t buffer_bytes = std::size_t{64} << 10;
-
-  /// kGroupCommit: fdatasync once this many unsynced bytes accumulate...
-  std::size_t group_commit_bytes = std::size_t{256} << 10;
-  /// ...or this much wall time has passed since the last sync.
+  /// kGroupCommit: fdatasync once 256 KiB of unsynced records accumulate,
+  /// or once this much wall time has passed since the last sync (negative:
+  /// by bytes only).
   double group_commit_interval_ms = 50.0;
 
   /// Deterministic fault injection for tests; nullptr in production. Sites

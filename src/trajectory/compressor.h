@@ -7,12 +7,10 @@
 // the stream (closing the open segment). Consecutive emitted key points are
 // exactly the paper's compressed segments.
 //
-// Two emission paths exist side by side: the vector path (append to a
-// caller-owned std::vector<KeyPoint>, the original API every algorithm
-// implements) and the sink path (forward each newly-final key point to a
-// KeyPointSink), which is what the service layer's session multiplexer
-// consumes. The sink path is a thin adapter over the vector path, so both
-// are guaranteed to produce identical key points in identical order.
+// Key points leave a compressor one way: appended, in stream order, to a
+// caller-owned std::vector<KeyPoint>. A caller that forwards them further
+// (the service layer's session multiplexer hands each to its FleetSink)
+// reads the tail a call appended.
 #ifndef BQS_TRAJECTORY_COMPRESSOR_H_
 #define BQS_TRAJECTORY_COMPRESSOR_H_
 
@@ -27,29 +25,6 @@
 namespace bqs {
 
 struct DecisionStats;  // core/decision_stats.h; trajectory stays below core.
-
-/// Receives key points as they become final. Implementations decide what a
-/// key point means downstream (append to storage, serialize to a socket,
-/// fan into a per-device queue); the compressor guarantees calls arrive in
-/// stream order.
-class KeyPointSink {
- public:
-  virtual ~KeyPointSink() = default;
-
-  /// One newly-final key point. Must not re-enter the emitting compressor.
-  virtual void Emit(const KeyPoint& key) = 0;
-};
-
-/// KeyPointSink that appends into a caller-owned vector; bridges sink-based
-/// plumbing back to the vector world (tests, adapters).
-class VectorSink final : public KeyPointSink {
- public:
-  explicit VectorSink(std::vector<KeyPoint>* out) : out_(out) {}
-  void Emit(const KeyPoint& key) override { out_->push_back(key); }
-
- private:
-  std::vector<KeyPoint>* out_;
-};
 
 /// Capacity hint for a stream's compressed output. Streams the paper
 /// evaluates compress to ~2-10% of the input, so reserving n/8 (+ slack for
@@ -81,16 +56,6 @@ class StreamCompressor {
   /// Ends the stream; appends the closing key point(s) to *out.
   virtual void Finish(std::vector<KeyPoint>* out) = 0;
 
-  /// Sink-based emission path: same protocol, forwarding each newly-final
-  /// key point to `sink` instead of a vector. Runs through a reused scratch
-  /// buffer, so output is identical to the vector path by construction.
-  /// (Named distinctly from Push/Finish on purpose: overloads would be
-  /// hidden by the derived classes' vector-path overrides, making the sink
-  /// path uncallable on concrete compressor types.)
-  void PushTo(const TrackPoint& pt, KeyPointSink& sink);
-  void PushBatchTo(std::span<const TrackPoint> points, KeyPointSink& sink);
-  void FinishTo(KeyPointSink& sink);
-
   /// Restores the freshly-constructed state.
   virtual void Reset() = 0;
 
@@ -111,17 +76,12 @@ class StreamCompressor {
   /// emits (its configured epsilon, in the configured metric); 0 when the
   /// implementation makes no such guarantee. This is the reporting half of
   /// runtime eps widening: a session manager under memory pressure may end
-  /// the stream at a segment boundary (FinishTo) and continue the same
+  /// the stream at a segment boundary (Finish) and continue the same
   /// device stream on a compressor minted at a scaled epsilon — each
   /// emitted segment honors the bound of the compressor that produced it,
   /// so the stream-wide guarantee is the maximum ErrorBound() reported
   /// over the stream's lifetime, which the manager surfaces to its sink.
   virtual double ErrorBound() const { return 0.0; }
-
- private:
-  /// Scratch for the sink adapters; reused so steady-state sink emission
-  /// does not allocate.
-  std::vector<KeyPoint> sink_scratch_;
 };
 
 /// Batch compressor (offline algorithms; also used to re-compress stored

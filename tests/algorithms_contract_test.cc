@@ -116,32 +116,30 @@ TEST(ResetEquivalenceTest, ResetMidStreamDiscardsAllState) {
   }
 }
 
-// --- Sink emission path ----------------------------------------------------
+// --- Emission ----------------------------------------------------------------
 
-TEST(SinkPathTest, SinkEmissionMirrorsVectorEmission) {
+TEST(EmissionTest, SinglePushesThenBatchMatchCompressAll) {
   const Trajectory stream = testing_util::JaggedWalk(95, 2000);
   for (const AlgorithmId id : StreamingAlgorithms()) {
-    auto vector_path = MakeStreamCompressor(ConfigFor(id));
-    const CompressedTrajectory expected = CompressAll(*vector_path, stream);
+    auto reference = MakeStreamCompressor(ConfigFor(id));
+    const CompressedTrajectory expected = CompressAll(*reference, stream);
 
-    auto sink_path = MakeStreamCompressor(ConfigFor(id));
-    sink_path->Reset();
+    auto mixed = MakeStreamCompressor(ConfigFor(id));
+    mixed->Reset();
     std::vector<KeyPoint> got;
-    VectorSink sink(&got);
-    // Mixed single-point and batched pushes through the sink adapter.
+    // Single-point pushes for the first half, one batch for the rest.
     const std::size_t half = stream.size() / 2;
-    for (std::size_t i = 0; i < half; ++i) sink_path->PushTo(stream[i], sink);
-    sink_path->PushBatchTo(
-        std::span<const TrackPoint>(stream.data() + half,
-                                    stream.size() - half),
-        sink);
-    sink_path->FinishTo(sink);
+    for (std::size_t i = 0; i < half; ++i) mixed->Push(stream[i], &got);
+    mixed->PushBatch(std::span<const TrackPoint>(stream.data() + half,
+                                                 stream.size() - half),
+                     &got);
+    mixed->Finish(&got);
     EXPECT_EQ(got, expected.keys)
-        << AlgorithmName(id) << ": sink path diverges from vector path";
+        << AlgorithmName(id) << ": mixed pushes diverge from CompressAll";
   }
 }
 
-TEST(SinkPathTest, CompressedSizeHintIsPositiveAndSublinear) {
+TEST(EmissionTest, CompressedSizeHintIsPositiveAndSublinear) {
   EXPECT_GE(CompressedSizeHint(0), 2u);
   EXPECT_GE(CompressedSizeHint(1), 2u);
   EXPECT_EQ(CompressedSizeHint(80), 12u);

@@ -247,8 +247,9 @@ TEST(CompactionTest, PersistentEnospcDegradesAndResetRecovers) {
     EXPECT_EQ(stats.runs_failed, 1u);
     EXPECT_EQ(stats.enospc_events, 1u);
     EXPECT_EQ(stats.last_error_code, StatusCode::kIoError);
-    // Exhausted the whole retry budget before degrading.
-    EXPECT_EQ(stats.io_retries, options.backoff.max_attempts - 1);
+    // Exhausted the whole retry budget before degrading: 3 retries after
+    // the first try (kCompactionAttempts = 4).
+    EXPECT_EQ(stats.io_retries, 3u);
   }
   // Degrade-and-continue: the WAL is untouched, recovery still exact, and
   // further runs are fast no-op errors that do not touch disk.
@@ -266,7 +267,7 @@ TEST(CompactionTest, PersistentEnospcDegradesAndResetRecovers) {
   ExpectExactRecovery(wal_dir, block_dir, acked);
 }
 
-TEST(CompactionTest, RenameFailuresRetryUnderBackoffAndSucceed) {
+TEST(CompactionTest, RenameFailuresRetryAndSucceed) {
   const std::string wal_dir = FreshDir("compact_rename_wal");
   const std::string block_dir = FreshDir("compact_rename_blk");
   BuildWal(wal_dir);

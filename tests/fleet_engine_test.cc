@@ -626,7 +626,8 @@ TEST(FleetEngineTest, EvictedDeviceReappearsWithByteIdenticalSessions) {
             (std::vector<SessionEndReason>{SessionEndReason::kEvicted,
                                            SessionEndReason::kFinished}));
   // Session 1 closed with its full compressed output (eviction finalizes
-  // through the same FinishTo path), session 2 compressed from scratch.
+  // through the same Finish path as FinishAll), session 2 compressed from
+  // scratch.
   auto reference = MakeStreamCompressor(config);
   std::vector<KeyPoint> expected = CompressAll(*reference, first).keys;
   reference->Reset();

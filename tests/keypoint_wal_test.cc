@@ -5,11 +5,13 @@
 // per-point quantized round trip through recovery.
 #include "storage/keypoint_wal.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -593,67 +595,163 @@ class KeyCollectSink final : public FleetSink {
   std::map<DeviceId, std::vector<KeyPoint>> keys_;
 };
 
+/// The lifecycle edge a KeyPointWalFleetTest run drives its sessions
+/// through; each reaches a different place the engine emits key points.
+enum class SessionClose {
+  kFinishAll,     ///< FinishAll closes every session.
+  kFinishDevice,  ///< FinishDevice per device, then a drain.
+  kIdleTimeout,   ///< Devices one after another; stale sessions idle out.
+  kEviction,      ///< A budget below two sessions evicts LRU sessions.
+  kEpsReseat,     ///< A budget plus an eps ladder reseats sessions.
+};
+
+const char* SessionCloseName(SessionClose close) {
+  switch (close) {
+    case SessionClose::kFinishAll: return "finish_all";
+    case SessionClose::kFinishDevice: return "finish_device";
+    case SessionClose::kIdleTimeout: return "idle_timeout";
+    case SessionClose::kEviction: return "eviction";
+    case SessionClose::kEpsReseat: return "eps_reseat";
+  }
+  return "?";
+}
+
+/// Runs `fleet` through an engine with a WAL, closing sessions the
+/// `close` way, and checks that the WAL replay equals the FleetSink output
+/// after wal::Quantize, per device and in order. `sequential` is the feed
+/// the idle-timeout variant ingests.
+void ExpectWalReplaysSinkOutput(const FleetDataset& fleet,
+                                std::span<const FleetRecord> sequential,
+                                SessionClose close, std::size_t shards,
+                                const std::string& dir_name) {
+  KeyPointWalOptions wal_options;
+  wal_options.dir = FreshDir(dir_name);
+  KeyPointWal wal(wal_options);
+  ASSERT_TRUE(wal.Open().ok());
+
+  KeyCollectSink sink;
+  FleetEngineOptions options;
+  options.algorithm.id = AlgorithmId::kFbqs;
+  options.algorithm.epsilon = 8.0;
+  options.num_shards = shards;
+  options.wal = &wal;
+  options.wal_checkpoint_points = 8;  // force mid-session checkpoints
+  const std::size_t shard_count = std::max<std::size_t>(shards, 1);
+  switch (close) {
+    case SessionClose::kFinishAll:
+    case SessionClose::kFinishDevice:
+      break;
+    case SessionClose::kIdleTimeout:
+      options.idle_timeout_seconds = 100.0;
+      options.block_capacity = 16;  // sweep at many block boundaries
+      break;
+    case SessionClose::kEviction:
+      options.memory_budget_bytes =
+          shard_count * (FleetEngine::kSessionBaseBytes + 64);
+      break;
+    case SessionClose::kEpsReseat:
+      options.memory_budget_bytes = shard_count * 1024;
+      options.overload.eps_ladder = {2.0, 4.0};
+      break;
+  }
+  {
+    FleetEngine engine(options, sink);
+    engine.IngestBatch(close == SessionClose::kIdleTimeout
+                           ? std::span<const FleetRecord>(sequential)
+                           : std::span<const FleetRecord>(fleet.feed));
+    if (close == SessionClose::kFinishDevice) {
+      for (const auto& [device, stream] : fleet.devices) {
+        (void)stream;
+        engine.FinishDevice(device);
+      }
+      engine.Flush();
+    }
+    const FleetStats before_finish_all = engine.Stats();
+    switch (close) {
+      case SessionClose::kFinishAll:
+        break;
+      case SessionClose::kFinishDevice:
+        EXPECT_EQ(before_finish_all.sessions_finished,
+                  fleet.devices.size());
+        EXPECT_EQ(before_finish_all.live_sessions, 0u);
+        break;
+      case SessionClose::kIdleTimeout:
+        EXPECT_GT(before_finish_all.sessions_idled, 0u);
+        break;
+      case SessionClose::kEviction:
+        EXPECT_GT(before_finish_all.sessions_evicted, 0u);
+        break;
+      case SessionClose::kEpsReseat:
+        EXPECT_GT(before_finish_all.sessions_degraded, 0u);
+        break;
+    }
+    engine.FinishAll();
+    const FleetStats stats = engine.Stats();
+    EXPECT_GT(stats.wal_checkpoints, 0u);
+    EXPECT_EQ(stats.wal_append_failures, 0u);
+    // Every emitted key point was staged and checkpointed exactly once.
+    EXPECT_EQ(stats.wal_points, stats.key_points_emitted);
+  }
+  ASSERT_TRUE(wal.Close().ok());
+
+  const auto recovered = WalReader::Recover(wal_options.dir);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_TRUE(recovered.value().report.clean());
+
+  // Per device, checkpoints concatenated in replay order reproduce the
+  // sink's emission order, quantized — bit-exact.
+  std::map<DeviceId, std::vector<wal::WalPoint>> replayed;
+  for (const wal::WalCheckpoint& cp : recovered.value().checkpoints) {
+    for (const wal::WalPoint& p : cp.points) {
+      replayed[cp.device].push_back(p);
+    }
+  }
+  const auto emitted = sink.keys();
+  ASSERT_EQ(replayed.size(), emitted.size());
+  for (const auto& [device, keys] : emitted) {
+    const auto it = replayed.find(device);
+    ASSERT_NE(it, replayed.end()) << "device " << device;
+    ASSERT_EQ(it->second.size(), keys.size()) << "device " << device;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(it->second[i], wal::Quantize(keys[i], wal_options.quant))
+          << "device " << device << " point " << i;
+      // And the dequantized point is within quantum/2 per axis: the
+      // split-error-budget half the WAL contributes.
+      const KeyPoint back =
+          wal::Dequantize(it->second[i], recovered.value().quant);
+      EXPECT_LE(std::abs(back.point.pos.x - keys[i].point.pos.x),
+                wal_options.quant.coord_quantum / 2 + 1e-12);
+      EXPECT_LE(std::abs(back.point.pos.y - keys[i].point.pos.y),
+                wal_options.quant.coord_quantum / 2 + 1e-12);
+      EXPECT_LE(std::abs(back.point.t - keys[i].point.t),
+                wal_options.quant.time_quantum / 2 + 1e-12);
+      EXPECT_EQ(back.index, keys[i].index);
+    }
+  }
+}
+
 TEST(KeyPointWalFleetTest, EngineCheckpointsEveryEmittedKeyPoint) {
   const FleetDataset fleet = BuildFleetDataset(6, 0.05, 4242);
+  // The same devices one after another in stream time, 10^5 s apart, so
+  // each device's session is stale once the next device streams.
+  std::vector<FleetRecord> sequential;
+  for (std::size_t d = 0; d < fleet.devices.size(); ++d) {
+    const auto& [device, stream] = fleet.devices[d];
+    for (TrackPoint pt : stream) {
+      pt.t += 1e5 * static_cast<double>(d);
+      sequential.push_back(FleetRecord{device, pt});
+    }
+  }
   int variant = 0;
-  for (const std::size_t shards : {std::size_t{0}, std::size_t{3}}) {
-    KeyPointWalOptions wal_options;
-    wal_options.dir = FreshDir("wal_fleet_" + std::to_string(variant++));
-    KeyPointWal wal(wal_options);
-    ASSERT_TRUE(wal.Open().ok());
-
-    KeyCollectSink sink;
-    FleetEngineOptions options;
-    options.algorithm.id = AlgorithmId::kFbqs;
-    options.algorithm.epsilon = 8.0;
-    options.num_shards = shards;
-    options.wal = &wal;
-    options.wal_checkpoint_points = 8;  // force mid-session checkpoints
-    {
-      FleetEngine engine(options, sink);
-      engine.IngestBatch(fleet.feed);
-      engine.FinishAll();
-      const FleetStats stats = engine.Stats();
-      EXPECT_GT(stats.wal_checkpoints, 0u);
-      EXPECT_EQ(stats.wal_append_failures, 0u);
-      // Every emitted key point was staged and checkpointed exactly once.
-      EXPECT_EQ(stats.wal_points, stats.key_points_emitted);
-    }
-    ASSERT_TRUE(wal.Close().ok());
-
-    const auto recovered = WalReader::Recover(wal_options.dir);
-    ASSERT_TRUE(recovered.ok());
-    EXPECT_TRUE(recovered.value().report.clean());
-
-    // Per device, checkpoints concatenated in replay order reproduce the
-    // sink's emission order, quantized — bit-exact.
-    std::map<DeviceId, std::vector<wal::WalPoint>> replayed;
-    for (const wal::WalCheckpoint& cp : recovered.value().checkpoints) {
-      for (const wal::WalPoint& p : cp.points) {
-        replayed[cp.device].push_back(p);
-      }
-    }
-    const auto emitted = sink.keys();
-    ASSERT_EQ(replayed.size(), emitted.size());
-    for (const auto& [device, keys] : emitted) {
-      const auto it = replayed.find(device);
-      ASSERT_NE(it, replayed.end()) << "device " << device;
-      ASSERT_EQ(it->second.size(), keys.size()) << "device " << device;
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        EXPECT_EQ(it->second[i], wal::Quantize(keys[i], wal_options.quant))
-            << "device " << device << " point " << i;
-        // And the dequantized point is within quantum/2 per axis: the
-        // split-error-budget half the WAL contributes.
-        const KeyPoint back =
-            wal::Dequantize(it->second[i], recovered.value().quant);
-        EXPECT_LE(std::abs(back.point.pos.x - keys[i].point.pos.x),
-                  wal_options.quant.coord_quantum / 2 + 1e-12);
-        EXPECT_LE(std::abs(back.point.pos.y - keys[i].point.pos.y),
-                  wal_options.quant.coord_quantum / 2 + 1e-12);
-        EXPECT_LE(std::abs(back.point.t - keys[i].point.t),
-                  wal_options.quant.time_quantum / 2 + 1e-12);
-        EXPECT_EQ(back.index, keys[i].index);
-      }
+  for (const SessionClose close :
+       {SessionClose::kFinishAll, SessionClose::kFinishDevice,
+        SessionClose::kIdleTimeout, SessionClose::kEviction,
+        SessionClose::kEpsReseat}) {
+    for (const std::size_t shards : {std::size_t{0}, std::size_t{3}}) {
+      SCOPED_TRACE(std::string(SessionCloseName(close)) + ", shards " +
+                   std::to_string(shards));
+      ExpectWalReplaysSinkOutput(fleet, sequential, close, shards,
+                                 "wal_fleet_" + std::to_string(variant++));
     }
   }
 }
