@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -149,6 +151,53 @@ inline std::string StringFlag(int argc, char** argv, std::string_view flag,
     }
   }
   return std::string(fallback);
+}
+
+/// Argument check a bench runs before doing anything else, so that neither
+/// --help nor a mistyped flag runs the whole bench and writes its report
+/// (by default into the current directory, over a committed baseline when
+/// run from the repository root). `flags` names the value-taking flags the
+/// bench reads ("--flag V" or "--flag=V"); --scale and a leading positional
+/// scale are always accepted. Returns nothing when the bench should run,
+/// otherwise its exit status: 0 after printing `usage` for --help or -h, 2
+/// after an unknown flag, a flag without its value, or a stray positional
+/// argument.
+inline std::optional<int> CheckArgs(
+    int argc, char** argv, std::string_view usage,
+    std::initializer_list<std::string_view> flags) {
+  const auto known = [&flags](std::string_view name) {
+    if (name == "--scale") return true;
+    for (const std::string_view flag : flags) {
+      if (name == flag) return true;
+    }
+    return false;
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg(argv[i]);
+    if (arg == "--help" || arg == "-h") {
+      std::printf("%.*s\n", static_cast<int>(usage.size()), usage.data());
+      return 0;
+    }
+    if (arg.rfind("--", 0) != 0) {
+      if (i == 1) continue;  // positional scale
+      std::fprintf(stderr, "unexpected argument '%s'\n%.*s\n", argv[i],
+                   static_cast<int>(usage.size()), usage.data());
+      return 2;
+    }
+    const std::size_t eq = arg.find('=');
+    if (!known(arg.substr(0, eq))) {
+      std::fprintf(stderr, "unknown flag '%s'\n%.*s\n", argv[i],
+                   static_cast<int>(usage.size()), usage.data());
+      return 2;
+    }
+    if (eq != std::string_view::npos) continue;
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "flag '%s' needs a value\n", argv[i]);
+      return 2;
+    }
+    ++i;  // the flag's value
+  }
+  return std::nullopt;
 }
 
 inline void Banner(const char* experiment, const char* paper_reference,

@@ -30,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -166,6 +167,13 @@ std::vector<KeyPoint> PointsInBlockOrder(const Manifest& manifest,
 int main(int argc, char** argv) {
   using namespace bqs;
 
+  if (const std::optional<int> code = bench::CheckArgs(
+          argc, argv,
+          "usage: bench_compaction [scale | --scale S] [--out PATH] "
+          "[--dir PATH]",
+          {"--out", "--dir"})) {
+    return *code;
+  }
   const double scale = bench::ScaleFromArgs(argc, argv, 0.35);
   const std::string out_path =
       bench::StringFlag(argc, argv, "--out", "BENCH_compaction.json");

@@ -44,6 +44,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -277,6 +278,14 @@ OverloadResult RunOverloadScenario(const OverloadScenario& scenario,
 }
 
 int Run(int argc, char** argv) {
+  if (const std::optional<int> code = bench::CheckArgs(
+          argc, argv,
+          "usage: bench_fleet [scale | --scale S] [--out PATH] [--reps N]\n"
+          "                   [--threads N] [--devices N] "
+          "[--min-seq-ratio R]",
+          {"--out", "--reps", "--threads", "--devices", "--min-seq-ratio"})) {
+    return *code;
+  }
   const double scale = bench::ScaleFromArgs(argc, argv, 1.0);
   const std::string out_path =
       bench::StringFlag(argc, argv, "--out", "BENCH_fleet.json");

@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -254,6 +255,13 @@ PushRun MeasurePush(const std::string& stream_name, const Trajectory& stream,
 }
 
 int Run(int argc, char** argv) {
+  if (const std::optional<int> code = bench::CheckArgs(
+          argc, argv,
+          "usage: bench_micro_ops [scale | --scale S] [--out PATH] "
+          "[--reps N]",
+          {"--out", "--reps"})) {
+    return *code;
+  }
   const double scale = bench::ScaleFromArgs(argc, argv, 0.35);
   const std::string out_path =
       bench::StringFlag(argc, argv, "--out", "BENCH_micro.json");
@@ -438,6 +446,9 @@ int Run(int argc, char** argv) {
           json.Key("significant_rebuilds")
               .Value(run->op_delta.significant_rebuilds);
           json.Key("kernel_fallbacks").Value(run->stats.kernel_fallbacks);
+          json.Key("bound_decisions")
+              .Value(run->stats.upper_bound_includes +
+                     run->stats.lower_bound_splits);
           json.Key("batch_lanes4_points")
               .Value(run->op_delta.batch_lanes4_points);
           json.Key("batch_lanes2_points")

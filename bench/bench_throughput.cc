@@ -26,6 +26,7 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -131,6 +132,13 @@ void EmitRun(bench::JsonReport& json, const MeasuredRun& run) {
 }
 
 int Run(int argc, char** argv) {
+  if (const std::optional<int> code = bench::CheckArgs(
+          argc, argv,
+          "usage: bench_throughput [scale | --scale S] [--out PATH] "
+          "[--reps N]",
+          {"--out", "--reps"})) {
+    return *code;
+  }
   const double scale = bench::ScaleFromArgs(argc, argv, 1.0);
   const std::string out_path =
       bench::StringFlag(argc, argv, "--out", "BENCH_throughput.json");

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -236,6 +237,12 @@ PolicyResult RunPolicy(const PolicyCase& policy, const Workload& workload,
 int main(int argc, char** argv) {
   using namespace bqs;
 
+  if (const std::optional<int> code = bench::CheckArgs(
+          argc, argv,
+          "usage: bench_wal [scale | --scale S] [--out PATH] [--dir PATH]",
+          {"--out", "--dir"})) {
+    return *code;
+  }
   const double scale = bench::ScaleFromArgs(argc, argv, 0.35);
   const std::string out_path =
       bench::StringFlag(argc, argv, "--out", "BENCH_wal.json");

@@ -10,11 +10,11 @@
 //
 // Input bytes drive: the options cube (epsilon, metric, and the oracle
 // hook's rotation, warm-up length, trivial-include ablation, bounds mode
-// and hull migration point — 1, a drawn 2..64, or never — BQS vs FBQS)
-// and one of three stream shapes
-// aimed at the vector kernel's edge cases. (A paper-literal draw runs the
-// reference kernel on both sides, so it exercises the reference path and
-// the cross-tier sweep only.)
+// and hull migration point — 1, a drawn 2..64, never, or the production
+// kHullMigrationPoints — BQS vs FBQS) and one of three stream shapes
+// aimed at the vector kernel's edge cases, optionally followed by a
+// fourth. (A paper-literal draw runs the reference kernel on both sides,
+// so it exercises the reference path and the cross-tier sweep only.)
 //   0  bounded random walk (the original mixed regime);
 //   1  stationary sliver run — a parked device jittering inside a small
 //      fraction of epsilon with rare escape jumps, the regime that lives
@@ -22,8 +22,16 @@
 //   2  lane-boundary splits — straight includable runs broken by forced
 //      splits at byte-chosen periods, so splits land on every lane
 //      offset of the 2- and 4-wide groups and chunk tails of every
-//      residue get exercised.
+//      residue get exercised;
+//   3  scan-phase boundary drift (appended) — segments of about
+//      kScanPhasePoints buffered points, so BQS segments end on both sides
+//      of the point where its scan phase hands over to the bounds.
+// The production migration point and stream 3 were added after the
+// committed corpus was written. They are drawn from the bytes a full
+// (kMaxPoints) stream leaves unread, so every committed input, which runs
+// dry inside its stream, decodes exactly as before.
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -34,6 +42,7 @@
 #include "core/bqs_compressor.h"
 #include "core/fbqs_compressor.h"
 #include "core/options.h"
+#include "core/segment_state.h"
 #include "fuzz_input.h"
 #include "trajectory/compressor.h"
 #include "trajectory/point.h"
@@ -155,6 +164,36 @@ std::vector<bqs::TrackPoint> LaneBoundaryStream(FuzzInput& in,
   return points;
 }
 
+// Scan-phase boundary drift: runs of kScanPhasePoints - 1 to + 3 steps
+// longer than epsilon (so every point is buffered) along a drawn heading,
+// with lateral noise under epsilon / 2 (so no run splits inside), each
+// run ended by a sidestep of 3 * epsilon. The sidestep opens a one- or
+// two-point segment, so the runs leave segments of about
+// kScanPhasePoints - 3 to + 2 buffered points. Appended to `points`.
+void AppendScanBoundaryStream(FuzzInput& in, double epsilon,
+                              std::vector<bqs::TrackPoint>* points) {
+  const double heading = in.Range(0.0, 6.283185307179586);
+  const bqs::Vec2 dir{std::cos(heading), std::sin(heading)};
+  const bqs::Vec2 normal{-dir.y, dir.x};
+  const double step = epsilon * in.Range(1.05, 2.0);
+  bqs::TrackPoint current =
+      points->empty() ? bqs::TrackPoint{} : points->back();
+  bqs::Vec2 base = current.pos;
+  const std::size_t limit = points->size() + kMaxPoints;
+  const auto run_base =
+      static_cast<int>(bqs::internal::kScanPhasePoints) - 1;
+  while (!in.empty() && points->size() < limit) {
+    const int run = run_base + in.U8() % 5;
+    for (int j = 0; j < run && !in.empty() && points->size() < limit; ++j) {
+      base = base + dir * step;
+      current.pos = base + normal * in.Step(0.4 * epsilon);
+      current.t += in.Range(0.0, 2.0);
+      points->push_back(current);
+    }
+    base = base + normal * (3.0 * epsilon);
+  }
+}
+
 std::vector<bqs::TrackPoint> RandomWalkStream(FuzzInput& in, double epsilon) {
   std::vector<bqs::TrackPoint> points;
   bqs::TrackPoint current;
@@ -208,6 +247,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
       points = RandomWalkStream(in, options.epsilon);
       break;
   }
+  if (in.Bool()) {
+    fast_oracle.hull_migration = bqs::internal::kHullMigrationPoints;
+  }
+  if (in.Bool()) AppendScanBoundaryStream(in, options.epsilon, &points);
 
   KernelOracle reference_oracle = fast_oracle;
   reference_oracle.reference_kernel = true;

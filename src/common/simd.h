@@ -71,9 +71,9 @@ class ScopedForceTier {
 // extreme, plus at most the four box corners (near/far and wedge-interior
 // corners overlap in the same four slots).
 inline constexpr int kScreenPointCap = 10;
-// Warm-up candidate cap (mirrors internal::kMaxRotationWarmup; the
-// engine static_asserts the two agree).
-inline constexpr int kWarmupPointCap = 16;
+// Warm-up candidate cap: the larger of internal::kMaxRotationWarmup and
+// internal::kScanPhasePoints (the engine static_asserts it covers both).
+inline constexpr int kWarmupPointCap = 128;
 
 // What the screen tests per lane. A verdict of 1 always means "trivial
 // point, conclusively include, no state mutation and no fallback
@@ -84,8 +84,9 @@ inline constexpr int kWarmupPointCap = 16;
 // buffer is still empty needs the trivial test alone: PrepareTrivialFn.)
 enum class ScreenMode : int {
   // Pre-rotation: the warm-up deviation check (max |rel x q| over the
-  // buffered warm-up candidates) must conclusively pass below the guard
-  // band, with a non-degenerate end. Trivial lanes only.
+  // buffered warm-up candidates — in BQS's scan phase, the whole segment
+  // buffer) must conclusively pass below the guard band, with a
+  // non-degenerate end. Trivial lanes only.
   kWarmup = 1,
   // Established rotation: the fast kernel's aggregated quadrant
   // upper-bound compare (see ScreenQuadrant), on every lane.

@@ -12,8 +12,14 @@ namespace bqs {
 struct DecisionStats {
   uint64_t points = 0;                ///< Total points pushed.
   uint64_t trivial_includes = 0;      ///< Theorem 5.1: d(s,e) <= epsilon.
-  uint64_t warmup_checks = 0;         ///< Exact checks over the <=W warm-up
-                                      ///< buffer before rotation is fixed.
+  uint64_t warmup_checks = 0;         ///< Exact checks over the warm-up
+                                      ///< buffer before the rotation is
+                                      ///< fixed: <=W points, or up to
+                                      ///< kScanPhasePoints in BQS's scan
+                                      ///< phase, where they decide every
+                                      ///< end of a short segment (their
+                                      ///< points count in
+                                      ///< exact_points_scanned).
   uint64_t upper_bound_includes = 0;  ///< d_ub <= epsilon: include, no scan.
   uint64_t lower_bound_splits = 0;    ///< d_lb > epsilon: split, no scan.
   uint64_t exact_computations = 0;    ///< Decisive exact scans (BQS only):
@@ -47,13 +53,14 @@ struct DecisionStats {
                                       ///< 0 under the reference kernel.
 
   /// Paper definition: 1 - N_computed / N_total. Full-buffer scans only;
-  /// warm-up checks touch a constant-size (<=W) buffer and are reported
+  /// warm-up checks touch a constant-size buffer and are reported
   /// separately (see PruningPowerInclWarmup). The paper's value (Fig. 6)
   /// is Algorithm 1's, bounds before any scan, which the fast kernel runs
   /// with the hull from the first point (internal::KernelOracle::
-  /// hull_migration = 1). The default BQS kernel scans a short flat
-  /// buffer instead of composing tight bounds after a box pre-test miss,
-  /// so it reports a lower value for the same decisions.
+  /// hull_migration = 1). The default BQS kernel decides short segments
+  /// by scans alone (counted as warm-up checks, so this value rises) and
+  /// scans a short flat buffer instead of composing tight bounds after a
+  /// box pre-test miss; PruningPowerInclWarmup is the fair comparison.
   double PruningPower() const {
     if (points == 0) return 1.0;
     return 1.0 - static_cast<double>(exact_computations) /

@@ -83,6 +83,8 @@ SegmentEngine::SegmentEngine(const BqsOptions& options, bool exact_mode,
     : options_(options),
       exact_mode_(exact_mode),
       fast_kernel_(!oracle.reference_kernel && !oracle.paper_literal()),
+      scan_phase_(exact_mode && fast_kernel_ && oracle.data_centric_rotation &&
+                  oracle.hull_migration > kScanPhasePoints),
       hull_migration_(oracle.hull_migration),
       data_centric_rotation_(oracle.data_centric_rotation),
       // An out-of-range warm-up length would index past the fixed warm-up
@@ -196,7 +198,7 @@ void SegmentEngine::RunBatch(std::span<const TrackPoint> pts,
         // parked device's segment never establishes a rotation — which
         // makes this path, not the rotated screen, the volume carrier
         // on stop-and-go streams.
-        if (screen_vector_ && warmup_count_ == 0) {
+        if (screen_vector_ && WarmupPoints().empty()) {
           // Trivial-only screen: with an empty warm-up buffer the decision
           // for a trivial lane is the trivial test itself, so the fused
           // kernel computes it in one pass with no SoA stores and no
@@ -230,7 +232,7 @@ void SegmentEngine::RunBatch(std::span<const TrackPoint> pts,
             ++scalar_points;
             ++j;
             split = segment_start_index_ != seg_mark;
-            if (split || rotation_established_ || warmup_count_ != 0) {
+            if (split || rotation_established_ || !WarmupPoints().empty()) {
               // The origin moved, the frame changed, or trivial lanes now
               // need the warm-up verdict: the fused verdicts are stale.
               break;
@@ -245,32 +247,43 @@ void SegmentEngine::RunBatch(std::span<const TrackPoint> pts,
         }
         if (screen_enabled_) {
           // Warm-up screen: trivial lanes must pass the warm-up deviation
-          // verdict against the buffered candidates. The frame is still
-          // the identity rotation, so the prepared rx/ry are exactly the
-          // unrotated rel the verdict consumes.
-          const std::size_t chunk = std::min(n - i, batch_fill_);
-          PrepareBatch(pts.subspan(i, chunk));
-          BatchScratch& s = *scratch_;
+          // verdict against the buffered candidates. A group of lanes is
+          // prepared and screened only from a trivial lane on, so runs of
+          // out-of-epsilon fixes (each decided by the scalar scan) prepare
+          // nothing. The frame is still the identity rotation, so the
+          // prepared rx/ry are exactly the unrotated rel the verdict
+          // consumes, and nsq is the trivial test's own |rel|^2.
+          const std::size_t chunk = n - i;
           const uint64_t seg_mark = segment_start_index_;
           bool split = false;
+          std::size_t group_start = 0;
           std::size_t screened_until = 0;
           std::size_t j = 0;
           while (j < chunk) {
-            if (j >= screened_until && s.nsq[j] <= trivial_eps_sq_) {
-              if (s.state_epoch != quad_epoch_) MarshalWarmupScreen();
+            if (j >= screened_until &&
+                (pts[i + j].pos - segment_start_.pos).NormSq() <=
+                    trivial_eps_sq_) {
               const std::size_t g = std::min(chunk - j, screen_group_);
-              kernels_->screen_lanes(s.state, s.rx + j, s.ry + j,
-                                     s.nsq + j, g, s.screen + j);
+              PrepareBatch(pts.subspan(i + j, g));
+              BatchScratch& s = *scratch_;
+              if (s.state_epoch != quad_epoch_) MarshalWarmupScreen();
+              kernels_->screen_lanes(s.state, s.rx, s.ry, s.nsq, g, s.screen);
+              group_start = j;
               screened_until = j + g;
             }
-            if (j < screened_until && s.screen[j] != 0) {
+            if (j < screened_until && scratch_->screen[j - group_start] != 0) {
+              const unsigned char* verdict = scratch_->screen;
               std::size_t k = j + 1;
-              while (k < screened_until && s.screen[k] != 0) ++k;
+              while (k < screened_until && verdict[k - group_start] != 0) ++k;
               const std::size_t m = k - j;
               // Replicated scalar effects: each lane passed the warm-up
-              // check and was a trivial include.
+              // check (in the scan phase, a scan of the segment buffer)
+              // and was a trivial include.
               stats_.warmup_checks += m;
               stats_.trivial_includes += m;
+              if (scan_phase_) {
+                stats_.exact_points_scanned += m * buffer_.size();
+              }
               next_index_ += m;
               prev_ = pts[i + k - 1];
               prev_index_ = next_index_ - 1;
@@ -438,16 +451,18 @@ void SegmentEngine::MarshalScreenState() {
 }
 
 void SegmentEngine::MarshalWarmupScreen() {
-  static_assert(simd::kWarmupPointCap >= kMaxRotationWarmup,
+  static_assert(simd::kWarmupPointCap >= kMaxRotationWarmup &&
+                    simd::kWarmupPointCap >= kScanPhasePoints,
                 "screen warm-up capacity must cover the warm-up buffer");
   simd::ScreenState& st = scratch_->state;
+  const std::span<const TrackPoint> warm = WarmupPoints();
   st.eps_sq = trivial_eps_sq_;
   st.mode = simd::ScreenMode::kWarmup;
-  st.warm_count = static_cast<int>(warmup_count_);
-  for (std::size_t k = 0; k < warmup_count_; ++k) {
+  st.warm_count = static_cast<int>(warm.size());
+  for (std::size_t k = 0; k < warm.size(); ++k) {
     // The same p - a subtraction SquaredDeviationVerdict's scan performs,
     // hoisted out of the per-lane loop (end-independent).
-    const Vec2 q = warmup_[k].pos - segment_start_.pos;
+    const Vec2 q = warm[k].pos - segment_start_.pos;
     st.warm_px[k] = q.x;
     st.warm_py[k] = q.y;
   }
@@ -516,23 +531,27 @@ SegmentEngine::Decision SegmentEngine::Assess(const TrackPoint& pt,
   }
 
   if (!rotation_established_) {
-    // Rotation warm-up (Section V-D): the first few out-of-epsilon points
-    // are kept in a tiny fixed buffer and checked exactly; this is a
-    // constant-size scan (<= rotation_warmup points, or their hull).
-    if (warmup_count_ > 0) {
+    // Rotation warm-up (Section V-D): every out-of-epsilon point is
+    // buffered and each end is checked exactly against the buffer, which
+    // stays short: rotation_warmup_ points, or kScanPhasePoints in BQS's
+    // scan phase (whose buffer is the segment buffer itself).
+    const std::span<const TrackPoint> warm = WarmupPoints();
+    if (!warm.empty()) {
       ++stats_.warmup_checks;
-      // Fast kernel: the warm-up scan is a per-point conclusive-path cost,
-      // so it runs in the squared domain too (one sqrt-free pass; the
-      // reference scan only on a guard-band hit).
+      // Fast kernel: the scan runs in the squared domain (one sqrt-free
+      // pass; the reference scan only on a guard-band hit).
       int verdict = 0;
-      if (fast_kernel_) {
-        verdict = SquaredDeviationVerdict(warmup_.data(), warmup_count_,
+      if (scan_phase_) {
+        verdict = FlatBufferVerdict(pt.pos);
+      } else if (fast_kernel_) {
+        verdict = SquaredDeviationVerdict(warm.data(), warm.size(),
                                           segment_start_.pos, pt.pos,
                                           options_.metric, eps, *kernels_);
         if (verdict == 0) ++stats_.kernel_fallbacks;
       }
       if (verdict < 0) return Decision::kSplit;
-      if (verdict == 0 && WarmupDeviation(pt.pos) > eps) {
+      if (verdict == 0 && BufferDeviation(warm, segment_start_.pos, pt.pos,
+                                          options_.metric) > eps) {
         return Decision::kSplit;
       }
     }
@@ -544,6 +563,11 @@ SegmentEngine::Decision SegmentEngine::Assess(const TrackPoint& pt,
     // screened-ahead pre-rotation verdicts (they were computed against
     // the smaller candidate set).
     ++quad_epoch_;
+    if (scan_phase_) {
+      AddExactPoint(pt);
+      if (buffer_.size() >= kScanPhasePoints) EstablishRotation();
+      return Decision::kInclude;
+    }
     warmup_[warmup_count_++] = pt;
     if (exact_mode_) {
       // Warm-up points are segment-buffer points: they must be visible to
@@ -890,12 +914,18 @@ void SegmentEngine::EstablishRotation() {
   // start is on the path by construction), which estimates the direction
   // of a noisy straight run with far less bias — and the bound tightness
   // of the rotated frame degrades linearly with that bias.
+  // The axis is fitted to the first rotation_warmup_ buffered points;
+  // the scan phase buffers further points before the quadrants exist, and
+  // replaying them all in arrival order leaves the quadrants exactly as
+  // adding each at its include would have.
+  const std::span<const TrackPoint> warm = WarmupPoints();
   Vec2 centroid{0.0, 0.0};
   double sxx = 0.0;
   double syy = 0.0;
   double sxy = 0.0;
-  for (std::size_t i = 0; i < warmup_count_; ++i) {
-    const Vec2 rel = warmup_[i].pos - segment_start_.pos;
+  for (const TrackPoint& p :
+       warm.first(std::min(warm.size(), rotation_warmup_))) {
+    const Vec2 rel = p.pos - segment_start_.pos;
     centroid += rel;
     sxx += rel.x * rel.x;
     syy += rel.y * rel.y;
@@ -914,8 +944,8 @@ void SegmentEngine::EstablishRotation() {
   rot_cos_ = std::cos(rotation_angle_);
   rot_sin_ = std::sin(rotation_angle_);
   rotation_established_ = true;
-  for (std::size_t i = 0; i < warmup_count_; ++i) {
-    AddToQuadrants(ToRotatedFrame(warmup_[i].pos - segment_start_.pos));
+  for (const TrackPoint& p : warm) {
+    AddToQuadrants(ToRotatedFrame(p.pos - segment_start_.pos));
   }
   warmup_count_ = 0;
 }
@@ -933,19 +963,6 @@ double SegmentEngine::ExactDeviation(Vec2 end_abs) {
   }
   return BufferDeviation(buffer_, segment_start_.pos, end_abs,
                          options_.metric);
-}
-
-double SegmentEngine::WarmupDeviation(Vec2 end_abs) const {
-  // The warm-up window is a constant <= kMaxRotationWarmup points, so the
-  // flat scan is already O(1) and beats paying hull maintenance this early;
-  // the hull (fed the same points) takes over for every post-rotation
-  // exact resolve.
-  double dev = 0.0;
-  for (std::size_t i = 0; i < warmup_count_; ++i) {
-    dev = std::max(dev, PointDeviation(warmup_[i].pos, segment_start_.pos,
-                                       end_abs, options_.metric));
-  }
-  return dev;
 }
 
 DeviationBounds SegmentEngine::AggregateBounds(Vec2 end_rel_rotated) const {

@@ -22,17 +22,33 @@
 //
 // BQS's exact state is the flat segment buffer while the segment is short,
 // migrating to an incrementally-maintained Melkman hull (O(h) resolves,
-// O(h) space) at kHullMigrationPoints buffered points. In the flat phase a
-// box pre-test miss is settled by the exact scan itself — a squared-domain
-// SIMD max|cross| verdict over the buffer — before any significant point
-// is rebuilt: on short segments that scan is cheaper than the tight bound
-// composition, which leaves most such points inconclusive anyway. Only a
-// verdict inside its 1e-12 guard band falls through to the tight bounds
+// O(h) space) at kHullMigrationPoints buffered points.
+//
+// Scan phase: on short segments the bounding structures cost more than
+// the exact scans they save, so BQS on the fast kernel builds none until
+// the flat buffer holds kScanPhasePoints points. Until then — the
+// rotation warm-up, extended from rotation_warmup to kScanPhasePoints
+// buffered points — every end, trivial or not, is decided by the
+// squared-domain SIMD max|cross| verdict over the buffer (the
+// sqrt-bearing rescan only inside its 1e-12 guard band), and trivial ends
+// stay on the vector lanes through the warm-up screen. At
+// kScanPhasePoints the rotation axis is fitted to the first
+// rotation_warmup buffered points and all buffered points are replayed
+// into the quadrants in arrival order, which is exactly the quadrant
+// state a shorter warm-up would have built by then; the scans are exact,
+// so no decision changes.
+//
+// After the scan phase, a box pre-test miss in the flat phase is settled
+// by the same exact scan before any significant point is rebuilt: the
+// tight bound composition leaves most such points inconclusive anyway.
+// Only a verdict inside its guard band falls through to the tight bounds
 // (then the reference composition, then the sqrt-bearing rescan). Sound
 // bounds cannot contradict a decisive exact verdict, so the reordering
 // never changes a decision. FBQS and the hull phase keep the paper's
-// bounds-first order, so a hull from the first point (KernelOracle::
-// hull_migration = 1) runs Algorithm 1's order throughout.
+// bounds-first order and the rotation_warmup-point warm-up, so a hull from
+// the first point (KernelOracle::hull_migration = 1) runs Algorithm 1's
+// order throughout; so do the reference kernel, any hull_migration up to
+// kScanPhasePoints and data_centric_rotation = false.
 //
 // KernelOracle is the test- and bench-only hook that selects the seed's
 // transcendental reference kernel, moves the hull migration point
@@ -73,8 +89,21 @@ namespace internal {
 /// scans: with the flat buffer never migrating, scan-first measured no
 /// slower than bounds-first on the adversarial drift stream up to 4,096
 /// buffered points (4-core Xeon VM, AVX2), so that order needs no gate of
-/// its own.
+/// its own. A segment reaches it only after the scan phase
+/// (kScanPhasePoints) has ended.
 inline constexpr std::size_t kHullMigrationPoints = 256;
+
+/// Buffered points at which BQS's scan phase ends and the quadrant bounds
+/// are built (see the file comment). It caps the per-point scan at a
+/// constant. Swept over 32..128 (4-core Xeon VM, AVX2): from 64 on, the
+/// pipeline walks, the micro random walk and the vehicle stream ran about
+/// 2x faster than without a scan phase and bat and empirical about
+/// 1.3-1.6x; 32 and 48 gained less. 64, 96 and 128 were close, and 128
+/// led 64 on the micro random walk (2.0x vs 1.86x the 8-point warm-up in
+/// 8 interleaved runs), whose segments then never build a bound. The
+/// adversarial drift, whose segments hold thousands of points, did not
+/// move. A hull migration point at or below it turns the scan phase off.
+inline constexpr std::size_t kScanPhasePoints = 128;
 
 /// Upper limit for KernelOracle::rotation_warmup (the fixed-capacity
 /// warm-up buffer keeps FBQS free of dynamic allocation).
@@ -93,7 +122,8 @@ struct KernelOracle {
   bool reference_kernel = false;
   /// Buffered points at which the segment migrates into the hull: 1 keeps
   /// the hull from the first point, SIZE_MAX never migrates. The decisions
-  /// never depend on it; the decision mix does, because BQS settles box
+  /// never depend on it; the decision mix does, because BQS runs the scan
+  /// phase only when this exceeds kScanPhasePoints and settles box
   /// pre-test misses with the flat-buffer scan only before migrating. With
   /// 1 every decision follows Algorithm 1's bounds-before-scan order,
   /// which is how the paper's pruning power (Fig. 6) is measured.
@@ -103,11 +133,12 @@ struct KernelOracle {
   /// across two quadrants and the hulls are tighter. false runs the
   /// quadrant system unrotated from the first point.
   bool data_centric_rotation = true;
-  /// Out-of-epsilon points buffered before the rotation is fixed. The
-  /// paper suggests ~5; 8 is the default because a longer baseline
-  /// reduces the rotation-estimate bias, which directly tightens the
-  /// sound upper bound on straight runs. Clamped to
-  /// [1, kMaxRotationWarmup].
+  /// Out-of-epsilon points the rotation axis is fitted to. The paper
+  /// suggests ~5; 8 is the default because a longer baseline reduces the
+  /// rotation-estimate bias, which directly tightens the sound upper bound
+  /// on straight runs. The warm-up ends at this many buffered points,
+  /// except in BQS's scan phase, which runs on to kScanPhasePoints.
+  /// Clamped to [1, kMaxRotationWarmup].
   int rotation_warmup = 8;
   /// Paper-faithful handling of points within epsilon of the segment
   /// start: Algorithm 1 includes them unconditionally (Theorem 5.1). That
@@ -326,8 +357,12 @@ class SegmentEngine {
   /// path (segment start, end_abs), over the hull or the flat buffer.
   /// Non-const: drains the pending hull batch.
   double ExactDeviation(Vec2 end_abs);
-  /// Exact deviation of the warm-up points (pre-rotation segment prefix).
-  double WarmupDeviation(Vec2 end_abs) const;
+  /// The pre-rotation candidates every warm-up end is checked against:
+  /// the segment buffer in the scan phase, the warmup_ array otherwise.
+  std::span<const TrackPoint> WarmupPoints() const {
+    if (scan_phase_) return buffer_;
+    return {warmup_.data(), warmup_count_};
+  }
   DeviationBounds AggregateBounds(Vec2 end_rel_rotated) const;
 
   BqsOptions options_;
@@ -335,6 +370,10 @@ class SegmentEngine {
   /// Fast kernel: neither KernelOracle::reference_kernel nor a
   /// paper-literal field is set.
   bool fast_kernel_;
+  /// BQS on the fast kernel with data-centric rotation and the hull
+  /// migration past kScanPhasePoints: the rotation warm-up is the scan
+  /// phase, buffering into buffer_ until it holds kScanPhasePoints.
+  bool scan_phase_;
   std::size_t hull_migration_;  ///< KernelOracle::hull_migration.
   bool data_centric_rotation_;  ///< KernelOracle::data_centric_rotation.
   std::size_t rotation_warmup_;  ///< Clamped KernelOracle::rotation_warmup.
@@ -359,6 +398,8 @@ class SegmentEngine {
   double rotation_angle_ = 0.0;
   double rot_cos_ = 1.0;
   double rot_sin_ = 0.0;
+  /// Warm-up buffer outside the scan phase (FBQS and the oracles); the
+  /// scan phase buffers into buffer_.
   std::size_t warmup_count_ = 0;
   std::array<TrackPoint, kMaxRotationWarmup> warmup_{};
 

@@ -1,11 +1,12 @@
 // Tests for the bench harness glue: ScaleFromArgs argv/env precedence and
-// rejection of non-positive or malformed scales, flag parsing, and the
-// JsonReport emitter.
+// rejection of non-positive or malformed scales, flag parsing, the
+// up-front argument check, and the JsonReport emitter.
 #include "bench_common.h"
 
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -136,6 +137,57 @@ TEST_F(FlagArgsTest, StringFlagForms) {
             "b.json");
   EXPECT_EQ(StringFlag(argv3.argc(), argv3.data(), "--out", "default.json"),
             "default.json");
+}
+
+// CheckArgs: --help and bad arguments stop a bench before it runs (and
+// before it writes its report); the argument shapes CI passes go through.
+class CheckArgsTest : public FlagArgsTest {
+ protected:
+  static std::optional<int> Check(ArgvPack argv) {
+    return CheckArgs(argv.argc(), argv.data(), "usage: bench [scale]",
+                     {"--out", "--reps", "--min-seq-ratio"});
+  }
+};
+
+TEST_F(CheckArgsTest, HelpPrintsUsageAndExitsZero) {
+  for (const char* help : {"--help", "-h"}) {
+    ::testing::internal::CaptureStdout();
+    const std::optional<int> code = Check(Argv({"--out", "x.json", help}));
+    const std::string printed = ::testing::internal::GetCapturedStdout();
+    EXPECT_EQ(code, 0) << help;
+    EXPECT_EQ(printed, "usage: bench [scale]\n") << help;
+  }
+}
+
+TEST_F(CheckArgsTest, UnknownFlagExitsTwo) {
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(Check(Argv({"--bogus"})), 2);
+  EXPECT_EQ(Check(Argv({"--scale", "1", "--outt=x.json"})), 2);
+  EXPECT_EQ(Check(Argv({"--ou", "x.json"})), 2);
+  ::testing::internal::GetCapturedStderr();
+}
+
+TEST_F(CheckArgsTest, MissingValueAndStrayPositionalExitTwo) {
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(Check(Argv({"--out"})), 2);
+  EXPECT_EQ(Check(Argv({"0.5", "extra"})), 2);
+  EXPECT_EQ(Check(Argv({"--reps", "3", "0.5"})), 2);
+  ::testing::internal::GetCapturedStderr();
+}
+
+TEST_F(CheckArgsTest, ScaleAndDeclaredFlagsRun) {
+  EXPECT_EQ(Check(Argv({})), std::nullopt);
+  EXPECT_EQ(Check(Argv({"0.05"})), std::nullopt);
+  EXPECT_EQ(Check(Argv({"--scale=1", "--out=a.json"})), std::nullopt);
+  // The shapes ci.yml passes.
+  EXPECT_EQ(Check(Argv({"--scale", "1", "--reps", "7", "--out",
+                        "build/BENCH_throughput.json"})),
+            std::nullopt);
+  EXPECT_EQ(Check(Argv({"--scale", "1", "--reps", "5", "--min-seq-ratio",
+                        "0.75", "--out", "build/BENCH_fleet.json"})),
+            std::nullopt);
+  // A flag value that looks like a flag is still the value.
+  EXPECT_EQ(Check(Argv({"--out", "--help"})), std::nullopt);
 }
 
 // IntFlag: the --threads/--threads= forms bench_fleet uses, with env

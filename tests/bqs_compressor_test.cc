@@ -219,10 +219,13 @@ TEST(BqsCompressorTest, ResetClearsState) {
 }
 
 TEST(BqsCompressorTest, ProbeObservesSandwichedBounds) {
+  // The hull from the first point composes bounds on every point after
+  // the 8-point warm-up (the default kernel's scan phase decides this
+  // walk's short segments without any).
   const Trajectory walk = SmoothWalk(43, 2000);
   BqsOptions options;
   options.epsilon = 8.0;
-  BqsCompressor bqs(options);
+  BqsCompressor bqs(options, kHullFirst);
   int violations = 0;
   int observations = 0;
   bqs.SetProbe([&](const internal::BoundsProbe& probe) {
@@ -351,8 +354,9 @@ TEST(BqsCompressorTest, FastKernelIsByteIdenticalToReferenceCorpus) {
   // run the reference kernel, so they have no fast side to compare.) The
   // decision mix is compared wherever the fast kernel follows the
   // reference's bounds-first order: with the hull from the first point, and
-  // under the segment metric (the flat-buffer scan runs first only under
-  // the line metric).
+  // under the segment metric without rotation (the flat-buffer scan runs
+  // first only under the line metric, and the scan phase only with the
+  // rotation warm-up).
   int configs = 0;
   for (uint64_t seed : {171u, 172u, 173u}) {
     const Trajectory walks[] = {SmoothWalk(seed, 1200), JaggedWalk(seed, 1200),
@@ -385,7 +389,7 @@ TEST(BqsCompressorTest, FastKernelIsByteIdenticalToReferenceCorpus) {
                                       "kernel diff");
               EXPECT_EQ(fast.stats().segments, reference.stats().segments);
               if (oracle.hull_migration == 1 ||
-                  metric == DistanceMetric::kPointToSegment) {
+                  (metric == DistanceMetric::kPointToSegment && !rotate)) {
                 EXPECT_EQ(fast.stats().upper_bound_includes,
                           reference.stats().upper_bound_includes);
                 EXPECT_EQ(fast.stats().lower_bound_splits,
@@ -450,11 +454,16 @@ TEST(BqsCompressorTest, HullMigrationPointIsByteIdenticalToBothPureModes) {
   // the flat buffer forever, at any threshold. The decision mix moves only
   // from bounds to scans as the flat phase (where box pre-test misses are
   // scanned first) grows: every assessed point is still decided by exactly
-  // one bound or scan.
+  // one bound or scan. A threshold past kScanPhasePoints also runs the
+  // scan phase, as the flat buffer forever does, so it is compared with
+  // that mode; a lower one keeps the rotation warm-up short, as the hull
+  // from the first point does.
   for (uint64_t seed : {181u, 182u}) {
     const Trajectory walk = JaggedWalk(seed, 2500);
     for (double epsilon : {3.0, 10.0}) {
-      for (std::size_t threshold : {2u, 4u, 64u, 1024u}) {
+      for (std::size_t threshold :
+           {std::size_t{2}, std::size_t{4}, internal::kScanPhasePoints,
+            internal::kScanPhasePoints + 1, std::size_t{1024}}) {
         BqsOptions options;
         options.epsilon = epsilon;
 
@@ -473,12 +482,18 @@ TEST(BqsCompressorTest, HullMigrationPointIsByteIdenticalToBothPureModes) {
           return st.upper_bound_includes + st.lower_bound_splits +
                  st.exact_computations;
         };
-        EXPECT_EQ(decided(migrating.stats()), decided(hull.stats()));
-        EXPECT_EQ(decided(migrating.stats()), decided(brute.stats()));
-        EXPECT_LE(hull.stats().exact_computations,
-                  migrating.stats().exact_computations);
-        EXPECT_LE(migrating.stats().exact_computations,
-                  brute.stats().exact_computations);
+        const bool scan_phase = threshold > internal::kScanPhasePoints;
+        const DecisionStats& same_phase =
+            scan_phase ? brute.stats() : hull.stats();
+        EXPECT_EQ(decided(migrating.stats()), decided(same_phase));
+        EXPECT_EQ(migrating.stats().warmup_checks, same_phase.warmup_checks);
+        if (scan_phase) {
+          EXPECT_LE(migrating.stats().exact_computations,
+                    brute.stats().exact_computations);
+        } else {
+          EXPECT_LE(hull.stats().exact_computations,
+                    migrating.stats().exact_computations);
+        }
       }
     }
   }
@@ -514,7 +529,10 @@ TEST(BqsCompressorTest, FlatBufferMigratesIntoHullAtThreshold) {
 
 TEST(BqsCompressorTest, HullProbeActualMatchesBruteForce) {
   // The BoundsProbe `actual` field is resolver-provided; both resolvers
-  // must report the same exact deviation at every assessed point.
+  // must report the same exact deviation at every assessed point. Without
+  // the rotation warm-up every point after the first is bound-assessed
+  // (the flat buffer forever would otherwise decide this walk's short
+  // segments in the scan phase, which is not probed).
   const Trajectory walk = JaggedWalk(81, 2000);
   struct Obs {
     uint64_t index;
@@ -531,8 +549,10 @@ TEST(BqsCompressorTest, HullProbeActualMatchesBruteForce) {
     CompressAll(bqs, walk);
     return observations;
   };
-  const std::vector<Obs> via_hull = run(kHullFirst);
-  const std::vector<Obs> via_brute = run(kFlatBuffer);
+  const std::vector<Obs> via_hull =
+      run({.hull_migration = 1, .data_centric_rotation = false});
+  const std::vector<Obs> via_brute =
+      run({.hull_migration = SIZE_MAX, .data_centric_rotation = false});
   ASSERT_EQ(via_hull.size(), via_brute.size());
   ASSERT_GT(via_hull.size(), 100u);
   for (std::size_t i = 0; i < via_hull.size(); ++i) {
@@ -561,6 +581,12 @@ TEST(BqsCompressorTest, PushBatchMatchesPushExactly) {
   EXPECT_EQ(one_by_one.stats().exact_computations,
             batched.stats().exact_computations);
   EXPECT_EQ(one_by_one.stats().segments, batched.stats().segments);
+  // The batch screens replicate the scalar counters, scan phase included.
+  EXPECT_EQ(one_by_one.stats().warmup_checks, batched.stats().warmup_checks);
+  EXPECT_EQ(one_by_one.stats().trivial_includes,
+            batched.stats().trivial_includes);
+  EXPECT_EQ(one_by_one.stats().exact_points_scanned,
+            batched.stats().exact_points_scanned);
 
   // Chunked batches (including empty ones) must behave identically too.
   BqsCompressor chunked(options);
@@ -674,10 +700,11 @@ TEST(BqsCompressorTest, SquaredResolveFallsBackOnTheGuardBand) {
 }
 
 TEST(BqsCompressorTest, ScanFirstTradesBoundDecisionsForExactScans) {
-  // The default kernel settles flat-phase box pre-test misses with the
-  // exact scan: the same keys and segments as the paper's bounds-first
-  // order (the hull from the first point), with some bound-decided points
-  // moved to exact computations and none moved the other way.
+  // The default kernel decides short segments by the exact scan (the scan
+  // phase, counted in warmup_checks) and settles later flat-phase box
+  // pre-test misses with it: the same keys and segments as the paper's
+  // bounds-first order (the hull from the first point), with some
+  // bound-decided points moved to scans and none moved the other way.
   std::vector<Trajectory> streams;
   for (auto& [device, stream] : BuildFleetDataset(4, 0.1).devices) {
     streams.push_back(std::move(stream));
@@ -699,10 +726,13 @@ TEST(BqsCompressorTest, ScanFirstTradesBoundDecisionsForExactScans) {
       const DecisionStats& a = scan_first.stats();
       const DecisionStats& b = bounds_first.stats();
       EXPECT_EQ(a.segments, b.segments);
-      EXPECT_GE(a.exact_computations, b.exact_computations);
+      const auto scans = [](const DecisionStats& st) {
+        return st.exact_computations + st.warmup_checks;
+      };
+      EXPECT_GE(scans(a), scans(b));
       EXPECT_LE(a.upper_bound_includes, b.upper_bound_includes);
       EXPECT_LE(a.lower_bound_splits, b.lower_bound_splits);
-      moved += a.exact_computations - b.exact_computations;
+      moved += scans(a) - scans(b);
     }
   }
   EXPECT_GT(moved, 0u);
@@ -766,6 +796,155 @@ TEST(BqsCompressorTest, StraightRunComposesNoSqrt) {
                           "BQS straight run");
   ExpectByteIdenticalKeys(fbqs_out, CompressAll(fbqs_reference, stream),
                           "FBQS straight run");
+}
+
+// Segments of exactly `buffered` out-of-epsilon points: straight runs of
+// 1.5 * epsilon steps with a +-0.3 * epsilon lateral zigzag, each turned
+// 100 degrees at its last point, which ends the segment there. Trivial
+// points (within epsilon of the segment start) open the first segment and
+// follow every segment's first buffered point; under the line metric more
+// sit on the run's axis before its last few points, where they are
+// includable ends. (Under
+// the segment metric a trivial end behind several buffered points always
+// splits; a later segment cannot open with one, since the old segment
+// takes any point near its end.) `lead_offset` moves the first three
+// buffered points of the first run off its axis (in epsilons).
+Trajectory ScanBoundaryStream(std::size_t buffered, DistanceMetric metric,
+                              int segments, double eps,
+                              double lead_offset = 0.0) {
+  Trajectory stream;
+  const auto add = [&stream](Vec2 p) {
+    stream.push_back(TrackPoint{p, static_cast<double>(stream.size()), {}});
+  };
+  Vec2 start{0.0, 0.0};
+  add(start);
+  double heading = 0.3;
+  for (int s = 0; s < segments; ++s) {
+    const Vec2 dir{std::cos(heading), std::sin(heading)};
+    const Vec2 normal{-dir.y, dir.x};
+    if (s == 0) {
+      add(start + 0.4 * eps * normal);
+      add(start + 0.2 * eps * dir);
+    }
+    Vec2 last = start;
+    for (std::size_t j = 1; j <= buffered; ++j) {
+      double zig = j == buffered ? 0.0 : (j % 2 == 0 ? 0.3 : -0.3);
+      if (s == 0 && j <= 3 && lead_offset != 0.0) zig = lead_offset;
+      last = start + (1.5 * eps * static_cast<double>(j)) * dir +
+             (zig * eps) * normal;
+      add(last);
+      if (j == 1) add(start + 0.9 * eps * dir);
+      if (metric == DistanceMetric::kPointToLine && j % 7 == 3 &&
+          j + 3 < buffered) {
+        add(start + 0.5 * eps * dir);
+      }
+    }
+    start = last;
+    heading += 1.745329;  // ~100 degrees
+  }
+  return stream;
+}
+
+TEST(BqsCompressorTest, ScanPhaseBoundaryIsByteIdenticalToTheOracles) {
+  // Segments that end one point before, at and after the scan phase's
+  // kScanPhasePoints: the default kernel keeps the reference kernel's keys
+  // (and those of the hull from the first point, which never runs the
+  // scan phase), and the hull from the first point keeps the reference's
+  // decision mix. Below kScanPhasePoints no bound is ever composed; from
+  // it on, exactly the points after the handover are bound-assessed.
+  constexpr std::size_t kK = internal::kScanPhasePoints;
+  constexpr int kSegments = 5;
+  for (const DistanceMetric metric :
+       {DistanceMetric::kPointToLine, DistanceMetric::kPointToSegment}) {
+    for (const std::size_t buffered : {kK - 1, kK, kK + 1}) {
+      for (const double eps : {4.0, 10.0}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "metric " << static_cast<int>(metric) << " buffered "
+                     << buffered << " eps " << eps);
+        const Trajectory stream =
+            ScanBoundaryStream(buffered, metric, kSegments, eps);
+        BqsOptions options;
+        options.epsilon = eps;
+        options.metric = metric;
+        BqsCompressor bqs(options);
+        BqsCompressor reference(options, kSeed);
+        BqsCompressor hull_first(options, kHullFirst);
+        const CompressedTrajectory out = CompressAll(bqs, stream);
+        ExpectByteIdenticalKeys(out, CompressAll(reference, stream),
+                                "default vs reference kernel");
+        ExpectByteIdenticalKeys(out, CompressAll(hull_first, stream),
+                                "default vs hull from the first point");
+        ExpectSameDecisions(hull_first.stats(), reference.stats());
+        EXPECT_EQ(hull_first.stats().warmup_checks,
+                  reference.stats().warmup_checks);
+        EXPECT_EQ(hull_first.stats().trivial_includes,
+                  reference.stats().trivial_includes);
+
+        // Point-by-point pushes count the same as the batch screens.
+        BqsCompressor one_by_one(options);
+        CompressedTrajectory single;
+        for (const TrackPoint& pt : stream) one_by_one.Push(pt, &single.keys);
+        one_by_one.Finish(&single.keys);
+        ExpectByteIdenticalKeys(out, single, "batch vs point by point");
+        EXPECT_EQ(one_by_one.stats().warmup_checks, bqs.stats().warmup_checks);
+        EXPECT_EQ(one_by_one.stats().exact_points_scanned,
+                  bqs.stats().exact_points_scanned);
+
+        // Every segment ends at its run's last point.
+        ASSERT_EQ(out.size(), static_cast<std::size_t>(kSegments) + 1);
+        EXPECT_EQ(bqs.stats().segments,
+                  static_cast<uint64_t>(kSegments - 1));
+        const DecisionStats& st = bqs.stats();
+        const uint64_t bound_assessed = st.upper_bound_includes +
+                                        st.lower_bound_splits +
+                                        st.exact_computations;
+        // The buffered points after the K-th of each segment, and the turn
+        // that ends each closed segment.
+        EXPECT_EQ(bound_assessed,
+                  buffered < kK ? 0u
+                                : kSegments * (buffered - kK) + kSegments - 1);
+      }
+    }
+  }
+}
+
+TEST(BqsCompressorTest, ScanPhaseHandsOverTheShortWarmUpsQuadrants) {
+  // At kScanPhasePoints buffered points the scan phase fits the rotation
+  // and replays the buffer into the quadrants: the result must be the
+  // rotation and quadrants an 8-point warm-up builds by then (a migration
+  // point at kScanPhasePoints keeps that warm-up), so every later decision
+  // and counter matches. A lateral excursion at the start keeps the first
+  // buffered points off the run's axis, so a replay that skipped them
+  // would leave different boxes.
+  constexpr std::size_t kK = internal::kScanPhasePoints;
+  for (const DistanceMetric metric :
+       {DistanceMetric::kPointToLine, DistanceMetric::kPointToSegment}) {
+    SCOPED_TRACE(::testing::Message() << "metric " << static_cast<int>(metric));
+    const Trajectory stream = ScanBoundaryStream(kK + 1, metric, 1, 10.0, 0.6);
+    BqsOptions options;
+    options.epsilon = 10.0;
+    options.metric = metric;
+    BqsCompressor bqs(options);
+    BqsCompressor short_warmup(options, {.hull_migration = kK});
+    std::vector<KeyPoint> keys;
+    std::vector<KeyPoint> short_keys;
+    for (const TrackPoint& pt : stream) {
+      bqs.Push(pt, &keys);
+      short_warmup.Push(pt, &short_keys);
+    }
+    ASSERT_EQ(keys.size(), 1u);  // one segment, still open
+    ASSERT_TRUE(bqs.engine().rotation_established());
+    EXPECT_EQ(bqs.engine().rotation_angle(),
+              short_warmup.engine().rotation_angle());
+    for (int q = 0; q < 4; ++q) {
+      const QuadrantBound& a = bqs.engine().quadrant(q);
+      const QuadrantBound& b = short_warmup.engine().quadrant(q);
+      EXPECT_EQ(a.count(), b.count()) << "quadrant " << q;
+      if (a.empty() || b.empty()) continue;
+      EXPECT_TRUE(a.box().min() == b.box().min()) << "quadrant " << q;
+      EXPECT_TRUE(a.box().max() == b.box().max()) << "quadrant " << q;
+    }
+  }
 }
 
 TEST(BqsCompressorTest, InvalidOptionsAreReported) {

@@ -57,6 +57,13 @@ report families, dispatched on the document's `schema` field:
      settled by the box pre-test or the flat-buffer scan before the
      sliver guard sends them to the sqrt-bearing reference composition
      (5460 BQS and 4404 FBQS sqrt calls when the guard ran first).
+  7. bound decisions: on the random_walk stream's fast-kernel BQS row,
+     bound_decisions / points (upper-bound includes plus lower-bound
+     splits) must be <= BOUND_DECISION_CEILING. BQS decides segments
+     shorter than kScanPhasePoints buffered points by the exact scan
+     alone, so bounds decide only the longer ones; the count is
+     deterministic for the seeded stream and rises if the scan phase
+     ends early (decisions and checksums stay identical either way).
 
   bqs-bench-fleet-v2
   ------------------------------------------------------------------
@@ -160,6 +167,11 @@ VECTOR_COVERAGE_FLOOR = 0.75
 # Random-walk ceilings on significant-point rebuilds per point for the fast
 # kernel, per algorithm (see check 5 of the micro family).
 REBUILD_CEILING = {"BQS": 0.005, "FBQS": 0.20}
+# Random-walk ceiling on bound decisions per point for the fast BQS kernel
+# (see check 7 of the micro family): measured 0 with the scan phase ending
+# at 128 buffered points (no segment of the walk gets that long), 0.0117
+# at 64 and 0.446 with the 8-point warm-up it replaced.
+BOUND_DECISION_CEILING = 0.005
 
 
 def throughput_rates(doc):
@@ -383,6 +395,18 @@ def check_micro(fresh, baseline, failures):
                     "walk (expected 0) — near-axis ends reach the "
                     "reference composition")
                 status = "SQRT"
+        if kernel == "fast" and stream == "random_walk" and algorithm == "BQS":
+            points = row.get("points", 0)
+            decisions = row.get("bound_decisions")
+            per_point = (decisions / points if decisions is not None and points
+                         else float("inf"))
+            note += f"  bound/pt {per_point:6.4f}"
+            if per_point > BOUND_DECISION_CEILING:
+                failures.append(
+                    f"micro {key}: {per_point:.4f} bound decisions per point "
+                    f"above ceiling {BOUND_DECISION_CEILING:.3f} — the scan "
+                    "phase ends early")
+                status = "BOUNDS"
         print(f"{key[0]:>18s} / {algorithm:<5s}/{kernel:<9s} "
               f"fallbacks {fallbacks:4d}{note}  {status}")
     return compared
