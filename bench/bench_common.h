@@ -160,8 +160,8 @@ inline std::string StringFlag(int argc, char** argv, std::string_view flag,
 /// bench reads ("--flag V" or "--flag=V"); --scale and a leading positional
 /// scale are always accepted. Returns nothing when the bench should run,
 /// otherwise its exit status: 0 after printing `usage` for --help or -h, 2
-/// after an unknown flag, a flag without its value, or a stray positional
-/// argument.
+/// after an unknown flag, a flag without its value, or a positional
+/// argument that is not a leading positive scale.
 inline std::optional<int> CheckArgs(
     int argc, char** argv, std::string_view usage,
     std::initializer_list<std::string_view> flags) {
@@ -179,7 +179,13 @@ inline std::optional<int> CheckArgs(
       return 0;
     }
     if (arg.rfind("--", 0) != 0) {
-      if (i == 1) continue;  // positional scale
+      // A positional scale must be a whole positive number: anything else
+      // (say, "-help") would fall back to the default scale and run.
+      char* end = nullptr;
+      if (i == 1 && std::strtod(argv[i], &end) > 0.0 && end != argv[i] &&
+          *end == '\0') {
+        continue;
+      }
       std::fprintf(stderr, "unexpected argument '%s'\n%.*s\n", argv[i],
                    static_cast<int>(usage.size()), usage.data());
       return 2;

@@ -16,9 +16,9 @@ struct DecisionStats {
                                       ///< buffer before the rotation is
                                       ///< fixed: <=W points, or up to
                                       ///< kScanPhasePoints in BQS's scan
-                                      ///< phase, where they decide every
-                                      ///< end of a short segment (their
-                                      ///< points count in
+                                      ///< phase (line metric), where they
+                                      ///< decide every end of a short
+                                      ///< segment (their points count in
                                       ///< exact_points_scanned).
   uint64_t upper_bound_includes = 0;  ///< d_ub <= epsilon: include, no scan.
   uint64_t lower_bound_splits = 0;    ///< d_lb > epsilon: split, no scan.

@@ -83,7 +83,9 @@ SegmentEngine::SegmentEngine(const BqsOptions& options, bool exact_mode,
     : options_(options),
       exact_mode_(exact_mode),
       fast_kernel_(!oracle.reference_kernel && !oracle.paper_literal()),
-      scan_phase_(exact_mode && fast_kernel_ && oracle.data_centric_rotation &&
+      scan_phase_(exact_mode && fast_kernel_ &&
+                  options.metric == DistanceMetric::kPointToLine &&
+                  oracle.data_centric_rotation &&
                   oracle.hull_migration > kScanPhasePoints),
       hull_migration_(oracle.hull_migration),
       data_centric_rotation_(oracle.data_centric_rotation),

@@ -25,8 +25,8 @@
 // O(h) space) at kHullMigrationPoints buffered points.
 //
 // Scan phase: on short segments the bounding structures cost more than
-// the exact scans they save, so BQS on the fast kernel builds none until
-// the flat buffer holds kScanPhasePoints points. Until then — the
+// the exact scans they save, so BQS on the fast kernel under the line
+// metric builds none until the flat buffer holds kScanPhasePoints points. Until then — the
 // rotation warm-up, extended from rotation_warmup to kScanPhasePoints
 // buffered points — every end, trivial or not, is decided by the
 // squared-domain SIMD max|cross| verdict over the buffer (the
@@ -48,7 +48,9 @@
 // bounds-first order and the rotation_warmup-point warm-up, so a hull from
 // the first point (KernelOracle::hull_migration = 1) runs Algorithm 1's
 // order throughout; so do the reference kernel, any hull_migration up to
-// kScanPhasePoints and data_centric_rotation = false.
+// kScanPhasePoints and data_centric_rotation = false. The point-to-segment
+// metric keeps the short warm-up too: its scan is a scalar loop with no
+// vector screen, and no bench measures a scan phase under it.
 //
 // KernelOracle is the test- and bench-only hook that selects the seed's
 // transcendental reference kernel, moves the hull migration point
@@ -370,9 +372,10 @@ class SegmentEngine {
   /// Fast kernel: neither KernelOracle::reference_kernel nor a
   /// paper-literal field is set.
   bool fast_kernel_;
-  /// BQS on the fast kernel with data-centric rotation and the hull
-  /// migration past kScanPhasePoints: the rotation warm-up is the scan
-  /// phase, buffering into buffer_ until it holds kScanPhasePoints.
+  /// BQS on the fast kernel under the line metric, with data-centric
+  /// rotation and the hull migration past kScanPhasePoints: the rotation
+  /// warm-up is the scan phase, buffering into buffer_ until it holds
+  /// kScanPhasePoints.
   bool scan_phase_;
   std::size_t hull_migration_;  ///< KernelOracle::hull_migration.
   bool data_centric_rotation_;  ///< KernelOracle::data_centric_rotation.
@@ -398,8 +401,8 @@ class SegmentEngine {
   double rotation_angle_ = 0.0;
   double rot_cos_ = 1.0;
   double rot_sin_ = 0.0;
-  /// Warm-up buffer outside the scan phase (FBQS and the oracles); the
-  /// scan phase buffers into buffer_.
+  /// Warm-up buffer outside the scan phase (FBQS, the segment metric and
+  /// the oracles); the scan phase buffers into buffer_.
   std::size_t warmup_count_ = 0;
   std::array<TrackPoint, kMaxRotationWarmup> warmup_{};
 

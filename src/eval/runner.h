@@ -24,7 +24,11 @@ struct SweepRow {
   double runtime_ms = 0.0;
   double max_deviation = 0.0;
   bool error_bounded = false;
-  double pruning_power = -1.0;  ///< -1 when not applicable.
+  /// DecisionStats::PruningPower() of the production kernel, -1 when not
+  /// applicable. BQS's scan phase decides short segments by warm-up
+  /// checks, which it leaves out, so this is not Fig. 6's measure (see
+  /// bench_fig6_pruning_power).
+  double pruning_power = -1.0;
 };
 
 /// Runs every algorithm over every dataset at every epsilon.

@@ -172,6 +172,14 @@ TEST_F(CheckArgsTest, MissingValueAndStrayPositionalExitTwo) {
   EXPECT_EQ(Check(Argv({"--out"})), 2);
   EXPECT_EQ(Check(Argv({"0.5", "extra"})), 2);
   EXPECT_EQ(Check(Argv({"--reps", "3", "0.5"})), 2);
+  // A leading positional that is not a positive scale would run the bench
+  // at the default scale.
+  EXPECT_EQ(Check(Argv({"-help"})), 2);
+  EXPECT_EQ(Check(Argv({"help"})), 2);
+  EXPECT_EQ(Check(Argv({"foo"})), 2);
+  EXPECT_EQ(Check(Argv({"0.5x"})), 2);
+  EXPECT_EQ(Check(Argv({"0"})), 2);
+  EXPECT_EQ(Check(Argv({""})), 2);
   ::testing::internal::GetCapturedStderr();
 }
 

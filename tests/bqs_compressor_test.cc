@@ -354,9 +354,8 @@ TEST(BqsCompressorTest, FastKernelIsByteIdenticalToReferenceCorpus) {
   // run the reference kernel, so they have no fast side to compare.) The
   // decision mix is compared wherever the fast kernel follows the
   // reference's bounds-first order: with the hull from the first point, and
-  // under the segment metric without rotation (the flat-buffer scan runs
-  // first only under the line metric, and the scan phase only with the
-  // rotation warm-up).
+  // under the segment metric (the flat-buffer scan runs first, and the
+  // scan phase runs, only under the line metric).
   int configs = 0;
   for (uint64_t seed : {171u, 172u, 173u}) {
     const Trajectory walks[] = {SmoothWalk(seed, 1200), JaggedWalk(seed, 1200),
@@ -389,7 +388,7 @@ TEST(BqsCompressorTest, FastKernelIsByteIdenticalToReferenceCorpus) {
                                       "kernel diff");
               EXPECT_EQ(fast.stats().segments, reference.stats().segments);
               if (oracle.hull_migration == 1 ||
-                  (metric == DistanceMetric::kPointToSegment && !rotate)) {
+                  metric == DistanceMetric::kPointToSegment) {
                 EXPECT_EQ(fast.stats().upper_bound_includes,
                           reference.stats().upper_bound_includes);
                 EXPECT_EQ(fast.stats().lower_bound_splits,
@@ -850,8 +849,10 @@ TEST(BqsCompressorTest, ScanPhaseBoundaryIsByteIdenticalToTheOracles) {
   // kScanPhasePoints: the default kernel keeps the reference kernel's keys
   // (and those of the hull from the first point, which never runs the
   // scan phase), and the hull from the first point keeps the reference's
-  // decision mix. Below kScanPhasePoints no bound is ever composed; from
-  // it on, exactly the points after the handover are bound-assessed.
+  // decision mix. Under the line metric no bound is ever composed below
+  // kScanPhasePoints; from it on, exactly the points after the handover
+  // are bound-assessed. The segment metric runs no scan phase, so there
+  // the default kernel keeps the reference's decision mix.
   constexpr std::size_t kK = internal::kScanPhasePoints;
   constexpr int kSegments = 5;
   for (const DistanceMetric metric :
@@ -895,6 +896,11 @@ TEST(BqsCompressorTest, ScanPhaseBoundaryIsByteIdenticalToTheOracles) {
         EXPECT_EQ(bqs.stats().segments,
                   static_cast<uint64_t>(kSegments - 1));
         const DecisionStats& st = bqs.stats();
+        if (metric == DistanceMetric::kPointToSegment) {
+          ExpectSameDecisions(st, reference.stats());
+          EXPECT_EQ(st.warmup_checks, reference.stats().warmup_checks);
+          continue;
+        }
         const uint64_t bound_assessed = st.upper_bound_includes +
                                         st.lower_bound_splits +
                                         st.exact_computations;
@@ -915,35 +921,32 @@ TEST(BqsCompressorTest, ScanPhaseHandsOverTheShortWarmUpsQuadrants) {
   // point at kScanPhasePoints keeps that warm-up), so every later decision
   // and counter matches. A lateral excursion at the start keeps the first
   // buffered points off the run's axis, so a replay that skipped them
-  // would leave different boxes.
+  // would leave different boxes. (The scan phase runs under the line
+  // metric only.)
   constexpr std::size_t kK = internal::kScanPhasePoints;
-  for (const DistanceMetric metric :
-       {DistanceMetric::kPointToLine, DistanceMetric::kPointToSegment}) {
-    SCOPED_TRACE(::testing::Message() << "metric " << static_cast<int>(metric));
-    const Trajectory stream = ScanBoundaryStream(kK + 1, metric, 1, 10.0, 0.6);
-    BqsOptions options;
-    options.epsilon = 10.0;
-    options.metric = metric;
-    BqsCompressor bqs(options);
-    BqsCompressor short_warmup(options, {.hull_migration = kK});
-    std::vector<KeyPoint> keys;
-    std::vector<KeyPoint> short_keys;
-    for (const TrackPoint& pt : stream) {
-      bqs.Push(pt, &keys);
-      short_warmup.Push(pt, &short_keys);
-    }
-    ASSERT_EQ(keys.size(), 1u);  // one segment, still open
-    ASSERT_TRUE(bqs.engine().rotation_established());
-    EXPECT_EQ(bqs.engine().rotation_angle(),
-              short_warmup.engine().rotation_angle());
-    for (int q = 0; q < 4; ++q) {
-      const QuadrantBound& a = bqs.engine().quadrant(q);
-      const QuadrantBound& b = short_warmup.engine().quadrant(q);
-      EXPECT_EQ(a.count(), b.count()) << "quadrant " << q;
-      if (a.empty() || b.empty()) continue;
-      EXPECT_TRUE(a.box().min() == b.box().min()) << "quadrant " << q;
-      EXPECT_TRUE(a.box().max() == b.box().max()) << "quadrant " << q;
-    }
+  const Trajectory stream = ScanBoundaryStream(
+      kK + 1, DistanceMetric::kPointToLine, 1, 10.0, 0.6);
+  BqsOptions options;
+  options.epsilon = 10.0;
+  BqsCompressor bqs(options);
+  BqsCompressor short_warmup(options, {.hull_migration = kK});
+  std::vector<KeyPoint> keys;
+  std::vector<KeyPoint> short_keys;
+  for (const TrackPoint& pt : stream) {
+    bqs.Push(pt, &keys);
+    short_warmup.Push(pt, &short_keys);
+  }
+  ASSERT_EQ(keys.size(), 1u);  // one segment, still open
+  ASSERT_TRUE(bqs.engine().rotation_established());
+  EXPECT_EQ(bqs.engine().rotation_angle(),
+            short_warmup.engine().rotation_angle());
+  for (int q = 0; q < 4; ++q) {
+    const QuadrantBound& a = bqs.engine().quadrant(q);
+    const QuadrantBound& b = short_warmup.engine().quadrant(q);
+    EXPECT_EQ(a.count(), b.count()) << "quadrant " << q;
+    if (a.empty() || b.empty()) continue;
+    EXPECT_TRUE(a.box().min() == b.box().min()) << "quadrant " << q;
+    EXPECT_TRUE(a.box().max() == b.box().max()) << "quadrant " << q;
   }
 }
 
