@@ -16,11 +16,17 @@
 //             the fraction of blocks decoded per query — the pruning
 //             power, also deterministic for the seeded workload.
 //
+//   no-op     the median cost of a CompactOnce() with nothing to drain,
+//             after the first and after the 32nd small block file one
+//             compactor published: what an idle checkpoint barrier pays,
+//             and whether it grows with the store.
+//
 // The run FAILS (exit 1) if recovery is not bit-exact or any block query
 // disagrees with the brute-force reference: the same points, in the same
 // (block) order. Latency is reported for trend-watching; check_perf gates
-// only the machine-independent fields (exactness, density, decoded
-// fraction, workload identity).
+// the machine-independent fields (exactness, density, decoded fraction,
+// workload identity) and two same-run latency ratios (block query vs full
+// scan, no-op run after 32 files vs after 1).
 //
 // Usage: bench_compaction [scale | --scale S] [--out PATH] [--dir PATH]
 #include <algorithm>
@@ -159,6 +165,84 @@ std::vector<KeyPoint> PointsInBlockOrder(const Manifest& manifest,
         Status::Internal("recovered points outside every block"));
   }
   return points;
+}
+
+/// Block files the no-op measurement publishes, one compaction run each,
+/// and the devices (so blocks) per file: about one barrier's worth of a
+/// 48-device fleet.
+constexpr int kNoOpFiles = 32;
+constexpr DeviceId kNoOpDevices = 48;
+/// No-op CompactOnce() calls timed after the first and the last file.
+constexpr int kNoOpRuns = 20;
+
+struct NoOpCost {
+  double first_us = 0.0;  ///< Median no-op run with 1 block file.
+  double last_us = 0.0;   ///< Median no-op run with kNoOpFiles files.
+};
+
+/// What a checkpoint barrier pays when it has nothing to compact, and
+/// whether that grows with the store. Each round appends one small
+/// checkpoint per device, seals the segment (a fresh writer starts the
+/// next one) and compacts it into one block file; the median of kNoOpRuns
+/// no-op runs of the same compactor is taken after the first file and
+/// after the last. A compactor that re-reads the MANIFEST or lists the
+/// block directory on every run pays more the more files it has.
+NoOpCost MeasureNoOpRuns(const std::string& dir) {
+  const std::string wal_dir = dir + "/wal";
+  const std::string block_dir = dir + "/blocks";
+  CompactionOptions copts;
+  copts.wal_dir = wal_dir;
+  copts.block_dir = block_dir;
+  Compactor compactor(copts);
+  KeyPointWalOptions wal_options;
+  wal_options.dir = wal_dir;
+  Rng rng(0x0b0bu);
+  uint64_t next_seq = 1;
+  NoOpCost cost;
+  for (int file = 1; file <= kNoOpFiles; ++file) {
+    KeyPointWal walog(wal_options);
+    if (Status st = walog.Open(next_seq); !st.ok()) Die("no-op wal open", st);
+    for (DeviceId d = 0; d < kNoOpDevices; ++d) {
+      std::vector<KeyPoint> keys(4);
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        keys[i].index = static_cast<uint64_t>(file) * 100 + i;
+        keys[i].point.t = file * 60.0 + static_cast<double>(i);
+        keys[i].point.pos = {rng.Uniform(-5000.0, 5000.0),
+                             rng.Uniform(-5000.0, 5000.0)};
+      }
+      const Result<WalAppendAck> ack = walog.Append(d, keys);
+      if (!ack.ok()) Die("no-op wal append", ack.status());
+    }
+    next_seq = walog.next_seq();
+    if (Status st = walog.Close(); !st.ok()) Die("no-op wal close", st);
+    // A fresh writer seals the segment above; leave its empty one active.
+    KeyPointWal active(wal_options);
+    if (Status st = active.Open(next_seq); !st.ok()) Die("no-op wal", st);
+    const uint64_t bound = active.current_segment_index();
+    if (Status st = compactor.CompactOnce(bound); !st.ok()) {
+      Die("no-op compact", st);
+    }
+    if (file == 1 || file == kNoOpFiles) {
+      std::vector<double> us;
+      for (int run = 0; run < kNoOpRuns; ++run) {
+        const auto begin = std::chrono::steady_clock::now();
+        if (Status st = compactor.CompactOnce(bound); !st.ok()) {
+          Die("no-op run", st);
+        }
+        us.push_back(1e6 * Seconds(begin, std::chrono::steady_clock::now()));
+      }
+      std::sort(us.begin(), us.end());
+      const double median = 0.5 * (us[(us.size() - 1) / 2] + us[us.size() / 2]);
+      (file == 1 ? cost.first_us : cost.last_us) = median;
+    }
+    if (Status st = active.Close(); !st.ok()) Die("no-op wal close", st);
+  }
+  if (compactor.stats().block_files_written !=
+      static_cast<uint64_t>(kNoOpFiles)) {
+    Die("no-op setup",
+        Status::Internal("expected one block file per compaction round"));
+  }
+  return cost;
 }
 
 }  // namespace
@@ -330,6 +414,14 @@ int main(int argc, char** argv) {
               query_count, total_hits, block_query_us, scan_query_us,
               avg_decoded_fraction, queries_match ? "yes" : "NO");
 
+  // --- no-op run cost vs store size (measured, gated as a ratio) ----------
+  const NoOpCost noop = MeasureNoOpRuns(base_dir + "/noop");
+  const double noop_growth =
+      noop.first_us > 0 ? noop.last_us / noop.first_us : 0.0;
+  std::printf("no-op:   %7.1f us/run with 1 block file, %7.1f us/run with "
+              "%d (%.2fx)\n",
+              noop.first_us, noop.last_us, kNoOpFiles, noop_growth);
+
   bench::JsonReport json;
   json.BeginObject();
   json.Key("schema"), json.Value("bqs-bench-compaction-v1");
@@ -353,6 +445,9 @@ int main(int argc, char** argv) {
   json.Key("block_query_us"), json.Value(block_query_us);
   json.Key("full_scan_query_us"), json.Value(scan_query_us);
   json.Key("avg_decoded_block_fraction"), json.Value(avg_decoded_fraction);
+  json.Key("noop_block_files"), json.Value(static_cast<uint64_t>(kNoOpFiles));
+  json.Key("noop_run_us_first_file"), json.Value(noop.first_us);
+  json.Key("noop_run_us_last_file"), json.Value(noop.last_us);
   json.EndObject();
   json.WriteFile(out_path);
   std::printf("\nwrote %s\n", out_path.c_str());

@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -73,44 +74,79 @@ void FinishRun(MeasuredRun* run, const CompressedTrajectory& out,
           .BoundedBy(kEpsilon * (1.0 + 1e-9));
 }
 
-template <typename MakeCompressor>
-MeasuredRun MeasureStream(const std::string& name, MakeCompressor make,
-                          const Trajectory& stream, int reps) {
-  MeasuredRun run;
-  run.name = name;
-  CompressedTrajectory out;
-  for (int r = 0; r < reps; ++r) {
-    auto compressor = make();
-    const auto start = std::chrono::steady_clock::now();
-    out = CompressAll(*compressor, stream);
-    const auto end = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(end - start).count();
-    if (r == 0 || ms < run.best_ms) run.best_ms = ms;
-    if (r == 0) {
-      run.stats = compressor->stats();
-      run.has_stats = true;
-    }
-  }
-  FinishRun(&run, out, stream);
-  return run;
+/// One row of a stream's table. `pass` compresses the whole stream once
+/// into `out`, sets `stats` when the algorithm keeps decision stats, and
+/// returns the milliseconds the compression alone took.
+struct RowSpec {
+  std::string name;
+  std::function<double(CompressedTrajectory* out,
+                       std::optional<DecisionStats>* stats)>
+      pass;
+};
+
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
 }
 
-MeasuredRun MeasureDp(const Trajectory& stream, int reps) {
-  MeasuredRun run;
-  run.name = "DP";
-  CompressedTrajectory out;
+template <typename MakeCompressor>
+RowSpec StreamRow(std::string name, MakeCompressor make,
+                  const Trajectory& stream) {
+  return {std::move(name),
+          [make, &stream](CompressedTrajectory* out,
+                          std::optional<DecisionStats>* stats) {
+            auto compressor = make();
+            const auto start = std::chrono::steady_clock::now();
+            *out = CompressAll(*compressor, stream);
+            const double ms = MsSince(start);
+            if (const DecisionStats* s = compressor->decision_stats()) {
+              *stats = *s;
+            }
+            return ms;
+          }};
+}
+
+RowSpec DpRow(const Trajectory& stream) {
+  return {"DP", [&stream](CompressedTrajectory* out,
+                          std::optional<DecisionStats>*) {
+            DouglasPeucker dp(
+                DpOptions{kEpsilon, DistanceMetric::kPointToLine});
+            const auto start = std::chrono::steady_clock::now();
+            *out = dp.Compress(stream);
+            return MsSince(start);
+          }};
+}
+
+/// Times `reps` passes of every row round-robin: rep r of every row runs
+/// before rep r+1 of any, so a slow stretch of the host lands on all rows
+/// of the stream alike, the BQS_bruteforce calibration row included,
+/// instead of on one row's whole sample. Each row keeps its best time
+/// (best-of-N) and its first pass's output and stats.
+std::vector<MeasuredRun> MeasureRoundRobin(const std::vector<RowSpec>& rows,
+                                           const Trajectory& stream,
+                                           int reps) {
+  std::vector<MeasuredRun> runs(rows.size());
+  std::vector<CompressedTrajectory> outs(rows.size());
   for (int r = 0; r < reps; ++r) {
-    DouglasPeucker dp(DpOptions{kEpsilon, DistanceMetric::kPointToLine});
-    const auto start = std::chrono::steady_clock::now();
-    out = dp.Compress(stream);
-    const auto end = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(end - start).count();
-    if (r == 0 || ms < run.best_ms) run.best_ms = ms;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      CompressedTrajectory out;
+      std::optional<DecisionStats> stats;
+      const double ms = rows[i].pass(&out, &stats);
+      MeasuredRun& run = runs[i];
+      if (r == 0 || ms < run.best_ms) run.best_ms = ms;
+      if (r == 0) {
+        run.name = rows[i].name;
+        run.has_stats = stats.has_value();
+        if (stats) run.stats = *stats;
+        outs[i] = std::move(out);
+      }
+    }
   }
-  FinishRun(&run, out, stream);
-  return run;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    FinishRun(&runs[i], outs[i], stream);
+  }
+  return runs;
 }
 
 void EmitRun(bench::JsonReport& json, const MeasuredRun& run) {
@@ -189,28 +225,31 @@ int Run(int argc, char** argv) {
     internal::KernelOracle seed_oracle = reference;
     seed_oracle.hull_migration = SIZE_MAX;
 
-    std::vector<MeasuredRun> runs;
-    runs.push_back(MeasureStream(
-        "BQS",
-        [&] { return std::make_unique<BqsCompressor>(options); },
-        stream, reps));
-    runs.push_back(MeasureStream(
-        "BQS_hull",
-        [&] { return std::make_unique<BqsCompressor>(options, hull); },
-        stream, reps));
-    runs.push_back(MeasureStream(
-        "BQS_bruteforce",
-        [&] { return std::make_unique<BqsCompressor>(options, seed_oracle); },
-        stream, reps));
-    runs.push_back(MeasureStream(
-        "FBQS",
-        [&] { return std::make_unique<FbqsCompressor>(options); },
-        stream, reps));
-    runs.push_back(MeasureStream(
-        "FBQS_reference",
-        [&] { return std::make_unique<FbqsCompressor>(options, reference); },
-        stream, reps));
-    runs.push_back(MeasureDp(stream, reps));
+    const std::vector<MeasuredRun> runs = MeasureRoundRobin(
+        {StreamRow(
+             "BQS", [&] { return std::make_unique<BqsCompressor>(options); },
+             stream),
+         StreamRow(
+             "BQS_hull",
+             [&] { return std::make_unique<BqsCompressor>(options, hull); },
+             stream),
+         StreamRow("BQS_bruteforce",
+                   [&] {
+                     return std::make_unique<BqsCompressor>(options,
+                                                            seed_oracle);
+                   },
+                   stream),
+         StreamRow(
+             "FBQS", [&] { return std::make_unique<FbqsCompressor>(options); },
+             stream),
+         StreamRow("FBQS_reference",
+                   [&] {
+                     return std::make_unique<FbqsCompressor>(options,
+                                                             reference);
+                   },
+                   stream),
+         DpRow(stream)},
+        stream, reps);
 
     const MeasuredRun& fast = runs[0];
     const MeasuredRun& seed = runs[2];

@@ -61,7 +61,8 @@ enum class FaultSite : uint8_t {
   /// the file's durable state can be trusted, so pretending to continue
   /// would forge the ack contract.
   kFsyncFail,
-  /// Process "crashes" immediately after a record write: the writer's
+  /// Process "crashes" right after an append batch's write (its
+  /// durability policy ran, its acks are not yet out): the writer's
   /// user-space buffer (bytes not yet written to the OS under kNone
   /// batching) is discarded and the writer goes dead without flushing.
   kCrashAfterWrite,

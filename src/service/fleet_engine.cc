@@ -474,12 +474,31 @@ FleetStats FleetEngine::Stats() {
 void FleetEngine::CheckpointWal() {
   if (options_.wal == nullptr) return;
   SealAll();
+  // Every staged session of every shard goes into one batch, so the WAL's
+  // durability policy (the write, and any sync) runs once per barrier.
+  // The shards stay drained until the next Enqueue, so the second pass
+  // walks the same sessions in the same order and counts each ack.
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     AssumeProducer(shard);  // single-producer API contract
     WaitIdle(shard);        // grants shard.worker_role (idle protocol)
     for (auto& [device, session] : shard.sessions) {
-      CheckpointSession(shard, device, session);
+      if (!session.staged.empty()) {
+        wal_batch_.push_back({device, session.staged});
+      }
+    }
+  }
+  bool writer_dead = options_.wal->dead();
+  options_.wal->AppendBatch(wal_batch_, &wal_acks_);
+  wal_batch_.clear();  // its views into the staged points end here
+  std::size_t next_ack = 0;
+  for (auto& shard_ptr : shards_) {
+    Shard& shard = *shard_ptr;
+    WaitIdle(shard);  // still drained: re-grants shard.worker_role
+    for (auto& [device, session] : shard.sessions) {
+      (void)device;
+      if (session.staged.empty()) continue;
+      CountWalAck(shard, session, wal_acks_[next_ack++], &writer_dead);
     }
   }
   // The checkpoint barrier is the compaction trigger: every staged point
@@ -749,9 +768,14 @@ void FleetEngine::CloseSession(Shard& shard, DeviceId device,
 void FleetEngine::CheckpointSession(Shard& shard, DeviceId device,
                                     Session& session) {
   if (options_.wal == nullptr || session.staged.empty()) return;
-  const bool was_dead = options_.wal->dead();
-  const Result<WalAppendAck> ack =
-      options_.wal->Append(device, session.staged);
+  bool writer_dead = options_.wal->dead();
+  CountWalAck(shard, session, options_.wal->Append(device, session.staged),
+              &writer_dead);
+}
+
+void FleetEngine::CountWalAck(Shard& shard, Session& session,
+                              const Result<WalAppendAck>& ack,
+                              bool* writer_dead) {
   if (ack.ok()) {
     ++shard.counters.wal_checkpoints;
     shard.counters.wal_points += session.staged.size();
@@ -761,12 +785,16 @@ void FleetEngine::CheckpointSession(Shard& shard, DeviceId device,
     // failure counter reports. Dropping the staged batch instead of
     // retrying keeps a dead WAL from turning into per-run overhead. The
     // reason split: the append that hit the error itself vs refusals by a
-    // writer already known dead.
+    // writer already known dead — in a failed batch, its first checkpoint
+    // vs the rest, as a loop of single appends would have counted them.
     ++shard.counters.wal_append_failures;
-    if (was_dead) {
+    if (*writer_dead) {
       ++shard.counters.wal_failures_writer_dead;
     } else {
       ++shard.counters.wal_failures_io;
+    }
+    if (ack.status().code() != StatusCode::kInvalidArgument) {
+      *writer_dead = true;
     }
   }
   session.staged.clear();

@@ -103,13 +103,13 @@
 #include "service/overload_policy.h"
 #include "service/record_block.h"
 #include "service/spsc_ring.h"
+#include "storage/keypoint_wal.h"
 #include "trajectory/compressor.h"
 #include "trajectory/point.h"
 
 namespace bqs {
 
 class FaultInjector;  // common/fault_injector.h (test harness; see lint)
-class KeyPointWal;    // storage/keypoint_wal.h
 class Compactor;      // storage/compaction.h
 
 /// Why a device session was closed.
@@ -381,11 +381,13 @@ class FleetEngine {
   FleetStats Stats();
 
   /// Drains in-flight work, then appends every live session's staged key
-  /// points to the WAL as one checkpoint per session — the fleet-wide
-  /// durability barrier (periodic snapshots, pre-shutdown flush). After it
-  /// returns, every key point emitted by records that happened-before this
-  /// call is either in the WAL (per its durability policy) or counted in
-  /// wal_append_failures. No-op without a configured WAL.
+  /// points to the WAL as one checkpoint per session, all in one
+  /// KeyPointWal::AppendBatch() — the fleet-wide durability barrier
+  /// (periodic snapshots, pre-shutdown flush), which pays the WAL's
+  /// durability policy once. After it returns, every key point emitted by
+  /// records that happened-before this call is either in the WAL (per its
+  /// durability policy) or counted in wal_append_failures. No-op without a
+  /// configured WAL.
   void CheckpointWal();
 
   const FleetEngineOptions& options() const { return options_; }
@@ -606,6 +608,12 @@ class FleetEngine {
   /// the WAL is insurance, not the data path.
   void CheckpointSession(Shard& shard, DeviceId device, Session& session)
       REQUIRES(shard.worker_role);
+  /// Counts one checkpoint's WAL outcome into the shard's counters and
+  /// clears the session's staged points. `writer_dead` says whether an
+  /// earlier append already found the writer dead; an I/O failure sets it.
+  void CountWalAck(Shard& shard, Session& session,
+                   const Result<WalAppendAck>& ack, bool* writer_dead)
+      REQUIRES(shard.worker_role);
   void EnforceBudget(Shard& shard) REQUIRES(shard.worker_role);
   void CloseIdleSessions(Shard& shard) REQUIRES(shard.worker_role);
   /// Moves `device`'s live session to eps-ladder rung `level`: closes the
@@ -636,6 +644,10 @@ class FleetEngine {
   /// flag the shed paths set. Producer-thread only.
   uint64_t shed_batches_ = 0;
   bool batch_shed_ = false;
+  /// CheckpointWal's batch (empty between barriers) and its acks, reused.
+  /// Caller thread only.
+  std::vector<WalBatchEntry> wal_batch_;
+  std::vector<Result<WalAppendAck>> wal_acks_;
   /// Compaction outcomes (driven from CheckpointWal on the caller thread).
   uint64_t compaction_runs_ = 0;
   uint64_t compaction_failures_ = 0;

@@ -149,6 +149,7 @@ Status Compactor::CompactOnceLocked(uint64_t max_segment_exclusive) {
     return st;
   };
   const auto fail = [&](const Status& st) -> Status {
+    manifest_current_ = false;  // the next run cleans up and re-reads
     if (gate.crashed) {
       ++stats_.runs_crashed;
     } else {
@@ -164,65 +165,65 @@ Status Compactor::CompactOnceLocked(uint64_t max_segment_exclusive) {
   };
 
   // [cleanup] -- block dir, current manifest, stale temp/orphan files.
-  Manifest manifest;
-  bool have_manifest = false;
-  Status st = step([&]() -> Status {
-    have_manifest = false;
-    manifest = Manifest{};
-    std::error_code ec;
-    std::filesystem::create_directories(options_.block_dir, ec);
-    if (ec) {
-      return Status::IoError("create " + options_.block_dir + ": " +
-                             ec.message());
-    }
-    const Status ms = ReadManifest(options_.block_dir, &manifest);
-    if (ms.ok()) {
-      have_manifest = true;
-      return Status::OK();
-    }
-    // No manifest yet is the fresh-directory case; corruption is not ours
-    // to paper over — compacting on top of an untrusted watermark could
-    // delete WAL bytes not provably in blocks. Refuse and report.
-    if (ms.code() == StatusCode::kNotFound) return Status::OK();
-    return ms;
-  });
-  if (!st.ok()) return fail(st);
-
-  st = step([&]() -> Status {
-    Result<NumberedListing> listed =
-        ListNumberedFiles(options_.block_dir, kBlockFiles);
-    if (!listed.ok()) return listed.status();
-    const NumberedListing& listing = listed.value();
-    const std::set<uint64_t> referenced = ReferencedIds(manifest);
-    std::vector<std::string> doomed = listing.temps;
-    // Published but never referenced: a crash landed between block and
-    // manifest publication. The WAL still holds its contents (segments are
-    // deleted only after the manifest rename), so the orphan is redundant
-    // bytes, not data.
-    for (const auto* group : {&listing.files, &listing.duplicates}) {
-      for (const NumberedFile& file : *group) {
-        if (!referenced.contains(file.index)) doomed.push_back(file.path);
-      }
-    }
-    for (const std::string& path : doomed) {
+  // Only on this compactor's first run and after a run that failed or
+  // crashed: it is the MANIFEST's only writer, so manifest_ is what a
+  // clean run left on disk, and only a failed run leaves debris.
+  if (!manifest_current_) {
+    Status st = step([&]() -> Status {
+      manifest_ = Manifest{};
       std::error_code ec;
-      std::filesystem::remove(path, ec);
-      if (ec) return Status::IoError("remove " + path + ": " + ec.message());
-    }
-    stats_.orphan_tmp_removed += listing.temps.size();
-    stats_.orphan_blocks_removed += doomed.size() - listing.temps.size();
-    return Status::OK();
-  });
-  if (!st.ok()) return fail(st);
+      std::filesystem::create_directories(options_.block_dir, ec);
+      if (ec) {
+        return Status::IoError("create " + options_.block_dir + ": " +
+                               ec.message());
+      }
+      const Status ms = ReadManifest(options_.block_dir, &manifest_);
+      // No manifest yet is the fresh-directory case; corruption is not
+      // ours to paper over — compacting on top of an untrusted watermark
+      // could delete WAL bytes not provably in blocks. Refuse and report.
+      if (ms.ok() || ms.code() == StatusCode::kNotFound) return Status::OK();
+      return ms;
+    });
+    if (!st.ok()) return fail(st);
+
+    st = step([&]() -> Status {
+      Result<NumberedListing> listed =
+          ListNumberedFiles(options_.block_dir, kBlockFiles);
+      if (!listed.ok()) return listed.status();
+      const NumberedListing& listing = listed.value();
+      const std::set<uint64_t> referenced = ReferencedIds(manifest_);
+      std::vector<std::string> doomed = listing.temps;
+      // Published but never referenced: a crash landed between block and
+      // manifest publication. The WAL still holds its contents (segments
+      // are deleted only after the manifest rename), so the orphan is
+      // redundant bytes, not data.
+      for (const auto* group : {&listing.files, &listing.duplicates}) {
+        for (const NumberedFile& file : *group) {
+          if (!referenced.contains(file.index)) doomed.push_back(file.path);
+        }
+      }
+      for (const std::string& path : doomed) {
+        std::error_code ec;
+        std::filesystem::remove(path, ec);
+        if (ec) {
+          return Status::IoError("remove " + path + ": " + ec.message());
+        }
+      }
+      stats_.orphan_tmp_removed += listing.temps.size();
+      stats_.orphan_blocks_removed += doomed.size() - listing.temps.size();
+      return Status::OK();
+    });
+    if (!st.ok()) return fail(st);
+  }
   if (Status cs = gate.At(); !cs.ok()) return fail(cs);  // T0: cleaned up
 
   // [scan] -- sealed segments below the bound; keep what the manifest
-  // does not already cover.
+  // does not already cover. The WAL directory is listed on every run.
   std::vector<WalSegmentFile> consumed;
   std::vector<wal::WalCheckpoint> fresh;
   wal::WalQuantization quant;
   uint64_t already = 0;
-  st = step([&]() -> Status {
+  Status st = step([&]() -> Status {
     consumed.clear();
     fresh.clear();
     already = 0;
@@ -236,7 +237,7 @@ Status Compactor::CompactOnceLocked(uint64_t max_segment_exclusive) {
     }
     quant = scanned.value().quant;
     for (wal::WalCheckpoint& c : scanned.value().checkpoints) {
-      if (c.seq <= manifest.last_applied_seq) {
+      if (c.seq <= manifest_.last_applied_seq) {
         ++already;
       } else {
         fresh.push_back(std::move(c));
@@ -250,6 +251,7 @@ Status Compactor::CompactOnceLocked(uint64_t max_segment_exclusive) {
   stats_.segments_consumed += consumed.size();
   stats_.checkpoints_already_compacted += already;
   if (consumed.empty()) {
+    manifest_current_ = true;
     ++stats_.runs_completed;
     return Status::OK();
   }
@@ -260,7 +262,7 @@ Status Compactor::CompactOnceLocked(uint64_t max_segment_exclusive) {
     std::stable_sort(fresh.begin(), fresh.end(),
                      [](const wal::WalCheckpoint& a,
                         const wal::WalCheckpoint& b) { return a.seq < b.seq; });
-    uint64_t new_watermark = manifest.last_applied_seq;
+    uint64_t new_watermark = manifest_.last_applied_seq;
     uint64_t fresh_points = 0;
     for (const wal::WalCheckpoint& c : fresh) {
       new_watermark = std::max(new_watermark, c.seq);
@@ -293,7 +295,7 @@ Status Compactor::CompactOnceLocked(uint64_t max_segment_exclusive) {
     // Encode the whole block file in memory (a compaction's unit of work
     // is bounded by the WAL rotation threshold times segments drained).
     uint64_t file_id = 1;
-    for (const ManifestBlockFile& file : manifest.files) {
+    for (const ManifestBlockFile& file : manifest_.files) {
       file_id = std::max(file_id, file.file_id + 1);
     }
     std::string file_bytes;
@@ -332,7 +334,7 @@ Status Compactor::CompactOnceLocked(uint64_t max_segment_exclusive) {
     stats_.points_compacted += fresh_points;
 
     // [write + publish manifest] -- the commit point.
-    Manifest next = manifest;
+    Manifest next = manifest_;
     next.quant = quant;
     next.last_applied_seq = new_watermark;
     next.files.push_back(std::move(new_file));
@@ -342,7 +344,7 @@ Status Compactor::CompactOnceLocked(uint64_t max_segment_exclusive) {
     });
     if (!st.ok()) return fail(st);
     if (Status cs = gate.At(); !cs.ok()) return fail(cs);  // committed
-    manifest = std::move(next);
+    manifest_ = std::move(next);
   }
 
   // [delete consumed WAL segments] -- safe now (and safe to redo: every
@@ -362,6 +364,7 @@ Status Compactor::CompactOnceLocked(uint64_t max_segment_exclusive) {
   }
   (void)FsyncDir(options_.wal_dir);  // best-effort, like the WAL writer's
 
+  manifest_current_ = true;
   ++stats_.runs_completed;
   return Status::OK();
 }

@@ -4,11 +4,13 @@
 //
 // The state machine (one CompactOnce() run):
 //
-//     [cleanup]   quarantine stale *.tmp and unreferenced blk-*.bqb
-//        |        (leftovers of a previous crash; deleting them is safe
-//        v         because nothing unpublished is ever the only copy)
-//     [scan]      read MANIFEST watermark; replay sealed WAL segments;
-//        |        keep checkpoints with seq > watermark
+//     [cleanup]   create the block dir, read the MANIFEST; quarantine
+//        |        stale *.tmp and unreferenced blk-*.bqb (leftovers of a
+//        |        previous crash; deleting them is safe because nothing
+//        |        unpublished is ever the only copy)
+//        v
+//     [scan]      list and replay sealed WAL segments; keep checkpoints
+//        |        with seq > the MANIFEST's watermark
 //        v
 //     [write blk] encode per-device column runs -> blk-N.bqb.tmp, fsync
 //        |
@@ -32,6 +34,17 @@
 // losses. The compaction_crash_sweep_test kills a run at every transition
 // (FaultSite::kCompactionCrashAt, param = transition index) and at every
 // MANIFEST byte-truncation offset and asserts exactly that.
+//
+// Cleanup runs on a compactor's first run and after any run that failed
+// or crashed, and is skipped otherwise: the compactor keeps the MANIFEST
+// it last read or published in memory. That is safe because the compactor
+// is the MANIFEST's only writer (one compactor per block directory), so
+// after a successful run its copy is what is on disk, and a run that
+// succeeds leaves no *.tmp or unreferenced block behind — every orphan a
+// live compactor could find comes from a run that failed, and that run
+// re-arms cleanup. The scan still lists the WAL directory on every run,
+// so no sealed segment on disk is missed. A run with nothing to drain
+// thus costs one WAL directory listing, whatever the store's size.
 //
 // Every I/O step is tried up to kCompactionAttempts times, back to back
 // with no delay: the steps are idempotent, and an attempt count (never a
@@ -142,6 +155,11 @@ class Compactor {
   const CompactionOptions options_;
   mutable Mutex mu_;
   bool degraded_ GUARDED_BY(mu_) = false;
+  /// The MANIFEST this compactor last read or published. Trusted, and the
+  /// cleanup step skipped, only while manifest_current_: from the end of
+  /// a successful run until a run fails or crashes.
+  Manifest manifest_ GUARDED_BY(mu_);
+  bool manifest_current_ GUARDED_BY(mu_) = false;
   CompactionStats stats_ GUARDED_BY(mu_);
 };
 

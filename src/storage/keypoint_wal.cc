@@ -59,34 +59,61 @@ Status KeyPointWal::Open(uint64_t first_seq) {
   return Status::OK();
 }
 
+void KeyPointWal::AppendBatch(std::span<const WalBatchEntry> batch,
+                              std::vector<Result<WalAppendAck>>* acks) {
+  acks->clear();
+  MutexLock lock(mu_);
+  Status st = WritableLocked();
+  for (std::size_t i = 0; i < batch.size() && st.ok(); ++i) {
+    points_scratch_.clear();
+    points_scratch_.reserve(batch[i].keys.size());
+    for (const KeyPoint& key : batch[i].keys) {
+      points_scratch_.push_back(wal::Quantize(key, options_.quant));
+    }
+    WalAppendAck ack;
+    const Status staged = StageLocked(batch[i].device, points_scratch_, &ack);
+    if (staged.ok()) {
+      acks->push_back(ack);
+    } else if (staged.code() == StatusCode::kInvalidArgument) {
+      acks->push_back(staged);  // this entry only; the writer is alive
+    } else {
+      st = staged;
+    }
+  }
+  if (st.ok() && pending_.checkpoints > 0) st = CommitLocked();
+  if (!st.ok()) {
+    pending_ = Pending{};  // a dead writer acks nothing more
+    acks->assign(batch.size(), st);
+  }
+}
+
 Result<WalAppendAck> KeyPointWal::Append(DeviceId device,
                                          std::span<const KeyPoint> keys) {
-  MutexLock lock(mu_);
-  points_scratch_.clear();
-  points_scratch_.reserve(keys.size());
-  for (const KeyPoint& key : keys) {
-    points_scratch_.push_back(wal::Quantize(key, options_.quant));
-  }
-  WalAppendAck ack;
-  const Status st = AppendLocked(device, points_scratch_, &ack);
-  if (!st.ok()) return st;
-  return ack;
+  const WalBatchEntry entry{device, keys};
+  std::vector<Result<WalAppendAck>> acks;
+  AppendBatch({&entry, 1}, &acks);
+  return std::move(acks.front());
 }
 
 Result<WalAppendAck> KeyPointWal::AppendCheckpoint(
     const wal::WalCheckpoint& checkpoint) {
   MutexLock lock(mu_);
+  BQS_RETURN_NOT_OK(WritableLocked());
   WalAppendAck ack;
-  const Status st = AppendLocked(checkpoint.device, checkpoint.points, &ack);
-  if (!st.ok()) return st;
+  BQS_RETURN_NOT_OK(StageLocked(checkpoint.device, checkpoint.points, &ack));
+  BQS_RETURN_NOT_OK(CommitLocked());
   return ack;
 }
 
-Status KeyPointWal::AppendLocked(DeviceId device,
-                                 std::span<const wal::WalPoint> points,
-                                 WalAppendAck* ack) {
+Status KeyPointWal::WritableLocked() const {
   if (dead_) return Status::IoError("key-point wal is dead (fsync gate)");
   if (!open_) return Status::Internal("wal not open");
+  return Status::OK();
+}
+
+Status KeyPointWal::StageLocked(DeviceId device,
+                                std::span<const wal::WalPoint> points,
+                                WalAppendAck* ack) {
   if (points.empty()) {
     return Status::InvalidArgument("empty wal checkpoint");
   }
@@ -113,6 +140,17 @@ Status KeyPointWal::AppendLocked(DeviceId device,
   }
   buffer_.append(scratch_);
 
+  ack->seq = next_seq_++;
+  ack->segment_index = segment_index_;
+  ack->end_offset = segment_written_ + buffer_.size();
+  ++pending_.checkpoints;
+  pending_.points += points.size();
+  pending_.bytes += scratch_.size();
+  return Status::OK();
+}
+
+Status KeyPointWal::CommitLocked() {
+  const Pending batch = std::exchange(pending_, Pending{});
   switch (options_.durability) {
     case WalDurability::kNone:
       if (buffer_.size() >= kBufferBytes) {
@@ -142,10 +180,10 @@ Status KeyPointWal::AppendLocked(DeviceId device,
 
   if (FaultInjector* const injector = options_.fault_injector) {
     if (injector->ShouldFire(FaultSite::kCrashAfterWrite)) {
-      // The record went out per policy; the "process" dies right here:
+      // The batch went out per policy; the "process" dies right here:
       // user-space bytes not yet written vanish, nothing more is flushed
-      // or synced, and the append is not acked (a real crash loses the
-      // ack in flight the same way).
+      // or synced, and the batch is not acked (a real crash loses the
+      // acks in flight the same way).
       ++stats_.faults_injected;
       buffer_.clear();
       const Status st = Status::IoError("injected crash after write");
@@ -154,12 +192,9 @@ Status KeyPointWal::AppendLocked(DeviceId device,
     }
   }
 
-  ack->seq = next_seq_++;
-  ack->segment_index = segment_index_;
-  ack->end_offset = segment_written_ + buffer_.size();
-  ++stats_.checkpoints_appended;
-  stats_.points_appended += points.size();
-  stats_.bytes_appended += scratch_.size();
+  stats_.checkpoints_appended += batch.checkpoints;
+  stats_.points_appended += batch.points;
+  stats_.bytes_appended += batch.bytes;
   return Status::OK();
 }
 

@@ -10,19 +10,33 @@
 // WalReader::Recover() replays every checkpoint that was acked — or says
 // exactly what was lost, and why.
 //
-// Ack contract. Append() returning OK means the checkpoint is durable *to
-// the level the configured WalDurability promises*:
+// Ack contract. One append call is one batch: AppendBatch() takes any
+// number of checkpoints, Append() and AppendCheckpoint() are batches of
+// one. Each checkpoint is its own record with its own sequence number, so
+// the bytes on disk do not depend on how checkpoints were batched. The
+// durability policy runs once per batch, after all of its records are
+// encoded, and an acked checkpoint is durable *to the level the configured
+// WalDurability promises*:
 //
 //   kNone             in the writer's user-space buffer only, flushed once
 //                     64 KiB accumulate; a process crash can lose it
 //                     (cheapest; for tests and bulk jobs)
-//   kFlushEveryBatch  handed to the OS (write(2)); survives a process
-//                     crash, not a machine crash
-//   kFsyncEveryBatch  fdatasync'd; survives power loss (the full contract)
-//   kGroupCommit      handed to the OS immediately, fdatasync'd when
-//                     256 KiB of unsynced records accumulate or
-//                     group_commit_interval_ms elapse — amortized
+//   kFlushEveryBatch  the batch is handed to the OS before any of it is
+//                     acked, in one write(2) plus one per segment rotation
+//                     inside it; survives a process crash, not a machine
+//                     crash
+//   kFsyncEveryBatch  the batch is fdatasync'd before any of it is acked;
+//                     survives power loss (the full contract)
+//   kGroupCommit      the batch is handed to the OS before it is acked,
+//                     and fdatasync'd once 256 KiB of unsynced records
+//                     accumulate or group_commit_interval_ms elapse (checked
+//                     once per batch, after its write) — amortized
 //                     durability with a bounded exposure window
+//
+// A batch acks whole or not at all: a write or sync failure anywhere in it
+// fails every checkpoint in it, even those whose bytes a segment rotation
+// already wrote (recovery may return them; it never returns less than was
+// acked).
 //
 // Fsync-gate semantics: any write or sync failure — real or injected —
 // kills the writer permanently (dead() goes true, every later Append
@@ -79,12 +93,13 @@ namespace bqs {
 
 class FaultInjector;  // common/fault_injector.h (test harness; see lint)
 
-/// How much durability an OK Append() promises. See the file comment.
+/// How much durability an acked checkpoint has; the policy runs once per
+/// append call (one batch). See the file comment.
 enum class WalDurability : uint8_t {
   kNone,            ///< Buffered in user space; flushed at 64 KiB.
-  kFlushEveryBatch, ///< write(2) per append; survives process crash.
-  kFsyncEveryBatch, ///< fdatasync per append; survives power loss.
-  kGroupCommit,     ///< write(2) per append; fdatasync at 256 KiB/time.
+  kFlushEveryBatch, ///< write(2) per batch; survives process crash.
+  kFsyncEveryBatch, ///< fdatasync per batch; survives power loss.
+  kGroupCommit,     ///< write(2) per batch; fdatasync at 256 KiB/time.
 };
 
 struct KeyPointWalOptions {
@@ -110,14 +125,15 @@ struct KeyPointWalOptions {
 
   /// Deterministic fault injection for tests; nullptr in production. Sites
   /// consulted: kWriteShortAtByte (per flush), kFsyncFail (per sync),
-  /// kCrashAfterWrite (per append). Must outlive the writer.
+  /// kCrashAfterWrite (per batch, after its policy ran). Must outlive the
+  /// writer.
   FaultInjector* fault_injector = nullptr;
 };
 
 /// Writer-side counters, snapshotted via KeyPointWal::stats().
 struct KeyPointWalStats {
-  uint64_t checkpoints_appended = 0;  ///< Acked Append() calls.
-  uint64_t points_appended = 0;       ///< Key points inside acked appends.
+  uint64_t checkpoints_appended = 0;  ///< Acked checkpoints.
+  uint64_t points_appended = 0;       ///< Key points inside acked ones.
   uint64_t bytes_appended = 0;        ///< Record bytes encoded (not headers).
   uint64_t segments_opened = 0;
   uint64_t flushes = 0;               ///< write(2) batches handed to the OS.
@@ -135,14 +151,20 @@ struct KeyPointWalStats {
   bool healthy() const { return last_error_code == StatusCode::kOk; }
 };
 
-/// What an acked Append() promises, in replayable terms: the sequence the
-/// record carries and where the segment stream ends once the record is
+/// What an acked checkpoint promises, in replayable terms: the sequence
+/// the record carries and where the segment stream ends once the record is
 /// fully encoded. The crash-point sweep uses end_offset to know, for every
 /// byte-level truncation, exactly which acked prefix must survive.
 struct WalAppendAck {
   uint64_t seq = 0;
   uint64_t segment_index = 0;    ///< 1-based segment file number.
   uint64_t end_offset = 0;       ///< Segment byte size after this record.
+};
+
+/// One checkpoint of an AppendBatch() call: `keys` for `device`.
+struct WalBatchEntry {
+  DeviceId device = 0;
+  std::span<const KeyPoint> keys;
 };
 
 class KeyPointWal {
@@ -161,16 +183,26 @@ class KeyPointWal {
   /// directory after recovery.
   Status Open(uint64_t first_seq = 1);
 
-  /// Quantizes and appends one checkpoint for `device`, assigning the next
-  /// sequence number. OK means durable per the configured WalDurability
-  /// (the ack contract above). InvalidArgument, with nothing written and
-  /// the writer still alive, for an empty checkpoint or one whose record
-  /// payload would exceed wal::kMaxRecordPayload.
+  /// Quantizes and appends every entry of `batch` as its own checkpoint
+  /// record, in order, with consecutive sequence numbers: the bytes, seqs
+  /// and rotation points of one single-entry call per entry. The
+  /// durability policy then runs once for the whole batch. `acks` is
+  /// cleared and gets one result per entry: the ack once the batch is
+  /// durable per the configured WalDurability (the ack contract above), or
+  /// the IoError that failed the batch, for every entry of a failed batch.
+  /// An empty entry, or one whose record payload would exceed
+  /// wal::kMaxRecordPayload, gets InvalidArgument: nothing of it is
+  /// written, it takes no sequence number, and the rest of the batch goes
+  /// on with the writer still alive.
+  void AppendBatch(std::span<const WalBatchEntry> batch,
+                   std::vector<Result<WalAppendAck>>* acks);
+
+  /// Quantizes and appends one checkpoint for `device`: a batch of one.
   Result<WalAppendAck> Append(DeviceId device, std::span<const KeyPoint> keys);
 
-  /// Appends an already-quantized checkpoint (seq is still writer-assigned;
-  /// checkpoint.seq is ignored). The hook the round-trip fuzzer and the
-  /// format tests drive directly.
+  /// Appends an already-quantized checkpoint as a batch of one (seq is
+  /// still writer-assigned; checkpoint.seq is ignored). The hook the
+  /// round-trip fuzzer and the format tests drive directly.
   Result<WalAppendAck> AppendCheckpoint(const wal::WalCheckpoint& checkpoint);
 
   /// Flushes the user-space buffer and fdatasyncs, regardless of policy.
@@ -184,7 +216,7 @@ class KeyPointWal {
 
   /// True once a write or sync failed (real or injected): the fsync gate.
   bool dead() const;
-  /// Sequence the next acked Append() will carry.
+  /// Sequence the next acked checkpoint will carry.
   uint64_t next_seq() const;
   /// 1-based index of the segment currently being appended to (0 before
   /// Open()). The compactor's bound: passing this to CompactOnce() drains
@@ -194,8 +226,18 @@ class KeyPointWal {
   const KeyPointWalOptions& options() const { return options_; }
 
  private:
-  Status AppendLocked(DeviceId device, std::span<const wal::WalPoint> points,
-                      WalAppendAck* ack) REQUIRES(mu_);
+  /// OK while the writer can append: open and not dead.
+  Status WritableLocked() const REQUIRES(mu_);
+  /// Encodes one record into the buffer, rotating first when it would
+  /// overflow the segment, and counts it in pending_. InvalidArgument with
+  /// nothing changed for an empty or oversized record; any other error
+  /// comes from a rotation and has killed the writer.
+  Status StageLocked(DeviceId device, std::span<const wal::WalPoint> points,
+                     WalAppendAck* ack) REQUIRES(mu_);
+  /// Runs the durability policy and the kCrashAfterWrite site once for
+  /// every record staged since the last commit. OK acks them all (pending_
+  /// moves into stats_); an error has killed the writer.
+  Status CommitLocked() REQUIRES(mu_);
   Status OpenSegmentLocked() REQUIRES(mu_);
   Status RotateLocked() REQUIRES(mu_);
   /// Hands the user-space buffer to the OS (kWriteShortAtByte hook).
@@ -220,9 +262,16 @@ class KeyPointWal {
   std::chrono::steady_clock::time_point last_sync_ GUARDED_BY(mu_);
   uint64_t next_seq_ GUARDED_BY(mu_) = 1;
   KeyPointWalStats stats_ GUARDED_BY(mu_);
+  /// Records staged but not yet committed (acked) in the current batch.
+  struct Pending {
+    uint64_t checkpoints = 0;
+    uint64_t points = 0;
+    uint64_t bytes = 0;
+  };
+  Pending pending_ GUARDED_BY(mu_);
   std::string payload_scratch_ GUARDED_BY(mu_);  ///< Record payload, reused.
   std::string scratch_ GUARDED_BY(mu_);  ///< Framed record, reused.
-  /// Quantized-point staging for Append(), reused.
+  /// Quantized-point staging for AppendBatch(), reused.
   std::vector<wal::WalPoint> points_scratch_ GUARDED_BY(mu_);
 };
 

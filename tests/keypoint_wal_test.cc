@@ -21,6 +21,7 @@
 #include "service/fleet_engine.h"
 #include "simulation/datasets.h"
 #include "storage/codec.h"
+#include "storage/file_io.h"
 #include "storage/wal_format.h"
 
 namespace bqs {
@@ -154,6 +155,163 @@ TEST(KeyPointWalTest, RotationSpansSegmentsAndRecoveryReplaysAll) {
   EXPECT_TRUE(recovered.value().report.clean());
   EXPECT_EQ(recovered.value().checkpoints, expected);
   EXPECT_EQ(recovered.value().next_seq, 13u);
+}
+
+/// Every file of `dir` by name, with its bytes: what "byte-identical
+/// directories" compares.
+std::map<std::string, std::string> DirImage(const std::string& dir) {
+  std::map<std::string, std::string> image;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::string bytes;
+    EXPECT_TRUE(ReadFileBytes(entry.path().string(), &bytes).ok());
+    image[entry.path().filename().string()] = std::move(bytes);
+  }
+  return image;
+}
+
+TEST(KeyPointWalBatchTest, BatchWritesTheBytesOfSingleAppendsUnderEveryPolicy) {
+  // Twelve checkpoints over three devices into 200-byte segments: written
+  // once as twelve single appends and once as a batch of two plus a batch
+  // of ten that crosses several rotations. Records, seqs, rotation points
+  // and acks must not depend on the batching, under any policy.
+  std::vector<std::pair<DeviceId, std::vector<KeyPoint>>> feed;
+  for (int c = 0; c < 12; ++c) {
+    feed.emplace_back(20 + static_cast<DeviceId>(c % 3),
+                      MakeKeys(static_cast<uint64_t>(c) * 30, 2 + c % 4,
+                               c * 13.0));
+  }
+  int variant = 0;
+  for (const WalDurability policy :
+       {WalDurability::kNone, WalDurability::kFlushEveryBatch,
+        WalDurability::kFsyncEveryBatch, WalDurability::kGroupCommit}) {
+    SCOPED_TRACE("policy " + std::to_string(static_cast<int>(policy)));
+    KeyPointWalOptions single_options;
+    single_options.dir = FreshDir("wal_batch_single_" +
+                                  std::to_string(variant));
+    single_options.durability = policy;
+    single_options.segment_bytes = 200;
+    KeyPointWalOptions batch_options = single_options;
+    batch_options.dir = FreshDir("wal_batch_batched_" +
+                                 std::to_string(variant++));
+
+    std::vector<WalAppendAck> single_acks;
+    KeyPointWal single(single_options);
+    ASSERT_TRUE(single.Open().ok());
+    for (const auto& [device, keys] : feed) {
+      const auto ack = single.Append(device, keys);
+      ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+      single_acks.push_back(ack.value());
+    }
+    ASSERT_TRUE(single.Close().ok());
+
+    std::vector<WalBatchEntry> entries;
+    for (const auto& [device, keys] : feed) entries.push_back({device, keys});
+    std::vector<WalAppendAck> batch_acks;
+    KeyPointWal batched(batch_options);
+    ASSERT_TRUE(batched.Open().ok());
+    std::vector<Result<WalAppendAck>> acks;
+    for (const std::span<const WalBatchEntry> batch :
+         {std::span<const WalBatchEntry>(entries).first(2),
+          std::span<const WalBatchEntry>(entries).subspan(2)}) {
+      batched.AppendBatch(batch, &acks);
+      ASSERT_EQ(acks.size(), batch.size());
+      for (const Result<WalAppendAck>& ack : acks) {
+        ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+        batch_acks.push_back(ack.value());
+      }
+    }
+    ASSERT_TRUE(batched.Close().ok());
+
+    ASSERT_EQ(batch_acks.size(), single_acks.size());
+    for (std::size_t i = 0; i < single_acks.size(); ++i) {
+      EXPECT_EQ(batch_acks[i].seq, single_acks[i].seq) << "checkpoint " << i;
+      EXPECT_EQ(batch_acks[i].segment_index, single_acks[i].segment_index)
+          << "checkpoint " << i;
+      EXPECT_EQ(batch_acks[i].end_offset, single_acks[i].end_offset)
+          << "checkpoint " << i;
+    }
+    EXPECT_GT(batch_acks.back().segment_index,
+              batch_acks[2].segment_index)
+        << "the batch of ten must cross a rotation";
+    const auto single_image = DirImage(single_options.dir);
+    EXPECT_GT(single_image.size(), 2u);
+    EXPECT_EQ(DirImage(batch_options.dir), single_image);
+
+    const KeyPointWalStats a = single.stats();
+    const KeyPointWalStats b = batched.stats();
+    EXPECT_EQ(b.checkpoints_appended, a.checkpoints_appended);
+    EXPECT_EQ(b.points_appended, a.points_appended);
+    EXPECT_EQ(b.bytes_appended, a.bytes_appended);
+    EXPECT_EQ(b.segments_opened, a.segments_opened);
+    if (policy == WalDurability::kFlushEveryBatch ||
+        policy == WalDurability::kFsyncEveryBatch) {
+      // One write per batch plus one per rotation, not one per checkpoint.
+      EXPECT_LT(b.flushes, a.flushes);
+    }
+  }
+}
+
+TEST(KeyPointWalBatchTest, InvalidEntryFailsAloneAndTakesNoSequence) {
+  KeyPointWalOptions options;
+  options.dir = FreshDir("wal_batch_invalid");
+  KeyPointWal wal(options);
+  ASSERT_TRUE(wal.Open().ok());
+  const std::vector<KeyPoint> first = MakeKeys(0, 3, 1.0);
+  const std::vector<KeyPoint> last = MakeKeys(50, 2, 9.0);
+  const WalBatchEntry batch[] = {{4, first}, {5, {}}, {6, last}};
+  std::vector<Result<WalAppendAck>> acks;
+  wal.AppendBatch(batch, &acks);
+  ASSERT_EQ(acks.size(), 3u);
+  ASSERT_TRUE(acks[0].ok());
+  EXPECT_EQ(acks[0].value().seq, 1u);
+  ASSERT_FALSE(acks[1].ok());
+  EXPECT_EQ(acks[1].status().code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(acks[2].ok());
+  EXPECT_EQ(acks[2].value().seq, 2u);
+  EXPECT_FALSE(wal.dead());
+  EXPECT_EQ(wal.stats().checkpoints_appended, 2u);
+
+  // A batch of nothing but invalid entries writes nothing.
+  const uint64_t flushes = wal.stats().flushes;
+  const WalBatchEntry empty_only[] = {{7, {}}};
+  wal.AppendBatch(empty_only, &acks);
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_EQ(acks[0].status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(wal.stats().flushes, flushes);
+  ASSERT_TRUE(wal.Close().ok());
+
+  const auto recovered = WalReader::Recover(options.dir);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_TRUE(recovered.value().report.clean());
+  EXPECT_EQ(recovered.value().checkpoints,
+            (std::vector<wal::WalCheckpoint>{
+                Quantized(4, 1, first, options.quant),
+                Quantized(6, 2, last, options.quant)}));
+}
+
+TEST(KeyPointWalBatchTest, FailedBatchAcksNone) {
+  FaultInjector injector(46);
+  KeyPointWalOptions options;
+  options.dir = FreshDir("wal_batch_failed");
+  options.durability = WalDurability::kFsyncEveryBatch;
+  options.fault_injector = &injector;
+  KeyPointWal wal(options);
+  ASSERT_TRUE(wal.Open().ok());
+  ASSERT_TRUE(wal.Append(1, MakeKeys(0, 2, 1.0)).ok());
+
+  injector.Arm(FaultSite::kFsyncFail, 1.0, /*max_fires=*/1);
+  const std::vector<KeyPoint> keys = MakeKeys(10, 3, 2.0);
+  const WalBatchEntry batch[] = {{1, keys}, {2, keys}, {3, keys}};
+  std::vector<Result<WalAppendAck>> acks;
+  wal.AppendBatch(batch, &acks);
+  ASSERT_EQ(acks.size(), 3u);
+  for (const Result<WalAppendAck>& ack : acks) {
+    ASSERT_FALSE(ack.ok());
+    EXPECT_EQ(ack.status().code(), StatusCode::kIoError);
+  }
+  EXPECT_TRUE(wal.dead());
+  EXPECT_EQ(wal.stats().checkpoints_appended, 1u);
+  EXPECT_EQ(injector.fires(FaultSite::kFsyncFail), 1u);  // one sync per batch
 }
 
 TEST(KeyPointWalTest, ReopenAfterRecoveryContinuesTheSequence) {
@@ -784,6 +942,59 @@ TEST(KeyPointWalFleetTest, CheckpointWalBarrierDrainsStagedPoints) {
   const FleetStats stats = engine.Stats();
   EXPECT_EQ(stats.wal_points, stats.key_points_emitted);
   EXPECT_GE(stats.wal_points, after_barrier);
+}
+
+TEST(KeyPointWalFleetTest, BarrierIsOneBatchAndCountsItsFailureLikeALoop) {
+  // The barrier appends every staged session in one batch: one write and
+  // one fdatasync. When that sync fails, the counters read as a loop of
+  // single appends would: the first checkpoint is the I/O failure, the
+  // rest found the writer dead.
+  const FleetDataset fleet = BuildFleetDataset(5, 0.04, 4244);
+  for (const bool fail : {false, true}) {
+    SCOPED_TRACE(fail ? "failing sync" : "healthy");
+    FaultInjector injector(47);
+    KeyPointWalOptions wal_options;
+    wal_options.dir = FreshDir(fail ? "wal_fleet_batch_fail"
+                                    : "wal_fleet_batch_ok");
+    wal_options.durability = WalDurability::kFsyncEveryBatch;
+    wal_options.fault_injector = &injector;
+    KeyPointWal wal(wal_options);
+    ASSERT_TRUE(wal.Open().ok());
+
+    KeyCollectSink sink;
+    FleetEngineOptions options;
+    options.algorithm.id = AlgorithmId::kFbqs;
+    options.algorithm.epsilon = 8.0;
+    options.num_shards = 2;
+    options.wal = &wal;
+    options.wal_checkpoint_points = 1u << 20;  // never by threshold
+    FleetEngine engine(options, sink);
+    engine.IngestBatch(fleet.feed);
+    const FleetStats before = engine.Stats();
+    ASSERT_EQ(before.live_sessions, fleet.devices.size());
+    ASSERT_GT(before.key_points_emitted, 0u);
+
+    const uint64_t flushes = wal.stats().flushes;
+    const uint64_t syncs = wal.stats().syncs;
+    if (fail) injector.Arm(FaultSite::kFsyncFail, 1.0, /*max_fires=*/1);
+    engine.CheckpointWal();
+    const FleetStats after = engine.Stats();
+    if (fail) {
+      EXPECT_TRUE(wal.dead());
+      EXPECT_EQ(after.wal_checkpoints, 0u);
+      EXPECT_EQ(after.wal_points, 0u);
+      EXPECT_EQ(after.wal_append_failures, fleet.devices.size());
+      EXPECT_EQ(after.wal_failures_io, 1u);
+      EXPECT_EQ(after.wal_failures_writer_dead, fleet.devices.size() - 1);
+    } else {
+      EXPECT_EQ(wal.stats().flushes, flushes + 1);
+      EXPECT_EQ(wal.stats().syncs, syncs + 1);
+      EXPECT_EQ(after.wal_checkpoints, fleet.devices.size());
+      EXPECT_EQ(after.wal_points, before.key_points_emitted);
+      EXPECT_EQ(after.wal_append_failures, 0u);
+    }
+    engine.FinishAll();
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -338,6 +339,221 @@ TEST(WalCrashSweepInjectedTest, TornWriteParamSweepMatchesByteTruncation) {
     EXPECT_EQ(r.checkpoints, expected) << "cut " << cut;
   }
 }
+
+/// The batch sweeps' feed: kSingles checkpoints appended one at a time,
+/// then kBatchEntries more as one AppendBatch() call.
+constexpr std::size_t kSingles = 3;
+constexpr std::size_t kBatchEntries = 5;
+
+struct FeedCheckpoint {
+  DeviceId device = 0;
+  std::vector<KeyPoint> keys;
+};
+
+std::vector<FeedCheckpoint> BatchFeed() {
+  std::vector<FeedCheckpoint> feed;
+  for (std::size_t c = 0; c < kSingles + kBatchEntries; ++c) {
+    feed.push_back({1 + static_cast<DeviceId>(c % 2),
+                    MakeKeys(c * 40, 2 + static_cast<int>(c % 3),
+                             static_cast<double>(c) * 11.0)});
+  }
+  return feed;
+}
+
+/// Appends the singles (each must ack), then arms `arm` when given, then
+/// appends the batch. Returns every ack, singles first.
+std::vector<Result<WalAppendAck>> AppendBatchFeed(
+    KeyPointWal& wal, const std::vector<FeedCheckpoint>& feed,
+    const std::function<void()>& arm = nullptr) {
+  std::vector<Result<WalAppendAck>> acks;
+  for (std::size_t c = 0; c < kSingles; ++c) {
+    acks.push_back(wal.Append(feed[c].device, feed[c].keys));
+    EXPECT_TRUE(acks.back().ok()) << "single " << c;
+  }
+  if (arm) arm();
+  std::vector<WalBatchEntry> batch;
+  for (std::size_t c = kSingles; c < feed.size(); ++c) {
+    batch.push_back({feed[c].device, feed[c].keys});
+  }
+  std::vector<Result<WalAppendAck>> batch_acks;
+  wal.AppendBatch(batch, &batch_acks);
+  EXPECT_EQ(batch_acks.size(), batch.size());
+  acks.insert(acks.end(), batch_acks.begin(), batch_acks.end());
+  return acks;
+}
+
+/// A fault-free run of the feed under `base`'s policy and segment size:
+/// every record as recovery must return it, with where its ack put it.
+std::vector<AckedRecord> CleanBatchLog(const KeyPointWalOptions& base,
+                                       std::vector<uint64_t>* segments) {
+  KeyPointWalOptions options = base;
+  options.dir = FreshDir("sweep_batch_clean");
+  options.fault_injector = nullptr;
+  const std::vector<FeedCheckpoint> feed = BatchFeed();
+  KeyPointWal wal(options);
+  EXPECT_TRUE(wal.Open().ok());
+  const std::vector<Result<WalAppendAck>> acks = AppendBatchFeed(wal, feed);
+  EXPECT_TRUE(wal.Close().ok());
+  std::vector<AckedRecord> records;
+  segments->clear();
+  for (std::size_t c = 0; c < feed.size(); ++c) {
+    EXPECT_TRUE(acks[c].ok()) << "checkpoint " << c;
+    if (!acks[c].ok()) break;
+    AckedRecord record;
+    record.checkpoint.device = feed[c].device;
+    record.checkpoint.seq = acks[c].value().seq;
+    for (const KeyPoint& k : feed[c].keys) {
+      record.checkpoint.points.push_back(wal::Quantize(k, options.quant));
+    }
+    record.end_offset = static_cast<std::size_t>(acks[c].value().end_offset);
+    records.push_back(std::move(record));
+    segments->push_back(acks[c].value().segment_index);
+  }
+  return records;
+}
+
+class WalBatchTornWriteTest
+    : public ::testing::TestWithParam<WalDurability> {};
+
+TEST_P(WalBatchTornWriteTest, EveryCutOfTheBatchWriteLeavesALogPrefix) {
+  // kWriteShortAtByte tears the batch's one write at every byte offset.
+  // Recovery must return every checkpoint acked before the batch, the
+  // batch records wholly before the tear (a prefix of the batch), nothing
+  // after it, and account for every other byte: the same outcome as
+  // truncating the clean log's file at that offset.
+  KeyPointWalOptions options;
+  options.durability = GetParam();
+  std::vector<uint64_t> segments;
+  const std::vector<AckedRecord> records = CleanBatchLog(options, &segments);
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  ASSERT_EQ(segments.back(), 1u) << "the sweep needs one segment";
+  const std::size_t batch_start = records[kSingles - 1].end_offset;
+  const std::size_t batch_bytes = records.back().end_offset - batch_start;
+
+  const std::vector<FeedCheckpoint> feed = BatchFeed();
+  for (std::size_t cut = 0; cut <= batch_bytes; ++cut) {
+    FaultInjector injector(2000 + static_cast<uint64_t>(cut));
+    KeyPointWalOptions faulty = options;
+    faulty.dir = FreshDir("sweep_batch_torn");
+    faulty.fault_injector = &injector;
+    KeyPointWal wal(faulty);
+    ASSERT_TRUE(wal.Open().ok());
+    const std::vector<Result<WalAppendAck>> acks =
+        AppendBatchFeed(wal, feed, [&] {
+          injector.Arm(FaultSite::kWriteShortAtByte, 1.0, /*max_fires=*/1,
+                       /*param=*/cut);
+        });
+    for (std::size_t c = kSingles; c < acks.size(); ++c) {
+      EXPECT_FALSE(acks[c].ok()) << "cut " << cut << ": a torn batch acked";
+    }
+    EXPECT_TRUE(wal.dead());
+    EXPECT_FALSE(wal.Append(1, MakeKeys(900, 2, 1.0)).ok());
+    ASSERT_TRUE(wal.Close().ok());
+    CheckRecoveryAtCut(faulty.dir, batch_start + cut, records);
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "sweep stopped at cut " << cut << " of " << batch_bytes;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WritingPolicies, WalBatchTornWriteTest,
+    ::testing::Values(WalDurability::kFlushEveryBatch,
+                      WalDurability::kFsyncEveryBatch,
+                      WalDurability::kGroupCommit),
+    [](const ::testing::TestParamInfo<WalDurability>& param_info) {
+      switch (param_info.param) {
+        case WalDurability::kFlushEveryBatch: return "FlushEveryBatch";
+        case WalDurability::kFsyncEveryBatch: return "FsyncEveryBatch";
+        case WalDurability::kGroupCommit: return "GroupCommit";
+        default: return "Unknown";
+      }
+    });
+
+class WalBatchCrashTest : public ::testing::TestWithParam<WalDurability> {};
+
+TEST_P(WalBatchCrashTest, CrashInsideABatchLeavesALogPrefix) {
+  // kCrashAfterWrite kills the writer inside a batch, after its policy
+  // ran. The segment size puts a rotation before each batch record in
+  // turn (segment_bytes = the end of the record before it), and once past
+  // the whole batch. Under every policy but kNone the batch reached the
+  // OS, so recovery returns every checkpoint acked before it and all of
+  // the batch. Under kNone only what a rotation flushed is on disk: the
+  // records of every segment before the batch's last one. Either way it
+  // is a prefix of the log, and nothing after the crash is in it.
+  const WalDurability policy = GetParam();
+  KeyPointWalOptions unbounded;
+  unbounded.durability = policy;
+  std::vector<uint64_t> segments;
+  const std::vector<AckedRecord> one_segment =
+      CleanBatchLog(unbounded, &segments);
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  ASSERT_EQ(segments.back(), 1u);
+
+  const std::vector<FeedCheckpoint> feed = BatchFeed();
+  for (std::size_t k = 0; k <= kBatchEntries; ++k) {
+    SCOPED_TRACE("rotation before batch record " + std::to_string(k));
+    KeyPointWalOptions options = unbounded;
+    options.segment_bytes = one_segment[kSingles + k - 1].end_offset;
+    const std::vector<AckedRecord> reference =
+        CleanBatchLog(options, &segments);
+    ASSERT_FALSE(::testing::Test::HasFailure());
+    if (k < kBatchEntries) {
+      ASSERT_EQ(segments[kSingles + k - 1], 1u);
+      ASSERT_EQ(segments[kSingles + k], 2u);
+    } else {
+      ASSERT_EQ(segments.back(), 1u);
+    }
+
+    FaultInjector injector(3000 + static_cast<uint64_t>(k));
+    options.dir = FreshDir("sweep_batch_crash");
+    options.fault_injector = &injector;
+    KeyPointWal wal(options);
+    ASSERT_TRUE(wal.Open().ok());
+    const std::vector<Result<WalAppendAck>> acks =
+        AppendBatchFeed(wal, feed, [&] {
+          injector.Arm(FaultSite::kCrashAfterWrite, 1.0, /*max_fires=*/1);
+        });
+    for (std::size_t c = kSingles; c < acks.size(); ++c) {
+      EXPECT_FALSE(acks[c].ok()) << "a crashed batch acked";
+    }
+    EXPECT_TRUE(wal.dead());
+    EXPECT_FALSE(wal.Append(1, MakeKeys(900, 2, 1.0)).ok());
+    ASSERT_TRUE(wal.Close().ok());
+
+    std::size_t survivors = reference.size();
+    if (policy == WalDurability::kNone) {
+      survivors = 0;
+      while (survivors < reference.size() &&
+             segments[survivors] < segments.back()) {
+        ++survivors;
+      }
+    }
+    std::vector<wal::WalCheckpoint> expected;
+    for (std::size_t i = 0; i < survivors; ++i) {
+      expected.push_back(reference[i].checkpoint);
+    }
+    const auto recovered = WalReader::Recover(options.dir);
+    ASSERT_TRUE(recovered.ok());
+    EXPECT_EQ(recovered.value().checkpoints, expected);
+    EXPECT_TRUE(recovered.value().report.clean());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, WalBatchCrashTest,
+    ::testing::Values(WalDurability::kNone, WalDurability::kFlushEveryBatch,
+                      WalDurability::kFsyncEveryBatch,
+                      WalDurability::kGroupCommit),
+    [](const ::testing::TestParamInfo<WalDurability>& param_info) {
+      switch (param_info.param) {
+        case WalDurability::kNone: return "None";
+        case WalDurability::kFlushEveryBatch: return "FlushEveryBatch";
+        case WalDurability::kFsyncEveryBatch: return "FsyncEveryBatch";
+        case WalDurability::kGroupCommit: return "GroupCommit";
+      }
+      return "Unknown";
+    });
 
 }  // namespace
 }  // namespace bqs

@@ -134,6 +134,13 @@ report families, dispatched on the document's `schema` field:
      and time-sorted binary search; 4.5-5.3x with the grid index and
      whole-block scans; 0.58x when every query re-read and re-decoded
      blocks).
+  6. no-op runs do not grow with the store: the median no-op CompactOnce
+     after the bench's 32nd block file (`noop_run_us_last_file`) must be
+     at most NOOP_GROWTH_CEILING x the median after its first
+     (`noop_run_us_first_file`). Same run, same compactor, so no
+     calibration is needed (measured 0.96-1.15x with the compactor
+     keeping its MANIFEST; 8.6-14x when every run re-read the MANIFEST and
+     listed the block directory).
 
 Usage: check_perf.py <fresh.json> <baseline.json> [--tolerance 0.70]
                      [--no-normalize]
@@ -159,6 +166,9 @@ WAL_DENSITY_SLACK = 1.05
 COMPACTION_PRUNE_SLACK = 1.10
 # Minimum full-scan / block-query latency ratio within one compaction run.
 BLOCK_QUERY_SPEEDUP_FLOOR = 10.0
+# Maximum no-op compaction cost after the bench's last block file over its
+# cost after the first (see check 6 of the compaction family).
+NOOP_GROWTH_CEILING = 2.0
 SEQUENTIAL_CONFIG = "sequential"
 # Empirical-stream floor on the fraction of batch points decided by a
 # vector lane (measured ~0.84 on the paper's merged workload; the floor
@@ -506,11 +516,22 @@ def check_compaction(fresh, baseline, failures):
                         f"full scan's {scan_us:.1f} us/q")
         status = "QUERY"
 
+    noop_first = fresh.get("noop_run_us_first_file", 0.0)
+    noop_last = fresh.get("noop_run_us_last_file", float("inf"))
+    compared += 1
+    if not 0 < noop_last <= noop_first * NOOP_GROWTH_CEILING:
+        failures.append(f"compaction: a no-op run costs {noop_last:.1f} us "
+                        f"after the last block file, more than "
+                        f"{NOOP_GROWTH_CEILING}x its {noop_first:.1f} us "
+                        "after the first — no-op runs grow with the store")
+        status = "NO-OP GROWTH"
+
     print(f"{'compaction':>18s} / {'pipeline':<18s} "
           f"compact {fresh.get('compact_points_per_sec', 0.0) / 1e6:8.2f} "
           f"M pts/s  {density:5.2f} B/pt  "
           f"decoded {frac:5.3f}  "
           f"query {scan_us / block_us if block_us > 0 else 0.0:5.2f}x scan  "
+          f"no-op {noop_last / noop_first if noop_first > 0 else 0.0:5.2f}x  "
           f"{status}")
     return compared
 
