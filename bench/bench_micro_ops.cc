@@ -11,10 +11,15 @@
 //                  the fast kernel's conclusive path performs zero atan2
 //                  calls (modulo counted guard-band fallbacks, each of
 //                  which re-runs the reference composition)
+//   yardstick    — a bare exact greedy over a start-relative SoA buffer
+//                  on the random walk (line metric, BQS's squared verdict
+//                  and guard band), timed round-robin with the push rows:
+//                  the constant-cost inner loop fast BQS's scan phase is
+//                  measured against (tools/check_perf.py caps the ratio)
 //
 // Emits BENCH_micro.json (bench::JsonReport) and exits 1 on any checksum
-// divergence between kernels or if the fast kernel touches a transcendental
-// outside its accounted fallbacks.
+// divergence between kernels or from the yardstick, or if the fast kernel
+// touches a transcendental outside its accounted fallbacks.
 //
 // Usage: bench_micro_ops [scale | --scale S] [--out PATH] [--reps N]
 #include <algorithm>
@@ -23,6 +28,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -40,6 +46,7 @@
 #include "simulation/datasets.h"
 #include "simulation/random_walk.h"
 #include "trajectory/compressor.h"
+#include "trajectory/deviation.h"
 
 namespace bqs {
 namespace {
@@ -219,39 +226,129 @@ struct PushRun {
   DecisionStats stats;
 };
 
+/// One timed row of a stream: `pass` compresses the stream once and
+/// returns its keys.
+struct PushRow {
+  PushRun run;
+  std::function<std::vector<KeyPoint>()> pass;
+};
+
 template <typename Compressor>
-PushRun MeasurePush(const std::string& stream_name, const Trajectory& stream,
-                    const std::string& algorithm, bool reference_kernel,
-                    int reps) {
+PushRow PushRowFor(const std::string& stream_name, const Trajectory& stream,
+                   const std::string& algorithm, bool reference_kernel) {
   BqsOptions options;
   options.epsilon = kEpsilon;
   const internal::KernelOracle oracle{.reference_kernel = reference_kernel};
-  PushRun run;
-  run.stream = stream_name;
-  run.algorithm = algorithm;
-  run.kernel = reference_kernel ? "reference" : "fast";
-  run.points = stream.size();
-  CompressedTrajectory out;
-  run.best_ms = BestMs(reps, [&] {
+  PushRow row;
+  row.run.stream = stream_name;
+  row.run.algorithm = algorithm;
+  row.run.kernel = reference_kernel ? "reference" : "fast";
+  row.run.points = stream.size();
+  row.pass = [options, oracle, &stream] {
     Compressor compressor(options, oracle);
-    out = CompressAll(compressor, stream);
-  });
-  // Dedicated untimed run for the op counters, so the deltas are per
-  // single pass (the timed loop would multiply them by reps).
-  {
-    const ops::Snapshot before = ops::Read();
-    Compressor compressor(options, oracle);
-    const CompressedTrajectory counted = CompressAll(compressor, stream);
-    run.op_delta = ops::Read().Delta(before);
-    run.stats = compressor.stats();
-    out = counted;
+    return CompressAll(compressor, stream).keys;
+  };
+  return row;
+}
+
+/// The yardstick: a bare exact greedy under the line metric. Every fix
+/// farther than epsilon from the segment start is buffered relative to
+/// it in two contiguous arrays, and each end is decided by the squared
+/// max|cross| verdict over them through the active tier's max_abs_cross,
+/// with BQS's 1e-12 guard band settled by the sqrt-bearing rescan. BQS
+/// keeps exactly these points and decides exactly this way, so the keys
+/// are identical; what BQS adds is its per-point bookkeeping.
+std::vector<KeyPoint> BareExactGreedy(const Trajectory& stream, double eps) {
+  std::vector<KeyPoint> keys;
+  if (stream.empty()) return keys;
+  const simd::KernelTable& kernels = simd::KernelsFor(simd::ActiveTier());
+  const double eps_sq = eps * eps;
+  std::vector<double> xs;
+  std::vector<double> ys;
+  xs.reserve(256);
+  ys.reserve(256);
+  std::size_t start = 0;
+  keys.push_back({stream[0], 0});
+  for (std::size_t i = 1; i < stream.size(); ++i) {
+    Vec2 d = stream[i].pos - stream[start].pos;
+    if (!xs.empty()) {
+      int verdict = 0;  // guard band or degenerate end: rescan
+      if (!(d == Vec2{0.0, 0.0})) {
+        double vmax =
+            kernels.max_abs_cross(xs.data(), ys.data(), xs.size(), d.x, d.y);
+        vmax *= vmax;
+        const double threshold = eps_sq * d.NormSq();
+        if (vmax <= threshold * (1.0 - 1e-12)) {
+          verdict = 1;
+        } else if (vmax > threshold * (1.0 + 1e-12)) {
+          verdict = -1;
+        }
+      }
+      if (verdict == 0) {
+        const Vec2 a = stream[start].pos;
+        double dev = 0.0;
+        for (std::size_t k = start + 1; k < i; ++k) {
+          if ((stream[k].pos - a).NormSq() > eps_sq) {
+            dev = std::max(dev, PointToLineDistance(stream[k].pos, a,
+                                                    stream[i].pos));
+          }
+        }
+        verdict = dev <= eps ? 1 : -1;
+      }
+      if (verdict < 0) {
+        start = i - 1;
+        keys.push_back({stream[start], start});
+        xs.clear();
+        ys.clear();
+        d = stream[i].pos - stream[start].pos;
+      }
+    }
+    if (d.NormSq() > eps_sq) {
+      xs.push_back(d.x);
+      ys.push_back(d.y);
+    }
   }
-  run.points_per_sec =
-      run.best_ms > 0.0
-          ? static_cast<double>(stream.size()) / (run.best_ms / 1000.0)
-          : 0.0;
-  run.checksum = bench::ChecksumKeys(out.keys);
-  return run;
+  if (keys.back().index != stream.size() - 1) {
+    keys.push_back({stream.back(), stream.size() - 1});
+  }
+  return keys;
+}
+
+/// Times `reps` passes of every row round-robin (rep r of every row runs
+/// before rep r+1 of any, so a slow stretch of the host lands on all rows
+/// alike), keeping each row's best time and its checksum. Then one
+/// untimed pass per row reads its op counters; the compressor rows also
+/// report their decision stats from it.
+void MeasureRoundRobin(std::vector<PushRow>& rows, int reps) {
+  for (int r = 0; r < reps; ++r) {
+    for (PushRow& row : rows) {
+      const auto start = std::chrono::steady_clock::now();
+      const std::vector<KeyPoint> keys = row.pass();
+      const double ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+      if (r == 0 || ms < row.run.best_ms) row.run.best_ms = ms;
+      if (r == 0) row.run.checksum = bench::ChecksumKeys(keys);
+    }
+  }
+  for (PushRow& row : rows) {
+    row.run.points_per_sec =
+        row.run.best_ms > 0.0
+            ? static_cast<double>(row.run.points) / (row.run.best_ms / 1000.0)
+            : 0.0;
+  }
+}
+
+template <typename Compressor>
+void CountPush(const Trajectory& stream, bool reference_kernel, PushRun* run) {
+  BqsOptions options;
+  options.epsilon = kEpsilon;
+  const internal::KernelOracle oracle{.reference_kernel = reference_kernel};
+  const ops::Snapshot before = ops::Read();
+  Compressor compressor(options, oracle);
+  (void)CompressAll(compressor, stream);
+  run->op_delta = ops::Read().Delta(before);
+  run->stats = compressor.stats();
 }
 
 int Run(int argc, char** argv) {
@@ -277,6 +374,7 @@ int Run(int argc, char** argv) {
       scale);
 
   bool all_match = true;
+  bool yardstick_match = false;
   bench::JsonReport json;
   json.BeginObject();
   json.Key("schema").Value("bqs-bench-micro-v1");
@@ -396,16 +494,41 @@ int Run(int argc, char** argv) {
                                   {"empirical", &empirical.stream}};
 
     json.Key("push").BeginArray();
+    std::optional<PushRun> yardstick;
+    PushRun yardstick_bqs;  // fast BQS on the yardstick's stream
     for (const StreamCase& sc : streams) {
+      std::vector<PushRow> rows;
+      rows.push_back(PushRowFor<BqsCompressor>(sc.name, *sc.stream, "BQS",
+                                               /*reference_kernel=*/false));
+      rows.push_back(PushRowFor<BqsCompressor>(sc.name, *sc.stream, "BQS",
+                                               /*reference_kernel=*/true));
+      rows.push_back(PushRowFor<FbqsCompressor>(sc.name, *sc.stream, "FBQS",
+                                                /*reference_kernel=*/false));
+      rows.push_back(PushRowFor<FbqsCompressor>(sc.name, *sc.stream, "FBQS",
+                                                /*reference_kernel=*/true));
+      const bool with_yardstick = sc.stream == &walk;
+      if (with_yardstick) {
+        PushRow row;
+        row.run.stream = sc.name;
+        row.run.algorithm = "greedy";
+        row.run.kernel = "yardstick";
+        row.run.points = sc.stream->size();
+        row.pass = [stream = sc.stream] {
+          return BareExactGreedy(*stream, kEpsilon);
+        };
+        rows.push_back(std::move(row));
+      }
+      MeasureRoundRobin(rows, reps);
       std::vector<PushRun> runs;
-      runs.push_back(MeasurePush<BqsCompressor>(
-          sc.name, *sc.stream, "BQS", /*reference_kernel=*/false, reps));
-      runs.push_back(MeasurePush<BqsCompressor>(
-          sc.name, *sc.stream, "BQS", /*reference_kernel=*/true, reps));
-      runs.push_back(MeasurePush<FbqsCompressor>(
-          sc.name, *sc.stream, "FBQS", /*reference_kernel=*/false, reps));
-      runs.push_back(MeasurePush<FbqsCompressor>(
-          sc.name, *sc.stream, "FBQS", /*reference_kernel=*/true, reps));
+      for (std::size_t i = 0; i < 4; ++i) runs.push_back(rows[i].run);
+      CountPush<BqsCompressor>(*sc.stream, false, &runs[0]);
+      CountPush<BqsCompressor>(*sc.stream, true, &runs[1]);
+      CountPush<FbqsCompressor>(*sc.stream, false, &runs[2]);
+      CountPush<FbqsCompressor>(*sc.stream, true, &runs[3]);
+      if (with_yardstick) {
+        yardstick = rows[4].run;
+        yardstick_bqs = runs[0];
+      }
 
       for (std::size_t i = 0; i < runs.size(); i += 2) {
         const PushRun& fast = runs[i];
@@ -460,6 +583,28 @@ int Run(int argc, char** argv) {
       }
     }
     json.EndArray();
+
+    if (yardstick) {
+      yardstick_match = yardstick->checksum == yardstick_bqs.checksum;
+      const double ratio = yardstick->best_ms > 0.0
+                               ? yardstick_bqs.best_ms / yardstick->best_ms
+                               : 0.0;
+      std::printf(
+          "yardstick %-11s: bare exact greedy %8.0f pts/s, fast BQS at "
+          "%.2fx its time, %s\n",
+          yardstick->stream.c_str(), yardstick->points_per_sec, ratio,
+          yardstick_match ? "same keys" : "KEYS DIVERGED");
+      json.Key("yardstick").BeginObject();
+      json.Key("stream").Value(yardstick->stream);
+      json.Key("algorithm").Value(yardstick->algorithm);
+      json.Key("points").Value(static_cast<uint64_t>(yardstick->points));
+      json.Key("best_ms").Value(yardstick->best_ms);
+      json.Key("points_per_sec").Value(yardstick->points_per_sec);
+      json.Key("checksum").Value(bench::HexChecksum(yardstick->checksum));
+      json.Key("checksum_matches_bqs").Value(yardstick_match);
+      json.Key("bqs_time_ratio").Value(ratio);
+      json.EndObject();
+    }
   }
 
   json.Key("fast_kernel_transcendental_free").Value(transcendental_free);
@@ -475,6 +620,11 @@ int Run(int argc, char** argv) {
   if (!all_match) {
     std::fprintf(stderr,
                  "FAIL: fast-kernel output diverged from the reference\n");
+    return 1;
+  }
+  if (!yardstick_match) {
+    std::fprintf(stderr,
+                 "FAIL: the yardstick's keys diverged from fast BQS's\n");
     return 1;
   }
   if (!transcendental_free) {

@@ -35,9 +35,37 @@ constexpr std::array<std::array<uint32_t, 256>, 8> MakeTables() {
 
 constexpr auto kTables = MakeTables();
 
+bool DetectSse42() {
+#if (defined(__x86_64__) || defined(_M_X64)) && \
+    (defined(__GNUC__) || defined(__clang__))
+  return __builtin_cpu_supports("sse4.2");
+#else
+  return false;
+#endif
+}
+
+using ExtendFn = uint32_t (*)(uint32_t, const void*, std::size_t);
+
+ExtendFn SelectExtend() {
+#if defined(__x86_64__) || defined(_M_X64)
+  if (DetectSse42()) return internal::ExtendSse42;
+#endif
+  return internal::ExtendPortable;
+}
+
 }  // namespace
 
 uint32_t Extend(uint32_t crc, const void* data, std::size_t size) {
+  // The CPU is probed once; every later call is one indirect call.
+  static const ExtendFn extend = SelectExtend();
+  return extend(crc, data, size);
+}
+
+namespace internal {
+
+bool HardwareAccelerated() { return DetectSse42(); }
+
+uint32_t ExtendPortable(uint32_t crc, const void* data, std::size_t size) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
   crc = ~crc;
 
@@ -76,5 +104,6 @@ uint32_t Extend(uint32_t crc, const void* data, std::size_t size) {
   return ~crc;
 }
 
+}  // namespace internal
 }  // namespace crc32c
 }  // namespace bqs

@@ -78,12 +78,11 @@ void PrepareTrivialScalar(const double* /*points*/, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) verdicts[i] = 0;
 }
 
-double MaxAbsCrossScalar(const double* points, std::size_t n, double ax,
-                         double ay, double dx, double dy) {
+double MaxAbsCrossScalar(const double* x, const double* y, std::size_t n,
+                         double dx, double dy) {
   double vmax = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double* p = points + i * kPointStrideDoubles;
-    vmax = std::max(vmax, std::fabs(dx * (p[1] - ay) - dy * (p[0] - ax)));
+    vmax = std::max(vmax, std::fabs(dx * y[i] - dy * x[i]));
   }
   return vmax;
 }

@@ -71,9 +71,6 @@ class ScopedForceTier {
 // extreme, plus at most the four box corners (near/far and wedge-interior
 // corners overlap in the same four slots).
 inline constexpr int kScreenPointCap = 10;
-// Warm-up candidate cap: the larger of internal::kMaxRotationWarmup and
-// internal::kScanPhasePoints (the engine static_asserts it covers both).
-inline constexpr int kWarmupPointCap = 128;
 
 // What the screen tests per lane. A verdict of 1 always means "trivial
 // point, conclusively include, no state mutation and no fallback
@@ -84,9 +81,8 @@ inline constexpr int kWarmupPointCap = 128;
 // buffer is still empty needs the trivial test alone: PrepareTrivialFn.)
 enum class ScreenMode : int {
   // Pre-rotation: the warm-up deviation check (max |rel x q| over the
-  // buffered warm-up candidates — in BQS's scan phase, the whole segment
-  // buffer) must conclusively pass below the guard band, with a
-  // non-degenerate end. Trivial lanes only.
+  // buffered warm-up candidates) must conclusively pass below the guard
+  // band, with a non-degenerate end. Trivial lanes only.
   kWarmup = 1,
   // Established rotation: the fast kernel's aggregated quadrant
   // upper-bound compare (see ScreenQuadrant), on every lane.
@@ -113,10 +109,12 @@ struct ScreenState {
   // kQuadrant mode: per-quadrant candidate sets.
   ScreenQuadrant quads[4];
   int num_quads;
-  // kWarmup mode: buffered warm-up candidates, relative to the segment
-  // start (the same p - a subtraction the scalar deviation scan performs).
-  double warm_px[kWarmupPointCap];
-  double warm_py[kWarmupPointCap];
+  // kWarmup mode: the engine's warm-up buffer, read in place: warm_count
+  // points relative to the segment start, x and y in two contiguous
+  // arrays (the p - a subtraction the scalar deviation scan needs, done
+  // once when the point was buffered). Valid until the buffer next grows.
+  const double* warm_px;
+  const double* warm_py;
   int warm_count;
   // epsilon * epsilon, the trivial-include threshold on |rel|^2.
   double eps_sq;
@@ -127,7 +125,7 @@ struct ScreenState {
 // Kernel table.
 // ---------------------------------------------------------------------------
 
-// Doubles per input point: the kernels read point i's x and y at
+// Doubles per input point: the prepare kernels read point i's x and y at
 // points[i * kPointStrideDoubles] and the double after it. This is the
 // layout of TrackPoint (x, y leading, then t and a 2-D velocity), which
 // the engine static_asserts where it passes its points in.
@@ -166,9 +164,14 @@ using PrepareTrivialFn = void (*)(const double* points, std::size_t n,
                                   double origin_x, double origin_y,
                                   double eps_sq, unsigned char* verdicts);
 
-// Warm-up deviation scan: max over the n points of |d x (p_i - a)|.
-using MaxAbsCrossFn = double (*)(const double* points, std::size_t n,
-                                 double ax, double ay, double dx, double dy);
+// Exact line-metric deviation scan of a flat buffer: max over i < n of
+// |dx * y[i] - dy * x[i]|, where (x[i], y[i]) is buffered point i relative
+// to the segment start (two contiguous arrays, structure-of-arrays) and
+// (dx, dy) is the candidate end relative to the same start. This is the
+// cross product |d x (p_i - a)| of the deviation scan with p_i - a
+// subtracted once at append time; n == 0 returns 0.
+using MaxAbsCrossFn = double (*)(const double* x, const double* y,
+                                 std::size_t n, double dx, double dy);
 
 struct KernelTable {
   PrepareRotatedFn prepare_rotated;

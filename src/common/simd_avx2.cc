@@ -85,9 +85,9 @@ void ScreenLanesAvx2(const ScreenState& state, const double* rx,
   lanes::ScreenLanesImpl<V4>(state, rx, ry, nsq, n, verdicts);
 }
 
-double MaxAbsCrossAvx2(const double* points, std::size_t n, double ax,
-                       double ay, double dx, double dy) {
-  return lanes::MaxAbsCrossImpl<V4>(points, n, ax, ay, dx, dy);
+double MaxAbsCrossAvx2(const double* x, const double* y, std::size_t n,
+                       double dx, double dy) {
+  return lanes::MaxAbsCrossImpl<V4>(x, y, n, dx, dy);
 }
 
 void PrepareTrivialAvx2(const double* points, std::size_t n, double origin_x,

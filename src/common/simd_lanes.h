@@ -228,29 +228,19 @@ inline void ScreenLanesImpl(const ScreenState& state, const double* rx,
 }
 
 template <typename V>
-inline double MaxAbsCrossImpl(const double* points, std::size_t n, double ax,
-                              double ay, double dx, double dy) {
+inline double MaxAbsCrossImpl(const double* x, const double* y, std::size_t n,
+                              double dx, double dy) {
   constexpr std::size_t kW = V::kLanes;
-  const V vax = V::Broadcast(ax);
-  const V vay = V::Broadcast(ay);
   const V vdx = V::Broadcast(dx);
   const V vdy = V::Broadcast(dy);
   V acc = V::Zero();
   std::size_t i = 0;
   for (; i + kW <= n; i += kW) {
-    V px, py;
-    V::GatherXY(points + i * kPointStrideDoubles, &px, &py);
-    const V relx = px - vax;
-    const V rely = py - vay;
-    acc = V::Max(acc, (vdx * rely - vdy * relx).Abs());
+    acc = V::Max(acc, (vdx * V::LoadU(y + i) - vdy * V::LoadU(x + i)).Abs());
   }
   double vmax = 0.0;
   for (std::size_t k = 0; k < kW; ++k) vmax = std::max(vmax, acc.Lane(k));
-  for (; i < n; ++i) {
-    const double* p = points + i * kPointStrideDoubles;
-    vmax = std::max(vmax,
-                    std::fabs(dx * (p[1] - ay) - dy * (p[0] - ax)));
-  }
+  for (; i < n; ++i) vmax = std::max(vmax, std::fabs(dx * y[i] - dy * x[i]));
   return vmax;
 }
 

@@ -77,9 +77,9 @@ void ScreenLanesSse2(const ScreenState& state, const double* rx,
   lanes::ScreenLanesImpl<V2>(state, rx, ry, nsq, n, verdicts);
 }
 
-double MaxAbsCrossSse2(const double* points, std::size_t n, double ax,
-                       double ay, double dx, double dy) {
-  return lanes::MaxAbsCrossImpl<V2>(points, n, ax, ay, dx, dy);
+double MaxAbsCrossSse2(const double* x, const double* y, std::size_t n,
+                       double dx, double dy) {
+  return lanes::MaxAbsCrossImpl<V2>(x, y, n, dx, dy);
 }
 
 void PrepareTrivialSse2(const double* points, std::size_t n, double origin_x,

@@ -15,15 +15,15 @@ namespace internal {
 
 namespace {
 
-// The SIMD kernels read point coordinates as a flat double array: x and y
-// leading each TrackPoint, simd::kPointStrideDoubles doubles apart.
+// The prepare kernels read incoming points as a flat double array: x and
+// y leading each TrackPoint, simd::kPointStrideDoubles doubles apart.
 static_assert(offsetof(TrackPoint, pos) == 0 &&
                   offsetof(Vec2, y) == sizeof(double),
               "TrackPoint must lead with its x, y coordinates");
 static_assert(sizeof(TrackPoint) == simd::kPointStrideDoubles * sizeof(double),
               "simd::kPointStrideDoubles must match the TrackPoint stride");
 
-/// The coordinate array the SIMD kernels read for `pts`.
+/// The coordinate array the prepare kernels read for `pts`.
 const double* PointCoords(const TrackPoint* pts) { return &pts->pos.x; }
 
 /// True when v lies within the sub-ulp sliver of a coordinate axis where
@@ -42,41 +42,67 @@ bool NearAxisSliver(Vec2 v) {
   return mn != 0.0 && mn <= 1e-12 * std::max(ax, ay);
 }
 
-/// Squared-domain epsilon verdict for a flat scan of buffered points
-/// against the path (a, b): +1 when the maximum deviation is definitely
-/// <= eps, -1 when definitely greater, 0 inside a ~1e-12 relative guard
-/// band of the threshold (caller recomputes with the reference scan). The
-/// per-point value is the same |cross| / squared-distance candidate the
-/// sqrt-bearing scan would feed into its max, so the verdict matches the
-/// reference comparison outside the band by monotonicity.
-int SquaredDeviationVerdict(const TrackPoint* pts, std::size_t n, Vec2 a,
-                            Vec2 b, DistanceMetric metric, double eps,
-                            const simd::KernelTable& kernels) {
-  constexpr double kBandLo = 1.0 - 1e-12;
-  constexpr double kBandHi = 1.0 + 1e-12;
-  double vmax = 0.0;
-  double threshold;
-  if (metric == DistanceMetric::kPointToLine) {
-    const Vec2 d = b - a;
-    if (d == Vec2{0.0, 0.0}) return 0;  // degenerate: reference semantics.
-    // max over |d x (p - a)| through the active SIMD tier: max over fabs
-    // values is associative/commutative bitwise, so the lane-parallel
-    // reduction returns the same bits as the scalar scan.
-    vmax = kernels.max_abs_cross(PointCoords(pts), n, a.x, a.y, d.x, d.y);
-    vmax *= vmax;
-    threshold = eps * eps * d.NormSq();
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      vmax = std::max(vmax, PointToSegmentDistanceSq(pts[i].pos, a, b));
-    }
-    threshold = eps * eps;
-  }
+constexpr double kBandLo = 1.0 - 1e-12;
+constexpr double kBandHi = 1.0 + 1e-12;
+
+/// Squared-domain line-metric verdict for a flat scan of `buf` against
+/// the end d (relative to the segment start, like the buffered points):
+/// +1 when the maximum deviation is definitely <= eps, -1 when definitely
+/// greater, 0 inside a ~1e-12 relative guard band of the threshold or for
+/// a degenerate end (caller recomputes with the reference scan). The
+/// per-point value is the same |cross| candidate the sqrt-bearing scan
+/// would feed into its max, so the verdict matches the reference
+/// comparison outside the band by monotonicity.
+int LineVerdict(const FlatBuffer& buf, Vec2 d, double eps_sq,
+                const simd::KernelTable& kernels) {
+  if (d == Vec2{0.0, 0.0}) return 0;  // degenerate: reference semantics.
+  // max over |d x (p - a)| through the active SIMD tier: max over fabs
+  // values is associative/commutative bitwise, so the lane-parallel
+  // reduction returns the same bits as the scalar scan.
+  double vmax = kernels.max_abs_cross(buf.x(), buf.y(), buf.size(), d.x, d.y);
+  vmax *= vmax;
+  const double threshold = eps_sq * d.NormSq();
   if (vmax <= threshold * kBandLo) return 1;
   if (vmax > threshold * kBandHi) return -1;
   return 0;
 }
 
+/// LineVerdict under either metric, against the path (a, b).
+int SquaredDeviationVerdict(const FlatBuffer& buf, Vec2 a, Vec2 b,
+                            DistanceMetric metric, double eps_sq,
+                            const simd::KernelTable& kernels) {
+  if (metric == DistanceMetric::kPointToLine) {
+    return LineVerdict(buf, b - a, eps_sq, kernels);
+  }
+  double vmax = 0.0;
+  for (const Vec2 p : buf.positions()) {
+    vmax = std::max(vmax, PointToSegmentDistanceSq(p, a, b));
+  }
+  if (vmax <= eps_sq * kBandLo) return 1;
+  if (vmax > eps_sq * kBandHi) return -1;
+  return 0;
+}
+
 }  // namespace
+
+void FlatBuffer::Reallocate(std::size_t cap) {
+  std::unique_ptr<double[]> xy(new double[2 * cap]);
+  std::unique_ptr<Vec2[]> pos(new Vec2[cap]);
+  std::copy(x(), x() + size_, xy.get());
+  std::copy(y(), y() + size_, xy.get() + cap);
+  std::copy(pos_.get(), pos_.get() + size_, pos.get());
+  xy_ = std::move(xy);
+  pos_ = std::move(pos);
+  cap_ = cap;
+}
+
+double FlatBuffer::Deviation(Vec2 a, Vec2 b, DistanceMetric metric) const {
+  double dev = 0.0;
+  for (const Vec2 p : positions()) {
+    dev = std::max(dev, PointDeviation(p, a, b, metric));
+  }
+  return dev;
+}
 
 SegmentEngine::SegmentEngine(const BqsOptions& options, bool exact_mode,
                              const KernelOracle& oracle)
@@ -118,6 +144,7 @@ SegmentEngine::SegmentEngine(const BqsOptions& options, bool exact_mode,
   // dispatch-call overhead, few enough that a quadrant mutation (which
   // invalidates screened-ahead verdicts) discards little work.
   screen_group_ = 8 * kernels_->lanes;
+  if (!scan_phase_) warmup_.Reserve(kMaxRotationWarmup);
   Reset();
 }
 
@@ -247,6 +274,11 @@ void SegmentEngine::RunBatch(std::span<const TrackPoint> pts,
               split ? kBatchSeed : std::min(batch_fill_ * 4, kBatchChunk);
           continue;
         }
+        if (scan_phase_) {
+          i += RunScanPhase(pts.subspan(i), out, &screened_points,
+                            &scalar_points);
+          continue;
+        }
         if (screen_enabled_) {
           // Warm-up screen: trivial lanes must pass the warm-up deviation
           // verdict against the buffered candidates. A group of lanes is
@@ -268,7 +300,7 @@ void SegmentEngine::RunBatch(std::span<const TrackPoint> pts,
               const std::size_t g = std::min(chunk - j, screen_group_);
               PrepareBatch(pts.subspan(i + j, g));
               BatchScratch& s = *scratch_;
-              if (s.state_epoch != quad_epoch_) MarshalWarmupScreen();
+              AimWarmupScreen();
               kernels_->screen_lanes(s.state, s.rx, s.ry, s.nsq, g, s.screen);
               group_start = j;
               screened_until = j + g;
@@ -279,13 +311,9 @@ void SegmentEngine::RunBatch(std::span<const TrackPoint> pts,
               while (k < screened_until && verdict[k - group_start] != 0) ++k;
               const std::size_t m = k - j;
               // Replicated scalar effects: each lane passed the warm-up
-              // check (in the scan phase, a scan of the segment buffer)
-              // and was a trivial include.
+              // check and was a trivial include.
               stats_.warmup_checks += m;
               stats_.trivial_includes += m;
-              if (scan_phase_) {
-                stats_.exact_points_scanned += m * buffer_.size();
-              }
               next_index_ += m;
               prev_ = pts[i + k - 1];
               prev_index_ = next_index_ - 1;
@@ -452,23 +480,139 @@ void SegmentEngine::MarshalScreenState() {
   scratch_->state_epoch = quad_epoch_;
 }
 
-void SegmentEngine::MarshalWarmupScreen() {
-  static_assert(simd::kWarmupPointCap >= kMaxRotationWarmup &&
-                    simd::kWarmupPointCap >= kScanPhasePoints,
-                "screen warm-up capacity must cover the warm-up buffer");
+void SegmentEngine::AimWarmupScreen() {
   simd::ScreenState& st = scratch_->state;
-  const std::span<const TrackPoint> warm = WarmupPoints();
+  const FlatBuffer& warm = WarmupPoints();
   st.eps_sq = trivial_eps_sq_;
   st.mode = simd::ScreenMode::kWarmup;
+  st.warm_px = warm.x();
+  st.warm_py = warm.y();
   st.warm_count = static_cast<int>(warm.size());
-  for (std::size_t k = 0; k < warm.size(); ++k) {
-    // The same p - a subtraction SquaredDeviationVerdict's scan performs,
-    // hoisted out of the per-lane loop (end-independent).
-    const Vec2 q = warm[k].pos - segment_start_.pos;
-    st.warm_px[k] = q.x;
-    st.warm_py[k] = q.y;
+  // The quadrant context is no longer marshalled (quad_epoch_ is never 0).
+  scratch_->state_epoch = 0;
+}
+
+std::size_t SegmentEngine::RunScanPhase(std::span<const TrackPoint> pts,
+                                        std::vector<KeyPoint>* out,
+                                        uint64_t* screened_points,
+                                        uint64_t* scalar_points) {
+  // Assess's scan-phase branch and ProcessPoint's split, fused into one
+  // loop over the batch: per fix, the trivial test, the warm-up verdict
+  // over the segment buffer (sqrt-bearing rescan only in its guard band),
+  // then the include (a non-trivial one is appended) or the split, after
+  // which the same fix is decided again against the new, empty segment.
+  // Every counter ends where the per-point path leaves it; the hot ones
+  // are kept in locals and folded into stats_ when the loop leaves.
+  const double eps = options_.epsilon;
+  const double eps_sq = trivial_eps_sq_;
+  const std::size_t n = pts.size();
+  Vec2 origin = segment_start_.pos;
+  uint64_t checks = 0;
+  uint64_t scanned = 0;
+  uint64_t trivials = 0;
+  uint64_t decided = 0;
+  // The last fix included by this call; prev_ catches up with it before a
+  // split reads it and when the loop leaves.
+  const TrackPoint* last = nullptr;
+  const auto sync_prev = [&] {
+    if (last != nullptr) {
+      prev_ = *last;
+      prev_index_ = next_index_ - 1;
+      last = nullptr;
+    }
+  };
+  // Lanes in [group_start, screened_until) hold warm-up screen verdicts
+  // against the current origin and buffer; an append or a split ends
+  // them.
+  std::size_t group_start = 0;
+  std::size_t screened_until = 0;
+  std::size_t j = 0;
+  while (j < n) {
+    const TrackPoint& pt = pts[j];
+    const Vec2 rel = pt.pos - origin;
+    const bool trivial = rel.NormSq() <= eps_sq;
+    const std::size_t buffered = buffer_.size();
+    if (buffered == 0) {
+      // Nothing buffered: a trivial fix is included by the trivial test
+      // alone, which the fused screen runs lane-parallel.
+      if (trivial && screen_vector_) break;
+    } else {
+      if (trivial && screen_enabled_) {
+        // Trivial fixes leave the buffer unchanged, so a group of them is
+        // screened against it in one vector pass, from this fix on.
+        if (j >= screened_until) {
+          const std::size_t g = std::min(n - j, screen_group_);
+          PrepareBatch(pts.subspan(j, g));
+          AimWarmupScreen();
+          BatchScratch& s = *scratch_;
+          kernels_->screen_lanes(s.state, s.rx, s.ry, s.nsq, g, s.screen);
+          group_start = j;
+          screened_until = j + g;
+        }
+        const unsigned char* verdict = scratch_->screen;
+        if (verdict[j - group_start] != 0) {
+          std::size_t k = j + 1;
+          while (k < screened_until && verdict[k - group_start] != 0) ++k;
+          const std::size_t m = k - j;
+          checks += m;
+          trivials += m;
+          scanned += m * buffered;
+          next_index_ += m;
+          last = &pts[k - 1];
+          *screened_points += m;
+          j = k;
+          continue;
+        }
+      }
+      ++checks;
+      scanned += buffered;
+      int verdict = LineVerdict(buffer_, rel, eps_sq, *kernels_);
+      if (verdict == 0) {
+        ++stats_.kernel_fallbacks;
+        verdict = buffer_.Deviation(origin, pt.pos,
+                                    DistanceMetric::kPointToLine) > eps
+                      ? -1
+                      : 1;
+      }
+      if (verdict < 0) {
+        // Split: the previous fix ends the segment and starts the next;
+        // this fix is decided again against it.
+        sync_prev();
+        stats_.peak_exact_state =
+            std::max<uint64_t>(stats_.peak_exact_state, buffered);
+        EmitKey(prev_, prev_index_, out);
+        ++stats_.segments;
+        StartSegment(prev_, prev_index_);
+        origin = segment_start_.pos;
+        screened_until = j;
+        continue;
+      }
+    }
+    if (trivial) {
+      ++trivials;
+    } else {
+      buffer_.Push(pt.pos, rel);
+      screened_until = j;
+    }
+    last = &pt;
+    ++next_index_;
+    ++decided;
+    ++j;
+    if (buffer_.size() >= kScanPhasePoints) break;
   }
-  scratch_->state_epoch = quad_epoch_;
+  sync_prev();
+  // The buffer only grows within a segment: its size now is the peak.
+  stats_.peak_exact_state =
+      std::max<uint64_t>(stats_.peak_exact_state, buffer_.size());
+  stats_.warmup_checks += checks;
+  stats_.exact_points_scanned += scanned;
+  stats_.trivial_includes += trivials;
+  *scalar_points += decided;
+  // Buffer growth is screen-visible state (the per-point path bumps the
+  // epoch at every append; nothing reads it inside this loop).
+  ++quad_epoch_;
+  if (buffer_.size() >= kScanPhasePoints) EstablishRotation();
+  return j;
 }
 
 void SegmentEngine::Finish(std::vector<KeyPoint>* out) {
@@ -537,24 +681,26 @@ SegmentEngine::Decision SegmentEngine::Assess(const TrackPoint& pt,
     // buffered and each end is checked exactly against the buffer, which
     // stays short: rotation_warmup_ points, or kScanPhasePoints in BQS's
     // scan phase (whose buffer is the segment buffer itself).
-    const std::span<const TrackPoint> warm = WarmupPoints();
+    const FlatBuffer& warm = WarmupPoints();
     if (!warm.empty()) {
       ++stats_.warmup_checks;
-      // Fast kernel: the scan runs in the squared domain (one sqrt-free
-      // pass; the reference scan only on a guard-band hit).
-      int verdict = 0;
       if (scan_phase_) {
-        verdict = FlatBufferVerdict(pt.pos);
-      } else if (fast_kernel_) {
-        verdict = SquaredDeviationVerdict(warm.data(), warm.size(),
-                                          segment_start_.pos, pt.pos,
-                                          options_.metric, eps, *kernels_);
-        if (verdict == 0) ++stats_.kernel_fallbacks;
-      }
-      if (verdict < 0) return Decision::kSplit;
-      if (verdict == 0 && BufferDeviation(warm, segment_start_.pos, pt.pos,
-                                          options_.metric) > eps) {
-        return Decision::kSplit;
+        if (!FlatBufferIncludes(pt.pos)) return Decision::kSplit;
+      } else {
+        // Fast kernel: the scan runs in the squared domain (one sqrt-free
+        // pass; the reference scan only on a guard-band hit).
+        int verdict = 0;
+        if (fast_kernel_) {
+          verdict = SquaredDeviationVerdict(warm, segment_start_.pos, pt.pos,
+                                            options_.metric, trivial_eps_sq_,
+                                            *kernels_);
+          if (verdict == 0) ++stats_.kernel_fallbacks;
+        }
+        if (verdict < 0) return Decision::kSplit;
+        if (verdict == 0 &&
+            warm.Deviation(segment_start_.pos, pt.pos, options_.metric) > eps) {
+          return Decision::kSplit;
+        }
       }
     }
     if (trivial) {
@@ -566,18 +712,18 @@ SegmentEngine::Decision SegmentEngine::Assess(const TrackPoint& pt,
     // the smaller candidate set).
     ++quad_epoch_;
     if (scan_phase_) {
-      AddExactPoint(pt);
+      AddExactPoint(pt.pos, rel);
       if (buffer_.size() >= kScanPhasePoints) EstablishRotation();
       return Decision::kInclude;
     }
-    warmup_[warmup_count_++] = pt;
+    warmup_.Push(pt.pos, rel);
     if (exact_mode_) {
       // Warm-up points are segment-buffer points: they must be visible to
       // every later exact resolve. FBQS has no exact state at all — its
-      // warm-up checks scan the warmup_ array directly.
-      AddExactPoint(pt);
+      // warm-up checks scan warmup_ directly.
+      AddExactPoint(pt.pos, rel);
     }
-    if (warmup_count_ >= rotation_warmup_) {
+    if (warmup_.size() >= rotation_warmup_) {
       EstablishRotation();
     }
     return Decision::kInclude;
@@ -783,9 +929,8 @@ SegmentEngine::Decision SegmentEngine::ResolveInconclusive(
     // inside its guard band. The reference kernel keeps the literal
     // rescan (it is the oracle this path is checked against). A band
     // verdict FastAssess already took is not scanned (or counted) again.
-    const int verdict = flat_band ? 0 : FlatBufferVerdict(pt.pos);
-    include = verdict == 0 ? ExactDeviation(pt.pos) <= options_.epsilon
-                           : verdict > 0;
+    include = flat_band ? ExactDeviation(pt.pos) <= options_.epsilon
+                        : FlatBufferIncludes(pt.pos);
   } else {
     const double dev = ExactDeviation(pt.pos);  // drains the pending batch
     stats_.exact_points_scanned +=
@@ -798,10 +943,17 @@ SegmentEngine::Decision SegmentEngine::ResolveInconclusive(
 int SegmentEngine::FlatBufferVerdict(Vec2 end_abs) {
   stats_.exact_points_scanned += buffer_.size();
   const int verdict = SquaredDeviationVerdict(
-      buffer_.data(), buffer_.size(), segment_start_.pos, end_abs,
-      options_.metric, options_.epsilon, *kernels_);
+      buffer_, segment_start_.pos, end_abs, options_.metric, trivial_eps_sq_,
+      *kernels_);
   if (verdict == 0) ++stats_.kernel_fallbacks;
   return verdict;
+}
+
+bool SegmentEngine::FlatBufferIncludes(Vec2 end_abs) {
+  const int verdict = FlatBufferVerdict(end_abs);
+  if (verdict != 0) return verdict > 0;
+  return buffer_.Deviation(segment_start_.pos, end_abs, options_.metric) <=
+         options_.epsilon;
 }
 
 SegmentEngine::Decision SegmentEngine::ApplyExactVerdict(const TrackPoint& pt,
@@ -849,15 +1001,15 @@ void SegmentEngine::AddToQuadrants(Vec2 rel_rot) {
 
 void SegmentEngine::IncludeNonTrivial(const TrackPoint& pt, Vec2 rel_rot) {
   AddToQuadrants(rel_rot);
-  if (exact_mode_) AddExactPoint(pt);
+  if (exact_mode_) AddExactPoint(pt.pos, pt.pos - segment_start_.pos);
 }
 
-void SegmentEngine::AddExactPoint(const TrackPoint& pt) {
+void SegmentEngine::AddExactPoint(Vec2 pos, Vec2 rel) {
   if (hull_active_) {
-    AddHullPoint(pt.pos);
+    AddHullPoint(pos);
     return;
   }
-  buffer_.push_back(pt);
+  buffer_.Push(pos, rel);
   stats_.peak_exact_state =
       std::max<uint64_t>(stats_.peak_exact_state, buffer_.size());
   if (buffer_.size() >= hull_migration_) {
@@ -865,8 +1017,8 @@ void SegmentEngine::AddExactPoint(const TrackPoint& pt) {
     // arrival order makes the hull state identical to a run that migrated
     // at the first point, and the resolvers agree exactly on the deviation
     // maximum, so the switch never changes a decision.
-    for (const TrackPoint& p : buffer_) AddHullPoint(p.pos);
-    buffer_.clear();
+    for (const Vec2 p : buffer_.positions()) AddHullPoint(p);
+    buffer_.Clear();
     hull_active_ = true;
   }
 }
@@ -895,16 +1047,16 @@ void SegmentEngine::StartSegment(const TrackPoint& pt, uint64_t index) {
   // Without data-centric rotation the quadrant system is active (unrotated)
   // from the first point on; with it, warm-up gathers points first.
   rotation_established_ = !data_centric_rotation_;
-  warmup_count_ = 0;
+  warmup_.Clear();
   for (QuadrantBound& q : quadrants_) q.Reset();
   hull_.Clear();
   hull_pending_.clear();
-  buffer_.clear();
+  buffer_.Clear();
   hull_active_ = false;
   if (exact_mode_) {
     // The warm-up points land here before any split can happen; reserving
     // them up front avoids the first few reallocations of every segment.
-    buffer_.reserve(rotation_warmup_);
+    buffer_.Reserve(rotation_warmup_);
   }
 }
 
@@ -920,14 +1072,14 @@ void SegmentEngine::EstablishRotation() {
   // the scan phase buffers further points before the quadrants exist, and
   // replaying them all in arrival order leaves the quadrants exactly as
   // adding each at its include would have.
-  const std::span<const TrackPoint> warm = WarmupPoints();
+  const FlatBuffer& warm = WarmupPoints();
   Vec2 centroid{0.0, 0.0};
   double sxx = 0.0;
   double syy = 0.0;
   double sxy = 0.0;
-  for (const TrackPoint& p :
-       warm.first(std::min(warm.size(), rotation_warmup_))) {
-    const Vec2 rel = p.pos - segment_start_.pos;
+  const std::size_t fit = std::min(warm.size(), rotation_warmup_);
+  for (std::size_t i = 0; i < fit; ++i) {
+    const Vec2 rel = warm.rel(i);
     centroid += rel;
     sxx += rel.x * rel.x;
     syy += rel.y * rel.y;
@@ -946,10 +1098,10 @@ void SegmentEngine::EstablishRotation() {
   rot_cos_ = std::cos(rotation_angle_);
   rot_sin_ = std::sin(rotation_angle_);
   rotation_established_ = true;
-  for (const TrackPoint& p : warm) {
-    AddToQuadrants(ToRotatedFrame(p.pos - segment_start_.pos));
+  for (std::size_t i = 0; i < warm.size(); ++i) {
+    AddToQuadrants(ToRotatedFrame(warm.rel(i)));
   }
-  warmup_count_ = 0;
+  warmup_.Clear();
 }
 
 void SegmentEngine::EmitKey(const TrackPoint& pt, uint64_t index,
@@ -963,8 +1115,7 @@ double SegmentEngine::ExactDeviation(Vec2 end_abs) {
     DrainPendingHull();
     return hull_.MaxDeviation(segment_start_.pos, end_abs, options_.metric);
   }
-  return BufferDeviation(buffer_, segment_start_.pos, end_abs,
-                         options_.metric);
+  return buffer_.Deviation(segment_start_.pos, end_abs, options_.metric);
 }
 
 DeviationBounds SegmentEngine::AggregateBounds(Vec2 end_rel_rotated) const {

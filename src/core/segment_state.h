@@ -22,7 +22,11 @@
 //
 // BQS's exact state is the flat segment buffer while the segment is short,
 // migrating to an incrementally-maintained Melkman hull (O(h) resolves,
-// O(h) space) at kHullMigrationPoints buffered points.
+// O(h) space) at kHullMigrationPoints buffered points. Every flat buffer
+// (the scan phase's, the flat phase's and the short warm-up's) is a
+// FlatBuffer: points relative to the segment start as contiguous x and y
+// arrays, which the SIMD max|cross| scan and the vector warm-up screen
+// read in place.
 //
 // Scan phase: on short segments the bounding structures cost more than
 // the exact scans they save, so BQS on the fast kernel under the line
@@ -30,8 +34,12 @@
 // rotation warm-up, extended from rotation_warmup to kScanPhasePoints
 // buffered points — every end, trivial or not, is decided by the
 // squared-domain SIMD max|cross| verdict over the buffer (the
-// sqrt-bearing rescan only inside its 1e-12 guard band), and trivial ends
-// stay on the vector lanes through the warm-up screen. At
+// sqrt-bearing rescan only inside its 1e-12 guard band), and runs of
+// trivial ends stay on the vector lanes through the warm-up screen.
+// PushBatch decides the scan phase in one loop (RunScanPhase: trivial
+// test, verdict, append, split and restart), whose cost per fix is close
+// to a bare exact greedy's over the same buffer; Push takes the same
+// decisions through Assess. At
 // kScanPhasePoints the rotation axis is fitted to the first
 // rotation_warmup buffered points and all buffered points are replayed
 // into the quadrants in arrival order, which is exactly the quadrant
@@ -97,7 +105,8 @@ inline constexpr std::size_t kHullMigrationPoints = 256;
 
 /// Buffered points at which BQS's scan phase ends and the quadrant bounds
 /// are built (see the file comment). It caps the per-point scan at a
-/// constant. Swept over 32..128 (4-core Xeon VM, AVX2): from 64 on, the
+/// constant: at most K start-relative points, read by one SIMD pass.
+/// Swept over 32..128 (4-core Xeon VM, AVX2): from 64 on, the
 /// pipeline walks, the micro random walk and the vehicle stream ran about
 /// 2x faster than without a scan phase and bat and empirical about
 /// 1.3-1.6x; 32 and 48 gained less. 64, 96 and 128 were close, and 128
@@ -107,9 +116,56 @@ inline constexpr std::size_t kHullMigrationPoints = 256;
 /// move. A hull migration point at or below it turns the scan phase off.
 inline constexpr std::size_t kScanPhasePoints = 128;
 
-/// Upper limit for KernelOracle::rotation_warmup (the fixed-capacity
-/// warm-up buffer keeps FBQS free of dynamic allocation).
+/// Upper limit for KernelOracle::rotation_warmup (the warm-up buffer is
+/// reserved to it once, which keeps FBQS free of per-segment allocation).
 inline constexpr int kMaxRotationWarmup = 16;
+
+/// A segment's buffered points in the layout the exact scans read: x and
+/// y relative to the segment start, each in one contiguous array
+/// (structure of arrays). The relative value is the same IEEE subtraction
+/// `p - start` the deviation scan's cross product needs, done once when
+/// the point is buffered, so simd::MaxAbsCrossFn and the vector warm-up
+/// screen read the arrays in place with no gather and no per-scan
+/// subtraction. The absolute positions ride along for the readers that
+/// need them: the hand-off into the hull, the point-to-segment metric and
+/// the sqrt-bearing guard-band rescan.
+class FlatBuffer {
+ public:
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const double* x() const { return xy_.get(); }
+  const double* y() const { return xy_.get() + cap_; }
+  /// Point i relative to the segment start.
+  Vec2 rel(std::size_t i) const { return {x()[i], y()[i]}; }
+  std::span<const Vec2> positions() const { return {pos_.get(), size_}; }
+
+  void Push(Vec2 pos, Vec2 rel) {
+    if (size_ == cap_) Reallocate(cap_ == 0 ? 1 : 2 * cap_);
+    xy_[size_] = rel.x;
+    xy_[cap_ + size_] = rel.y;
+    pos_[size_] = pos;
+    ++size_;
+  }
+  void Clear() { size_ = 0; }
+  void Reserve(std::size_t n) {
+    if (n > cap_) Reallocate(n);
+  }
+  std::size_t CapacityBytes() const {
+    return cap_ * (2 * sizeof(double) + sizeof(Vec2));
+  }
+  /// Exact deviation of the buffered points against the path (a, b),
+  /// point by point as BufferDeviation computes it.
+  double Deviation(Vec2 a, Vec2 b, DistanceMetric metric) const;
+
+ private:
+  void Reallocate(std::size_t cap);
+
+  std::size_t size_ = 0;
+  std::size_t cap_ = 0;
+  /// x in [0, cap_), y in [cap_, 2 * cap_).
+  std::unique_ptr<double[]> xy_;
+  std::unique_ptr<Vec2[]> pos_;
+};
 
 /// Test/bench-only engine configuration: the oracles production output is
 /// checksummed against, and the ablations the benches measure. Both
@@ -202,8 +258,8 @@ class SegmentEngine {
   /// PushBatch SoA scratch is excluded: it is constant-bounded working
   /// memory (kBatchChunk doubles per lane), not per-segment growth.
   std::size_t StateBytes() const {
-    return buffer_.capacity() * sizeof(TrackPoint) +
-           hull_pending_.capacity() * sizeof(Vec2) + hull_.StateBytes();
+    return buffer_.CapacityBytes() + hull_pending_.capacity() * sizeof(Vec2) +
+           hull_.StateBytes();
   }
 
   /// Instrumentation hook invoked on every bound-based assessment. Keep it
@@ -271,6 +327,16 @@ class SegmentEngine {
                        double rel_norm_sq, std::vector<KeyPoint>* out);
   template <bool kProbed>
   void RunBatch(std::span<const TrackPoint> pts, std::vector<KeyPoint>* out);
+  /// The scan phase's batch loop: decides the leading points of `pts`
+  /// (trivial test, warm-up verdict over the segment buffer, append,
+  /// split and restart) until the span ends, the buffer reaches
+  /// kScanPhasePoints (the rotation is then established), or a trivial
+  /// fix meets an empty buffer on a vector tier (left to the fused
+  /// trivial screen). Returns the number of points decided; adds to the
+  /// lane counters. Decisions and stats equal per-point Push's.
+  std::size_t RunScanPhase(std::span<const TrackPoint> pts,
+                           std::vector<KeyPoint>* out,
+                           uint64_t* screened_points, uint64_t* scalar_points);
   template <bool kProbed>
   Decision Assess(const TrackPoint& pt, uint64_t index);
   /// Assess() once the rotated frame and |rel|^2 are in hand (shared by the
@@ -312,11 +378,15 @@ class SegmentEngine {
   /// Squared-domain flat-buffer verdict against the path (segment start,
   /// end_abs): +1 include, -1 split, 0 guard band (a kernel fallback).
   int FlatBufferVerdict(Vec2 end_abs);
+  /// FlatBufferVerdict with the guard band settled by the sqrt-bearing
+  /// rescan: true when the point ending the segment at end_abs keeps
+  /// every buffered point within epsilon.
+  bool FlatBufferIncludes(Vec2 end_abs);
   void IncludeNonTrivial(const TrackPoint& pt, Vec2 rel_rot);
-  /// Routes a buffered point into the active exact structure: the flat
-  /// buffer (migrating it into the hull at hull_migration_ points) or the
-  /// Melkman hull.
-  void AddExactPoint(const TrackPoint& pt);
+  /// Routes a buffered point (absolute pos, rel = pos - segment start)
+  /// into the active exact structure: the flat buffer (migrating it into
+  /// the hull at hull_migration_ points) or the Melkman hull.
+  void AddExactPoint(Vec2 pos, Vec2 rel);
   void StartSegment(const TrackPoint& pt, uint64_t index);
   void EstablishRotation();
   void EmitKey(const TrackPoint& pt, uint64_t index,
@@ -343,11 +413,11 @@ class SegmentEngine {
   /// wedge test and candidate selection are end-independent, which is
   /// what makes this a per-mutation (not per-point) cost.
   void MarshalScreenState();
-  /// Rebuilds the vector screen's pre-rotation context: the buffered
-  /// warm-up candidates relative to the segment start, so the screen can
-  /// run the warm-up deviation verdict lane-parallel. (An empty warm-up
-  /// buffer takes the fused trivial path instead.)
-  void MarshalWarmupScreen();
+  /// Points the vector screen at the warm-up buffer in place (its
+  /// start-relative arrays are what the lane-parallel warm-up verdict
+  /// reads), for the lanes screened before the buffer next grows. An
+  /// empty warm-up buffer takes the fused trivial path instead.
+  void AimWarmupScreen();
   /// Stages a buffered point for the hull. Hull maintenance is lazy: the
   /// point lands in a small pending batch (cap kHullDrainBatch, so space
   /// stays O(h)) and is only folded in when an exact resolve needs the
@@ -360,10 +430,9 @@ class SegmentEngine {
   /// Non-const: drains the pending hull batch.
   double ExactDeviation(Vec2 end_abs);
   /// The pre-rotation candidates every warm-up end is checked against:
-  /// the segment buffer in the scan phase, the warmup_ array otherwise.
-  std::span<const TrackPoint> WarmupPoints() const {
-    if (scan_phase_) return buffer_;
-    return {warmup_.data(), warmup_count_};
+  /// the segment buffer in the scan phase, warmup_ otherwise.
+  const FlatBuffer& WarmupPoints() const {
+    return scan_phase_ ? buffer_ : warmup_;
   }
   DeviationBounds AggregateBounds(Vec2 end_rel_rotated) const;
 
@@ -402,9 +471,10 @@ class SegmentEngine {
   double rot_cos_ = 1.0;
   double rot_sin_ = 0.0;
   /// Warm-up buffer outside the scan phase (FBQS, the segment metric and
-  /// the oracles); the scan phase buffers into buffer_.
-  std::size_t warmup_count_ = 0;
-  std::array<TrackPoint, kMaxRotationWarmup> warmup_{};
+  /// the oracles), at most rotation_warmup_ points, start-relative like
+  /// buffer_ so the warm-up screen reads it in place; the scan phase
+  /// buffers into buffer_ instead. Reserved once at construction.
+  FlatBuffer warmup_;
 
   std::array<QuadrantBound, 4> quadrants_;
 
@@ -418,9 +488,9 @@ class SegmentEngine {
   static constexpr std::size_t kHullDrainBatch = 256;
   std::vector<Vec2> hull_pending_;
 
-  /// Absolute-coordinate segment buffer; non-empty only before the hull
-  /// migration point.
-  std::vector<TrackPoint> buffer_;
+  /// Segment buffer: the scan phase's points, then the flat phase's up to
+  /// the hull migration point; empty once the hull owns the segment.
+  FlatBuffer buffer_;
 
   /// SoA scratch for PushBatch (see PrepareBatch and BatchScratch). The
   /// fill window starts at kBatchSeed after every split and grows fourfold

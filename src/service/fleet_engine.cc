@@ -346,14 +346,7 @@ void FleetEngine::FinishAll() {
   if (inline_) {
     Shard& shard = *shards_[0];
     AssumeWorker(shard);  // inline mode: the caller is the worker
-    shard.device_scratch.clear();
-    for (const auto& [device, session] : shard.sessions) {
-      (void)session;
-      shard.device_scratch.push_back(device);
-    }
-    for (const DeviceId device : shard.device_scratch) {
-      CloseSession(shard, device, SessionEndReason::kFinished);
-    }
+    FinishShard(shard);
     return;
   }
   for (auto& shard : shards_) {
@@ -498,7 +491,9 @@ void FleetEngine::CheckpointWal() {
     for (auto& [device, session] : shard.sessions) {
       (void)device;
       if (session.staged.empty()) continue;
-      CountWalAck(shard, session, wal_acks_[next_ack++], &writer_dead);
+      CountWalAck(shard, session.staged.size(), wal_acks_[next_ack++],
+                  &writer_dead);
+      session.staged.clear();
     }
   }
   // The checkpoint barrier is the compaction trigger: every staged point
@@ -541,14 +536,7 @@ void FleetEngine::WorkerLoop(Shard& shard) {
         }
         break;
       case ShardCommand::Kind::kFinishAll:
-        shard.device_scratch.clear();
-        for (const auto& [device, session] : shard.sessions) {
-          (void)session;
-          shard.device_scratch.push_back(device);
-        }
-        for (const DeviceId device : shard.device_scratch) {
-          CloseSession(shard, device, SessionEndReason::kFinished);
-        }
+        FinishShard(shard);
         break;
     }
     shard.completed.fetch_add(1, std::memory_order_seq_cst);
@@ -710,8 +698,34 @@ void FleetEngine::NoteStreamTime(Shard& shard, double t) {
   }
 }
 
-void FleetEngine::CloseSession(Shard& shard, DeviceId device,
-                               SessionEndReason reason) {
+void FleetEngine::FinishShard(Shard& shard) {
+  shard.device_scratch.clear();
+  for (const auto& [device, session] : shard.sessions) {
+    (void)session;
+    shard.device_scratch.push_back(device);
+  }
+  shard.finish_tails.clear();
+  for (const DeviceId device : shard.device_scratch) {
+    CloseSession(shard, device, SessionEndReason::kFinished,
+                 &shard.finish_tails);
+  }
+  if (shard.finish_tails.empty()) return;
+  for (const auto& [device, keys] : shard.finish_tails) {
+    shard.finish_batch.push_back({device, keys});
+  }
+  bool writer_dead = options_.wal->dead();
+  options_.wal->AppendBatch(shard.finish_batch, &shard.finish_acks);
+  shard.finish_batch.clear();  // its views into the tails end here
+  for (std::size_t i = 0; i < shard.finish_tails.size(); ++i) {
+    CountWalAck(shard, shard.finish_tails[i].second.size(),
+                shard.finish_acks[i], &writer_dead);
+  }
+  shard.finish_tails.clear();
+}
+
+void FleetEngine::CloseSession(
+    Shard& shard, DeviceId device, SessionEndReason reason,
+    std::vector<std::pair<DeviceId, std::vector<KeyPoint>>>* tails) {
   auto it = shard.sessions.find(device);
   Session& session = it->second;
   std::vector<KeyPoint>& keys = EmitBuffer(shard, session);
@@ -719,9 +733,15 @@ void FleetEngine::CloseSession(Shard& shard, DeviceId device,
   session.compressor->Finish(&keys);
   ForwardKeyPoints(shard, device, keys, from);
   // The closing key points are staged now: make the whole session durable
-  // before it disappears. Every close reason takes this path, so finish,
-  // idle sweep and memory eviction all checkpoint.
-  CheckpointSession(shard, device, session);
+  // before it disappears (or, for FinishAll, hand them to its batch).
+  // Every close reason takes this path, so finish, idle sweep and memory
+  // eviction all checkpoint.
+  if (tails != nullptr && options_.wal != nullptr && !session.staged.empty()) {
+    tails->emplace_back(device, std::move(session.staged));
+    session.staged.clear();
+  } else {
+    CheckpointSession(shard, device, session);
+  }
   if (const DecisionStats* stats = session.compressor->decision_stats()) {
     AccumulateDecisionStats(shard.counters.decisions, *stats);
   }
@@ -769,16 +789,17 @@ void FleetEngine::CheckpointSession(Shard& shard, DeviceId device,
                                     Session& session) {
   if (options_.wal == nullptr || session.staged.empty()) return;
   bool writer_dead = options_.wal->dead();
-  CountWalAck(shard, session, options_.wal->Append(device, session.staged),
-              &writer_dead);
+  CountWalAck(shard, session.staged.size(),
+              options_.wal->Append(device, session.staged), &writer_dead);
+  session.staged.clear();
 }
 
-void FleetEngine::CountWalAck(Shard& shard, Session& session,
+void FleetEngine::CountWalAck(Shard& shard, std::size_t points,
                               const Result<WalAppendAck>& ack,
                               bool* writer_dead) {
   if (ack.ok()) {
     ++shard.counters.wal_checkpoints;
-    shard.counters.wal_points += session.staged.size();
+    shard.counters.wal_points += points;
   } else {
     // The WAL refused (typically its fsync gate tripped). The points were
     // already delivered to the sink — the log just has a hole, which the
@@ -797,7 +818,6 @@ void FleetEngine::CountWalAck(Shard& shard, Session& session,
       *writer_dead = true;
     }
   }
-  session.staged.clear();
 }
 
 void FleetEngine::EnforceBudget(Shard& shard) {

@@ -94,6 +94,7 @@
 #include <span>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -508,6 +509,12 @@ class FleetEngine {
     std::vector<KeyPoint> emit_scratch GUARDED_BY(worker_role);
     /// Bulk-close staging.
     std::vector<DeviceId> device_scratch GUARDED_BY(worker_role);
+    /// FinishAll's checkpoint batch: the staged tails of the sessions it
+    /// closes (moved out of them), their WAL entries and acks; reused.
+    std::vector<std::pair<DeviceId, std::vector<KeyPoint>>> finish_tails
+        GUARDED_BY(worker_role);
+    std::vector<WalBatchEntry> finish_batch GUARDED_BY(worker_role);
+    std::vector<Result<WalAppendAck>> finish_acks GUARDED_BY(worker_role);
     uint64_t activity_clock GUARDED_BY(worker_role) = 0;
     /// Newest record time seen.
     double max_stream_t GUARDED_BY(worker_role) = 0.0;
@@ -601,17 +608,26 @@ class FleetEngine {
   void ForwardKeyPoints(Shard& shard, DeviceId device,
                         const std::vector<KeyPoint>& keys, std::size_t from)
       REQUIRES(shard.worker_role);
-  void CloseSession(Shard& shard, DeviceId device, SessionEndReason reason)
-      REQUIRES(shard.worker_role);
+  /// Ends `device`'s session. Its staged key points become one WAL
+  /// checkpoint right away, or, with `tails`, move there for the caller to
+  /// append in one batch.
+  void CloseSession(
+      Shard& shard, DeviceId device, SessionEndReason reason,
+      std::vector<std::pair<DeviceId, std::vector<KeyPoint>>>* tails =
+          nullptr) REQUIRES(shard.worker_role);
+  /// FinishAll on one shard: closes every session, then appends all of
+  /// their staged tails to the WAL as one batch (one write, and one sync
+  /// under a per-batch policy), in session order.
+  void FinishShard(Shard& shard) REQUIRES(shard.worker_role);
   /// Appends `session`'s staged key points to the WAL as one checkpoint
   /// (no-op when empty or WAL-less). Failures count, never propagate —
   /// the WAL is insurance, not the data path.
   void CheckpointSession(Shard& shard, DeviceId device, Session& session)
       REQUIRES(shard.worker_role);
-  /// Counts one checkpoint's WAL outcome into the shard's counters and
-  /// clears the session's staged points. `writer_dead` says whether an
-  /// earlier append already found the writer dead; an I/O failure sets it.
-  void CountWalAck(Shard& shard, Session& session,
+  /// Counts one checkpoint of `points` key points' WAL outcome into the
+  /// shard's counters. `writer_dead` says whether an earlier append
+  /// already found the writer dead; an I/O failure sets it.
+  void CountWalAck(Shard& shard, std::size_t points,
                    const Result<WalAppendAck>& ack, bool* writer_dead)
       REQUIRES(shard.worker_role);
   void EnforceBudget(Shard& shard) REQUIRES(shard.worker_role);

@@ -12,6 +12,7 @@
 
 #include "baselines/buffered_greedy.h"
 #include "common/op_counters.h"
+#include "common/simd.h"
 #include "core/fbqs_compressor.h"
 #include "simulation/datasets.h"
 #include "test_util.h"
@@ -808,9 +809,18 @@ TEST(BqsCompressorTest, StraightRunComposesNoSqrt) {
 // splits; a later segment cannot open with one, since the old segment
 // takes any point near its end.) `lead_offset` moves the first three
 // buffered points of the first run off its axis (in epsilons).
+//
+// `band_ends` runs along the axes instead, turning by exactly 90 degrees,
+// with the zigzag on one side only and each run's second buffered point
+// (1 - 2e-13) * epsilon off its axis. Every on-axis end (the trivial
+// points on the axis and each run's last point) then keeps that point
+// within epsilon by less than the squared verdict's 1e-12 guard band, so
+// the sqrt-bearing rescan decides (an include). The margin is far above
+// rounding, so every kernel, bound-based or not, includes these ends.
 Trajectory ScanBoundaryStream(std::size_t buffered, DistanceMetric metric,
                               int segments, double eps,
-                              double lead_offset = 0.0) {
+                              double lead_offset = 0.0,
+                              bool band_ends = false) {
   Trajectory stream;
   const auto add = [&stream](Vec2 p) {
     stream.push_back(TrackPoint{p, static_cast<double>(stream.size()), {}});
@@ -818,8 +828,9 @@ Trajectory ScanBoundaryStream(std::size_t buffered, DistanceMetric metric,
   Vec2 start{0.0, 0.0};
   add(start);
   double heading = 0.3;
+  Vec2 dir = band_ends ? Vec2{1.0, 0.0}
+                       : Vec2{std::cos(heading), std::sin(heading)};
   for (int s = 0; s < segments; ++s) {
-    const Vec2 dir{std::cos(heading), std::sin(heading)};
     const Vec2 normal{-dir.y, dir.x};
     if (s == 0) {
       add(start + 0.4 * eps * normal);
@@ -828,6 +839,9 @@ Trajectory ScanBoundaryStream(std::size_t buffered, DistanceMetric metric,
     Vec2 last = start;
     for (std::size_t j = 1; j <= buffered; ++j) {
       double zig = j == buffered ? 0.0 : (j % 2 == 0 ? 0.3 : -0.3);
+      if (band_ends && j < buffered) {
+        zig = j == 2 ? 1.0 - 2e-13 : (j % 2 == 0 ? 0.0 : 0.3);
+      }
       if (s == 0 && j <= 3 && lead_offset != 0.0) zig = lead_offset;
       last = start + (1.5 * eps * static_cast<double>(j)) * dir +
              (zig * eps) * normal;
@@ -839,76 +853,114 @@ Trajectory ScanBoundaryStream(std::size_t buffered, DistanceMetric metric,
       }
     }
     start = last;
-    heading += 1.745329;  // ~100 degrees
+    if (band_ends) {
+      dir = Vec2{-dir.y, dir.x};  // exactly 90 degrees
+    } else {
+      heading += 1.745329;  // ~100 degrees
+      dir = Vec2{std::cos(heading), std::sin(heading)};
+    }
   }
   return stream;
 }
 
+void ExpectSameStats(const DecisionStats& a, const DecisionStats& b) {
+  EXPECT_EQ(a.points, b.points);
+  EXPECT_EQ(a.trivial_includes, b.trivial_includes);
+  EXPECT_EQ(a.warmup_checks, b.warmup_checks);
+  EXPECT_EQ(a.upper_bound_includes, b.upper_bound_includes);
+  EXPECT_EQ(a.lower_bound_splits, b.lower_bound_splits);
+  EXPECT_EQ(a.exact_computations, b.exact_computations);
+  EXPECT_EQ(a.exact_includes, b.exact_includes);
+  EXPECT_EQ(a.exact_splits, b.exact_splits);
+  EXPECT_EQ(a.uncertain_splits, b.uncertain_splits);
+  EXPECT_EQ(a.segments, b.segments);
+  EXPECT_EQ(a.exact_points_scanned, b.exact_points_scanned);
+  EXPECT_EQ(a.peak_exact_state, b.peak_exact_state);
+  EXPECT_EQ(a.kernel_fallbacks, b.kernel_fallbacks);
+}
+
 TEST(BqsCompressorTest, ScanPhaseBoundaryIsByteIdenticalToTheOracles) {
   // Segments that end one point before, at and after the scan phase's
-  // kScanPhasePoints: the default kernel keeps the reference kernel's keys
+  // kScanPhasePoints, with trivial fixes interleaved, and (line metric)
+  // a variant whose on-axis ends land in the verdict's guard band: on
+  // every SIMD tier the default kernel keeps the reference kernel's keys
   // (and those of the hull from the first point, which never runs the
-  // scan phase), and the hull from the first point keeps the reference's
+  // scan phase), the batch loop keeps every counter of point-by-point
+  // pushes, and the hull from the first point keeps the reference's
   // decision mix. Under the line metric no bound is ever composed below
   // kScanPhasePoints; from it on, exactly the points after the handover
   // are bound-assessed. The segment metric runs no scan phase, so there
   // the default kernel keeps the reference's decision mix.
   constexpr std::size_t kK = internal::kScanPhasePoints;
   constexpr int kSegments = 5;
-  for (const DistanceMetric metric :
-       {DistanceMetric::kPointToLine, DistanceMetric::kPointToSegment}) {
-    for (const std::size_t buffered : {kK - 1, kK, kK + 1}) {
-      for (const double eps : {4.0, 10.0}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "metric " << static_cast<int>(metric) << " buffered "
-                     << buffered << " eps " << eps);
-        const Trajectory stream =
-            ScanBoundaryStream(buffered, metric, kSegments, eps);
-        BqsOptions options;
-        options.epsilon = eps;
-        options.metric = metric;
-        BqsCompressor bqs(options);
-        BqsCompressor reference(options, kSeed);
-        BqsCompressor hull_first(options, kHullFirst);
-        const CompressedTrajectory out = CompressAll(bqs, stream);
-        ExpectByteIdenticalKeys(out, CompressAll(reference, stream),
-                                "default vs reference kernel");
-        ExpectByteIdenticalKeys(out, CompressAll(hull_first, stream),
-                                "default vs hull from the first point");
-        ExpectSameDecisions(hull_first.stats(), reference.stats());
-        EXPECT_EQ(hull_first.stats().warmup_checks,
-                  reference.stats().warmup_checks);
-        EXPECT_EQ(hull_first.stats().trivial_includes,
-                  reference.stats().trivial_includes);
+  for (const simd::Tier tier :
+       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
+    const simd::ScopedForceTier force(tier);
+    for (const DistanceMetric metric :
+         {DistanceMetric::kPointToLine, DistanceMetric::kPointToSegment}) {
+      for (const bool band_ends : {false, true}) {
+        if (band_ends && metric != DistanceMetric::kPointToLine) continue;
+        for (const std::size_t buffered : {kK - 1, kK, kK + 1}) {
+          for (const double eps : {4.0, 10.0}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "tier " << simd::TierName(tier) << " metric "
+                         << static_cast<int>(metric) << " band "
+                         << band_ends << " buffered " << buffered << " eps "
+                         << eps);
+            const Trajectory stream = ScanBoundaryStream(
+                buffered, metric, kSegments, eps, 0.0, band_ends);
+            BqsOptions options;
+            options.epsilon = eps;
+            options.metric = metric;
+            BqsCompressor bqs(options);
+            BqsCompressor reference(options, kSeed);
+            BqsCompressor hull_first(options, kHullFirst);
+            const CompressedTrajectory out = CompressAll(bqs, stream);
+            ExpectByteIdenticalKeys(out, CompressAll(reference, stream),
+                                    "default vs reference kernel");
+            ExpectByteIdenticalKeys(out, CompressAll(hull_first, stream),
+                                    "default vs hull from the first point");
+            ExpectSameDecisions(hull_first.stats(), reference.stats());
+            EXPECT_EQ(hull_first.stats().warmup_checks,
+                      reference.stats().warmup_checks);
+            EXPECT_EQ(hull_first.stats().trivial_includes,
+                      reference.stats().trivial_includes);
 
-        // Point-by-point pushes count the same as the batch screens.
-        BqsCompressor one_by_one(options);
-        CompressedTrajectory single;
-        for (const TrackPoint& pt : stream) one_by_one.Push(pt, &single.keys);
-        one_by_one.Finish(&single.keys);
-        ExpectByteIdenticalKeys(out, single, "batch vs point by point");
-        EXPECT_EQ(one_by_one.stats().warmup_checks, bqs.stats().warmup_checks);
-        EXPECT_EQ(one_by_one.stats().exact_points_scanned,
-                  bqs.stats().exact_points_scanned);
+            // Point-by-point pushes count exactly as the batch loop.
+            BqsCompressor one_by_one(options);
+            CompressedTrajectory single;
+            for (const TrackPoint& pt : stream) {
+              one_by_one.Push(pt, &single.keys);
+            }
+            one_by_one.Finish(&single.keys);
+            ExpectByteIdenticalKeys(out, single, "batch vs point by point");
+            ExpectSameStats(one_by_one.stats(), bqs.stats());
 
-        // Every segment ends at its run's last point.
-        ASSERT_EQ(out.size(), static_cast<std::size_t>(kSegments) + 1);
-        EXPECT_EQ(bqs.stats().segments,
-                  static_cast<uint64_t>(kSegments - 1));
-        const DecisionStats& st = bqs.stats();
-        if (metric == DistanceMetric::kPointToSegment) {
-          ExpectSameDecisions(st, reference.stats());
-          EXPECT_EQ(st.warmup_checks, reference.stats().warmup_checks);
-          continue;
+            // Every segment ends at its run's last point.
+            ASSERT_EQ(out.size(), static_cast<std::size_t>(kSegments) + 1);
+            EXPECT_EQ(bqs.stats().segments,
+                      static_cast<uint64_t>(kSegments - 1));
+            const DecisionStats& st = bqs.stats();
+            if (metric == DistanceMetric::kPointToSegment) {
+              ExpectSameDecisions(st, reference.stats());
+              EXPECT_EQ(st.warmup_checks, reference.stats().warmup_checks);
+              continue;
+            }
+            // The band ends were settled by the rescan.
+            if (band_ends) {
+              EXPECT_GT(st.kernel_fallbacks, 0u);
+            }
+            const uint64_t bound_assessed = st.upper_bound_includes +
+                                            st.lower_bound_splits +
+                                            st.exact_computations;
+            // The buffered points after the K-th of each segment, and the
+            // turn that ends each closed segment.
+            EXPECT_EQ(bound_assessed,
+                      buffered < kK
+                          ? 0u
+                          : kSegments * (buffered - kK) + kSegments - 1);
+          }
         }
-        const uint64_t bound_assessed = st.upper_bound_includes +
-                                        st.lower_bound_splits +
-                                        st.exact_computations;
-        // The buffered points after the K-th of each segment, and the turn
-        // that ends each closed segment.
-        EXPECT_EQ(bound_assessed,
-                  buffered < kK ? 0u
-                                : kSegments * (buffered - kK) + kSegments - 1);
       }
     }
   }

@@ -2,9 +2,12 @@
 // LevelDB-style masking the WAL stores its checksums under.
 #include "common/crc32c.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <random>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -41,6 +44,40 @@ TEST(Crc32cTest, ExtendMatchesOneShotAtEverySplit) {
     uint32_t crc = crc32c::Value(data.data(), split);
     crc = crc32c::Extend(crc, data.data() + split, data.size() - split);
     EXPECT_EQ(crc, whole) << "split at " << split;
+  }
+}
+
+TEST(Crc32cTest, HardwarePathMatchesThePortableTables) {
+  // Extend takes the SSE4.2 crc32 instruction when the CPU has it; its
+  // values must be the slice-by-8 tables' at every start alignment and
+  // every length up to 4 KiB (head, 8-byte body and tail all vary), and
+  // when extending a running CRC. Without SSE4.2 both sides are the
+  // tables and the test is a tautology.
+  if (!crc32c::internal::HardwareAccelerated()) {
+    GTEST_LOG_(INFO) << "no SSE4.2: Extend is the portable path";
+  }
+  std::mt19937_64 rng(20260);
+  std::vector<uint8_t> buf(4096 + 8 + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(crc32c::Value(p, len),
+                crc32c::internal::ExtendPortable(0, p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t offset = rng() % 8;
+    const std::size_t len = rng() % 4097;
+    const uint32_t seed = static_cast<uint32_t>(rng());
+    for (std::size_t i = 0; i < len; ++i) {
+      buf[offset + i] = static_cast<uint8_t>(rng());
+    }
+    const uint8_t* p = buf.data() + offset;
+    ASSERT_EQ(crc32c::Extend(seed, p, len),
+              crc32c::internal::ExtendPortable(seed, p, len))
+        << "trial " << trial;
   }
 }
 

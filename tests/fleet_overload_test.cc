@@ -422,7 +422,10 @@ TEST(FleetOverloadTest, EpsLadderRecoversWhenPressureClears) {
   FleetEngineOptions options;
   options.algorithm = config;
   options.num_shards = 1;
-  options.memory_budget_bytes = 4096;
+  // Tuned to the BQS segment buffer's footprint (32 B per buffered point:
+  // start-relative x and y plus the absolute position): the two growing
+  // sessions below overflow it, device 1 alone does not. 2560-3276 pass.
+  options.memory_budget_bytes = 3072;
   options.max_pooled_compressors = 0;  // keep the pool out of the headroom
   options.overload.eps_ladder = {2.0};
   FleetEngine engine(options, sink);

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <map>
 #include <mutex>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -994,6 +995,90 @@ TEST(KeyPointWalFleetTest, BarrierIsOneBatchAndCountsItsFailureLikeALoop) {
       EXPECT_EQ(after.wal_append_failures, 0u);
     }
     engine.FinishAll();
+  }
+}
+
+TEST(KeyPointWalFleetTest, FinishAllIsOneBatchPerShard) {
+  // FinishAll closes every session of a shard, then appends all of their
+  // staged tails as one batch: one write per shard, whatever the number
+  // of devices.
+  const FleetDataset fleet = BuildFleetDataset(12, 0.04, 4245);
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{3}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    KeyPointWalOptions wal_options;
+    wal_options.dir = FreshDir("wal_fleet_finish_" + std::to_string(shards));
+    wal_options.durability = WalDurability::kFsyncEveryBatch;
+    KeyPointWal wal(wal_options);
+    ASSERT_TRUE(wal.Open().ok());
+
+    KeyCollectSink sink;
+    FleetEngineOptions options;
+    options.algorithm.id = AlgorithmId::kFbqs;
+    options.algorithm.epsilon = 8.0;
+    options.num_shards = shards;
+    options.wal = &wal;
+    options.wal_checkpoint_points = 1u << 20;  // never by threshold
+    FleetEngine engine(options, sink);
+    engine.IngestBatch(fleet.feed);
+    engine.Flush();
+    std::set<std::size_t> live_shards;
+    for (const auto& [device, stream] : fleet.devices) {
+      (void)stream;
+      live_shards.insert(engine.ShardOf(device));
+    }
+    const uint64_t flushes = wal.stats().flushes;
+    engine.FinishAll();
+    EXPECT_EQ(wal.stats().flushes, flushes + live_shards.size());
+    const FleetStats stats = engine.Stats();
+    EXPECT_EQ(stats.wal_checkpoints, fleet.devices.size());
+    EXPECT_EQ(stats.wal_points, stats.key_points_emitted);
+    EXPECT_EQ(stats.wal_append_failures, 0u);
+  }
+}
+
+TEST(KeyPointWalFleetTest, ShardedFinishAllWritesOneRecordOrderPerShard) {
+  // Three shard workers finish concurrently, so the shards' batches land
+  // in the WAL in either order; within each shard the records (device
+  // and points, in WAL order) must be the same on every run of a feed.
+  const FleetDataset fleet = BuildFleetDataset(12, 0.04, 4246);
+  std::vector<std::map<std::size_t, std::vector<wal::WalCheckpoint>>> runs;
+  for (int run = 0; run < 2; ++run) {
+    KeyPointWalOptions wal_options;
+    wal_options.dir = FreshDir("wal_fleet_order_" + std::to_string(run));
+    KeyPointWal wal(wal_options);
+    ASSERT_TRUE(wal.Open().ok());
+    KeyCollectSink sink;
+    FleetEngineOptions options;
+    options.algorithm.id = AlgorithmId::kFbqs;
+    options.algorithm.epsilon = 8.0;
+    options.num_shards = 3;
+    options.wal = &wal;
+    options.wal_checkpoint_points = 1u << 20;  // never by threshold
+    std::map<std::size_t, std::vector<wal::WalCheckpoint>> per_shard;
+    {
+      FleetEngine engine(options, sink);
+      engine.IngestBatch(fleet.feed);
+      engine.FinishAll();
+      ASSERT_TRUE(wal.Close().ok());
+      const auto recovered = WalReader::Recover(wal_options.dir);
+      ASSERT_TRUE(recovered.ok());
+      ASSERT_EQ(recovered.value().checkpoints.size(), fleet.devices.size());
+      for (wal::WalCheckpoint cp : recovered.value().checkpoints) {
+        cp.seq = 0;  // assigned in cross-shard arrival order
+        per_shard[engine.ShardOf(cp.device)].push_back(std::move(cp));
+      }
+    }
+    runs.push_back(std::move(per_shard));
+  }
+  ASSERT_EQ(runs[0].size(), runs[1].size());
+  for (const auto& [shard, records] : runs[0]) {
+    SCOPED_TRACE("shard " + std::to_string(shard));
+    const auto& other = runs[1].at(shard);
+    ASSERT_EQ(records.size(), other.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(records[i].device, other[i].device) << "record " << i;
+      EXPECT_EQ(records[i].points, other[i].points) << "record " << i;
+    }
   }
 }
 

@@ -27,8 +27,9 @@ report families, dispatched on the document's `schema` field:
 
   bqs-bench-micro-*
   ------------------------------------------------------------------
-  Correctness-only gate over the micro report (ns/op numbers are too
-  machine-sensitive to gate cross-machine):
+  Correctness gate over the micro report, plus one speed ratio taken
+  within the fresh run (ns/op numbers are too machine-sensitive to gate
+  cross-machine):
   1. checksums: `all_checksums_match` and
      `fast_kernel_transcendental_free` must be true.
   2. coverage: every (stream, algorithm, kernel) push row in the
@@ -64,6 +65,14 @@ report families, dispatched on the document's `schema` field:
      alone, so bounds decide only the longer ones; the count is
      deterministic for the seeded stream and rises if the scan phase
      ends early (decisions and checksums stay identical either way).
+  8. yardstick: the fresh run's `yardstick` row (a bare exact greedy over
+     a start-relative SoA buffer on random_walk, with BQS's verdict and
+     guard band, timed round-robin with the push rows) must report the
+     fast BQS row's keys, and fast BQS on random_walk must take at most
+     YARDSTICK_RATIO_CEILING times its best_ms. Nearly every fix of the
+     walk is decided in BQS's scan phase, so this is the per-fix cost of
+     the engine's bookkeeping over the bare scan; both rows share the
+     host's slow stretches, so the ratio needs no baseline.
 
   bqs-bench-fleet-v2
   ------------------------------------------------------------------
@@ -182,6 +191,11 @@ REBUILD_CEILING = {"BQS": 0.005, "FBQS": 0.20}
 # at 128 buffered points (no segment of the walk gets that long), 0.0117
 # at 64 and 0.446 with the 8-point warm-up it replaced.
 BOUND_DECISION_CEILING = 0.005
+# Ceiling on fast BQS's random_walk time over the bare exact greedy's in
+# the same micro run (see check 8 of the micro family): measured
+# 0.93-1.14x with the scan phase decided in one loop over a start-relative
+# SoA buffer, 1.9-3.8x with the per-point call chain and strided scans.
+YARDSTICK_RATIO_CEILING = 1.5
 
 
 def throughput_rates(doc):
@@ -419,7 +433,40 @@ def check_micro(fresh, baseline, failures):
                 status = "BOUNDS"
         print(f"{key[0]:>18s} / {algorithm:<5s}/{kernel:<9s} "
               f"fallbacks {fallbacks:4d}{note}  {status}")
+    compared += check_yardstick(fresh, fresh_rows, failures)
     return compared
+
+
+def check_yardstick(fresh, fresh_rows, failures):
+    """Check 8 of the micro family. Returns the number of gated rows."""
+    yardstick = fresh.get("yardstick")
+    if yardstick is None:
+        failures.append("micro: no yardstick row (bare exact greedy) in the "
+                        "fresh run")
+        return 0
+    stream = yardstick.get("stream", "random_walk")
+    bqs = fresh_rows.get((stream, "BQS", "fast"))
+    if bqs is None:
+        failures.append(f"micro: no fast BQS row on '{stream}' to hold "
+                        "against the yardstick")
+        return 0
+    status = "ok"
+    if not yardstick.get("checksum_matches_bqs", False):
+        failures.append(f"micro yardstick on '{stream}': its keys diverged "
+                        "from fast BQS's")
+        status = "DIVERGED"
+    greedy_ms = yardstick.get("best_ms", 0.0)
+    ratio = bqs.get("best_ms", float("inf")) / greedy_ms if greedy_ms > 0 \
+        else float("inf")
+    if ratio > YARDSTICK_RATIO_CEILING:
+        failures.append(
+            f"micro yardstick on '{stream}': fast BQS took {ratio:.2f}x the "
+            f"bare exact greedy's time, above {YARDSTICK_RATIO_CEILING:.2f}x "
+            "— per-fix overhead crept back into the scan phase")
+        status = "SLOW"
+    print(f"{stream:>18s} / greedy/yardstick fast BQS at {ratio:5.2f}x  "
+          f"{status}")
+    return 1
 
 
 def check_wal(fresh, baseline, failures):

@@ -72,9 +72,10 @@ cannot see:
   intrinsics-containment
       The SIMD dispatch layer (common/simd.h) promises the rest of the
       repo sees only enums, POD structs and function pointers; the
-      intrinsics live in exactly two translation units, compiled with
-      the right -m flags and reached only through the runtime-dispatch
-      table (INTRINSICS_ALLOWLIST). Any other src/ file including an
+      intrinsics live in exactly two kernel translation units, compiled
+      with the right -m flags and reached only through the
+      runtime-dispatch table, plus the SSE4.2 CRC32C path that
+      crc32c::Extend selects the same way (INTRINSICS_ALLOWLIST). Any other src/ file including an
       x86 intrinsics header or naming an ``_mm*`` / ``__m128`` /
       ``__m256`` token breaks that containment: it either compiles a
       vector instruction into a TU that may run on a CPU without the
@@ -197,10 +198,12 @@ STORAGE_FILE_IO_TOKEN_RE = re.compile(
     r"\bstd::(?:o|i)?fstream\b|\bO_DIRECTORY\b|::rename\s*\(")
 
 # The only src/ files that may touch x86 SIMD intrinsics: the two kernel
-# tiers behind the runtime-dispatch table in common/simd.h.
+# tiers behind the runtime-dispatch table in common/simd.h, and the
+# crc32-instruction CRC32C that crc32c::Extend selects after CPUID.
 INTRINSICS_ALLOWLIST = {
     "src/common/simd_avx2.cc",
     "src/common/simd_sse2.cc",
+    "src/common/crc32c_sse42.cc",
 }
 INTRINSIC_TOKEN_RE = re.compile(r"\b(?:_mm\w*|__m128[di]?|__m256[di]?)\b")
 INTRINSIC_INCLUDE_RE = re.compile(
