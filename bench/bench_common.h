@@ -116,7 +116,7 @@ inline int IntFlag(int argc, char** argv, std::string_view flag,
 /// Positive double flag: "--flag X" / "--flag=X" in argv, then the
 /// `env_var` environment variable (when non-null), then `fallback`.
 /// Non-positive and malformed values fall through, mirroring IntFlag.
-/// Used for gate thresholds (bench_fleet --min-seq-ratio).
+/// Used for gate thresholds (bench_fleet --max-service-ratio).
 inline double DoubleFlag(int argc, char** argv, std::string_view flag,
                          const char* env_var, double fallback) {
   const std::string with_eq = std::string(flag) + "=";

@@ -74,25 +74,28 @@ report families, dispatched on the document's `schema` field:
      the engine's bookkeeping over the bare scan; both rows share the
      host's slow stretches, so the ratio needs no baseline.
 
-  bqs-bench-fleet-v2
+  bqs-bench-fleet-v3
   ------------------------------------------------------------------
-  Same shape, fleet-flavoured:
+  Same shape, fleet-flavoured. The bench times its rows round-robin and
+  reports medians over rounds; each round includes a calibration pass
+  (CRC32C over the feed's bytes) that runs none of the engine's code.
   1. byte-identity: `all_byte_identical` must be true (per-device outputs
      vs the sequential CompressAll reference).
-  2. coverage: every (algorithm, config) engine row in the baseline must
-     be present in the fresh run, and so must each algorithm's sequential
-     reference row.
-  3. ingest throughput: each engine row's points_per_sec, normalized by
-     that algorithm's sequential row (the machine-speed yardstick: it runs
-     the identical kernel with zero service overhead), must be at least
-     TOLERANCE x the baseline's equally-normalized rate. The sequential
-     row itself is the calibration and is reported, not gated. Note the
-     bench binary separately enforces the absolute floor (shards<=1 >=
-     min-seq-ratio x sequential); this gate catches relative regressions
-     of any row against the committed baseline. Rows with shards > 1
-     scale with the host's cores, which the sequential row cannot
-     normalize away: when the fresh run's `nproc` is below the
-     baseline's, they are reported, not gated.
+  2. coverage: every (algorithm, config) row in the baseline must be
+     present in the fresh run, the sequential reference row included.
+  3. ingest throughput: each row's points_per_sec, normalized by that
+     algorithm's calibration rate (1 / calibration_ns_per_fix), must be at
+     least TOLERANCE x the baseline's equally-normalized rate. The
+     sequential row is gated like the engine rows: the calibration does
+     not run the kernel, so a faster kernel reads as a faster row instead
+     of a slower service. Rows with shards > 1 scale with the host's
+     cores, which the calibration cannot normalize away: when the fresh
+     run's `nproc` is below the baseline's, they are reported, not gated.
+  3b. service cost: each inline / shards=1 row's service_ratio (median
+     over rounds of its ns/fix minus the sequential row's, over the
+     calibration's ns/fix) must stay at or below the `max_service_ratio`
+     the fresh file carries. The bench enforces the same ceiling at run
+     time; this re-gate catches a candidate JSON from an older binary.
   4. overload scenarios: every scenario row in the baseline's `overload`
      array must be present in the fresh run (coverage), and each fresh row
      must hold the limits it carries itself — p99_ms <= p99_limit_ms,
@@ -219,6 +222,14 @@ def fleet_rates(doc):
         for run in algo.get("runs", []):
             out[(name, run["config"])] = run
     return out
+
+
+def fleet_calibration(doc):
+    """{algorithm: calibration_ns_per_fix} for every algorithm that has
+    a usable calibration pass."""
+    return {algo["name"]: algo["calibration_ns_per_fix"]
+            for algo in doc.get("algorithms", [])
+            if algo.get("calibration_ns_per_fix", 0.0) > 0}
 
 
 def check_scale(fresh, baseline, failures):
@@ -591,27 +602,21 @@ def check_fleet(fresh, baseline, args, failures):
     fresh_rows = fleet_rates(fresh)
     base_rows = fleet_rates(baseline)
 
-    # Per-algorithm machine-speed calibration from the sequential row: the
-    # exact kernel the fleet rows run, minus every service-layer cost.
+    # Per-algorithm machine-speed calibration from the in-run CRC32C pass,
+    # which runs none of the engine's or the kernel's code. The factor is
+    # the fresh host's calibration rate over the baseline's.
     calibration = {}
-    calibration_keys = set()
     if not args.no_normalize:
-        for (algo, config), base_row in base_rows.items():
-            if config != SEQUENTIAL_CONFIG:
-                continue
-            calibration_keys.add((algo, config))
-            fresh_row = fresh_rows.get((algo, config))
-            base_pps = base_row.get("points_per_sec", 0.0)
-            if fresh_row and base_pps > 0:
-                cal = fresh_row.get("points_per_sec", 0.0) / base_pps
-                if cal > 0:
-                    calibration[algo] = cal
+        fresh_cal = fleet_calibration(fresh)
+        base_cal = fleet_calibration(baseline)
         for algo in {a for (a, _) in base_rows}:
-            if algo not in calibration:
+            if algo in fresh_cal and algo in base_cal:
+                calibration[algo] = base_cal[algo] / fresh_cal[algo]
+            else:
                 failures.append(
-                    f"algorithm '{algo}': no usable sequential calibration "
-                    "row in both files; cannot normalize (use "
-                    "--no-normalize only for same-machine runs)")
+                    f"algorithm '{algo}': no usable calibration pass in "
+                    "both files; cannot normalize (use --no-normalize "
+                    "only for same-machine runs)")
 
     # Multi-shard rows need the baseline host's cores to reach its
     # speedups; on a smaller host they are reported only.
@@ -624,10 +629,38 @@ def check_fleet(fresh, baseline, args, failures):
         print(f"fresh nproc {fresh_nproc} < baseline nproc {base_nproc}: "
               f"{len(report_only)} shards>1 rows reported, not gated")
 
-    compared = gate_rows(fresh_rows, base_rows, calibration,
-                         calibration_keys, args.tolerance, failures,
-                         report_only)
-    return compared + check_overload(fresh, baseline, failures)
+    compared = gate_rows(fresh_rows, base_rows, calibration, set(),
+                         args.tolerance, failures, report_only)
+    return (compared + check_service_cost(fresh, failures)
+            + check_overload(fresh, baseline, failures))
+
+
+def check_service_cost(fresh, failures):
+    """Self-limit re-gate of the fleet report's service cost: every inline
+    / shards=1 row's service_ratio must stay at or below the ceiling the
+    fresh file carries. Returns the number of gated rows."""
+    ceiling = fresh.get("max_service_ratio")
+    if ceiling is None:
+        failures.append("fleet report carries no max_service_ratio")
+        return 0
+    compared = 0
+    for algo in fresh.get("algorithms", []):
+        for run in algo.get("runs", []):
+            if run.get("shards", 0) > 1:
+                continue
+            compared += 1
+            ratio = run.get("service_ratio", float("inf"))
+            ok = ratio <= ceiling
+            print(f"{algo['name']:>18s} / {run['config']:<16s} "
+                  f"service {run.get('service_ns_per_fix', 0.0):6.2f} "
+                  f"ns/fix = {ratio:5.2f}x calibration "
+                  f"(ceiling {ceiling:.2f})  "
+                  f"{'ok' if ok else 'REGRESSION'}")
+            if not ok:
+                failures.append(
+                    f"({algo['name']}, {run['config']}): service_ratio "
+                    f"{ratio:.2f} above the ceiling {ceiling:.2f}")
+    return compared
 
 
 def main():
