@@ -25,12 +25,16 @@
 //      residue get exercised;
 //   3  scan-phase boundary drift (appended) — segments of about
 //      kScanPhasePoints buffered points, so BQS segments end on both sides
-//      of the point where its scan phase hands over to the bounds.
-// The production migration point and stream 3 were added after the
+//      of the point where its scan phase hands over to the bounds;
+//   4  grid ties (appended) — axis-aligned runs on an integer or 1 mm
+//      grid, epsilon rounded onto the grid, with a buffered point exactly
+//      epsilon off each run's axis, so on-axis ends tie with epsilon.
+// The production migration point and streams 3 and 4 were added after the
 // committed corpus was written. They are drawn from the bytes a full
 // (kMaxPoints) stream leaves unread, so every committed input, which runs
 // dry inside its stream, decodes exactly as before.
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -194,6 +198,47 @@ void AppendScanBoundaryStream(FuzzInput& in, double epsilon,
   }
 }
 
+// Grid ties: axis-aligned runs turning by exactly 90 degrees, on an
+// integer or 1 mm grid with epsilon rounded onto the same grid. Most points
+// sit on the run's axis; one buffered point per run sits exactly epsilon
+// off it, so every later on-axis end ties with epsilon (exactly on the
+// integer grid, to rounding on the 1 mm one). The exact verdict includes
+// a tie, and a bound within the guard band of epsilon must defer to it.
+// Appended to `points` after a 3 * epsilon sidestep; sets `*epsilon`.
+void AppendGridTieStream(FuzzInput& in, double* epsilon,
+                         std::vector<bqs::TrackPoint>* points) {
+  const double grid = in.Bool() ? 1.0 : 0.001;
+  const auto snap = [grid](double v) { return std::round(v / grid) * grid; };
+  const double eps = std::max(grid, snap(*epsilon));
+  *epsilon = eps;
+  bqs::TrackPoint current =
+      points->empty() ? bqs::TrackPoint{} : points->back();
+  bqs::Vec2 base{snap(current.pos.x), snap(current.pos.y + 3.0 * eps)};
+  bqs::Vec2 dir{1.0, 0.0};
+  const std::size_t limit = points->size() + kMaxPoints;
+  const int longest = static_cast<int>(bqs::internal::kScanPhasePoints) + 3;
+  while (!in.empty() && points->size() < limit) {
+    const bqs::Vec2 normal{-dir.y, dir.x};
+    const double step = std::max(grid, snap(eps * in.Range(0.3, 2.0)));
+    const int run = in.IntIn(2, longest);
+    const int tie_at = in.IntIn(1, run - 1);
+    const double side = in.Bool() ? eps : -eps;
+    for (int j = 1; j <= run && !in.empty() && points->size() < limit; ++j) {
+      base = base + dir * step;
+      double lateral = 0.0;
+      if (j == tie_at) {
+        lateral = side;
+      } else if (j < run && in.U8() % 4 == 0) {
+        lateral = snap(in.Step(0.5 * eps));
+      }
+      current.pos = base + normal * lateral;
+      current.t += 1.0;
+      points->push_back(current);
+    }
+    dir = bqs::Vec2{-dir.y, dir.x};  // exactly 90 degrees
+  }
+}
+
 std::vector<bqs::TrackPoint> RandomWalkStream(FuzzInput& in, double epsilon) {
   std::vector<bqs::TrackPoint> points;
   bqs::TrackPoint current;
@@ -251,6 +296,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
     fast_oracle.hull_migration = bqs::internal::kHullMigrationPoints;
   }
   if (in.Bool()) AppendScanBoundaryStream(in, options.epsilon, &points);
+  if (in.Bool()) AppendGridTieStream(in, &options.epsilon, &points);
 
   KernelOracle reference_oracle = fast_oracle;
   reference_oracle.reference_kernel = true;

@@ -116,11 +116,15 @@ class OrthantCompressor {
         bounds.MergeMax(Policy::Bounds(o, rel, options_.metric));
       }
     }
-    if (bounds.upper <= eps) {
+    // BQS gives the bounds the exact scan's guard band: a bound within
+    // 1e-12 relative of eps defers to the exact verdict, which settles
+    // ties. FBQS has no exact state and keeps the plain comparisons.
+    const double band = exact_mode_ ? 1e-12 * eps : 0.0;
+    if (bounds.upper <= eps - band) {
       Include(pt, rel, trivial, &stats_.upper_bound_includes);
       return Decision::kInclude;
     }
-    if (bounds.lower > eps) {
+    if (bounds.lower > eps + band) {
       ++stats_.lower_bound_splits;
       return Decision::kSplit;
     }

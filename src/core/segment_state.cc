@@ -794,11 +794,16 @@ SegmentEngine::Decision SegmentEngine::AssessRotated(const TrackPoint& pt,
     }
   }
 
-  if (bounds.upper <= eps) {
+  // BQS gives the bounds the exact scan's guard band: a bound within 1e-12
+  // relative of eps decides nothing, and the exact verdict settles the tie
+  // (it includes at dev == eps), so keys never depend on which of the two
+  // decided. FBQS has no exact state and keeps the plain comparisons.
+  const double band = exact_mode_ ? 1e-12 * eps : 0.0;
+  if (bounds.upper <= eps - band) {
     // Guaranteed within tolerance: include without any deviation scan.
     return IncludeByUpper(pt, rel_rot, trivial);
   }
-  if (bounds.lower > eps) {
+  if (bounds.lower > eps + band) {
     // Guaranteed to break tolerance: split without any deviation scan.
     ++stats_.lower_bound_splits;
     return Decision::kSplit;

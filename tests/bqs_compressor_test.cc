@@ -744,11 +744,13 @@ TEST(BqsCompressorTest, ScanFirstGuardBandFallsThroughToTheBounds) {
   // to (30, 40) (|cross| = 500, squared 250000 against eps^2 * |end|^2 =
   // 100 * 2500). The decision must then come from the bounds-first path:
   // the tight composition lands in its band too, and the reference
-  // composition decides. At eps = 10 it is inconclusive, and the exact
-  // resolve reuses the scan's band verdict rather than scanning the four
-  // buffered points again; just below 10 its lower bound splits. Either
-  // way the end costs two fallbacks (the scan's band, the composition's
-  // band) and one pass over the buffer.
+  // composition decides. At eps = 10 it is inconclusive; just below 10 its
+  // lower bound lies within the guard band of eps, so it decides nothing
+  // either. Both times the exact resolve settles the end (an include at
+  // 10, a split just below) and reuses the scan's band verdict rather than
+  // scanning the four buffered points again. Either way the end costs two
+  // fallbacks (the scan's band, the composition's band) and one pass over
+  // the buffer.
   Trajectory stream;
   for (const Vec2 p : {Vec2{0.0, 0.0}, Vec2{14.0, 14.0}, Vec2{16.0, 38.0},
                        Vec2{12.0, 29.0}, Vec2{13.0, 24.0}, Vec2{30.0, 40.0}}) {
@@ -765,8 +767,7 @@ TEST(BqsCompressorTest, ScanFirstGuardBandFallsThroughToTheBounds) {
     ExpectByteIdenticalKeys(out, CompressAll(reference, stream),
                             "scan-first vs reference kernel");
     ExpectSameDecisions(scan_first.stats(), reference.stats());
-    EXPECT_EQ(scan_first.stats().exact_computations,
-              epsilon == 10.0 ? 1u : 0u);
+    EXPECT_EQ(scan_first.stats().exact_computations, 1u);
     EXPECT_EQ(scan_first.stats().kernel_fallbacks, 2u);
     EXPECT_EQ(scan_first.stats().exact_points_scanned, 4u);
   }
@@ -810,17 +811,22 @@ TEST(BqsCompressorTest, StraightRunComposesNoSqrt) {
 // takes any point near its end.) `lead_offset` moves the first three
 // buffered points of the first run off its axis (in epsilons).
 //
-// `band_ends` runs along the axes instead, turning by exactly 90 degrees,
-// with the zigzag on one side only and each run's second buffered point
-// (1 - 2e-13) * epsilon off its axis. Every on-axis end (the trivial
-// points on the axis and each run's last point) then keeps that point
-// within epsilon by less than the squared verdict's 1e-12 guard band, so
-// the sqrt-bearing rescan decides (an include). The margin is far above
-// rounding, so every kernel, bound-based or not, includes these ends.
+// A non-zero `band_offset` runs along the axes instead, turning by exactly
+// 90 degrees, with the zigzag on one side only and each run's second
+// buffered point band_offset * epsilon off its axis. At (1 - 2e-13) every
+// on-axis end (the trivial points on the axis and each run's last point)
+// keeps that point within epsilon by less than the squared verdict's
+// 1e-12 guard band, so the sqrt-bearing rescan decides (an include); the
+// margin is far above rounding, so every kernel, bound-based or not,
+// includes these ends. At exactly 1 (integer coordinates at epsilon 10)
+// the deviation is a tie with epsilon: the exact verdict includes it, and
+// a bound that lands within the guard band of epsilon must defer to that
+// verdict instead of splitting.
 Trajectory ScanBoundaryStream(std::size_t buffered, DistanceMetric metric,
                               int segments, double eps,
                               double lead_offset = 0.0,
-                              bool band_ends = false) {
+                              double band_offset = 0.0) {
+  const bool band_ends = band_offset != 0.0;
   Trajectory stream;
   const auto add = [&stream](Vec2 p) {
     stream.push_back(TrackPoint{p, static_cast<double>(stream.size()), {}});
@@ -840,7 +846,7 @@ Trajectory ScanBoundaryStream(std::size_t buffered, DistanceMetric metric,
     for (std::size_t j = 1; j <= buffered; ++j) {
       double zig = j == buffered ? 0.0 : (j % 2 == 0 ? 0.3 : -0.3);
       if (band_ends && j < buffered) {
-        zig = j == 2 ? 1.0 - 2e-13 : (j % 2 == 0 ? 0.0 : 0.3);
+        zig = j == 2 ? band_offset : (j % 2 == 0 ? 0.0 : 0.3);
       }
       if (s == 0 && j <= 3 && lead_offset != 0.0) zig = lead_offset;
       last = start + (1.5 * eps * static_cast<double>(j)) * dir +
@@ -882,7 +888,8 @@ void ExpectSameStats(const DecisionStats& a, const DecisionStats& b) {
 TEST(BqsCompressorTest, ScanPhaseBoundaryIsByteIdenticalToTheOracles) {
   // Segments that end one point before, at and after the scan phase's
   // kScanPhasePoints, with trivial fixes interleaved, and (line metric)
-  // a variant whose on-axis ends land in the verdict's guard band: on
+  // two variants whose on-axis ends land in the verdict's guard band, one
+  // of them at a deviation of exactly epsilon: on
   // every SIMD tier the default kernel keeps the reference kernel's keys
   // (and those of the hull from the first point, which never runs the
   // scan phase), the batch loop keeps every counter of point-by-point
@@ -898,17 +905,18 @@ TEST(BqsCompressorTest, ScanPhaseBoundaryIsByteIdenticalToTheOracles) {
     const simd::ScopedForceTier force(tier);
     for (const DistanceMetric metric :
          {DistanceMetric::kPointToLine, DistanceMetric::kPointToSegment}) {
-      for (const bool band_ends : {false, true}) {
+      for (const double band_offset : {0.0, 1.0 - 2e-13, 1.0}) {
+        const bool band_ends = band_offset != 0.0;
         if (band_ends && metric != DistanceMetric::kPointToLine) continue;
         for (const std::size_t buffered : {kK - 1, kK, kK + 1}) {
           for (const double eps : {4.0, 10.0}) {
             SCOPED_TRACE(::testing::Message()
                          << "tier " << simd::TierName(tier) << " metric "
                          << static_cast<int>(metric) << " band "
-                         << band_ends << " buffered " << buffered << " eps "
+                         << band_offset << " buffered " << buffered << " eps "
                          << eps);
             const Trajectory stream = ScanBoundaryStream(
-                buffered, metric, kSegments, eps, 0.0, band_ends);
+                buffered, metric, kSegments, eps, 0.0, band_offset);
             BqsOptions options;
             options.epsilon = eps;
             options.metric = metric;
