@@ -4,18 +4,22 @@
 // The input bytes drive an op sequence against both structures on one
 // thread — legal, since SPSC only bounds each side to at most one thread
 // — and every observable result is checked against a trivial reference
-// model (a deque for the ring, handle bookkeeping for the arena). The
+// model (a deque for the ring, handle bookkeeping and a per-device list
+// of each block's grouped directory for the arena). The
 // point is memory-safety and protocol coverage under ASan/UBSan: slot
 // reuse after wraparound, Stop() in every phase, recycle-ring traffic,
 // and the arena's cleared-on-release poisoning.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "fuzz_input.h"
+#include "service/device_slot_map.h"
 #include "service/record_block.h"
 #include "service/spsc_ring.h"
 #include "trajectory/point.h"
@@ -100,11 +104,12 @@ void FuzzRing(FuzzInput& in) {
 }
 
 void FuzzArena(FuzzInput& in) {
-  const std::size_t block_capacity = static_cast<std::size_t>(in.IntIn(1, 32));
   const std::size_t max_outstanding = static_cast<std::size_t>(in.IntIn(1, 6));
-  bqs::BlockArena arena(block_capacity, max_outstanding);
+  bqs::BlockArena arena(max_outstanding);
   bqs::AssumeRole(arena.producer_role);
   bqs::AssumeRole(arena.consumer_role);
+  bqs::DeviceSlotMap slots;
+  bqs::AssumeRole(slots.owner_role);
 
   std::vector<bqs::RecordBlock*> outstanding;
   uint64_t acquires = 0;
@@ -115,25 +120,74 @@ void FuzzArena(FuzzInput& in) {
       bqs::RecordBlock* block = arena.Acquire();
       FUZZ_CHECK(block != nullptr, "Acquire returned null op=%d", op);
       // Cleared-on-release poisoning: every handed-out block is empty.
-      FUZZ_CHECK(block->empty() && block->runs.empty(),
-                 "Acquire op=%d returned non-empty block (%zu pts, %zu runs)",
-                 op, block->points.size(), block->runs.size());
+      FUZZ_CHECK(block->empty() && block->groups().empty(),
+                 "Acquire op=%d returned non-empty block (%zu pts, %zu "
+                 "groups)",
+                 op, block->size(), block->groups().size());
       ++acquires;
-      // Fill with a few coalescable records; run directory must match.
-      const int appends = in.IntIn(0, 8);
-      bqs::DeviceId device = static_cast<bqs::DeviceId>(in.U8() % 3);
-      for (int i = 0; i < appends; ++i) {
-        if (in.Bool()) device = static_cast<bqs::DeviceId>(in.U8() % 3);
-        bqs::TrackPoint pt;
-        pt.pos = {in.Step(100.0), in.Step(100.0)};
-        pt.t = static_cast<double>(op) + static_cast<double>(i) * 0.01;
-        block->Append(device, pt);
+      // Fill with a few runs, then an optional compaction; the grouped
+      // directory must match a per-device model of what went in.
+      slots.NewWindow();
+      std::vector<std::pair<bqs::DeviceId, std::vector<double>>> model;
+      const int runs = in.IntIn(0, 8);
+      for (int r = 0; r < runs; ++r) {
+        const bqs::DeviceId device = static_cast<bqs::DeviceId>(in.U8() % 4);
+        const int count = in.IntIn(1, 4);
+        std::vector<bqs::FleetRecord> run;
+        for (int i = 0; i < count; ++i) {
+          bqs::TrackPoint pt;
+          pt.pos = {in.Step(100.0), in.Step(100.0)};
+          pt.t = static_cast<double>(op) + static_cast<double>(r * 8 + i);
+          run.push_back({device, pt});
+        }
+        block->Append(slots, run);
+        auto it = std::find_if(model.begin(), model.end(), [&](const auto& g) {
+          return g.first == device;
+        });
+        if (it == model.end()) {
+          model.push_back({device, {}});
+          it = model.end() - 1;
+        }
+        for (const bqs::FleetRecord& record : run) {
+          it->second.push_back(record.point.t);
+        }
       }
-      std::size_t directory_total = 0;
-      for (const bqs::DeviceRun& run : block->runs) directory_total += run.count;
-      FUZZ_CHECK(directory_total == block->points.size(),
-                 "run directory covers %zu of %zu points", directory_total,
-                 block->points.size());
+      if (in.Bool()) {
+        std::vector<uint32_t> keep;
+        for (auto& group : model) {
+          keep.push_back(static_cast<uint32_t>(in.IntIn(0, 4)));
+          if (group.second.size() > keep.back()) {
+            group.second.resize(keep.back());
+          }
+        }
+        block->Truncate(slots, keep);
+        model.erase(std::remove_if(model.begin(), model.end(),
+                                   [](const auto& g) {
+                                     return g.second.empty();
+                                   }),
+                    model.end());
+      }
+      const auto groups = block->groups();
+      FUZZ_CHECK(groups.size() == model.size(),
+                 "block has %zu groups, model %zu", groups.size(),
+                 model.size());
+      std::size_t total = 0;
+      for (std::size_t g = 0; g < groups.size(); ++g) {
+        FUZZ_CHECK(groups[g].device == model[g].first,
+                   "group %zu is device %llu, model %llu", g,
+                   static_cast<unsigned long long>(groups[g].device),
+                   static_cast<unsigned long long>(model[g].first));
+        FUZZ_CHECK(groups[g].points.size() == model[g].second.size(),
+                   "group %zu holds %zu points, model %zu", g,
+                   groups[g].points.size(), model[g].second.size());
+        for (std::size_t i = 0; i < model[g].second.size(); ++i) {
+          FUZZ_CHECK(groups[g].points[i].t == model[g].second[i],
+                     "group %zu point %zu out of order", g, i);
+        }
+        total += groups[g].points.size();
+      }
+      FUZZ_CHECK(total == block->size(), "groups cover %zu of %zu points",
+                 total, block->size());
       outstanding.push_back(block);
     } else if (!outstanding.empty()) {
       const std::size_t pick = static_cast<std::size_t>(
@@ -143,8 +197,8 @@ void FuzzArena(FuzzInput& in) {
       outstanding.pop_back();
       arena.Release(block);
       // Release clears immediately — a stale handle reads empty.
-      FUZZ_CHECK(block->empty(), "Release left %zu points",
-                 block->points.size());
+      FUZZ_CHECK(block->empty() && block->groups().empty(),
+                 "Release left %zu points", block->size());
     }
   }
 

@@ -40,6 +40,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/math_utils.h"
 #include "common/thread_annotations.h"
 
 namespace bqs {
@@ -120,7 +121,7 @@ class FaultInjector {
     if (s.probability <= 0.0) return false;
     const uint64_t n = s.calls.fetch_add(1, std::memory_order_relaxed);
     const uint64_t h =
-        Mix(seed_ ^ (0x9e3779b97f4a7c15ULL * (Index(site) + 1)) ^ n);
+        SplitMix64(seed_ ^ (0x9e3779b97f4a7c15ULL * (Index(site) + 1)) ^ n);
     const double coin =
         static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
     if (coin >= s.probability) return false;
@@ -182,14 +183,6 @@ class FaultInjector {
 
   static std::size_t Index(FaultSite site) {
     return static_cast<std::size_t>(site);
-  }
-
-  /// splitmix64 finalizer (the repo-standard mixer).
-  static uint64_t Mix(uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
   }
 
   const uint64_t seed_;

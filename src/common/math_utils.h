@@ -12,6 +12,16 @@ inline constexpr double kPi = 3.14159265358979323846;
 inline constexpr double kTwoPi = 2.0 * kPi;
 inline constexpr double kHalfPi = 0.5 * kPi;
 
+/// splitmix64 finalizer: the repo's one integer mixer. Device ids are
+/// often sequential, so shard routing, slot probing, token-grant rounding,
+/// fault schedules and RNG forks all need a real mixer, not `x % n`.
+constexpr uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// Degrees to radians.
 constexpr double DegToRad(double deg) { return deg * kPi / 180.0; }
 

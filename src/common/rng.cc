@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/math_utils.h"
+
 namespace bqs {
 
 double Rng::Uniform(double lo, double hi) {
@@ -36,10 +38,7 @@ bool Rng::Bernoulli(double p) {
 
 uint64_t Rng::Fork() {
   // splitmix64 step over a fresh draw keeps child streams decorrelated.
-  uint64_t z = engine_() + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return SplitMix64(engine_());
 }
 
 }  // namespace bqs

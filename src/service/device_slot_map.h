@@ -1,8 +1,9 @@
 // Epoch-versioned open-addressing map from DeviceId to a small slot index
 // — the router's device->group lookup.
 //
-// The grouped router binds each device to a per-window accumulation slot.
-// Windows turn over every few thousand records, so a conventional map
+// The router binds each device to its group in the shard's filling block
+// (RecordBlock::Append). Each block is one window, and windows turn over
+// every few thousand records, so a conventional map
 // would pay either a full clear() per window or per-entry deletes; this
 // table instead stamps every binding with the window epoch and bumps the
 // epoch to invalidate all bindings in O(1) (NewWindow). Entries themselves
@@ -13,7 +14,7 @@
 // device ever seen — a fraction of the session table's footprint), linear
 // probing over a power-of-two table with the same splitmix64 finalizer the
 // engine routes shards with, resize at ~70% load. Single-threaded by
-// design: it lives on whichever thread owns the router — an ownership
+// design: it lives on the producer (routing) thread — an ownership
 // encoded for Thread Safety Analysis as the `owner_role` capability every
 // accessor REQUIRES.
 #ifndef BQS_SERVICE_DEVICE_SLOT_MAP_H_
@@ -23,6 +24,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/math_utils.h"
 #include "common/thread_annotations.h"
 #include "trajectory/point.h"
 
@@ -40,7 +42,7 @@ class DeviceSlotMap {
   /// never seen, or bound in an earlier — now stale — window).
   uint32_t Lookup(DeviceId device) const REQUIRES(owner_role) {
     const std::size_t mask = entries_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(Mix(device)) & mask;
+    std::size_t i = static_cast<std::size_t>(SplitMix64(device)) & mask;
     while (entries_[i].epoch != 0) {
       if (entries_[i].device == device) {
         return entries_[i].epoch == epoch_ ? entries_[i].slot : kAbsent;
@@ -53,7 +55,7 @@ class DeviceSlotMap {
   /// Binds `device` to `slot` for the current window (insert or restamp).
   void Bind(DeviceId device, uint32_t slot) REQUIRES(owner_role) {
     const std::size_t mask = entries_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(Mix(device)) & mask;
+    std::size_t i = static_cast<std::size_t>(SplitMix64(device)) & mask;
     while (entries_[i].epoch != 0) {
       if (entries_[i].device == device) {
         entries_[i].slot = slot;
@@ -76,8 +78,8 @@ class DeviceSlotMap {
     return entries_.size();
   }
 
-  /// Capability of the single thread that owns this table (the dispatching
-  /// thread: a shard worker, or the caller in inline mode).
+  /// Capability of the single thread that owns this table (the engine's
+  /// producer thread, which fills the blocks).
   ThreadRole owner_role;
 
  private:
@@ -87,13 +89,6 @@ class DeviceSlotMap {
     /// 0 = empty slot (epoch_ starts at 1, so no live entry carries 0).
     uint64_t epoch = 0;
   };
-
-  static uint64_t Mix(DeviceId device) {
-    uint64_t x = device + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
 
   static std::size_t RoundUpPow2(std::size_t v) {
     std::size_t p = 1;
@@ -107,7 +102,7 @@ class DeviceSlotMap {
     const std::size_t mask = entries_.size() - 1;
     for (const Entry& e : old) {
       if (e.epoch == 0) continue;
-      std::size_t i = static_cast<std::size_t>(Mix(e.device)) & mask;
+      std::size_t i = static_cast<std::size_t>(SplitMix64(e.device)) & mask;
       while (entries_[i].epoch != 0) i = (i + 1) & mask;
       entries_[i] = e;
     }

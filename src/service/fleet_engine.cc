@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/fault_injector.h"
+#include "common/math_utils.h"
 #include "storage/compaction.h"
 #include "storage/keypoint_wal.h"
 
@@ -20,15 +21,6 @@ constexpr double kDeviceBurstSeconds = 2.0;
 /// Eps-ladder hysteresis: a degraded session steps one rung back down once
 /// its shard's usage drops below this fraction of the shard budget.
 constexpr double kRecoverHeadroom = 0.5;
-
-/// splitmix64 finalizer: device ids are often sequential, so shard
-/// assignment needs a real mixer, not `id % shards`.
-uint64_t MixDeviceId(DeviceId device) {
-  uint64_t x = device + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 }  // namespace
 
@@ -51,8 +43,8 @@ void AccumulateDecisionStats(DecisionStats& into, const DecisionStats& s) {
 FleetEngine::FleetEngine(const FleetEngineOptions& options, FleetSink& sink)
     : options_(options), sink_(sink), factory_(options.algorithm) {
   // The single-shard shortcut: one worker cannot outrun the caller doing
-  // the work itself (it only adds a copy, a handoff and a cache round
-  // trip), so num_shards <= 1 runs inline. Threads start at 2 shards.
+  // the work itself (it only adds a handoff and a cache round trip), so
+  // num_shards <= 1 runs inline. Threads start at 2 shards.
   inline_ = options_.num_shards <= 1;
   const std::size_t shard_count = inline_ ? 1 : options_.num_shards;
   options_.block_capacity = std::clamp<std::size_t>(
@@ -71,8 +63,7 @@ FleetEngine::FleetEngine(const FleetEngineOptions& options, FleetSink& sink)
   shedding_ = !inline_ && options_.overload.policy != OverloadPolicy::kBlock;
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>(options_.block_capacity,
-                                              options_.max_pending_blocks));
+    shards_.push_back(std::make_unique<Shard>(options_.max_pending_blocks));
   }
   if (!inline_) {
     for (auto& shard : shards_) {
@@ -92,10 +83,20 @@ FleetEngine::~FleetEngine() {
 }
 
 std::size_t FleetEngine::ShardOf(DeviceId device) const {
-  return static_cast<std::size_t>(MixDeviceId(device) % shards_.size());
+  // One shard (inline mode) needs neither the mix nor the division, which
+  // the router would otherwise pay on every run.
+  if (shards_.size() == 1) return 0;
+  return static_cast<std::size_t>(SplitMix64(device) % shards_.size());
 }
 
 void FleetEngine::Enqueue(Shard& shard, ShardCommand cmd) {
+  if (inline_) {
+    // Inline mode is the same command without the ring: the caller runs
+    // it on its own thread, where the worker would have.
+    AssumeWorker(shard);
+    Execute(shard, cmd);
+    return;
+  }
   if (!shard.ring.Push(cmd)) return;  // stopped (destructor teardown only)
   ++shard.enqueued;
   shard.peak_depth = std::max(shard.peak_depth, shard.ring.size());
@@ -124,14 +125,6 @@ void FleetEngine::IngestBatch(std::span<const FleetRecord> records) {
     records_dropped_ += records.size();
     return;
   }
-  if (inline_) {
-    InlineDispatch(records);
-  } else {
-    RouteSharded(records);
-  }
-}
-
-void FleetEngine::RouteSharded(std::span<const FleetRecord> records) {
   // Single-producer API contract: this thread owns every shard's routing
   // side (record->shard assignment is dynamic, so assert them all once).
   for (auto& shard : shards_) AssumeProducer(*shard);
@@ -149,38 +142,56 @@ void FleetEngine::RouteSharded(std::span<const FleetRecord> records) {
     has_deadline = true;
   }
   batch_shed_ = false;
-  for (const FleetRecord& record : records) {
-    Shard& shard = *shards_[ShardOf(record.device)];
-    if (shard.filling == nullptr) {
-      if (injector != nullptr &&
-          injector->ShouldFire(FaultSite::kArenaExhausted)) {
-        ++shard.shed.faults;
-        if (shedding_) {
-          // Denied a block: the triggering record is shed, accounted as
-          // arena exhaustion. Under kBlock the fault is counted only (a
-          // real allocator would block or die, neither useful in a test).
-          ++shard.shed.records;
-          ++shard.shed.arena;
-          batch_shed_ = true;
-          continue;
-        }
-      }
-      shard.filling = shard.arena.Acquire();
-    }
-    shard.filling->Append(record.device, record.point);
-    if (shard.filling->size() >= cap) {
-      if (shedding_) {
-        SealForIngest(shard, deadline, has_deadline);
-      } else {
+  std::size_t i = 0;
+  while (i < records.size()) {
+    // One maximal run of same-device records: the shard and the device's
+    // group are picked once per run, not once per record.
+    const DeviceId device = records[i].device;
+    std::size_t end = i + 1;
+    while (end < records.size() && records[end].device == device) ++end;
+    Shard& shard = *shards_[ShardOf(device)];
+    while (i < end) {
+      if (shard.filling == nullptr) {
         if (injector != nullptr &&
-            injector->ShouldFire(FaultSite::kRingFull)) {
-          ++shard.shed.faults;  // kBlock: counted, behavior unchanged
+            injector->ShouldFire(FaultSite::kArenaExhausted)) {
+          ++shard.shed.faults;
+          if (shedding_) {
+            // Denied a block: the record that needed it is shed, accounted
+            // as arena exhaustion. Under kBlock the fault is counted only
+            // (a real allocator would block or die, neither useful in a
+            // test).
+            ++shard.shed.records;
+            ++shard.shed.arena;
+            batch_shed_ = true;
+            ++i;
+            continue;
+          }
         }
-        Seal(shard);
+        shard.filling = shard.arena.Acquire();
+        shard.slots.NewWindow();
+      }
+      // A run longer than the block's room splits at the cap; the rest
+      // opens the device's group in the next block.
+      const std::size_t take = std::min(end - i, cap - shard.filling->size());
+      shard.filling->Append(shard.slots, records.subspan(i, take));
+      i += take;
+      if (shard.filling->size() >= cap) {
+        if (shedding_) {
+          SealForIngest(shard, deadline, has_deadline);
+        } else {
+          if (injector != nullptr &&
+              injector->ShouldFire(FaultSite::kRingFull)) {
+            ++shard.shed.faults;  // kBlock: counted, behavior unchanged
+          }
+          Seal(shard);
+        }
       }
     }
   }
   if (batch_shed_) ++shed_batches_;
+  // Inline mode never defers work past the IngestBatch that delivered it:
+  // its block needs no handoff, so the partial block runs now.
+  if (inline_) Seal(*shards_[0]);
 }
 
 void FleetEngine::SealForIngest(
@@ -236,6 +247,7 @@ void FleetEngine::SealForIngest(
   }
   batch_shed_ = true;
   block->Clear();  // stays acquired as shard.filling, capacity reused
+  shard.slots.NewWindow();
 }
 
 bool FleetEngine::CompactByDevice(Shard& shard) {
@@ -243,77 +255,25 @@ bool FleetEngine::CompactByDevice(Shard& shard) {
   const double rate = options_.overload.device_rate_per_second;
   const double burst = std::max(rate * kDeviceBurstSeconds, 1.0);
   const uint64_t seed = options_.overload.shed_seed;
-  std::vector<TrackPoint>& points = block.points;
-  shard.run_scratch.clear();
-  std::size_t read = 0;
-  std::size_t write = 0;
-  uint64_t shed = 0;
-  for (const DeviceRun& run : block.runs) {
-    DeviceTokenBucket& bucket = shard.buckets[run.device];
-    // Refill on the run's newest stream time; the grant is a pure
+  // One grant per device per block: the block is already grouped, so each
+  // device asks its bucket once for all of its records in the block.
+  shard.grants.clear();
+  for (const RouteGroup& group : block.groups()) {
+    DeviceTokenBucket& bucket = shard.buckets[group.device];
+    // Refill on the group's newest stream time; the grant is a pure
     // function of (seed, feed, configuration) — wall-clock never enters.
-    const double t = points[read + run.count - 1].t;
     const uint64_t salt =
-        seed ^ MixDeviceId(run.device) ^ (shard.shed_events++);
-    const uint32_t keep = bucket.Grant(t, run.count, rate, burst, salt);
-    // Keep the run's oldest `keep` records (per-device order preserved).
-    for (uint32_t k = 0; k < keep; ++k) points[write + k] = points[read + k];
-    if (keep > 0) {
-      if (!shard.run_scratch.empty() &&
-          shard.run_scratch.back().device == run.device) {
-        shard.run_scratch.back().count += keep;
-      } else {
-        shard.run_scratch.push_back(DeviceRun{run.device, keep});
-      }
-    }
-    shed += run.count - keep;
-    write += keep;
-    read += run.count;
+        seed ^ SplitMix64(group.device) ^ (shard.shed_events++);
+    shard.grants.push_back(
+        bucket.Grant(group.points.back().t,
+                     static_cast<uint32_t>(group.points.size()), rate,
+                     burst, salt));
   }
+  const std::size_t shed = block.Truncate(shard.slots, shard.grants);
   if (shed == 0) return false;
-  points.resize(write);
-  block.runs.swap(shard.run_scratch);
   shard.shed.records += shed;
   shard.shed.rate_limited += shed;
   return true;
-}
-
-void FleetEngine::InlineDispatch(std::span<const FleetRecord> records) {
-  Shard& shard = *shards_[0];
-  // Inline mode: no worker thread exists, so the caller holds both sides.
-  AssumeProducer(shard);
-  AssumeWorker(shard);
-
-  // Grouped routing: append each maximal same-device run to the device's
-  // window group (DeviceSlotMap lookup once per run, not per record), so a
-  // device scattered across hundreds of short bursts reaches the
-  // compressor as one PushBatch per window instead of one per burst.
-  // Interleaving across devices is reordered inside a window; per-device
-  // record order — the only order FleetSink guarantees — is preserved.
-  const std::size_t window = options_.block_capacity;
-  std::size_t pending = 0;  ///< Records accumulated in the current window.
-  std::size_t i = 0;
-  while (i < records.size()) {
-    const DeviceId device = records[i].device;
-    std::size_t j = i + 1;
-    while (j < records.size() && records[j].device == device) ++j;
-    std::vector<TrackPoint>& points =
-        GroupFor(shard, device)->points;
-    for (std::size_t k = i; k < j; ++k) points.push_back(records[k].point);
-    pending += j - i;
-    i = j;
-    if (pending >= window) {
-      FlushInlineGroups(shard);
-      pending = 0;
-    }
-  }
-  // Inline mode never defers work past the IngestBatch that delivered it.
-  FlushInlineGroups(shard);
-}
-
-void FleetEngine::FlushInlineGroups(Shard& shard) {
-  DispatchGroups(shard);
-  if (options_.idle_timeout_seconds > 0.0) CloseIdleSessions(shard);
 }
 
 void FleetEngine::Ingest(DeviceId device, const TrackPoint& pt) {
@@ -324,13 +284,6 @@ void FleetEngine::Ingest(DeviceId device, const TrackPoint& pt) {
 void FleetEngine::FinishDevice(DeviceId device) {
   if (!factory_.streaming()) return;  // no sessions can exist
   Shard& shard = *shards_[ShardOf(device)];
-  if (inline_) {
-    AssumeWorker(shard);  // inline mode: the caller is the worker
-    if (shard.sessions.contains(device)) {
-      CloseSession(shard, device, SessionEndReason::kFinished);
-    }
-    return;
-  }
   AssumeProducer(shard);  // single-producer API contract
   // Pending records for the device must compress before the finish does.
   Seal(shard);
@@ -343,12 +296,6 @@ void FleetEngine::FinishDevice(DeviceId device) {
 void FleetEngine::FinishAll() {
   if (!factory_.streaming()) return;
   SealAll();
-  if (inline_) {
-    Shard& shard = *shards_[0];
-    AssumeWorker(shard);  // inline mode: the caller is the worker
-    FinishShard(shard);
-    return;
-  }
   for (auto& shard : shards_) {
     AssumeProducer(*shard);  // single-producer API contract
     ShardCommand cmd;
@@ -525,20 +472,7 @@ void FleetEngine::WorkerLoop(Shard& shard) {
       ++shard.counters.faults_injected;
       injector->WaitStallReleased();
     }
-    switch (cmd.kind) {
-      case ShardCommand::Kind::kBlock:
-        ProcessBlock(shard, *cmd.block);
-        shard.arena.Release(cmd.block);
-        break;
-      case ShardCommand::Kind::kFinishDevice:
-        if (shard.sessions.contains(cmd.device)) {
-          CloseSession(shard, cmd.device, SessionEndReason::kFinished);
-        }
-        break;
-      case ShardCommand::Kind::kFinishAll:
-        FinishShard(shard);
-        break;
-    }
+    Execute(shard, cmd);
     shard.completed.fetch_add(1, std::memory_order_seq_cst);
     if (shard.caller_waiting.load(std::memory_order_seq_cst)) {
       MutexLock lock(shard.idle_mu);
@@ -547,48 +481,30 @@ void FleetEngine::WorkerLoop(Shard& shard) {
   }
 }
 
+void FleetEngine::Execute(Shard& shard, const ShardCommand& cmd) {
+  switch (cmd.kind) {
+    case ShardCommand::Kind::kBlock:
+      ProcessBlock(shard, *cmd.block);
+      shard.arena.Release(cmd.block);
+      break;
+    case ShardCommand::Kind::kFinishDevice:
+      if (shard.sessions.contains(cmd.device)) {
+        CloseSession(shard, cmd.device, SessionEndReason::kFinished);
+      }
+      break;
+    case ShardCommand::Kind::kFinishAll:
+      FinishShard(shard);
+      break;
+  }
+}
+
 void FleetEngine::ProcessBlock(Shard& shard, const RecordBlock& block) {
-  const TrackPoint* points = block.points.data();
-  if (block.runs.size() == 1) {
-    // Single-device block: dispatch straight from block memory, no regroup.
-    DispatchRun(shard, block.runs[0].device,
-                std::span<const TrackPoint>(points, block.runs[0].count));
-  } else {
-    // Regroup the block's runs per device (one window per block): the
-    // extra memmove per point buys one PushBatch per device instead of
-    // one per burst — the same trade the inline router makes.
-    for (const DeviceRun& run : block.runs) {
-      std::vector<TrackPoint>& pts = GroupFor(shard, run.device)->points;
-      pts.insert(pts.end(), points, points + run.count);
-      points += run.count;
-    }
-    DispatchGroups(shard);
+  // The block is grouped already: each device's span goes to its
+  // compressor straight from block memory, in first-seen order.
+  for (const RouteGroup& group : block.groups()) {
+    DispatchRun(shard, group.device, group.points);
   }
   if (options_.idle_timeout_seconds > 0.0) CloseIdleSessions(shard);
-}
-
-RouteGroup* FleetEngine::GroupFor(Shard& shard, DeviceId device) {
-  uint32_t slot = shard.group_of_device.Lookup(device);
-  if (slot == DeviceSlotMap::kAbsent) {
-    slot = static_cast<uint32_t>(shard.used_groups.size());
-    if (shard.groups.size() <= slot) shard.groups.emplace_back();
-    shard.groups[slot].device = device;
-    shard.used_groups.push_back(slot);
-    shard.group_of_device.Bind(device, slot);
-  }
-  return &shard.groups[slot];
-}
-
-void FleetEngine::DispatchGroups(Shard& shard) {
-  if (shard.used_groups.empty()) return;
-  for (const uint32_t slot : shard.used_groups) {
-    RouteGroup& group = shard.groups[slot];
-    DispatchRun(shard, group.device,
-                std::span<const TrackPoint>(group.points));
-    group.points.clear();
-  }
-  shard.used_groups.clear();
-  shard.group_of_device.NewWindow();
 }
 
 void FleetEngine::DispatchRun(Shard& shard, DeviceId device,

@@ -8,37 +8,38 @@
 // minted from a shared CompressorFactory, and newly-final key points are
 // forwarded to a FleetSink with per-device ordering guaranteed.
 //
-// Ingest pipeline (rebuilt so the service layer stays out of the kernel's
-// way — the mutex+condvar queue of the first fleet engine cost more per
-// record than compressing the record once the fast kernel landed):
+// Ingest pipeline — one router and one block path for every mode:
 //
 //   IngestBatch(records)
-//        │  router: one pass, coalescing consecutive same-device records
-//        │  into DeviceRuns while writing points into pooled RecordBlocks
+//        │  router: one pass over maximal same-device runs; per run it
+//        │  picks the shard (hash of the device) and the device's group
+//        │  (the shard's DeviceSlotMap), then copies the run's points into
+//        │  that group of the shard's filling RecordBlock
 //        ▼
-//   RecordBlock (arena-recycled; the single copy of the pipeline)
-//        │  bounded SPSC ring per shard, edge-triggered condvar wakes,
-//        │  backpressure when max_pending_blocks behind
+//   RecordBlock (arena-recycled): one window, already grouped by device,
+//        │  first-seen order; the single copy of the pipeline
+//        │  sharded: bounded SPSC ring per shard, edge-triggered condvar
+//        │  wakes, backpressure when max_pending_blocks behind
 //        ▼
-//   shard worker: for each run, one PushBatch straight from block
-//   memory into the compressor's SoA fast path — no per-record replay,
-//   no second copy, no steady-state allocation. The compressor appends
+//   Execute(block): for each device group, one PushBatch straight from
+//   block memory into the compressor's SoA fast path — no regroup, no
+//   per-record replay, no steady-state allocation. The compressor appends
 //   its key points to the session's WAL staging buffer (or a reused
-//   scratch vector without a WAL), and the new tail goes to the
-//   FleetSink in order.
+//   scratch vector without a WAL), and the new tail goes to the FleetSink
+//   in order.
 //
-// Inline mode (the single-shard shortcut): num_shards <= 1 bypasses
-// threads and queues entirely and compresses on the caller thread inside
-// IngestBatch. A one-worker pipeline cannot beat the caller doing the work
-// itself — it only adds a copy, a handoff and a cache round trip — so one
-// shard IS the inline case. The inline router group-coalesces a window of
-// records (window size = block_capacity) per device through a
-// DeviceSlotMap, so a device interleaved into hundreds of short bursts
-// still reaches the compressor as a handful of PushBatch dispatches (a
-// single-device batch is one group, dispatched once). That is the
-// embedded/single-core deployment shape; everything else about the engine
-// (sessions, budgets, stats, sinks) behaves identically. Worker threads
-// start at num_shards >= 2.
+// A block seals when it holds block_capacity records; a run longer than
+// the room left splits there and continues in the next block.
+//
+// Inline mode (the single-shard shortcut): num_shards <= 1 is the same
+// path without threads or the ring. The one shard's block runs on the
+// caller's thread when it seals and at the end of every IngestBatch, and
+// FinishDevice/FinishAll run the same commands a worker would. A
+// one-worker pipeline cannot beat the caller doing the work itself — it
+// only adds a handoff and a cache round trip — so one shard IS the inline
+// case. That is the embedded/single-core deployment shape; everything
+// else about the engine (sessions, budgets, stats, sinks) behaves
+// identically. Worker threads start at num_shards >= 2.
 //
 // Sharding: the session table is split across N worker threads. Each shard
 // owns its sessions outright (no shared compressor state), so throughput
@@ -68,10 +69,10 @@
 // capabilities:
 //
 //  - `producer_role`: the single API-caller thread. Guards the routing
-//    state (partial block, enqueue counters) and is required by the ring
-//    push / arena acquire side.
+//    state (partial block, device slot map, enqueue counters) and is
+//    required by the ring push / arena acquire side.
 //  - `worker_role`: the shard's dispatching thread. Guards the session
-//    table, compressor pool, LRU, grouped-dispatch state and counters.
+//    table, compressor pool, LRU and counters.
 //
 // The idle protocol is the interesting part: WaitIdle() is annotated
 // ASSERT_CAPABILITY(shard.worker_role), so the caller thread *gains* the
@@ -176,9 +177,11 @@ struct FleetEngineOptions {
   /// finalized with SessionEndReason::kIdle at block boundaries. 0 = never.
   double idle_timeout_seconds = 0.0;
 
-  /// Records per pooled routing block — the granularity of producer-to-
-  /// worker handoff and of the arena's recycling; in inline mode, the
-  /// grouped router's window size. Clamped to [16, 2^20].
+  /// Records per pooled routing block: the router's grouping window in
+  /// every mode, and in sharded mode the granularity of producer-to-worker
+  /// handoff. A device gets one compressor dispatch per block it appears
+  /// in; a run longer than the room left splits at the cap. Clamped to
+  /// [16, 2^20].
   std::size_t block_capacity = 4096;
 
   /// Per-shard ingest ring depth, in blocks; IngestBatch blocks
@@ -244,14 +247,15 @@ struct FleetStats {
   uint64_t sessions_recycled = 0;  ///< Sessions built on a pooled compressor.
   std::size_t live_sessions = 0;
 
-  // --- ingest pipeline counters (all zero in inline mode except
-  // coalesced_runs, which counts inline dispatches too) -------------------
-  /// Coalesced single-device dispatches into the PushBatch fast path:
-  /// consecutive-run spans from the block pipeline, window-grouped spans
-  /// from the inline router. records_ingested / coalesced_runs is the mean
-  /// dispatch length — the number that says how much coalescing bought.
+  // --- ingest pipeline counters (worker_wakes, backpressure_waits and
+  // peak_queue_depth stay zero in inline mode, which has no ring) ---------
+  /// Single-device dispatches into the PushBatch fast path: one per
+  /// (block, device) pair. records_ingested / coalesced_runs is the mean
+  /// dispatch length — the number that says how much grouping bought.
   uint64_t coalesced_runs = 0;
-  uint64_t blocks_dispatched = 0;  ///< Sealed blocks handed to workers.
+  /// Sealed blocks run: handed to a worker, or run on the caller thread in
+  /// inline mode (where the arena recycles one block).
+  uint64_t blocks_dispatched = 0;
   uint64_t blocks_allocated = 0;   ///< Fresh block allocations (arena).
   uint64_t blocks_recycled = 0;    ///< Blocks reused from the arena.
   /// Times a shard worker found its ring empty and slept; edge-triggered
@@ -343,9 +347,9 @@ class FleetEngine {
   FleetEngine(const FleetEngine&) = delete;
   FleetEngine& operator=(const FleetEngine&) = delete;
 
-  /// Routes an interleaved batch into per-shard blocks (or compresses it
-  /// synchronously in inline mode). Records are routed in order, so
-  /// per-device order is preserved. Blocks only on shard backpressure.
+  /// Routes an interleaved batch into per-shard blocks, grouped by device
+  /// (inline mode runs its block before returning). Per-device order is
+  /// preserved. Blocks only on shard backpressure.
   void IngestBatch(std::span<const FleetRecord> records);
 
   /// Single-record convenience. Accumulates into the target shard's
@@ -439,8 +443,8 @@ class FleetEngine {
   ///    protocol, stated to the compiler. In inline mode there is no
   ///    worker and the caller holds both roles.
   struct Shard {
-    Shard(std::size_t block_capacity, std::size_t ring_depth)
-        : ring(ring_depth), arena(block_capacity, ring_depth) {}
+    explicit Shard(std::size_t ring_depth)
+        : ring(ring_depth), arena(ring_depth) {}
 
     /// Capability of the single API-caller (routing) thread.
     ThreadRole producer_role;
@@ -451,6 +455,8 @@ class FleetEngine {
     // --- producer-side ------------------------------------------------------
     /// Partial block still accepting records.
     RecordBlock* filling GUARDED_BY(producer_role) = nullptr;
+    /// Device -> group of `filling`; a new window per block.
+    DeviceSlotMap slots;
     /// Commands successfully pushed.
     uint64_t enqueued GUARDED_BY(producer_role) = 0;
     uint64_t blocks_dispatched GUARDED_BY(producer_role) = 0;
@@ -462,8 +468,8 @@ class FleetEngine {
     /// stream time so grants replay deterministically from the feed.
     std::unordered_map<DeviceId, DeviceTokenBucket> buckets
         GUARDED_BY(producer_role);
-    /// Compaction scratch: the surviving run directory being rebuilt.
-    std::vector<DeviceRun> run_scratch GUARDED_BY(producer_role);
+    /// Compaction scratch: each group's granted record count.
+    std::vector<uint32_t> grants GUARDED_BY(producer_role);
     /// Monotone salt for seeded stochastic token rounding.
     uint64_t shed_events GUARDED_BY(producer_role) = 0;
     /// Shed accounting, mirrored into FleetStats at Stats() time.
@@ -487,14 +493,6 @@ class FleetEngine {
     Mutex idle_mu;
     std::condition_variable cv_idle;
     std::thread worker;
-
-    // --- grouped-dispatch state: owned by whichever thread dispatches (the
-    // worker when sharded, the caller in inline mode) ------------------------
-    DeviceSlotMap group_of_device;
-    /// Slot-indexed pool, reused.
-    std::vector<RouteGroup> groups GUARDED_BY(worker_role);
-    /// Slots active this window.
-    std::vector<uint32_t> used_groups GUARDED_BY(worker_role);
 
     // --- worker-owned (see visibility rules above) --------------------------
     std::unordered_map<DeviceId, Session> sessions GUARDED_BY(worker_role);
@@ -533,7 +531,8 @@ class FleetEngine {
   static void AssumeProducer(Shard& shard)
       ASSERT_CAPABILITY(shard.producer_role)
       ASSERT_CAPABILITY(shard.ring.producer_role)
-      ASSERT_CAPABILITY(shard.arena.producer_role) {
+      ASSERT_CAPABILITY(shard.arena.producer_role)
+      ASSERT_CAPABILITY(shard.slots.owner_role) {
     (void)shard;
   }
 
@@ -544,11 +543,12 @@ class FleetEngine {
   static void AssumeWorker(Shard& shard)
       ASSERT_CAPABILITY(shard.worker_role)
       ASSERT_CAPABILITY(shard.ring.consumer_role)
-      ASSERT_CAPABILITY(shard.arena.consumer_role)
-      ASSERT_CAPABILITY(shard.group_of_device.owner_role) {
+      ASSERT_CAPABILITY(shard.arena.consumer_role) {
     (void)shard;
   }
 
+  /// Hands `cmd` to the shard's worker over the ring, or in inline mode
+  /// runs it right here on the caller's thread.
   void Enqueue(Shard& shard, ShardCommand cmd)
       REQUIRES(shard.producer_role, shard.ring.producer_role);
   void Seal(Shard& shard)
@@ -561,11 +561,13 @@ class FleetEngine {
   void SealForIngest(Shard& shard,
                      std::chrono::steady_clock::time_point deadline,
                      bool has_deadline)
-      REQUIRES(shard.producer_role, shard.ring.producer_role);
+      REQUIRES(shard.producer_role, shard.ring.producer_role,
+               shard.slots.owner_role);
   /// kShedByDevice: compacts shard.filling through the per-device token
   /// buckets (over-rate suffixes shed, survivors kept in place to re-queue
   /// with the next seal). Returns true when any record was shed.
-  bool CompactByDevice(Shard& shard) REQUIRES(shard.producer_role);
+  bool CompactByDevice(Shard& shard)
+      REQUIRES(shard.producer_role, shard.slots.owner_role);
   void SealAll();
   /// Blocks until the shard has processed every enqueued command. The
   /// ASSERT_CAPABILITY is the idle protocol: a drained shard's worker is
@@ -573,20 +575,12 @@ class FleetEngine {
   /// state until its next Enqueue.
   void WaitIdle(Shard& shard) ASSERT_CAPABILITY(shard.worker_role);
   void WorkerLoop(Shard& shard);
-  void RouteSharded(std::span<const FleetRecord> records);
-  void InlineDispatch(std::span<const FleetRecord> records);
-  void FlushInlineGroups(Shard& shard)
-      REQUIRES(shard.worker_role, shard.group_of_device.owner_role);
-  /// The device's accumulation group for the current window (creating and
-  /// binding a pooled slot on first sight).
-  RouteGroup* GroupFor(Shard& shard, DeviceId device)
-      REQUIRES(shard.worker_role, shard.group_of_device.owner_role);
-  /// Dispatches every active group in first-seen order, then opens a new
-  /// window.
-  void DispatchGroups(Shard& shard)
-      REQUIRES(shard.worker_role, shard.group_of_device.owner_role);
+  /// Runs one command: the worker loop's body, and inline mode's whole
+  /// dispatch.
+  void Execute(Shard& shard, const ShardCommand& cmd)
+      REQUIRES(shard.worker_role, shard.arena.consumer_role);
   void ProcessBlock(Shard& shard, const RecordBlock& block)
-      REQUIRES(shard.worker_role, shard.group_of_device.owner_role);
+      REQUIRES(shard.worker_role);
   void DispatchRun(Shard& shard, DeviceId device,
                    std::span<const TrackPoint> points)
       REQUIRES(shard.worker_role);

@@ -44,6 +44,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/math_utils.h"
+
 namespace bqs {
 
 /// What IngestBatch does when a shard ring stays full past the budget.
@@ -51,14 +53,6 @@ enum class OverloadPolicy : uint8_t {
   kBlock,        ///< Block until space (lossless, unbounded latency).
   kShedNewest,   ///< Drop the sealed block whole.
   kShedByDevice, ///< Token-bucket compaction; re-queue the fair survivors.
-};
-
-/// Why records were shed; each reason has a FleetStats counter.
-enum class ShedReason : uint8_t {
-  kRingFull,     ///< Ring full with no latency budget configured.
-  kLatency,      ///< Ring still full when the latency budget expired.
-  kRateLimited,  ///< Device over its token-bucket rate (kShedByDevice).
-  kArena,        ///< Injected arena exhaustion (fault testing).
 };
 
 struct OverloadOptions {
@@ -95,15 +89,6 @@ struct OverloadOptions {
   std::vector<double> eps_ladder;
 };
 
-/// splitmix64 — the repo-standard mixer (same constants as the device
-/// shard hash); used for seeded stochastic rounding of token grants.
-inline uint64_t OverloadMix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// One device's admission bucket (kShedByDevice). Refill is driven by the
 /// device's own record stream time, so the bucket is a deterministic
 /// function of the feed: wall-clock speed, scheduling and shard count
@@ -137,7 +122,7 @@ struct DeviceTokenBucket {
     // `frac`, decided by the seeded mix — unbiased over many grants,
     // reproducible from the seed.
     if (frac > 0.0 && whole < want) {
-      const double coin = static_cast<double>(OverloadMix(salt) >> 11) *
+      const double coin = static_cast<double>(SplitMix64(salt) >> 11) *
                           (1.0 / 9007199254740992.0);  // [0,1) from 53 bits
       if (coin < frac) ++whole;
     }

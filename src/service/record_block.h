@@ -1,21 +1,21 @@
 // Pooled routing blocks: the unit of work a FleetEngine producer hands a
-// shard worker.
+// shard worker (or, in inline mode, runs on the caller's thread).
 //
-// The PR 3 pipeline staged every IngestBatch into fresh std::vector<
-// FleetRecord> commands (one allocation — typically a fresh mmap — per
-// shard per batch) and the worker then re-copied each device run into a
-// scratch vector before dispatching. A RecordBlock removes both costs:
+// A RecordBlock is one routing window that is already grouped by device.
+// The router appends each run of same-device records to that device's
+// RouteGroup as it fills the block, so the block holds one contiguous span
+// per device, in the order the devices first appeared in the window. The
+// dispatching thread hands each span straight to StreamCompressor::
+// PushBatch: one copy per fix (the router's), no regroup, no per-record
+// replay.
 //
-//  - The router performs the single unavoidable copy for a cross-thread
-//    handoff, writing each record's TrackPoint directly into the block and
-//    coalescing consecutive same-device records into a DeviceRun as it
-//    goes. The worker dispatches each run's contiguous points straight
-//    into StreamCompressor::PushBatch — no second copy, no per-record
-//    replay.
-//  - Blocks recycle through a BlockArena: the worker returns a processed
-//    block over a lock-free SPSC ring and the producer reuses it, heap
-//    capacity (and warm pages) intact. Steady-state ingest allocates
-//    nothing.
+// Which group a device owns is the producer's DeviceSlotMap (one per
+// shard, a new window per block); Append takes it as a parameter so the
+// block itself stays a plain container the consumer can read and clear.
+//
+// Blocks recycle through a BlockArena: the worker returns a processed
+// block over a lock-free SPSC ring and the producer reuses it. Clear keeps
+// every group's heap capacity, so steady-state ingest allocates nothing.
 //
 // Threading contract (mirrors the engine): one producer thread calls
 // Acquire/metrics, one consumer thread calls Release. A block is owned by
@@ -26,58 +26,94 @@
 #ifndef BQS_SERVICE_RECORD_BLOCK_H_
 #define BQS_SERVICE_RECORD_BLOCK_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "service/device_slot_map.h"
 #include "service/spsc_ring.h"
 #include "trajectory/point.h"
 
 namespace bqs {
 
-/// A maximal stretch of consecutive same-device records, coalesced by the
-/// router so the worker dispatches it with one PushBatch instead of
-/// `count` single pushes.
-struct DeviceRun {
-  DeviceId device = 0;
-  uint32_t count = 0;
-};
-
-/// One pooled chunk of routed records: the points of all runs back to
-/// back, plus the run directory that says which device owns which stretch.
-struct RecordBlock {
-  std::vector<TrackPoint> points;
-  std::vector<DeviceRun> runs;
-
-  std::size_t size() const { return points.size(); }
-  bool empty() const { return points.empty(); }
-
-  /// Drops contents, keeps capacity (that is the point of pooling).
-  void Clear() {
-    points.clear();
-    runs.clear();
-  }
-
-  /// Appends one record, extending the trailing run when the device
-  /// matches (run coalescing happens here, once, on the router pass).
-  void Append(DeviceId device, const TrackPoint& pt) {
-    if (runs.empty() || runs.back().device != device) {
-      runs.push_back(DeviceRun{device, 0});
-    }
-    ++runs.back().count;
-    points.push_back(pt);
-  }
-};
-
-/// One device's accumulation group inside a routing window: the grouped
-/// dispatch stage (inline router, or a worker regrouping a block) gathers
-/// all of a device's runs here so the compressor sees one PushBatch per
-/// window instead of one per burst. Pooled slot-indexed; capacity reused.
+/// One device's span in a routing window: every point the device sent in
+/// the window, in arrival order.
 struct RouteGroup {
   DeviceId device = 0;
   std::vector<TrackPoint> points;
+};
+
+/// One pooled routing window, grouped by device. groups() lists the live
+/// groups in first-seen order; slots past them keep their capacity for the
+/// next window.
+class RecordBlock {
+ public:
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  std::span<const RouteGroup> groups() const {
+    return {groups_.data(), live_};
+  }
+
+  /// Appends `records` (one device's run, in order) to that device's group,
+  /// opening the group on the device's first run in this window. `slots`
+  /// is the window's device -> group map.
+  void Append(DeviceSlotMap& slots, std::span<const FleetRecord> records)
+      REQUIRES(slots.owner_role) {
+    const DeviceId device = records.front().device;
+    uint32_t slot = slots.Lookup(device);
+    if (slot == DeviceSlotMap::kAbsent) {
+      slot = static_cast<uint32_t>(live_++);
+      if (groups_.size() < live_) groups_.emplace_back();
+      groups_[slot].device = device;
+      slots.Bind(device, slot);
+    }
+    std::vector<TrackPoint>& points = groups_[slot].points;
+    for (const FleetRecord& record : records) points.push_back(record.point);
+    size_ += records.size();
+  }
+
+  /// Keeps the first keep[i] points of live group i (the oldest, so
+  /// per-device order holds), drops groups left empty, and rebinds the
+  /// survivors, in order, in a new window of `slots`. Returns the number
+  /// of points dropped.
+  std::size_t Truncate(DeviceSlotMap& slots, std::span<const uint32_t> keep)
+      REQUIRES(slots.owner_role) {
+    slots.NewWindow();
+    std::size_t live = 0;
+    std::size_t dropped = 0;
+    for (std::size_t i = 0; i < live_; ++i) {
+      std::vector<TrackPoint>& points = groups_[i].points;
+      const std::size_t kept = std::min<std::size_t>(keep[i], points.size());
+      dropped += points.size() - kept;
+      points.resize(kept);
+      if (kept == 0) continue;
+      if (i != live) std::swap(groups_[live], groups_[i]);
+      slots.Bind(groups_[live].device, static_cast<uint32_t>(live));
+      ++live;
+    }
+    live_ = live;
+    size_ -= dropped;
+    return dropped;
+  }
+
+  /// Drops contents, keeps every group's capacity (that is the point of
+  /// pooling).
+  void Clear() {
+    for (std::size_t i = 0; i < live_; ++i) groups_[i].points.clear();
+    live_ = 0;
+    size_ = 0;
+  }
+
+ private:
+  std::vector<RouteGroup> groups_;
+  std::size_t live_ = 0;  ///< Groups in use this window.
+  std::size_t size_ = 0;  ///< Points across the live groups.
 };
 
 /// Block pool for one shard. The producer Acquire()s blocks to fill; the
@@ -87,11 +123,8 @@ struct RouteGroup {
 /// Release never blocks and neither side ever takes a lock.
 class BlockArena {
  public:
-  BlockArena(std::size_t block_capacity, std::size_t max_outstanding)
-      : block_capacity_(block_capacity < 1 ? 1 : block_capacity),
-        recycle_(max_outstanding + 2) {}
-
-  std::size_t block_capacity() const { return block_capacity_; }
+  explicit BlockArena(std::size_t max_outstanding)
+      : recycle_(max_outstanding + 2) {}
 
   /// Producer: a cleared block ready to fill — recycled when one is
   /// available, freshly allocated otherwise.
@@ -108,9 +141,7 @@ class BlockArena {
     }
     ++allocated_;
     owned_.push_back(std::make_unique<RecordBlock>());
-    RecordBlock* fresh = owned_.back().get();
-    fresh->points.reserve(block_capacity_);
-    return fresh;
+    return owned_.back().get();
   }
 
   /// Consumer: returns a processed block to the pool. Clears it here, on
@@ -139,7 +170,6 @@ class BlockArena {
   ThreadRole consumer_role;
 
  private:
-  const std::size_t block_capacity_;
   /// All blocks ever created, in creation order; gives every block exactly
   /// one owner for destruction regardless of where its raw pointer sits.
   /// Producer-side only (Acquire appends, Release never touches it).

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <mutex>
+#include <set>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -351,14 +352,46 @@ std::vector<FleetRecord> Weave(const FleetDataset& fleet,
   return feed;
 }
 
+/// The router's dispatch count, replayed from the outside: every block
+/// holds at most `cap` records and gives each device in it one dispatch.
+/// Blocks seal when full, at FinishAll, and in inline mode at the end of
+/// every IngestBatch; a run longer than a block's room splits at the cap.
+uint64_t ExpectedDispatches(const FleetEngine& engine,
+                            const std::vector<FleetRecord>& feed,
+                            std::size_t chunk, std::size_t cap) {
+  struct Filling {
+    std::size_t count = 0;
+    std::set<DeviceId> devices;
+  };
+  std::vector<Filling> shards(engine.num_shards());
+  uint64_t dispatches = 0;
+  const auto seal = [&dispatches](Filling& filling) {
+    dispatches += filling.devices.size();
+    filling = Filling{};
+  };
+  for (std::size_t begin = 0; begin < feed.size(); begin += chunk) {
+    const std::size_t end = std::min(begin + chunk, feed.size());
+    for (std::size_t i = begin; i < end; ++i) {
+      Filling& filling = shards[engine.ShardOf(feed[i].device)];
+      filling.devices.insert(feed[i].device);
+      if (++filling.count == cap) seal(filling);
+    }
+    if (engine.inline_mode()) seal(shards[0]);
+  }
+  for (Filling& filling : shards) seal(filling);
+  return dispatches;
+}
+
 TEST(FleetEngineTest, RunCoalescingFuzzAcrossInterleavings) {
-  // The router coalesces consecutive same-device records into runs and
-  // dispatches each run as one PushBatch. Whatever the interleaving shape
-  // — long bursts, strict round-robin (every run length 1), whole streams
-  // back to back, adversarial two-device alternation, or random bursts —
-  // per-device output must stay byte-identical to sequential CompressAll
-  // at every shard count including inline mode, for every streaming
-  // algorithm, under randomized ingest chunking.
+  // The router groups each block by device and dispatches each device's
+  // span as one PushBatch. Whatever the interleaving shape — long bursts
+  // that cross the block capacity and split across blocks, strict
+  // round-robin (every run length 1), whole streams back to back,
+  // adversarial two-device alternation, or random bursts — per-device
+  // output must stay byte-identical to sequential CompressAll at every
+  // shard count including inline mode, for every streaming algorithm,
+  // under randomized ingest chunking, and the engine must dispatch exactly
+  // once per (block, device) pair.
   const FleetDataset fleet = BuildFleetDataset(6, 0.04, 7100);
   const std::size_t n = fleet.devices.size();
 
@@ -371,6 +404,8 @@ TEST(FleetEngineTest, RunCoalescingFuzzAcrossInterleavings) {
   for (std::size_t d = 0; d < n; ++d) all.push_back(d);
   feeds.push_back({"round_robin", Weave(fleet, all, 1)});
   feeds.push_back({"bursty", Weave(fleet, all, 7)});
+  // Bursts of 150 against 64-record blocks: every run crosses the cap.
+  feeds.push_back({"cap_crossing", Weave(fleet, all, 150)});
   feeds.push_back({"single_device", Weave(fleet, all, 1u << 20)});
   // Adversarial alternation: A,B,A,B,... then C,D,C,D,... — run length 1
   // with only two live devices at a time, the worst case for coalescing.
@@ -393,8 +428,9 @@ TEST(FleetEngineTest, RunCoalescingFuzzAcrossInterleavings) {
     const auto reference = SequentialReference(fleet, config);
     for (const NamedFeed& named : feeds) {
       ASSERT_EQ(named.feed.size(), fleet.feed.size()) << named.name;
-      for (const std::size_t shards : {std::size_t{0}, std::size_t{1},
-                                       std::size_t{2}, std::size_t{8}}) {
+      for (const std::size_t shards :
+           {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+            std::size_t{8}}) {
         CollectingSink sink;
         FleetEngineOptions options;
         options.algorithm = config;
@@ -406,6 +442,11 @@ TEST(FleetEngineTest, RunCoalescingFuzzAcrossInterleavings) {
           const std::size_t chunk = static_cast<std::size_t>(
               rng.UniformInt(1, 300));
           RunFleet(engine, named.feed, chunk);
+          EXPECT_EQ(engine.Stats().coalesced_runs,
+                    ExpectedDispatches(engine, named.feed, chunk,
+                                       options.block_capacity))
+              << AlgorithmName(id) << " feed=" << named.name
+              << " shards=" << shards << " chunk=" << chunk;
         }
         EXPECT_EQ(sink.keys(), reference)
             << AlgorithmName(id) << " feed=" << named.name
@@ -449,8 +490,9 @@ TEST(FleetEngineTest, PipelineCountersExposeIngestShape) {
   }
 
   // Inline mode (num_shards 0 and 1 both take the single-shard shortcut):
-  // no threads, no blocks, no queue — but the same coalescing, counted
-  // through the same stats.
+  // no threads and no queue, but the same blocks, grouped the same way and
+  // counted through the same stats. Its block runs on the caller's thread
+  // and goes straight back to the arena, so one block serves every seal.
   {
     CollectingSink sink;
     FleetEngineOptions one = options;
@@ -467,15 +509,17 @@ TEST(FleetEngineTest, PipelineCountersExposeIngestShape) {
   EXPECT_EQ(engine.num_shards(), 1u);
   EXPECT_EQ(stats.records_ingested, fleet.feed.size());
   EXPECT_GT(stats.coalesced_runs, 0u);
-  EXPECT_EQ(stats.blocks_dispatched, 0u);
-  EXPECT_EQ(stats.blocks_allocated, 0u);
+  EXPECT_GT(stats.blocks_dispatched, 0u);
+  EXPECT_EQ(stats.blocks_allocated, 1u);
+  EXPECT_EQ(stats.blocks_allocated + stats.blocks_recycled,
+            stats.blocks_dispatched);
   EXPECT_EQ(stats.worker_wakes, 0u);
   EXPECT_EQ(stats.backpressure_waits, 0u);
   EXPECT_EQ(stats.peak_queue_depth, 0u);
 
   // A batch holding one device's whole stream (the per-device upload
-  // shape), longer than the grouping window: one group, one dispatch, and
-  // the same bytes as compressing the stream alone.
+  // shape), longer than a block: it splits at the cap into one dispatch
+  // per block, with the same bytes as compressing the stream alone.
   const Trajectory upload = testing_util::SmoothWalk(7201, 600);
   ASSERT_GT(upload.size(), options.block_capacity);
   constexpr DeviceId kUploader = 99;
@@ -483,7 +527,9 @@ TEST(FleetEngineTest, PipelineCountersExposeIngestShape) {
   for (const TrackPoint& pt : upload) batch.push_back({kUploader, pt});
   engine.IngestBatch(batch);
   const FleetStats after = engine.Stats();
-  EXPECT_EQ(after.coalesced_runs, stats.coalesced_runs + 1);
+  const std::size_t blocks =
+      (upload.size() + options.block_capacity - 1) / options.block_capacity;
+  EXPECT_EQ(after.coalesced_runs, stats.coalesced_runs + blocks);
   EXPECT_EQ(after.records_ingested, stats.records_ingested + upload.size());
   engine.FinishDevice(kUploader);
   auto reference = MakeStreamCompressor(options.algorithm);

@@ -1,7 +1,8 @@
 // RecordBlock + BlockArena: the pooled routing chunks of the fleet ingest
-// pipeline. Run coalescing on append, and the arena's recycle contract —
-// blocks come back cleared (reuse-poisoning) with their heap capacity
-// intact, and the counters tell allocation from reuse apart.
+// pipeline. Grouping by device on append, compaction, and the arena's
+// recycle contract — blocks come back cleared (reuse-poisoning) with their
+// groups' heap capacity intact, and the counters tell allocation from
+// reuse apart.
 #include "service/record_block.h"
 
 #include <vector>
@@ -13,80 +14,162 @@ namespace {
 
 TrackPoint Pt(double x) { return TrackPoint{{x, 0.0}, x}; }
 
-TEST(RecordBlockTest, AppendCoalescesConsecutiveSameDeviceRecords) {
-  RecordBlock block;
-  for (int i = 0; i < 3; ++i) block.Append(7, Pt(i));
-  block.Append(9, Pt(10));
-  block.Append(7, Pt(11));  // device 7 again, but not consecutive: new run
-  block.Append(7, Pt(12));
-
-  ASSERT_EQ(block.runs.size(), 3u);
-  EXPECT_EQ(block.runs[0].device, 7u);
-  EXPECT_EQ(block.runs[0].count, 3u);
-  EXPECT_EQ(block.runs[1].device, 9u);
-  EXPECT_EQ(block.runs[1].count, 1u);
-  EXPECT_EQ(block.runs[2].device, 7u);
-  EXPECT_EQ(block.runs[2].count, 2u);
-  EXPECT_EQ(block.size(), 6u);
-
-  // The run directory partitions the point array exactly.
-  std::size_t covered = 0;
-  for (const DeviceRun& run : block.runs) covered += run.count;
-  EXPECT_EQ(covered, block.points.size());
+/// One run of `device` records at x = first, first + 1, ...
+std::vector<FleetRecord> MakeRun(DeviceId device, int first, int count) {
+  std::vector<FleetRecord> run;
+  for (int i = 0; i < count; ++i) run.push_back({device, Pt(first + i)});
+  return run;
 }
 
-TEST(RecordBlockTest, ClearKeepsCapacity) {
+/// A block and the slot map that binds its devices to groups, held by the
+/// test thread in both roles.
+struct Window {
+  Window() {
+    AssumeRole(slots.owner_role);
+    slots.NewWindow();
+  }
+  void Append(DeviceId device, int first, int count)
+      REQUIRES(slots.owner_role) {
+    const std::vector<FleetRecord> run = MakeRun(device, first, count);
+    block.Append(slots, run);
+  }
+  DeviceSlotMap slots;
   RecordBlock block;
-  for (int i = 0; i < 100; ++i) block.Append(1, Pt(i));
-  const std::size_t point_cap = block.points.capacity();
-  block.Clear();
-  EXPECT_TRUE(block.empty());
-  EXPECT_EQ(block.runs.size(), 0u);
-  EXPECT_EQ(block.points.capacity(), point_cap);
+};
+
+std::vector<double> Xs(const RouteGroup& group) {
+  std::vector<double> xs;
+  for (const TrackPoint& pt : group.points) xs.push_back(pt.pos.x);
+  return xs;
+}
+
+TEST(RecordBlockTest, AppendGroupsInFirstSeenOrderKeepingDeviceOrder) {
+  Window w;
+  AssumeRole(w.slots.owner_role);
+  w.Append(7, 0, 3);
+  w.Append(9, 10, 1);
+  w.Append(7, 11, 2);  // device 7 again, not consecutive: same group
+  w.Append(4, 20, 1);
+  w.Append(9, 30, 2);
+
+  const auto groups = w.block.groups();
+  ASSERT_EQ(groups.size(), 3u);
+  EXPECT_EQ(groups[0].device, 7u);
+  EXPECT_EQ(groups[1].device, 9u);
+  EXPECT_EQ(groups[2].device, 4u);
+  EXPECT_EQ(Xs(groups[0]), (std::vector<double>{0, 1, 2, 11, 12}));
+  EXPECT_EQ(Xs(groups[1]), (std::vector<double>{10, 30, 31}));
+  EXPECT_EQ(Xs(groups[2]), (std::vector<double>{20}));
+  EXPECT_EQ(w.block.size(), 9u);
+
+  // The groups partition the block exactly.
+  std::size_t covered = 0;
+  for (const RouteGroup& group : groups) covered += group.points.size();
+  EXPECT_EQ(covered, w.block.size());
+}
+
+TEST(RecordBlockTest, ClearKeepsEveryGroupsCapacity) {
+  Window w;
+  AssumeRole(w.slots.owner_role);
+  w.Append(1, 0, 100);
+  w.Append(2, 0, 40);
+  const std::size_t cap1 = w.block.groups()[0].points.capacity();
+  const std::size_t cap2 = w.block.groups()[1].points.capacity();
+  const RouteGroup* first_group = w.block.groups().data();
+  w.block.Clear();
+  EXPECT_TRUE(w.block.empty());
+  EXPECT_TRUE(w.block.groups().empty());
+
+  // The next window reuses the same group slots, heap intact.
+  w.slots.NewWindow();
+  w.Append(3, 0, 1);
+  w.Append(4, 0, 1);
+  ASSERT_EQ(w.block.groups().size(), 2u);
+  EXPECT_EQ(w.block.groups().data(), first_group);
+  EXPECT_EQ(w.block.groups()[0].device, 3u);
+  EXPECT_EQ(w.block.groups()[0].points.capacity(), cap1);
+  EXPECT_EQ(w.block.groups()[1].points.capacity(), cap2);
+}
+
+TEST(RecordBlockTest, TruncateKeepsOldestPointsAndRebindsSurvivors) {
+  Window w;
+  AssumeRole(w.slots.owner_role);
+  w.Append(1, 0, 4);
+  w.Append(2, 10, 3);
+  w.Append(3, 20, 2);
+  const std::vector<uint32_t> keep = {2, 0, 5};
+  EXPECT_EQ(w.block.Truncate(w.slots, keep), 5u);
+
+  ASSERT_EQ(w.block.groups().size(), 2u);
+  EXPECT_EQ(w.block.groups()[0].device, 1u);
+  EXPECT_EQ(Xs(w.block.groups()[0]), (std::vector<double>{0, 1}));
+  EXPECT_EQ(w.block.groups()[1].device, 3u);
+  EXPECT_EQ(Xs(w.block.groups()[1]), (std::vector<double>{20, 21}));
+  EXPECT_EQ(w.block.size(), 4u);
+
+  // The survivors stay bound: later records join their groups, and the
+  // dropped device opens a new group at the end.
+  w.Append(3, 22, 1);
+  w.Append(2, 13, 1);
+  ASSERT_EQ(w.block.groups().size(), 3u);
+  EXPECT_EQ(Xs(w.block.groups()[1]), (std::vector<double>{20, 21, 22}));
+  EXPECT_EQ(w.block.groups()[2].device, 2u);
+  EXPECT_EQ(Xs(w.block.groups()[2]), (std::vector<double>{13}));
+  EXPECT_EQ(w.block.size(), 6u);
 }
 
 TEST(BlockArenaTest, AcquireAllocatesWhenPoolIsEmpty) {
-  BlockArena arena(64, 4);
+  BlockArena arena(4);
+  AssumeRole(arena.producer_role);
   RecordBlock* a = arena.Acquire();
   RecordBlock* b = arena.Acquire();
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_NE(a, b);
+  EXPECT_TRUE(a->empty());
   EXPECT_EQ(arena.allocated(), 2u);
   EXPECT_EQ(arena.recycled(), 0u);
-  // Fresh blocks arrive pre-reserved to the configured capacity, so the
-  // router's appends never reallocate mid-block.
-  EXPECT_GE(a->points.capacity(), 64u);
 }
 
 TEST(BlockArenaTest, ReleaseRecyclesClearedBlocksWithCapacity) {
-  BlockArena arena(64, 4);
+  BlockArena arena(4);
+  AssumeRole(arena.producer_role);
+  AssumeRole(arena.consumer_role);
+  DeviceSlotMap slots;
+  AssumeRole(slots.owner_role);
   RecordBlock* block = arena.Acquire();
-  for (int i = 0; i < 64; ++i) block->Append(5, Pt(i));
-  const std::size_t cap = block->points.capacity();
+  block->Append(slots, MakeRun(5, 0, 64));
+  const std::size_t cap = block->groups()[0].points.capacity();
 
   // Reuse-poisoning: Release clears immediately, so a stale handle held
   // past this point reads as empty instead of replaying old records.
   arena.Release(block);
   EXPECT_TRUE(block->empty());
-  EXPECT_TRUE(block->runs.empty());
+  EXPECT_TRUE(block->groups().empty());
 
   RecordBlock* again = arena.Acquire();
   EXPECT_EQ(again, block);  // LIFO-ish reuse of the one pooled block
   EXPECT_TRUE(again->empty());
-  EXPECT_EQ(again->points.capacity(), cap);  // heap survived the cycle
+  slots.NewWindow();
+  again->Append(slots, MakeRun(6, 0, 1));
+  EXPECT_EQ(again->groups()[0].points.capacity(), cap);  // heap survived
   EXPECT_EQ(arena.allocated(), 1u);
   EXPECT_EQ(arena.recycled(), 1u);
 }
 
 TEST(BlockArenaTest, RecycleOutlivesManyCycles) {
-  BlockArena arena(16, 2);
+  BlockArena arena(2);
+  AssumeRole(arena.producer_role);
+  AssumeRole(arena.consumer_role);
+  DeviceSlotMap slots;
+  AssumeRole(slots.owner_role);
   RecordBlock* first = arena.Acquire();
   arena.Release(first);
   for (int cycle = 0; cycle < 1000; ++cycle) {
     RecordBlock* block = arena.Acquire();
     ASSERT_TRUE(block->empty()) << "cycle " << cycle;
-    for (int i = 0; i < 16; ++i) block->Append(1, Pt(i));
+    slots.NewWindow();
+    block->Append(slots, MakeRun(1, 0, 16));
     arena.Release(block);
   }
   // Steady state never allocates: one block serves every cycle.
@@ -95,18 +178,23 @@ TEST(BlockArenaTest, RecycleOutlivesManyCycles) {
 }
 
 TEST(BlockArenaTest, ManyOutstandingBlocksStayIndependent) {
-  BlockArena arena(8, 3);
+  BlockArena arena(3);
+  AssumeRole(arena.producer_role);
+  AssumeRole(arena.consumer_role);
+  DeviceSlotMap slots;
+  AssumeRole(slots.owner_role);
   std::vector<RecordBlock*> held;
   for (int i = 0; i < 5; ++i) {
     RecordBlock* block = arena.Acquire();
-    block->Append(static_cast<DeviceId>(i), Pt(i));
+    slots.NewWindow();
+    block->Append(slots, MakeRun(static_cast<DeviceId>(i), i, 1));
     held.push_back(block);
   }
   // Five live blocks, each with its own contents.
   for (int i = 0; i < 5; ++i) {
-    ASSERT_EQ(held[static_cast<std::size_t>(i)]->runs.size(), 1u);
-    EXPECT_EQ(held[static_cast<std::size_t>(i)]->runs[0].device,
-              static_cast<DeviceId>(i));
+    const RecordBlock& block = *held[static_cast<std::size_t>(i)];
+    ASSERT_EQ(block.groups().size(), 1u);
+    EXPECT_EQ(block.groups()[0].device, static_cast<DeviceId>(i));
   }
   for (RecordBlock* block : held) arena.Release(block);
   // All five fit back in the recycle ring (depth + 2), so the next five
