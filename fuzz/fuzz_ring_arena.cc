@@ -105,7 +105,9 @@ void FuzzRing(FuzzInput& in) {
 
 void FuzzArena(FuzzInput& in) {
   const std::size_t max_outstanding = static_cast<std::size_t>(in.IntIn(1, 6));
-  bqs::BlockArena arena(max_outstanding);
+  // A window of 4 points against runs of up to 8 x 4: recycled blocks
+  // hold more than their retention budget, so Clear frees groups too.
+  bqs::BlockArena arena(max_outstanding, 4);
   bqs::AssumeRole(arena.producer_role);
   bqs::AssumeRole(arena.consumer_role);
   bqs::DeviceSlotMap slots;

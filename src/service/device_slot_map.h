@@ -12,8 +12,11 @@
 //
 // Deliberately minimal: no deletes (entries only accumulate, one per
 // device ever seen — a fraction of the session table's footprint), linear
-// probing over a power-of-two table with the same splitmix64 finalizer the
-// engine routes shards with, resize at ~70% load. Single-threaded by
+// probing over a power-of-two table, resize at ~70% load. The home slot
+// comes from the high half of the splitmix64 finalizer: the engine picks a
+// device's shard from the same hash modulo the shard count, so with a
+// power-of-two count every device in one shard's map shares the low bits,
+// and low-bit homes would crowd into a fraction of the table. Single-threaded by
 // design: it lives on the producer (routing) thread — an ownership
 // encoded for Thread Safety Analysis as the `owner_role` capability every
 // accessor REQUIRES.
@@ -42,7 +45,7 @@ class DeviceSlotMap {
   /// never seen, or bound in an earlier — now stale — window).
   uint32_t Lookup(DeviceId device) const REQUIRES(owner_role) {
     const std::size_t mask = entries_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(SplitMix64(device)) & mask;
+    std::size_t i = Home(device) & mask;
     while (entries_[i].epoch != 0) {
       if (entries_[i].device == device) {
         return entries_[i].epoch == epoch_ ? entries_[i].slot : kAbsent;
@@ -55,7 +58,7 @@ class DeviceSlotMap {
   /// Binds `device` to `slot` for the current window (insert or restamp).
   void Bind(DeviceId device, uint32_t slot) REQUIRES(owner_role) {
     const std::size_t mask = entries_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(SplitMix64(device)) & mask;
+    std::size_t i = Home(device) & mask;
     while (entries_[i].epoch != 0) {
       if (entries_[i].device == device) {
         entries_[i].slot = slot;
@@ -90,6 +93,11 @@ class DeviceSlotMap {
     uint64_t epoch = 0;
   };
 
+  /// Probe start before masking: the hash's high half (see file comment).
+  static std::size_t Home(DeviceId device) {
+    return static_cast<std::size_t>(SplitMix64(device) >> 32);
+  }
+
   static std::size_t RoundUpPow2(std::size_t v) {
     std::size_t p = 1;
     while (p < v) p <<= 1;
@@ -102,7 +110,7 @@ class DeviceSlotMap {
     const std::size_t mask = entries_.size() - 1;
     for (const Entry& e : old) {
       if (e.epoch == 0) continue;
-      std::size_t i = static_cast<std::size_t>(SplitMix64(e.device)) & mask;
+      std::size_t i = Home(e.device) & mask;
       while (entries_[i].epoch != 0) i = (i + 1) & mask;
       entries_[i] = e;
     }

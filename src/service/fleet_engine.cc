@@ -61,9 +61,11 @@ FleetEngine::FleetEngine(const FleetEngineOptions& options, FleetSink& sink)
   // Shedding is a property of the producer->worker handoff; inline mode
   // has no queue to overflow, so the policy only engages when sharded.
   shedding_ = !inline_ && options_.overload.policy != OverloadPolicy::kBlock;
+  if (!inline_) handoff_faults_ = options_.fault_injector;
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>(options_.max_pending_blocks));
+    shards_.push_back(std::make_unique<Shard>(options_.max_pending_blocks,
+                                              options_.block_capacity));
   }
   if (!inline_) {
     for (auto& shard : shards_) {
@@ -129,7 +131,7 @@ void FleetEngine::IngestBatch(std::span<const FleetRecord> records) {
   // side (record->shard assignment is dynamic, so assert them all once).
   for (auto& shard : shards_) AssumeProducer(*shard);
   const std::size_t cap = options_.block_capacity;
-  FaultInjector* const injector = options_.fault_injector;
+  FaultInjector* const injector = handoff_faults_;
   // One deadline per IngestBatch: every seal this batch triggers shares
   // it, so the caller's worst-case latency is one budget, not one per
   // seal. Taken lazily — the clock read is paid only by shed configs.
@@ -203,7 +205,7 @@ void FleetEngine::SealForIngest(
   // the worker to actually fall behind — the deterministic trigger the
   // shed tests replay from a seed.
   bool synthetic_full = false;
-  if (FaultInjector* const injector = options_.fault_injector) {
+  if (FaultInjector* const injector = handoff_faults_) {
     if (injector->ShouldFire(FaultSite::kRingFull)) {
       ++shard.shed.faults;
       synthetic_full = true;

@@ -180,8 +180,10 @@ struct FleetEngineOptions {
   /// Records per pooled routing block: the router's grouping window in
   /// every mode, and in sharded mode the granularity of producer-to-worker
   /// handoff. A device gets one compressor dispatch per block it appears
-  /// in; a run longer than the room left splits at the cap. Clamped to
-  /// [16, 2^20].
+  /// in; a run longer than the room left splits at the cap. A recycled
+  /// block keeps at most RecordBlock::kRetainedBlocks x this many points
+  /// of group capacity (32 B each), outside memory_budget_bytes. Clamped
+  /// to [16, 2^20].
   std::size_t block_capacity = 4096;
 
   /// Per-shard ingest ring depth, in blocks; IngestBatch blocks
@@ -443,8 +445,8 @@ class FleetEngine {
   ///    protocol, stated to the compiler. In inline mode there is no
   ///    worker and the caller holds both roles.
   struct Shard {
-    explicit Shard(std::size_t ring_depth)
-        : ring(ring_depth), arena(ring_depth) {}
+    Shard(std::size_t ring_depth, std::size_t block_capacity)
+        : ring(ring_depth), arena(ring_depth, block_capacity) {}
 
     /// Capability of the single API-caller (routing) thread.
     ThreadRole producer_role;
@@ -645,6 +647,9 @@ class FleetEngine {
   bool inline_ = false;
   bool eager_accounting_ = false;    ///< True iff a memory budget is set.
   bool shedding_ = false;  ///< kShed* policy active (sharded mode only).
+  /// The injector behind the handoff fault sites (kArenaExhausted,
+  /// kRingFull); null inline, where no block is denied and no ring fills.
+  FaultInjector* handoff_faults_ = nullptr;
   std::size_t per_shard_budget_ = 0; ///< 0 = unbounded.
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Records refused because the configured algorithm is offline-only.

@@ -15,7 +15,11 @@
 //
 // Blocks recycle through a BlockArena: the worker returns a processed
 // block over a lock-free SPSC ring and the producer reuses it. Clear keeps
-// every group's heap capacity, so steady-state ingest allocates nothing.
+// the groups' heap capacity, so steady-state ingest allocates nothing, but
+// only up to a budget of points per block (kRetainedBlocks windows' worth):
+// a slot keeps the largest capacity any device ever grew in it, and a hot
+// device that opens at a different slot each window would otherwise grow
+// every slot toward a full window.
 //
 // Threading contract (mirrors the engine): one producer thread calls
 // Acquire/metrics, one consumer thread calls Release. A block is owned by
@@ -53,6 +57,17 @@ struct RouteGroup {
 /// next window.
 class RecordBlock {
  public:
+  /// Heap a recycled block keeps, in windows of block_capacity points.
+  /// Each group grows to a power of two above the largest span any device
+  /// had in its slot, so a steady feed needs more than one window: the
+  /// bench pipeline's 48-device feed in 4096-record windows freed no group
+  /// at 4, and 1,669 groups over 7,061 recycles at 2.
+  static constexpr std::size_t kRetainedBlocks = 4;
+
+  /// `retain_points`: the most point capacity Clear keeps across groups.
+  explicit RecordBlock(std::size_t retain_points)
+      : retain_points_(retain_points) {}
+
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
@@ -102,15 +117,26 @@ class RecordBlock {
     return dropped;
   }
 
-  /// Drops contents, keeps every group's capacity (that is the point of
-  /// pooling).
+  /// Drops contents and keeps the groups' capacity (that is the point of
+  /// pooling) up to retain_points in all: walking the slots in order, a
+  /// group whose capacity would take the total past it frees its heap.
   void Clear() {
-    for (std::size_t i = 0; i < live_; ++i) groups_[i].points.clear();
+    std::size_t retained = 0;
+    for (RouteGroup& group : groups_) {
+      group.points.clear();
+      const std::size_t capacity = group.points.capacity();
+      if (retained + capacity > retain_points_) {
+        std::vector<TrackPoint>().swap(group.points);
+      } else {
+        retained += capacity;
+      }
+    }
     live_ = 0;
     size_ = 0;
   }
 
  private:
+  std::size_t retain_points_;
   std::vector<RouteGroup> groups_;
   std::size_t live_ = 0;  ///< Groups in use this window.
   std::size_t size_ = 0;  ///< Points across the live groups.
@@ -123,8 +149,11 @@ class RecordBlock {
 /// Release never blocks and neither side ever takes a lock.
 class BlockArena {
  public:
-  explicit BlockArena(std::size_t max_outstanding)
-      : recycle_(max_outstanding + 2) {}
+  /// `block_capacity`: the points a block holds when it seals; each block
+  /// keeps RecordBlock::kRetainedBlocks times that across recycling.
+  BlockArena(std::size_t max_outstanding, std::size_t block_capacity)
+      : recycle_(max_outstanding + 2),
+        retain_points_(RecordBlock::kRetainedBlocks * block_capacity) {}
 
   /// Producer: a cleared block ready to fill — recycled when one is
   /// available, freshly allocated otherwise.
@@ -140,7 +169,7 @@ class BlockArena {
       return block;
     }
     ++allocated_;
-    owned_.push_back(std::make_unique<RecordBlock>());
+    owned_.push_back(std::make_unique<RecordBlock>(retain_points_));
     return owned_.back().get();
   }
 
@@ -175,6 +204,7 @@ class BlockArena {
   /// Producer-side only (Acquire appends, Release never touches it).
   std::vector<std::unique_ptr<RecordBlock>> owned_ GUARDED_BY(producer_role);
   SpscRing<RecordBlock*> recycle_;
+  std::size_t retain_points_;
   uint64_t allocated_ GUARDED_BY(producer_role) = 0;
   uint64_t recycled_ GUARDED_BY(producer_role) = 0;
 };

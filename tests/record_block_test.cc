@@ -1,8 +1,8 @@
 // RecordBlock + BlockArena: the pooled routing chunks of the fleet ingest
 // pipeline. Grouping by device on append, compaction, and the arena's
 // recycle contract — blocks come back cleared (reuse-poisoning) with their
-// groups' heap capacity intact, and the counters tell allocation from
-// reuse apart.
+// groups' heap capacity intact up to the retention budget, and the
+// counters tell allocation from reuse apart.
 #include "service/record_block.h"
 
 #include <vector>
@@ -22,9 +22,10 @@ std::vector<FleetRecord> MakeRun(DeviceId device, int first, int count) {
 }
 
 /// A block and the slot map that binds its devices to groups, held by the
-/// test thread in both roles.
+/// test thread in both roles. The default budget never binds.
 struct Window {
-  Window() {
+  explicit Window(std::size_t retain_points = std::size_t{1} << 20)
+      : block(retain_points) {
     AssumeRole(slots.owner_role);
     slots.NewWindow();
   }
@@ -91,6 +92,42 @@ TEST(RecordBlockTest, ClearKeepsEveryGroupsCapacity) {
   EXPECT_EQ(w.block.groups()[1].points.capacity(), cap2);
 }
 
+TEST(RecordBlockTest, ClearBoundsTheCapacityAHotDeviceLeavesBehind) {
+  // A hot device that opens at a different slot each window grows each of
+  // those slots to a full window; Clear keeps kRetainedBlocks windows of
+  // capacity in all, not one per slot.
+  constexpr std::size_t kCapacity = 256;
+  constexpr std::size_t kWindows = 16;
+  constexpr std::size_t kBudget = RecordBlock::kRetainedBlocks * kCapacity;
+  Window w(kBudget);
+  AssumeRole(w.slots.owner_role);
+  const int hot_points = static_cast<int>(kCapacity - kWindows);
+  for (std::size_t window = 0; window < kWindows; ++window) {
+    w.slots.NewWindow();
+    // `window` cold devices first, so the hot device opens at slot
+    // `window`.
+    for (std::size_t d = 0; d < window; ++d) w.Append(d, 0, 1);
+    w.Append(99, 0, hot_points);
+    w.block.Clear();
+  }
+  // One point in every slot shows what each slot kept.
+  w.slots.NewWindow();
+  for (std::size_t d = 0; d < kWindows; ++d) w.Append(d, 0, 1);
+  ASSERT_EQ(w.block.groups().size(), kWindows);
+  std::size_t retained = 0;
+  std::size_t kept_hot = 0;
+  for (const RouteGroup& group : w.block.groups()) {
+    retained += group.points.capacity();
+    if (group.points.capacity() >= static_cast<std::size_t>(hot_points)) {
+      ++kept_hot;
+    }
+  }
+  EXPECT_LE(retained, kBudget + kWindows);
+  // Pooling still keeps what fits: the first slots hold on to their heap.
+  EXPECT_GE(kept_hot, RecordBlock::kRetainedBlocks / 2);
+  EXPECT_LT(kept_hot, kWindows);
+}
+
 TEST(RecordBlockTest, TruncateKeepsOldestPointsAndRebindsSurvivors) {
   Window w;
   AssumeRole(w.slots.owner_role);
@@ -119,7 +156,7 @@ TEST(RecordBlockTest, TruncateKeepsOldestPointsAndRebindsSurvivors) {
 }
 
 TEST(BlockArenaTest, AcquireAllocatesWhenPoolIsEmpty) {
-  BlockArena arena(4);
+  BlockArena arena(4, 64);
   AssumeRole(arena.producer_role);
   RecordBlock* a = arena.Acquire();
   RecordBlock* b = arena.Acquire();
@@ -132,7 +169,7 @@ TEST(BlockArenaTest, AcquireAllocatesWhenPoolIsEmpty) {
 }
 
 TEST(BlockArenaTest, ReleaseRecyclesClearedBlocksWithCapacity) {
-  BlockArena arena(4);
+  BlockArena arena(4, 64);
   AssumeRole(arena.producer_role);
   AssumeRole(arena.consumer_role);
   DeviceSlotMap slots;
@@ -158,7 +195,7 @@ TEST(BlockArenaTest, ReleaseRecyclesClearedBlocksWithCapacity) {
 }
 
 TEST(BlockArenaTest, RecycleOutlivesManyCycles) {
-  BlockArena arena(2);
+  BlockArena arena(2, 16);
   AssumeRole(arena.producer_role);
   AssumeRole(arena.consumer_role);
   DeviceSlotMap slots;
@@ -178,7 +215,7 @@ TEST(BlockArenaTest, RecycleOutlivesManyCycles) {
 }
 
 TEST(BlockArenaTest, ManyOutstandingBlocksStayIndependent) {
-  BlockArena arena(3);
+  BlockArena arena(3, 16);
   AssumeRole(arena.producer_role);
   AssumeRole(arena.consumer_role);
   DeviceSlotMap slots;
