@@ -113,32 +113,6 @@ inline int IntFlag(int argc, char** argv, std::string_view flag,
   return fallback;
 }
 
-/// Positive double flag: "--flag X" / "--flag=X" in argv, then the
-/// `env_var` environment variable (when non-null), then `fallback`.
-/// Non-positive and malformed values fall through, mirroring IntFlag.
-/// Used for gate thresholds (bench_fleet --max-service-ratio).
-inline double DoubleFlag(int argc, char** argv, std::string_view flag,
-                         const char* env_var, double fallback) {
-  const std::string with_eq = std::string(flag) + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    double v = 0.0;
-    if (arg == flag && i + 1 < argc) {
-      v = std::atof(argv[i + 1]);
-    } else if (arg.rfind(with_eq, 0) == 0) {
-      v = std::atof(argv[i] + with_eq.size());
-    }
-    if (v > 0.0) return v;
-  }
-  if (env_var != nullptr) {
-    if (const char* env = std::getenv(env_var)) {
-      const double v = std::atof(env);
-      if (v > 0.0) return v;
-    }
-  }
-  return fallback;
-}
-
 /// Value of "--flag PATH" / "--flag=PATH" in argv, or `fallback`.
 inline std::string StringFlag(int argc, char** argv, std::string_view flag,
                               std::string_view fallback) {

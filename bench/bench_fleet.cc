@@ -23,8 +23,8 @@
 // The run FAILS (exit 1, so CI fails) if:
 //   - any per-device output diverges from the sequential reference, or
 //   - the shards=1 or inline configuration's service_ratio exceeds
-//     --max-service-ratio (default 2.25) — the service layer must not
-//     eat the kernel's speed, or
+//     kMaxServiceRatio — the service layer must not eat the kernel's
+//     speed, or
 //   - an overload scenario (below) breaks its own limits.
 //
 // Overload scenario suite: three deployment-shaped stress runs exercising
@@ -42,7 +42,7 @@
 //
 // Usage: bench_fleet [scale | --scale S] [--out PATH] [--reps N]
 //                    [--threads N | --threads=N]   (env: BQS_BENCH_THREADS)
-//                    [--devices N] [--max-service-ratio R]
+//                    [--devices N]
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -63,7 +63,6 @@
 #include "bench_common.h"
 #include "common/crc32c.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "eval/table.h"
 #include "service/fleet_engine.h"
 #include "simulation/datasets.h"
@@ -74,6 +73,11 @@ namespace {
 
 constexpr double kEpsilon = 10.0;  // Paper's evaluation tolerance (metres).
 constexpr std::size_t kIngestChunk = 8192;  // Records per IngestBatch call.
+/// The service-cost gate: inline and shards=1 may add at most this many
+/// calibration passes' worth of time per fix on top of the sequential
+/// kernel. tools/check_perf.py re-gates the report with the same value
+/// (FLEET_MAX_SERVICE_RATIO).
+constexpr double kMaxServiceRatio = 2.25;
 
 /// Per-device running checksums, sharded into buckets so concurrent shard
 /// threads rarely contend on the same mutex.
@@ -136,8 +140,23 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 
 double Ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
 
+/// Nearest-rank percentile over a copy of `samples`: an observed value,
+/// never an interpolation below it, so an upper-bound gate on it holds
+/// for that share of the samples. 0 for no samples.
+double NearestRankPercentile(std::vector<double> samples, double p) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  const double rank =
+      std::ceil(p * static_cast<double>(samples.size())) - 1.0;
+  const std::size_t idx = static_cast<std::size_t>(
+      std::clamp(rank, 0.0, static_cast<double>(samples.size()) - 1.0));
+  return samples[idx];
+}
+
+/// Median over rounds; the lower of the two middle rounds when the count
+/// is even.
 double Median(const std::vector<double>& values) {
-  return Percentile(values, 0.5);
+  return NearestRankPercentile(values, 0.5);
 }
 
 /// Where calibration passes store their CRC, so none is optimized away.
@@ -264,16 +283,6 @@ struct OverloadResult {
   FleetStats stats;
 };
 
-double NearestRankPercentile(std::vector<double>& samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double rank =
-      std::ceil(p * static_cast<double>(samples.size())) - 1.0;
-  const std::size_t idx = static_cast<std::size_t>(
-      std::clamp(rank, 0.0, static_cast<double>(samples.size()) - 1.0));
-  return samples[idx];
-}
-
 /// Runs one scenario `reps` times and keeps the rep with the lowest p99
 /// (gates are upper bounds, so best-of-reps filters the scheduler noise
 /// that a single slow batch would otherwise put on the row).
@@ -318,10 +327,8 @@ int Run(int argc, char** argv) {
   if (const std::optional<int> code = bench::CheckArgs(
           argc, argv,
           "usage: bench_fleet [scale | --scale S] [--out PATH] [--reps N]\n"
-          "                   [--threads N] [--devices N] "
-          "[--max-service-ratio R]",
-          {"--out", "--reps", "--threads", "--devices",
-           "--max-service-ratio"})) {
+          "                   [--threads N] [--devices N]",
+          {"--out", "--reps", "--threads", "--devices"})) {
     return *code;
   }
   const double scale = bench::ScaleFromArgs(argc, argv, 1.0);
@@ -334,10 +341,6 @@ int Run(int argc, char** argv) {
       bench::IntFlag(argc, argv, "--threads", "BQS_BENCH_THREADS", 8);
   const std::size_t num_devices = static_cast<std::size_t>(
       bench::IntFlag(argc, argv, "--devices", nullptr, 24));
-  // The service-overhead gate: inline and shards=1 may add at most this
-  // many calibration passes' worth of time per fix on top of the kernel.
-  const double max_service_ratio =
-      bench::DoubleFlag(argc, argv, "--max-service-ratio", nullptr, 2.25);
 
   bench::Banner(
       "Fleet ingest — points/sec through the FleetEngine pipeline (inline "
@@ -352,7 +355,7 @@ int Run(int argc, char** argv) {
               "inline + shard sweep up to %d threads, service-ratio gate "
               "%.2f\n",
               fleet.devices.size(), total_points, reps, max_threads,
-              max_service_ratio);
+              kMaxServiceRatio);
 
   // Engine configurations: inline mode first, then the shard sweep.
   std::vector<std::pair<std::string, std::size_t>> configs;
@@ -605,7 +608,6 @@ int Run(int argc, char** argv) {
   json.Key("devices").Value(static_cast<uint64_t>(fleet.devices.size()));
   json.Key("records").Value(static_cast<uint64_t>(total_points));
   json.Key("ingest_chunk").Value(static_cast<uint64_t>(kIngestChunk));
-  json.Key("max_service_ratio").Value(max_service_ratio);
   json.Key("algorithms").BeginArray();
   for (const AlgorithmReport& report : reports) {
     json.BeginObject();
@@ -695,19 +697,19 @@ int Run(int argc, char** argv) {
 
   // ---- exit gates ----
   // 1. The service layer must not eat the kernel's speed: inline and
-  //    shards=1 may each add at most max_service_ratio calibration passes
+  //    shards=1 may each add at most kMaxServiceRatio calibration passes
   //    per fix on top of the sequential kernel.
   for (const AlgorithmReport& report : reports) {
     for (const EngineRun& run : report.runs) {
       if (run.shards > 1) continue;
-      if (run.service_ratio > max_service_ratio) {
+      if (run.service_ratio > kMaxServiceRatio) {
         char buf[192];
         std::snprintf(buf, sizeof(buf),
                       "%s %s adds %.2f ns/fix over sequential, %.2fx the "
                       "calibration pass (gate %.2f)",
                       report.name.c_str(), run.label.c_str(),
                       run.service_ns_per_fix, run.service_ratio,
-                      max_service_ratio);
+                      kMaxServiceRatio);
         gate_failures.push_back(buf);
       }
     }

@@ -93,9 +93,9 @@ report families, dispatched on the document's `schema` field:
      run's `nproc` is below the baseline's, they are reported, not gated.
   3b. service cost: each inline / shards=1 row's service_ratio (median
      over rounds of its ns/fix minus the sequential row's, over the
-     calibration's ns/fix) must stay at or below the `max_service_ratio`
-     the fresh file carries. The bench enforces the same ceiling at run
-     time; this re-gate catches a candidate JSON from an older binary.
+     calibration's ns/fix) must stay at or below FLEET_MAX_SERVICE_RATIO.
+     The bench enforces the same ceiling at run time; this re-gate
+     catches a candidate JSON from an older binary.
   4. overload scenarios: every scenario row in the baseline's `overload`
      array must be present in the fresh run (coverage), and each fresh row
      must hold the limits it carries itself — p99_ms <= p99_limit_ms,
@@ -182,6 +182,12 @@ BLOCK_QUERY_SPEEDUP_FLOOR = 10.0
 # cost after the first (see check 6 of the compaction family).
 NOOP_GROWTH_CEILING = 2.0
 SEQUENTIAL_CONFIG = "sequential"
+# Ceiling on an inline / shards=1 fleet row's service_ratio (check 3b of
+# the fleet family); bench/bench_fleet.cc gates its own run with the same
+# value (kMaxServiceRatio). In 60 runs healthy rows read 0.9-2.1, and a
+# 30% slowdown of the engine's per-run dispatch read 1.9-3.5 on BQS (over
+# the ceiling in 56) and 4.2-5.6 on FBQS.
+FLEET_MAX_SERVICE_RATIO = 2.25
 # Empirical-stream floor on the fraction of batch points decided by a
 # vector lane (measured ~0.84 on the paper's merged workload; the floor
 # leaves room for dataset-scale wiggle, not for a path regression).
@@ -636,13 +642,10 @@ def check_fleet(fresh, baseline, args, failures):
 
 
 def check_service_cost(fresh, failures):
-    """Self-limit re-gate of the fleet report's service cost: every inline
-    / shards=1 row's service_ratio must stay at or below the ceiling the
-    fresh file carries. Returns the number of gated rows."""
-    ceiling = fresh.get("max_service_ratio")
-    if ceiling is None:
-        failures.append("fleet report carries no max_service_ratio")
-        return 0
+    """Re-gate of the fleet report's service cost: every inline /
+    shards=1 row's service_ratio must stay at or below
+    FLEET_MAX_SERVICE_RATIO. Returns the number of gated rows."""
+    ceiling = FLEET_MAX_SERVICE_RATIO
     compared = 0
     for algo in fresh.get("algorithms", []):
         for run in algo.get("runs", []):
