@@ -49,7 +49,10 @@
 // included. Determinism caveat: idle/budget-driven session closure depends
 // on which devices share a shard, so the invariant is stated for the
 // default unbounded configuration (no memory budget, no idle timeout) and
-// any explicit Finish calls.
+// any explicit Finish calls. When the process may use more CPUs than the
+// engine has workers, each worker starts on its own CPU, counted from the
+// one after the CPU that built the engine, and then gets the process's
+// whole CPU set back: a starting place, not a pin.
 //
 // Batching caveat (sharded mode): records accumulate in a partial block
 // until it fills, so compression of the newest records may be deferred
