@@ -11,10 +11,11 @@
 //   recover   RecoverStore over the compacted directory pair: the gate
 //             is bit-exactness against what the WAL acked — a compactor
 //             that benches fast but perturbs data is worthless.
-//   query     range-query latency off BlockStore (bbox-pruned, decode
-//             only matching blocks) vs a full scan of every point, and
-//             the fraction of blocks decoded per query — the pruning
-//             power, also deterministic for the seeded workload.
+//   query     range-query latency off BlockStore (bbox-pruned blocks,
+//             then zones) vs a full scan of every point, and the
+//             fraction of blocks decoded per query — the pruning power,
+//             also deterministic for the seeded workload — beside the
+//             points read and zones pruned per query (stdout only).
 //
 //   no-op     the median cost of a CompactOnce() with nothing to drain,
 //             after the first and after the 32nd small block file one
@@ -365,6 +366,7 @@ int main(int argc, char** argv) {
   const auto query_count = static_cast<std::size_t>(64.0 * scale) + 8;
   double block_query_s = 0.0, scan_query_s = 0.0;
   double decoded_fraction_sum = 0.0;
+  uint64_t points_read = 0, zones_pruned = 0;
   bool queries_match = true;
   std::size_t total_hits = 0;
   for (std::size_t q = 0; q < query_count; ++q) {
@@ -390,6 +392,8 @@ int main(int argc, char** argv) {
             ? static_cast<double>(qstats.blocks_decoded) /
                   static_cast<double>(qstats.blocks_total)
             : 0.0;
+    points_read += qstats.points_scanned;
+    zones_pruned += qstats.zones_pruned;
 
     const auto fs_begin = std::chrono::steady_clock::now();
     std::vector<KeyPoint> expected;
@@ -409,10 +413,15 @@ int main(int argc, char** argv) {
       1e6 * block_query_s / static_cast<double>(query_count);
   const double scan_query_us =
       1e6 * scan_query_s / static_cast<double>(query_count);
+  const auto per_query = [&](uint64_t total) {
+    return static_cast<double>(total) / static_cast<double>(query_count);
+  };
   std::printf("queries: %zu queries, %zu hits   block %8.1f us/q   "
-              "full-scan %8.1f us/q   decoded %5.3f of blocks   match %s\n",
+              "full-scan %8.1f us/q   decoded %5.3f of blocks   "
+              "%.1f points read/q   %.1f zones pruned/q   match %s\n",
               query_count, total_hits, block_query_us, scan_query_us,
-              avg_decoded_fraction, queries_match ? "yes" : "NO");
+              avg_decoded_fraction, per_query(points_read),
+              per_query(zones_pruned), queries_match ? "yes" : "NO");
 
   // --- no-op run cost vs store size (measured, gated as a ratio) ----------
   const NoOpCost noop = MeasureNoOpRuns(base_dir + "/noop");

@@ -185,8 +185,8 @@ struct FleetEngineOptions {
   /// handoff. A device gets one compressor dispatch per block it appears
   /// in; a run longer than the room left splits at the cap. A recycled
   /// block keeps at most RecordBlock::kRetainedBlocks x this many points
-  /// of group capacity (32 B each), outside memory_budget_bytes. Clamped
-  /// to [16, 2^20].
+  /// of group capacity (40 B each, sizeof(TrackPoint)), outside
+  /// memory_budget_bytes. Clamped to [16, 2^20].
   std::size_t block_capacity = 4096;
 
   /// Per-shard ingest ring depth, in blocks; IngestBatch blocks

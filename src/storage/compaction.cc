@@ -4,7 +4,6 @@
 #include <cmath>
 #include <filesystem>
 #include <map>
-#include <ranges>
 #include <set>
 #include <system_error>
 #include <utility>
@@ -532,7 +531,7 @@ Result<BlockStore> BlockStore::Open(const std::string& block_dir) {
     }
     for (std::size_t b = 0; b < file.blocks.size(); ++b) {
       const blk::BlockMeta& m = file.blocks[b].meta;
-      BlockRef ref{store.point_count_, 0, true, read};
+      BlockRef ref{store.point_count_, 0, store.zones_.size(), read};
       if (read.ok()) {
         ref.status =
             DecodeReferencedBlock(AsBytes(bytes), path, file, b, &decoded);
@@ -541,14 +540,29 @@ Result<BlockStore> BlockStore::Open(const std::string& block_dir) {
         for (const wal::WalCheckpoint& c : decoded) {
           for (const wal::WalPoint& p : c.points) {
             const std::size_t i = store.point_count_++;
-            if (i % kChunkPoints == 0) {
-              store.chunks_.push_back(
-                  std::make_unique<KeyPoint[]>(kChunkPoints));
+            const std::size_t k = i % kChunkPoints;
+            if (k == 0) {
+              store.chunks_.push_back(std::make_unique_for_overwrite<Chunk>());
             }
-            KeyPoint& key = store.chunks_.back()[i % kChunkPoints];
-            key = wal::Dequantize(p, store.manifest_.quant);
-            if (i > ref.begin && key.point.t < store.At(i - 1).point.t) {
-              ref.time_sorted = false;
+            const KeyPoint key = wal::Dequantize(p, store.manifest_.quant);
+            const double t = key.point.t;
+            const double x = key.point.pos.x;
+            const double y = key.point.pos.y;
+            Chunk& chunk = *store.chunks_.back();
+            chunk.t[k] = t;
+            chunk.x[k] = x;
+            chunk.y[k] = y;
+            chunk.index[k] = key.index;
+            if ((i - ref.begin) % kZonePoints == 0) {
+              store.zones_.push_back({t, t, x, x, y, y});
+            } else {
+              Bounds& zone = store.zones_.back();
+              zone.t0 = std::min(zone.t0, t);
+              zone.t1 = std::max(zone.t1, t);
+              zone.x0 = std::min(zone.x0, x);
+              zone.x1 = std::max(zone.x1, x);
+              zone.y0 = std::min(zone.y0, y);
+              zone.y1 = std::max(zone.y1, y);
             }
           }
         }
@@ -583,14 +597,19 @@ Status BlockStore::Query(Vec2 center, double radius, double t_min,
   }
 
   const double radius_sq = radius * radius;
-  for (std::size_t b = 0; b < bounds_.size(); ++b) {
-    const BlockBounds& box = bounds_[b];
-    if (box.t1 < t_min || box.t0 > t_max) continue;
-    ++s->grid_candidates;
-    // Exact prune: circle vs dequantized bbox.
+  const auto overlaps_window = [&](const Bounds& box) {
+    return box.t1 >= t_min && box.t0 <= t_max;
+  };
+  // Exact: a point inside the box is never nearer the center than this.
+  const auto reaches_circle = [&](const Bounds& box) {
     const double dx = std::max({box.x0 - center.x, center.x - box.x1, 0.0});
     const double dy = std::max({box.y0 - center.y, center.y - box.y1, 0.0});
-    if (dx * dx + dy * dy > radius_sq) {
+    return dx * dx + dy * dy <= radius_sq;
+  };
+  for (std::size_t b = 0; b < bounds_.size(); ++b) {
+    if (!overlaps_window(bounds_[b])) continue;
+    ++s->grid_candidates;
+    if (!reaches_circle(bounds_[b])) {
       ++s->blocks_pruned;
       continue;
     }
@@ -598,30 +617,34 @@ Status BlockStore::Query(Vec2 center, double radius, double t_min,
     if (!ref.status.ok()) return ref.status;
 
     ++s->blocks_decoded;
-    std::size_t i = ref.begin;
-    std::size_t end = ref.end;
-    if (ref.time_sorted) {
-      // Only [first t >= t_min, first t > t_max) can match.
-      i = *std::ranges::partition_point(
-          std::views::iota(ref.begin, ref.end),
-          [&](std::size_t k) { return At(k).point.t < t_min; });
-      end = *std::ranges::partition_point(
-          std::views::iota(i, ref.end),
-          [&](std::size_t k) { return At(k).point.t <= t_max; });
-    }
-    s->points_scanned += end - i;
-    // Chunk by chunk, so the inner loop is a plain array scan (indexing
-    // every point through the chunk table was ~15% slower per query).
-    while (i < end) {
-      const KeyPoint* chunk = chunks_[i / kChunkPoints].get();
-      const std::size_t stop =
-          std::min(end, (i / kChunkPoints + 1) * kChunkPoints);
-      for (; i < stop; ++i) {
-        const KeyPoint& key = chunk[i % kChunkPoints];
-        if (key.point.t < t_min || key.point.t > t_max) continue;
-        if (DistanceSq(key.point.pos, center) > radius_sq) continue;
-        out->push_back(key);
-        ++s->points_returned;
+    for (std::size_t zone_start = ref.begin, z = ref.zone_begin;
+         zone_start < ref.end; zone_start += kZonePoints, ++z) {
+      if (!overlaps_window(zones_[z]) || !reaches_circle(zones_[z])) {
+        ++s->zones_pruned;
+        continue;
+      }
+      std::size_t i = zone_start;
+      const std::size_t end = std::min(ref.end, i + kZonePoints);
+      s->points_scanned += end - i;
+      // Chunk by chunk (a zone can straddle two), so the inner loop is a
+      // plain column scan.
+      while (i < end) {
+        const Chunk& chunk = *chunks_[i / kChunkPoints];
+        const std::size_t base = i - i % kChunkPoints;
+        const std::size_t stop = std::min(end, base + kChunkPoints);
+        for (std::size_t k = i - base; k < stop - base; ++k) {
+          const double t = chunk.t[k];
+          if (t < t_min || t > t_max) continue;
+          const Vec2 pos{chunk.x[k], chunk.y[k]};
+          if (DistanceSq(pos, center) > radius_sq) continue;
+          KeyPoint key;
+          key.point.pos = pos;
+          key.point.t = t;
+          key.index = chunk.index[k];
+          out->push_back(key);
+          ++s->points_returned;
+        }
+        i = stop;
       }
     }
   }

@@ -215,52 +215,62 @@ Result<StoreRecovery> RecoverStore(const std::string& wal_dir,
 struct RangeQueryStats {
   uint64_t blocks_total = 0;      ///< Live blocks in the store.
   uint64_t grid_candidates = 0;   ///< Blocks whose time span overlaps the
-                                  ///< window.
+                                  ///< window (the name predates per-block
+                                  ///< pruning; no grid is left).
   uint64_t blocks_pruned = 0;     ///< Candidates the circle-vs-bbox test
                                   ///< rejects: pruned + decoded ==
                                   ///< grid_candidates.
-  uint64_t blocks_decoded = 0;    ///< Surviving blocks whose points were
-                                  ///< scanned.
-  uint64_t points_scanned = 0;    ///< Points examined in those blocks: a
-                                  ///< time-sorted block's window slice, an
-                                  ///< unsorted block's every point.
+  uint64_t blocks_decoded = 0;    ///< Surviving blocks whose zones were
+                                  ///< walked.
+  uint64_t zones_pruned = 0;      ///< Zones of those blocks that the same
+                                  ///< two tests rejected.
+  uint64_t points_scanned = 0;    ///< Points of the zones that passed:
+                                  ///< every point examined.
   uint64_t points_returned = 0;
 };
 
 /// Read-only view over a published block directory: answers
 /// spatio-temporal range queries off the compressed blocks, scanning only
-/// the ones whose time span and bounding box can intersect the query.
+/// the runs of points whose time span and bounding box can intersect the
+/// query.
 ///
 /// Open() reads every referenced block file once and verifies each block
 /// the way recovery does (frame CRC, the paranoid payload decode, and the
 /// manifest-metadata cross-check), then keeps the dequantized key points
-/// in memory — O(store bytes) to open, 48 B (sizeof(KeyPoint)) held per
-/// stored key point. Queries touch only memory: no file I/O, no CRC, no
-/// allocation per block. A block that fails to load does not fail Open();
-/// its error (IoError for an unreadable file, Corruption for a short or
-/// damaged block) is returned by every query that cannot prune it, while
-/// queries that prune it still answer.
+/// in memory as columns t, x, y and index (32 B per stored key point),
+/// plus one time span and bbox per zone: a run of kZonePoints consecutive
+/// points of one block, the last zone of a block possibly shorter (3 B
+/// per point more at 16). O(store bytes) to open. Queries touch only
+/// memory: no file I/O, no CRC, no allocation per block. A block that
+/// fails to load does not fail Open(); its error (IoError for an
+/// unreadable file, Corruption for a short or damaged block) is returned
+/// by every query that cannot prune it, while queries that prune it still
+/// answer.
 ///
 /// A query is one pass over the blocks' dequantized bounds in block-id
 /// (manifest) order: the time-span overlap test, then the exact
-/// circle-vs-bbox test, decide what to scan. Within a block whose
-/// timestamps never decrease, binary search narrows the scan to the
-/// points inside [t_min, t_max]; any other block (FleetRecord promises
-/// stream order, not time order) is scanned in full. Results come in
-/// block order, each block's points in stored order. Returned key points
-/// are dequantized; each is within quantum/2 per axis (so within
-/// coord_quantum·√2/2 in the plane) of what the compressor emitted, and
-/// results inherit the combined eps + coord_quantum·√2/2 error bound end
-/// to end.
+/// circle-vs-bbox test, decide which blocks to walk. Within a surviving
+/// block the same two tests decide which zones to scan, so time-sorted
+/// and unsorted blocks (FleetRecord promises stream order, not time
+/// order) prune alike, and only the points of passing zones are read.
+/// Results come in block order, each block's points in stored order.
+/// Returned key points are dequantized, with zero velocity; each is
+/// within quantum/2 per axis (so within coord_quantum·√2/2 in the plane)
+/// of what the compressor emitted, and results inherit the combined
+/// eps + coord_quantum·√2/2 error bound end to end.
 class BlockStore {
  public:
+  /// Points per zone, the unit a query prunes inside a block. Of 8, 16
+  /// and 32, 16 gave the fastest queries on random-walk stores.
+  static constexpr std::size_t kZonePoints = 16;
+
   /// Reads the MANIFEST and every block it references. NotFound when no
   /// manifest exists, Corruption when it fails to decode; damaged blocks
   /// are reported per query instead.
   static Result<BlockStore> Open(const std::string& block_dir);
 
   /// Appends key points within `radius` of `center` (Euclidean) whose
-  /// timestamp lies in [t_min, t_max]. Scans only matching blocks.
+  /// timestamp lies in [t_min, t_max]. Scans only matching zones.
   /// InvalidArgument for a non-finite argument or a negative radius.
   Status Query(Vec2 center, double radius, double t_min, double t_max,
                std::vector<KeyPoint>* out,
@@ -271,37 +281,42 @@ class BlockStore {
   uint64_t last_applied_seq() const { return manifest_.last_applied_seq; }
 
  private:
-  /// A block's metadata dequantized once at Open: seconds and metres.
-  struct BlockBounds {
+  /// A block's or a zone's time span and bbox, in seconds and metres. A
+  /// block's comes from its metadata, a zone's from its dequantized
+  /// points, so each holds every point it covers exactly.
+  struct Bounds {
     double t0, t1, x0, x1, y0, y1;
   };
   struct BlockRef {
     std::size_t begin = 0;  ///< The block's key points: [begin, end).
     std::size_t end = 0;
-    bool time_sorted = true;  ///< Timestamps never decrease in [begin, end).
+    std::size_t zone_begin = 0;  ///< Its first zone; one per kZonePoints.
     Status status;  ///< Why the block could not be loaded; OK when it was.
   };
+  /// Every loaded block's key points, in order, in fixed-size chunks:
+  /// point i is entry i % kChunkPoints of chunk i / kChunkPoints, and only
+  /// the last chunk has unused room. A chunk stays below malloc's mmap
+  /// threshold, so reopening a store reuses the chunks the last one freed.
+  /// One array of the whole store would be mmapped instead, and freeing it
+  /// raises glibc's dynamic mmap and trim thresholds, after which the heap
+  /// keeps that much freed memory resident.
+  static constexpr std::size_t kChunkPoints = 2048;
+  struct Chunk {
+    double t[kChunkPoints];
+    double x[kChunkPoints];
+    double y[kChunkPoints];
+    uint64_t index[kChunkPoints];
+  };
+  static_assert(sizeof(Chunk) < 128 * 1024,
+                "a chunk must stay below glibc's default mmap threshold");
 
   explicit BlockStore(Manifest manifest) : manifest_(std::move(manifest)) {}
 
-  const KeyPoint& At(std::size_t i) const {
-    return chunks_[i / kChunkPoints][i % kChunkPoints];
-  }
-
   Manifest manifest_;
-  std::vector<BlockBounds> bounds_;  ///< Parallel to blocks_; the filter.
+  std::vector<Bounds> bounds_;  ///< Parallel to blocks_; the block filter.
   std::vector<BlockRef> blocks_;
-  /// Every loaded block's key points, in order, in fixed-size chunks:
-  /// point i is At(i), and only the last chunk has unused room. A chunk
-  /// stays below malloc's mmap threshold, so reopening a store reuses the
-  /// chunks the last one freed. One array of the whole store would be
-  /// mmapped instead, and freeing it raises glibc's dynamic mmap and trim
-  /// thresholds, after which the heap keeps that much freed memory
-  /// resident.
-  static constexpr std::size_t kChunkPoints = 2048;  // 96 KiB
-  static_assert(kChunkPoints * sizeof(KeyPoint) < 128 * 1024,
-                "a chunk must stay below glibc's default mmap threshold");
-  std::vector<std::unique_ptr<KeyPoint[]>> chunks_;
+  std::vector<Bounds> zones_;  ///< Every loaded block's zones, in order.
+  std::vector<std::unique_ptr<Chunk>> chunks_;
   std::size_t point_count_ = 0;
 };
 

@@ -872,8 +872,9 @@ TEST(BlockStoreTest, UnsortedBlocksAndBoundaryTimesMatchBruteForce) {
   }
 
   // Only device 1's block, a window holding one point: the unsorted block
-  // is scanned in full. Device 2's sorted block scans just the window,
-  // duplicates included.
+  // is one zone, scanned in full. So is device 2's sorted block, whose
+  // window holds three duplicates.
+  ASSERT_LE(times[1].size(), BlockStore::kZonePoints);
   RangeQueryStats unsorted;
   EXPECT_EQ(ExpectQueryExact(store, all, centers[1], 100.0, 95, 95,
                              &unsorted),
@@ -884,12 +885,378 @@ TEST(BlockStoreTest, UnsortedBlocksAndBoundaryTimesMatchBruteForce) {
   EXPECT_EQ(ExpectQueryExact(store, all, centers[2], 100.0, 10, 10, &sorted),
             3u);
   EXPECT_EQ(sorted.blocks_decoded, 1u);
-  EXPECT_EQ(sorted.points_scanned, 3u);
+  EXPECT_EQ(sorted.points_scanned, times[1].size());
   RangeQueryStats crossed;
   EXPECT_EQ(ExpectQueryExact(store, all, centers[3], 100.0, 160, 210,
                              &crossed),
             4u);
   EXPECT_EQ(crossed.points_scanned, times[2].size() + times[3].size());
+}
+
+/// Compacts `blocks` into a store holding each as one block: block b is
+/// device b + 1's only checkpoint, so manifest order is `blocks` order.
+void BuildStoreOfBlocks(const std::string& wal_dir,
+                        const std::string& block_dir,
+                        const std::vector<std::vector<KeyPoint>>& blocks) {
+  KeyPointWalOptions wal_options;
+  wal_options.dir = wal_dir;
+  KeyPointWal wal(wal_options);
+  ASSERT_TRUE(wal.Open().ok());
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    ASSERT_TRUE(wal.Append(1 + b, blocks[b]).ok());
+  }
+  ASSERT_TRUE(wal.Close().ok());
+  CompactionOptions options;
+  options.wal_dir = wal_dir;
+  options.block_dir = block_dir;
+  Compactor compactor(options);
+  ASSERT_TRUE(compactor.CompactOnce().ok());
+  ASSERT_EQ(compactor.stats().blocks_written, blocks.size());
+}
+
+/// `n` key points of a random walk from `start`, one per `dt` seconds
+/// from `t0`.
+std::vector<KeyPoint> RandomWalk(Rng& rng, int n, Vec2 start, double t0,
+                                 double dt, double step = 40.0) {
+  std::vector<KeyPoint> keys;
+  Vec2 pos = start;
+  for (int i = 0; i < n; ++i) {
+    pos = pos + Vec2{rng.Uniform(-step, step), rng.Uniform(-step, step)};
+    KeyPoint k;
+    k.index = static_cast<uint64_t>(i);
+    k.point.t = t0 + dt * i;
+    k.point.pos = pos;
+    keys.push_back(k);
+  }
+  return keys;
+}
+
+/// A zone as BlockStore forms it: points [begin, end) of the store, in
+/// block `block`, and their time span and bbox.
+struct Zone {
+  std::size_t block = 0;
+  std::size_t begin = 0, end = 0;
+  double t0 = 0, t1 = 0, x0 = 0, x1 = 0, y0 = 0, y1 = 0;
+};
+
+/// The zones of a store whose blocks hold `block_sizes` points, in order,
+/// over the stored points `all`.
+std::vector<Zone> ZonesOf(const std::vector<KeyPoint>& all,
+                          const std::vector<std::size_t>& block_sizes) {
+  std::vector<Zone> zones;
+  std::size_t begin = 0;
+  for (std::size_t b = 0; b < block_sizes.size(); ++b) {
+    const std::size_t size = block_sizes[b];
+    for (std::size_t z = begin; z < begin + size;
+         z += BlockStore::kZonePoints) {
+      Zone zone;
+      zone.block = b;
+      zone.begin = z;
+      zone.end = std::min(begin + size, z + BlockStore::kZonePoints);
+      const TrackPoint& first = all[z].point;
+      zone.t0 = zone.t1 = first.t;
+      zone.x0 = zone.x1 = first.pos.x;
+      zone.y0 = zone.y1 = first.pos.y;
+      for (std::size_t i = z; i < zone.end; ++i) {
+        const TrackPoint& p = all[i].point;
+        zone.t0 = std::min(zone.t0, p.t);
+        zone.t1 = std::max(zone.t1, p.t);
+        zone.x0 = std::min(zone.x0, p.pos.x);
+        zone.x1 = std::max(zone.x1, p.pos.x);
+        zone.y0 = std::min(zone.y0, p.pos.y);
+        zone.y1 = std::max(zone.y1, p.pos.y);
+      }
+      zones.push_back(zone);
+    }
+    begin += size;
+  }
+  EXPECT_EQ(begin, all.size());
+  return zones;
+}
+
+TEST(BlockStoreTest, ZoneSizedBlocksMatchBruteForce) {
+  const std::string wal_dir = FreshDir("blockstore_zone_sizes_wal");
+  const std::string block_dir = FreshDir("blockstore_zone_sizes_blk");
+  // Blocks of one point, one short of a zone, one zone, one past it and
+  // two zones and one, all walking around the same corner of the plane.
+  const std::vector<std::size_t> sizes = {1, 15, 16, 17, 33};
+  ASSERT_EQ(BlockStore::kZonePoints, 16u);
+  Rng rng(0x20e5);
+  std::vector<std::vector<KeyPoint>> blocks;
+  for (const std::size_t n : sizes) {
+    blocks.push_back(RandomWalk(rng, static_cast<int>(n), {0, 0},
+                                rng.Uniform(0.0, 20.0), 3.0));
+  }
+  BuildStoreOfBlocks(wal_dir, block_dir, blocks);
+  const std::vector<KeyPoint> all = StoredPoints(wal_dir, block_dir);
+  Result<BlockStore> opened = BlockStore::Open(block_dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const BlockStore& store = opened.value();
+  const std::vector<Zone> zones = ZonesOf(all, sizes);
+  ASSERT_EQ(zones.size(), 1u + 1u + 1u + 2u + 3u);
+
+  // Windows whose ends are stored times (or just past them), circles
+  // around stored points from a point query up to the whole cluster.
+  std::vector<double> ends;
+  for (const KeyPoint& k : all) {
+    ends.push_back(k.point.t);
+    ends.push_back(k.point.t + 0.5);
+  }
+  for (std::size_t c = 0; c < all.size(); c += 7) {
+    for (const double radius : {0.0, 30.0, 120.0, 1e4}) {
+      for (std::size_t a = 0; a < ends.size(); a += 5) {
+        for (std::size_t b = a; b < ends.size(); b += 9) {
+          ExpectQueryExact(store, all, all[c].point.pos, radius,
+                           std::min(ends[a], ends[b]),
+                           std::max(ends[a], ends[b]));
+        }
+      }
+    }
+  }
+
+  // Everything: every zone scanned, none pruned.
+  RangeQueryStats every;
+  ExpectQueryExact(store, all, {0, 0}, 1e6, -1.0, 1e6, &every);
+  EXPECT_EQ(every.points_returned, all.size());
+  EXPECT_EQ(every.points_scanned, all.size());
+  EXPECT_EQ(every.zones_pruned, 0u);
+  // One zone's time span alone: of the blocks that overlap it, only the
+  // zones that overlap it are read, and the rest count as pruned.
+  std::vector<double> block_t0(sizes.size(), 1e9), block_t1(sizes.size(), 0);
+  for (const Zone& zone : zones) {
+    block_t0[zone.block] = std::min(block_t0[zone.block], zone.t0);
+    block_t1[zone.block] = std::max(block_t1[zone.block], zone.t1);
+  }
+  for (const Zone& zone : zones) {
+    RangeQueryStats one;
+    ExpectQueryExact(store, all, {0, 0}, 1e6, zone.t0, zone.t1, &one);
+    std::size_t pruned = 0, points = 0;
+    for (const Zone& other : zones) {
+      if (block_t1[other.block] < zone.t0 || block_t0[other.block] > zone.t1) {
+        continue;
+      }
+      if (other.t1 >= zone.t0 && other.t0 <= zone.t1) {
+        points += other.end - other.begin;
+      } else {
+        ++pruned;
+      }
+    }
+    EXPECT_EQ(one.points_scanned, points);
+    EXPECT_EQ(one.zones_pruned, pruned);
+  }
+}
+
+TEST(BlockStoreTest, UnsortedZonesWithDuplicateTimesMatchBruteForce) {
+  const std::string wal_dir = FreshDir("blockstore_unsorted_zones_wal");
+  const std::string block_dir = FreshDir("blockstore_unsorted_zones_blk");
+  // Three multi-zone blocks whose timestamps jump back and forth over a
+  // handful of values, so most zones share times with others.
+  Rng rng(0xd0b1);
+  std::vector<std::vector<KeyPoint>> blocks;
+  for (const int n : {40, 57, 70}) {
+    std::vector<KeyPoint> keys = RandomWalk(rng, n, {500, 500}, 0.0, 1.0);
+    for (KeyPoint& k : keys) {
+      k.point.t = 5.0 * static_cast<double>(rng.UniformInt(0, 12));
+    }
+    blocks.push_back(keys);
+  }
+  BuildStoreOfBlocks(wal_dir, block_dir, blocks);
+  const std::vector<KeyPoint> all = StoredPoints(wal_dir, block_dir);
+  Result<BlockStore> opened = BlockStore::Open(block_dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const BlockStore& store = opened.value();
+
+  std::vector<double> ends = {-1.0, 61.0};
+  for (int v = 0; v <= 12; ++v) {
+    ends.push_back(5.0 * v);
+    ends.push_back(5.0 * v + 2.5);
+  }
+  uint64_t pruned = 0;
+  for (std::size_t c = 0; c < all.size(); c += 5) {
+    for (const double radius : {0.0, 50.0, 200.0, 1e4}) {
+      for (const double t_min : ends) {
+        for (const double t_max : ends) {
+          RangeQueryStats stats;
+          ExpectQueryExact(store, all, all[c].point.pos, radius, t_min, t_max,
+                           &stats);
+          EXPECT_LE(stats.points_returned, stats.points_scanned);
+          pruned += stats.zones_pruned;
+        }
+      }
+    }
+  }
+  // Unsorted zones still prune, by space if not by time.
+  EXPECT_GT(pruned, 0u);
+}
+
+TEST(BlockStoreTest, QueriesTouchingZoneBoundsMatchBruteForce) {
+  const std::string wal_dir = FreshDir("blockstore_touch_wal");
+  const std::string block_dir = FreshDir("blockstore_touch_blk");
+  Rng rng(0x7011c);
+  std::vector<std::vector<KeyPoint>> blocks;
+  std::vector<std::size_t> sizes;
+  for (const int n : {16, 37, 64}) {
+    blocks.push_back(RandomWalk(rng, n, {-300, 800}, 0.0, 2.0, 120.0));
+    sizes.push_back(static_cast<std::size_t>(n));
+  }
+  // The middle block goes back in time every few points.
+  for (std::size_t i = 0; i < blocks[1].size(); ++i) {
+    blocks[1][i].point.t = static_cast<double>((i * 7) % 23);
+  }
+  BuildStoreOfBlocks(wal_dir, block_dir, blocks);
+  const std::vector<KeyPoint> all = StoredPoints(wal_dir, block_dir);
+  Result<BlockStore> opened = BlockStore::Open(block_dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const BlockStore& store = opened.value();
+
+  for (const Zone& zone : ZonesOf(all, sizes)) {
+    // Windows that end exactly on the zone's first or last time.
+    for (const double width : {0.0, 3.0}) {
+      EXPECT_GT(ExpectQueryExact(store, all, {0, 0}, 1e6, zone.t1,
+                                 zone.t1 + width),
+                0u);
+      EXPECT_GT(ExpectQueryExact(store, all, {0, 0}, 1e6, zone.t0 - width,
+                                 zone.t0),
+                0u);
+    }
+    // Circles that touch the zone's bbox from outside, on each side, at
+    // the point that sets that side: the test's own distance to it is
+    // exactly the radius.
+    for (std::size_t i = zone.begin; i < zone.end; ++i) {
+      const Vec2 p = all[i].point.pos;
+      for (const double gap : {0.0, 1.0, 37.5}) {
+        std::vector<Vec2> centers;
+        if (p.x == zone.x1) centers.push_back({p.x + gap, p.y});
+        if (p.x == zone.x0) centers.push_back({p.x - gap, p.y});
+        if (p.y == zone.y1) centers.push_back({p.x, p.y + gap});
+        if (p.y == zone.y0) centers.push_back({p.x, p.y - gap});
+        for (const Vec2 center : centers) {
+          const double radius = std::sqrt(DistanceSq(p, center));
+          ASSERT_EQ(radius * radius, DistanceSq(p, center));
+          EXPECT_GT(ExpectQueryExact(store, all, center, radius, zone.t0,
+                                     zone.t1),
+                    0u);
+          ExpectQueryExact(store, all, center, std::nextafter(radius, 0.0),
+                           zone.t0, zone.t1);
+        }
+      }
+    }
+  }
+}
+
+TEST(BlockStoreTest, OnePointWindowReadsAtMostTwoZones) {
+  const std::string wal_dir = FreshDir("blockstore_one_point_wal");
+  const std::string block_dir = FreshDir("blockstore_one_point_blk");
+  // One long time-sorted block; every fifth time repeats the one before,
+  // so some windows straddle a zone boundary.
+  Rng rng(0x1e9);
+  std::vector<KeyPoint> keys = RandomWalk(rng, 500, {0, 0}, 0.0, 1.0);
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    keys[i].point.t = keys[i - 1].point.t + (i % 5 == 0 ? 0.0 : 1.0);
+  }
+  BuildStoreOfBlocks(wal_dir, block_dir, {keys});
+  const std::vector<KeyPoint> all = StoredPoints(wal_dir, block_dir);
+  Result<BlockStore> opened = BlockStore::Open(block_dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const BlockStore& store = opened.value();
+  const std::size_t zones =
+      (all.size() + BlockStore::kZonePoints - 1) / BlockStore::kZonePoints;
+
+  bool straddled = false;
+  for (const KeyPoint& k : all) {
+    RangeQueryStats stats;
+    EXPECT_GT(ExpectQueryExact(store, all, {0, 0}, 1e6, k.point.t, k.point.t,
+                               &stats),
+              0u);
+    EXPECT_EQ(stats.blocks_decoded, 1u);
+    EXPECT_LE(stats.points_scanned, 2 * BlockStore::kZonePoints);
+    EXPECT_GE(stats.zones_pruned, zones - 2);
+    if (stats.zones_pruned == zones - 2) straddled = true;
+  }
+  EXPECT_TRUE(straddled) << "no window crossed a zone boundary";
+}
+
+TEST(BlockStoreTest, RandomizedStoresMatchBruteForce) {
+  for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    SCOPED_TRACE(seed);
+    const std::string wal_dir =
+        FreshDir("blockstore_random_wal_" + std::to_string(seed));
+    const std::string block_dir =
+        FreshDir("blockstore_random_blk_" + std::to_string(seed));
+    Rng rng(0xb10c + seed);
+
+    // Devices walk around nearby centers in checkpoints of 1-40 points;
+    // some devices' times step back now and then. A few compaction
+    // rounds make a multi-file store, with random block sizes.
+    KeyPointWalOptions wal_options;
+    wal_options.dir = wal_dir;
+    wal_options.segment_bytes = 1024;
+    KeyPointWal wal(wal_options);
+    ASSERT_TRUE(wal.Open().ok());
+    CompactionOptions options;
+    options.wal_dir = wal_dir;
+    options.block_dir = block_dir;
+    options.max_points_per_block =
+        static_cast<std::size_t>(rng.UniformInt(1, 80));
+    Compactor compactor(options);
+    const int devices = static_cast<int>(rng.UniformInt(1, 6));
+    std::vector<Vec2> pos;
+    std::vector<double> t(static_cast<std::size_t>(devices), 0.0);
+    std::vector<uint64_t> index(static_cast<std::size_t>(devices), 0);
+    for (int d = 0; d < devices; ++d) {
+      pos.push_back({rng.Uniform(-3000, 3000), rng.Uniform(-3000, 3000)});
+    }
+    const int rounds = static_cast<int>(rng.UniformInt(1, 4));
+    for (int r = 0; r < rounds; ++r) {
+      for (int c = 0; c < 12; ++c) {
+        const auto d = static_cast<std::size_t>(rng.UniformInt(0, devices - 1));
+        const bool jumpy = d % 2 == 1;
+        std::vector<KeyPoint> keys;
+        const int n = static_cast<int>(rng.UniformInt(1, 40));
+        for (int i = 0; i < n; ++i) {
+          pos[d] = pos[d] + Vec2{rng.Uniform(-90, 90), rng.Uniform(-90, 90)};
+          t[d] += jumpy ? rng.Uniform(-8.0, 10.0) : rng.Uniform(0.0, 4.0);
+          KeyPoint k;
+          k.index = index[d]++;
+          k.point.t = t[d];
+          k.point.pos = pos[d];
+          keys.push_back(k);
+        }
+        ASSERT_TRUE(wal.Append(1 + d, keys).ok());
+      }
+      ASSERT_TRUE(compactor.CompactOnce(wal.current_segment_index()).ok());
+    }
+    ASSERT_TRUE(wal.Close().ok());
+    ASSERT_TRUE(compactor.CompactOnce().ok());
+
+    const std::vector<KeyPoint> all = StoredPoints(wal_dir, block_dir);
+    ASSERT_FALSE(all.empty());
+    Result<BlockStore> opened = BlockStore::Open(block_dir);
+    ASSERT_TRUE(opened.ok()) << opened.status().message();
+    const BlockStore& store = opened.value();
+    double t_lo = all.front().point.t, t_hi = t_lo;
+    for (const KeyPoint& k : all) {
+      t_lo = std::min(t_lo, k.point.t);
+      t_hi = std::max(t_hi, k.point.t);
+    }
+    const auto last = static_cast<int64_t>(all.size()) - 1;
+    for (int q = 0; q < 300; ++q) {
+      const KeyPoint& k =
+          all[static_cast<std::size_t>(rng.UniformInt(0, last))];
+      const Vec2 center =
+          k.point.pos + Vec2{rng.Uniform(-200, 200), rng.Uniform(-200, 200)};
+      const double radius =
+          q % 4 == 0 ? rng.Uniform(0.0, 8000.0) : rng.Uniform(0.0, 400.0);
+      double t_min = rng.Uniform(t_lo - 10.0, t_hi + 10.0);
+      double t_max = t_min + rng.Uniform(0.0, 0.3 * (t_hi - t_lo) + 1.0);
+      if (q % 5 == 0) t_min = t_max = k.point.t;
+      RangeQueryStats stats;
+      ExpectQueryExact(store, all, center, radius, t_min, t_max, &stats);
+      EXPECT_EQ(stats.blocks_pruned + stats.blocks_decoded,
+                stats.grid_candidates);
+      EXPECT_LE(stats.points_returned, stats.points_scanned);
+    }
+  }
 }
 
 TEST(BlockStoreTest, DamagedBlocksFailOnlyTheQueriesThatReachThem) {

@@ -142,10 +142,10 @@ report families, dispatched on the document's `schema` field:
   5. block queries beat a full scan: `block_query_us` x
      BLOCK_QUERY_SPEEDUP_FLOOR must not exceed `full_scan_query_us`. Both
      are timed in the same run over the same queries, so the ratio needs
-     no calibration (measured 39x at --scale 1 with the block filter
-     and time-sorted binary search; 4.5-5.3x with the grid index and
-     whole-block scans; 0.58x when every query re-read and re-decoded
-     blocks).
+     no calibration (measured 34x at --scale 1 with block and zone
+     pruning; 39-47x with the block filter and time-sorted binary
+     search; 4.5-5.3x with the grid index and whole-block scans; 0.58x
+     when every query re-read and re-decoded blocks).
   6. no-op runs do not grow with the store: the median no-op CompactOnce
      after the bench's 32nd block file (`noop_run_us_last_file`) must be
      at most NOOP_GROWTH_CEILING x the median after its first
