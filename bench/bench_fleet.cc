@@ -28,9 +28,10 @@
 //   - an overload scenario (below) breaks its own limits.
 //
 // Overload scenario suite: three deployment-shaped stress runs exercising
-// the admission-control layer — a Zipf-skewed feed under kShedByDevice
-// (the hot device rate-limits itself before starving cold ones), device
-// churn under kShedNewest with a per-batch latency budget, and a memory
+// the admission-control layer — a Zipf-skewed feed under a zero latency
+// budget with a per-device rate (the hot device rate-limits itself before
+// starving cold ones), device churn under a 2 ms budget that sheds whole
+// blocks, and a memory
 // squeeze that walks sessions down the eps-coarsening ladder. Each row
 // reports p99 per-IngestBatch ingest latency and the shed rate, carries
 // its own limits (p99_limit_ms, shed_rate_limit) into BENCH_fleet.json for
@@ -467,7 +468,7 @@ int Run(int argc, char** argv) {
       static_cast<std::size_t>(max_threads), 2, 4);
   std::vector<OverloadScenario> scenarios;
   {
-    // 1. Zipf-skewed fleet under kShedByDevice with a zero latency budget
+    // 1. Zipf-skewed fleet with a per-device rate, a zero latency budget
     //    and a one-block ring: every full-ring seal compacts through the
     //    token buckets. The hot device (~21% of a 200 rec/s feed, ~42/s)
     //    runs far over the 10/s admission rate and sheds its over-rate
@@ -477,7 +478,7 @@ int Run(int argc, char** argv) {
     //    no-op.
     OverloadScenario zipf;
     zipf.name = "zipf_hot_device";
-    zipf.policy_label = "shed_by_device";
+    zipf.policy_label = "budget=0ms,rate=10/s";
     zipf.feed = BuildZipfFeed(
         64, static_cast<std::size_t>(std::max(20000.0, 120000.0 * scale)),
         200.0, 6101);
@@ -486,19 +487,19 @@ int Run(int argc, char** argv) {
     zipf.options.num_shards = shed_shards;
     zipf.options.block_capacity = 256;
     zipf.options.max_pending_blocks = 1;
-    zipf.options.overload.policy = OverloadPolicy::kShedByDevice;
-    zipf.options.overload.device_rate_per_second = 10.0;
     zipf.options.overload.latency_budget_ms = 0.0;
+    zipf.options.overload.device_rate_per_second = 10.0;
     zipf.shed_rate_limit = 0.95;
     zipf.min_shed = 1;
     scenarios.push_back(std::move(zipf));
 
-    // 2. Device churn under kShedNewest + latency budget: three cohorts
+    // 2. Device churn under a 2 ms latency budget and no device rate, so a
+    //    block still unqueued at the deadline sheds whole: three cohorts
     //    arrive and go silent in sequence, idle timeout reclaims the dead
     //    cohort's sessions while ingest latency stays budgeted.
     OverloadScenario churn;
     churn.name = "churn";
-    churn.policy_label = "shed_newest";
+    churn.policy_label = "budget=2ms";
     churn.feed = BuildChurnFeed(
         3, 40, static_cast<std::size_t>(std::max(15000.0, 90000.0 * scale)),
         100.0, 6202);
@@ -508,7 +509,6 @@ int Run(int argc, char** argv) {
     churn.options.block_capacity = 256;
     churn.options.max_pending_blocks = 1;
     churn.options.idle_timeout_seconds = 60.0;
-    churn.options.overload.policy = OverloadPolicy::kShedNewest;
     churn.options.overload.latency_budget_ms = 2.0;
     scenarios.push_back(std::move(churn));
 

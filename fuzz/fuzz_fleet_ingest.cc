@@ -7,12 +7,13 @@
 //    single-record Ingest / Flush / Stats calls, each device's emitted
 //    key points must be identical to running that device's records alone
 //    through CompressAll with an identically-configured compressor.
-//    Lossless configuration only (kBlock, no budget/idle/faults) so the
-//    oracle stays exact.
+//    Lossless configuration only (infinite latency budget, no memory
+//    budget/idle/faults) so the oracle stays exact.
 //
-//  - overload: a kShed* policy plus byte-driven fault injection
-//    (kRingFull / kArenaExhausted / kMidBatchEvict), optional memory
-//    budget with an eps-coarsening ladder and optional idle timeout.
+//  - overload: a finite or infinite latency budget, a zero or positive
+//    device rate, byte-driven fault injection (kRingFull /
+//    kMidBatchEvict), optional memory budget with an eps-coarsening
+//    ladder and optional idle timeout.
 //    Output legitimately diverges from the sequential reference here, so
 //    the oracle is the accounting contract instead: after FinishAll,
 //    records_ingested + records_shed + records_dropped must equal the
@@ -24,6 +25,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <span>
@@ -79,7 +81,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
   options.num_shards = static_cast<std::size_t>(in.IntIn(0, 4));
   options.block_capacity = static_cast<std::size_t>(in.IntIn(16, 64));
   options.max_pending_blocks = static_cast<std::size_t>(in.IntIn(1, 8));
-  options.max_pooled_compressors = static_cast<std::size_t>(in.IntIn(0, 4));
   // Differential mode: budget/idle eviction close sessions mid-stream,
   // which legitimately changes output vs one sequential pass; keep them
   // off so the oracle stays exact. Overload mode turns them on below.
@@ -88,14 +89,14 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
 
   bqs::FaultInjector injector(in.U32());
   if (overload_mode) {
-    options.overload.policy = in.Bool()
-                                  ? bqs::OverloadPolicy::kShedNewest
-                                  : bqs::OverloadPolicy::kShedByDevice;
-    // Zero budget = shed immediately on a full ring; no wall-clock waits
-    // in the fuzz loop.
-    options.overload.latency_budget_ms = 0.0;
-    options.overload.shed_seed = in.U32();
-    options.overload.device_rate_per_second = in.Range(0.0, 8.0);
+    // A finite budget sheds on a full ring after at most a millisecond (0
+    // sheds at once), so the fuzz loop never waits long on the wall clock;
+    // an infinite one blocks, losslessly, with the faults still armed.
+    options.overload.latency_budget_ms =
+        in.Bool() ? std::numeric_limits<double>::infinity()
+                  : in.Range(0.0, 1.0);
+    options.overload.device_rate_per_second =
+        in.Bool() ? 0.0 : in.Range(0.0, 8.0);
     if (in.Bool()) {
       options.memory_budget_bytes =
           static_cast<std::size_t>(in.IntIn(1024, 16384));
@@ -104,10 +105,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
     if (in.Bool()) options.idle_timeout_seconds = in.Range(0.5, 8.0);
     if (in.Bool()) {
       injector.Arm(bqs::FaultSite::kRingFull, in.Range(0.0, 1.0),
-                   static_cast<uint64_t>(in.IntIn(0, 64)));
-    }
-    if (in.Bool()) {
-      injector.Arm(bqs::FaultSite::kArenaExhausted, in.Range(0.0, 1.0),
                    static_cast<uint64_t>(in.IntIn(0, 64)));
     }
     if (in.Bool()) {
@@ -172,12 +169,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
   if (overload_mode) {
     // Accounting oracle: every record fed is ingested, shed or dropped —
     // no silent loss, no double count — and the shed total decomposes
-    // exactly into its per-reason counters.
+    // exactly into its three per-reason counters.
     const uint64_t fed = static_cast<uint64_t>(feed.size());
     const uint64_t accounted =
         stats.records_ingested + stats.records_shed + stats.records_dropped;
     const uint64_t by_reason = stats.shed_ring_full + stats.shed_latency +
-                               stats.shed_rate_limited + stats.shed_arena;
+                               stats.shed_rate_limited;
     if (accounted != fed || by_reason != stats.records_shed) {
       std::fprintf(stderr,
                    "fleet accounting mismatch: fed=%llu ingested=%llu "

@@ -1,18 +1,18 @@
 // Deterministic fault injection for the fleet service layer and the
 // key-point WAL.
 //
-// Overload and failure paths (full rings, exhausted arenas, stalled
-// workers, mid-batch evictions, torn writes, failed fsyncs) are nearly
-// impossible to hit on cue from the outside: they depend on scheduling,
-// machine speed, queue depths and the kernel's page cache. A
-// FaultInjector makes them reproducible: tests arm a site with a firing
-// probability and the engine consults ShouldFire() at that site's hook.
-// Every decision is a pure function of (seed, site, per-site call index) —
-// splitmix64 over an atomic counter — so a given seed replays the exact
-// same fault schedule on every run, machine and thread interleaving
-// (provided the per-site call sequence itself is deterministic, which the
-// engine's single-producer / per-shard-worker structure — and the WAL's
-// internal append lock — guarantees for a fixed feed and shard count).
+// Overload and failure paths (full rings, stalled workers, mid-batch
+// evictions, torn writes, failed fsyncs) are nearly impossible to hit on
+// cue from the outside: they depend on scheduling, machine speed, queue
+// depths and the kernel's page cache. A FaultInjector makes them
+// reproducible: tests arm a site with a firing probability and the engine
+// consults ShouldFire() at that site's hook. Every decision is a pure
+// function of (seed, site, per-site call index) — splitmix64 over an
+// atomic counter — so a given seed replays the exact same fault schedule
+// on every run, machine and thread interleaving (provided the per-site
+// call sequence itself is deterministic, which the engine's
+// single-producer / per-shard-worker structure — and the WAL's internal
+// append lock — guarantees for a fixed feed and shard count).
 //
 // The file lived in src/service until the WAL landed; it is in common now
 // because storage sits below service in the layer DAG and both consume
@@ -21,8 +21,8 @@
 // from the same (seed, site, call index) triple).
 //
 // The hooks are compiled into FleetEngine and KeyPointWal unconditionally
-// — a null-check per seal/acquire/write, nothing more — but the type is a
-// test harness, not a production feature: the repo lint's
+// — a null-check per shedding seal/dispatch/write, nothing more — but the
+// type is a test harness, not a production feature: the repo lint's
 // fault-injection-containment rule keeps any other src/ code from
 // reaching for it.
 //
@@ -47,9 +47,10 @@ namespace bqs {
 
 /// Engine hook points a test can force.
 enum class FaultSite : uint8_t {
-  kRingFull,        ///< Seal sees a (synthetically) full shard ring.
+  /// A shedding seal (finite latency budget) sees a (synthetically) full
+  /// shard ring. A blocking seal never consults it.
+  kRingFull,
   kWorkerStall,     ///< Worker parks before processing its next command.
-  kArenaExhausted,  ///< Producer's block Acquire is denied.
   kMidBatchEvict,   ///< Session force-evicted right after a dispatched run.
 
   // --- key-point WAL sites (storage/keypoint_wal.cc) ---------------------
@@ -85,7 +86,7 @@ enum class FaultSite : uint8_t {
   /// degrades to WAL-only mode (degrade-and-continue).
   kEnospc,
 };
-inline constexpr std::size_t kFaultSiteCount = 10;
+inline constexpr std::size_t kFaultSiteCount = 9;
 
 class FaultInjector {
  public:

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -16,10 +18,18 @@ namespace bqs {
 
 namespace {
 
-/// Token-bucket capacity of a kShedByDevice device, in seconds of its
+/// Token-bucket capacity of a rate-limited device, in seconds of its
 /// admission rate: twice the rate is one second of burst on top of steady
 /// state. The capacity never drops below one record.
 constexpr double kDeviceBurstSeconds = 2.0;
+
+/// Seed of the stochastic rounding of fractional token grants: shed
+/// decisions are a pure function of (feed, configuration).
+constexpr uint64_t kShedSeed = 0x5eed5eedULL;
+
+/// Longest finite latency budget, one day: past it a budget waits as long
+/// as this, which keeps the deadline arithmetic clear of overflow.
+constexpr double kMaxLatencyBudgetMs = 24.0 * 3600.0 * 1000.0;
 
 /// Eps-ladder hysteresis: a degraded session steps one rung back down once
 /// its shard's usage drops below this fraction of the shard budget.
@@ -94,10 +104,15 @@ FleetEngine::FleetEngine(const FleetEngineOptions& options, FleetSink& sink)
     per_shard_budget_ = std::max<std::size_t>(
         options_.memory_budget_bytes / shard_count, 1);
   }
+  double& budget = options_.overload.latency_budget_ms;
+  if (!std::isfinite(budget)) {
+    budget = std::numeric_limits<double>::infinity();
+  } else {
+    budget = std::clamp(budget, 0.0, kMaxLatencyBudgetMs);
+  }
   // Shedding is a property of the producer->worker handoff; inline mode
-  // has no queue to overflow, so the policy only engages when sharded.
-  shedding_ = !inline_ && options_.overload.policy != OverloadPolicy::kBlock;
-  if (!inline_) handoff_faults_ = options_.fault_injector;
+  // has no queue to overflow, so a finite budget only engages when sharded.
+  shedding_ = !inline_ && std::isfinite(budget);
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
     shards_.push_back(std::make_unique<Shard>(options_.max_pending_blocks,
@@ -172,7 +187,6 @@ void FleetEngine::IngestBatch(std::span<const FleetRecord> records) {
   // side (record->shard assignment is dynamic, so assert them all once).
   for (auto& shard : shards_) AssumeProducer(*shard);
   const std::size_t cap = options_.block_capacity;
-  FaultInjector* const injector = handoff_faults_;
   // One deadline per IngestBatch: every seal this batch triggers shares
   // it, so the caller's worst-case latency is one budget, not one per
   // seal. Taken lazily — the clock read is paid only by shed configs.
@@ -195,21 +209,6 @@ void FleetEngine::IngestBatch(std::span<const FleetRecord> records) {
     Shard& shard = *shards_[ShardOf(device)];
     while (i < end) {
       if (shard.filling == nullptr) {
-        if (injector != nullptr &&
-            injector->ShouldFire(FaultSite::kArenaExhausted)) {
-          ++shard.shed.faults;
-          if (shedding_) {
-            // Denied a block: the record that needed it is shed, accounted
-            // as arena exhaustion. Under kBlock the fault is counted only
-            // (a real allocator would block or die, neither useful in a
-            // test).
-            ++shard.shed.records;
-            ++shard.shed.arena;
-            batch_shed_ = true;
-            ++i;
-            continue;
-          }
-        }
         shard.filling = shard.arena.Acquire();
         shard.slots.NewWindow();
       }
@@ -222,10 +221,6 @@ void FleetEngine::IngestBatch(std::span<const FleetRecord> records) {
         if (shedding_) {
           SealForIngest(shard, deadline, has_deadline);
         } else {
-          if (injector != nullptr &&
-              injector->ShouldFire(FaultSite::kRingFull)) {
-            ++shard.shed.faults;  // kBlock: counted, behavior unchanged
-          }
           Seal(shard);
         }
       }
@@ -246,7 +241,7 @@ void FleetEngine::SealForIngest(
   // the worker to actually fall behind — the deterministic trigger the
   // shed tests replay from a seed.
   bool synthetic_full = false;
-  if (FaultInjector* const injector = handoff_faults_) {
+  if (FaultInjector* const injector = options_.fault_injector) {
     if (injector->ShouldFire(FaultSite::kRingFull)) {
       ++shard.shed.faults;
       synthetic_full = true;
@@ -268,18 +263,16 @@ void FleetEngine::SealForIngest(
     return;
   }
   if (shard.ring.stopped()) return;  // destructor teardown; keep the block
-  // Ring still full past the budget: shed. kShedByDevice first compacts
-  // the block through the token buckets — over-rate (hot) devices lose
-  // their over-rate suffix, everyone else's records survive in place and
-  // re-queue with the block's next seal. Only when compaction removes
+  // Ring still full past the budget: shed. With a device rate, the block
+  // is first compacted through the token buckets — over-rate (hot) devices
+  // lose their over-rate suffix, everyone else's records survive in place
+  // and re-queue with the block's next seal. Only when compaction removes
   // nothing (no device over rate: the worker is simply behind) does the
-  // block shed whole, like kShedNewest.
-  if (options_.overload.policy == OverloadPolicy::kShedByDevice &&
-      options_.overload.device_rate_per_second > 0.0) {
-    if (CompactByDevice(shard)) {
-      batch_shed_ = true;
-      return;  // survivors stay as shard.filling
-    }
+  // block shed whole.
+  if (options_.overload.device_rate_per_second > 0.0 &&
+      CompactByDevice(shard)) {
+    batch_shed_ = true;
+    return;  // survivors stay as shard.filling
   }
   const uint64_t count = static_cast<uint64_t>(block->size());
   shard.shed.records += count;
@@ -297,16 +290,15 @@ bool FleetEngine::CompactByDevice(Shard& shard) {
   RecordBlock& block = *shard.filling;
   const double rate = options_.overload.device_rate_per_second;
   const double burst = std::max(rate * kDeviceBurstSeconds, 1.0);
-  const uint64_t seed = options_.overload.shed_seed;
   // One grant per device per block: the block is already grouped, so each
   // device asks its bucket once for all of its records in the block.
   shard.grants.clear();
   for (const RouteGroup& group : block.groups()) {
     DeviceTokenBucket& bucket = shard.buckets[group.device];
     // Refill on the group's newest stream time; the grant is a pure
-    // function of (seed, feed, configuration) — wall-clock never enters.
+    // function of (feed, configuration) — wall-clock never enters.
     const uint64_t salt =
-        seed ^ SplitMix64(group.device) ^ (shard.shed_events++);
+        kShedSeed ^ SplitMix64(group.device) ^ (shard.shed_events++);
     shard.grants.push_back(
         bucket.Grant(group.points.back().t,
                      static_cast<uint32_t>(group.points.size()), rate,
@@ -387,8 +379,7 @@ FleetStats FleetEngine::Stats() {
       }
       shard.state_bytes = live;
       shard.counters.peak_state_bytes =
-          std::max(shard.counters.peak_state_bytes,
-                   shard.state_bytes + shard.pool_bytes);
+          std::max(shard.counters.peak_state_bytes, shard.state_bytes);
     }
     const FleetStats& c = shard.counters;
     total.records_ingested += c.records_ingested;
@@ -397,7 +388,6 @@ FleetStats FleetEngine::Stats() {
     total.sessions_finished += c.sessions_finished;
     total.sessions_evicted += c.sessions_evicted;
     total.sessions_idled += c.sessions_idled;
-    total.sessions_recycled += c.sessions_recycled;
     total.coalesced_runs += c.coalesced_runs;
     total.blocks_dispatched += shard.blocks_dispatched;
     total.blocks_allocated += shard.arena.allocated();
@@ -408,13 +398,11 @@ FleetStats FleetEngine::Stats() {
                                       shard.peak_depth);
     total.live_sessions += shard.sessions.size();
     total.state_bytes += shard.state_bytes;
-    total.pooled_bytes += shard.pool_bytes;
     total.peak_state_bytes += c.peak_state_bytes;
     total.records_shed += shard.shed.records;
     total.shed_ring_full += shard.shed.ring_full;
     total.shed_latency += shard.shed.latency;
     total.shed_rate_limited += shard.shed.rate_limited;
-    total.shed_arena += shard.shed.arena;
     total.sessions_degraded += c.sessions_degraded;
     total.sessions_recovered += c.sessions_recovered;
     total.wal_checkpoints += c.wal_checkpoints;
@@ -579,24 +567,14 @@ FleetEngine::Session& FleetEngine::SessionFor(Shard& shard, DeviceId device) {
   auto it = shard.sessions.find(device);
   if (it != shard.sessions.end()) return it->second;
   Session session;
-  if (!shard.pool.empty()) {
-    session.compressor = std::move(shard.pool.back());
-    shard.pool.pop_back();
-    // The unit's heap charge moves from the pool back to its session.
-    shard.pool_bytes -= session.compressor->StateBytes();
-    session.compressor->Reset();
-    ++shard.counters.sessions_recycled;
-  } else {
-    session.compressor = factory_.Make();
-  }
+  session.compressor = factory_.Make();
   ++shard.counters.sessions_opened;
   if (eager_accounting_) {
     session.accounted_bytes =
         kSessionBaseBytes + session.compressor->StateBytes();
     shard.state_bytes += session.accounted_bytes;
-    shard.counters.peak_state_bytes = std::max(
-        shard.counters.peak_state_bytes,
-        shard.state_bytes + shard.pool_bytes);
+    shard.counters.peak_state_bytes =
+        std::max(shard.counters.peak_state_bytes, shard.state_bytes);
   }
   return shard.sessions.emplace(device, std::move(session)).first->second;
 }
@@ -620,13 +598,12 @@ void FleetEngine::AfterRun(Shard& shard, Session& session, DeviceId device,
   shard.state_bytes = shard.state_bytes - session.accounted_bytes + now_bytes;
   session.accounted_bytes = now_bytes;
   shard.counters.peak_state_bytes =
-      std::max(shard.counters.peak_state_bytes,
-               shard.state_bytes + shard.pool_bytes);
+      std::max(shard.counters.peak_state_bytes, shard.state_bytes);
   // Recovery half of the eps ladder: once pressure clears the hysteresis
   // headroom, a degraded session steps one rung back down at its next
   // block boundary (here), re-tightening the reported bound.
   if (session.eps_level > 0 &&
-      shard.state_bytes + shard.pool_bytes <
+      shard.state_bytes <
           static_cast<std::size_t>(
               kRecoverHeadroom * static_cast<double>(per_shard_budget_))) {
     ReseatSession(shard, device, session, session.eps_level - 1);
@@ -722,26 +699,7 @@ void FleetEngine::CloseSession(
     shard.state_bytes -= session.accounted_bytes;
     if (session.last_active != 0) shard.lru.erase(session.last_active);
   }
-  // Recycled compressors keep their heap capacity across Reset(), so a
-  // pooled unit still costs real memory: charge it to pool_bytes (counted
-  // against the budget), and never pool past the budget — idle sweeps and
-  // FinishAll close sessions outside EnforceBudget, so the cap must hold
-  // here, at the only point the pool grows. Memory evictions exist to give
-  // memory back, so those compressors are destroyed instead of pooled.
-  // Degraded sessions (eps_level > 0) run a compressor minted at a scaled
-  // epsilon; pooling one would poison recycling (Reset keeps the scaled
-  // options), so they are destroyed too.
-  const std::size_t unit_bytes = session.compressor->StateBytes();
-  const bool fits_budget =
-      !eager_accounting_ ||
-      shard.state_bytes + shard.pool_bytes + unit_bytes <= per_shard_budget_;
-  if (reason != SessionEndReason::kEvicted && session.eps_level == 0 &&
-      fits_budget &&
-      shard.pool.size() < options_.max_pooled_compressors) {
-    shard.pool_bytes += unit_bytes;
-    shard.pool.push_back(std::move(session.compressor));
-  }
-  shard.sessions.erase(it);
+  shard.sessions.erase(it);  // the compressor and its heap go with it
 }
 
 void FleetEngine::CheckpointSession(Shard& shard, DeviceId device,
@@ -780,14 +738,7 @@ void FleetEngine::CountWalAck(Shard& shard, std::size_t points,
 }
 
 void FleetEngine::EnforceBudget(Shard& shard) {
-  // Cheapest memory first: pooled compressors hold heap but no stream
-  // state, so they are dropped before any live session is cut short.
-  while (shard.state_bytes + shard.pool_bytes > per_shard_budget_ &&
-         !shard.pool.empty()) {
-    shard.pool_bytes -= shard.pool.back()->StateBytes();
-    shard.pool.pop_back();
-  }
-  // Second resort, when an eps ladder is configured: degrade instead of
+  // First resort, when an eps ladder is configured: degrade instead of
   // drop. Sessions step up the ladder breadth-first in LRU order — every
   // session reaches rung k before any reaches k+1 — each step closing the
   // open segment under the old bound and re-minting the compressor at the
@@ -797,12 +748,10 @@ void FleetEngine::EnforceBudget(Shard& shard) {
   const std::vector<double>& ladder = options_.overload.eps_ladder;
   if (!ladder.empty()) {
     for (uint32_t rung = 1;
-         rung <= ladder.size() &&
-         shard.state_bytes + shard.pool_bytes > per_shard_budget_;
+         rung <= ladder.size() && shard.state_bytes > per_shard_budget_;
          ++rung) {
       for (auto it = shard.lru.begin();
-           it != shard.lru.end() &&
-           shard.state_bytes + shard.pool_bytes > per_shard_budget_;
+           it != shard.lru.end() && shard.state_bytes > per_shard_budget_;
            ++it) {
         const DeviceId device = it->second;
         Session& session = shard.sessions.find(device)->second;
@@ -812,8 +761,7 @@ void FleetEngine::EnforceBudget(Shard& shard) {
       }
     }
   }
-  while (shard.state_bytes + shard.pool_bytes > per_shard_budget_ &&
-         !shard.sessions.empty()) {
+  while (shard.state_bytes > per_shard_budget_ && !shard.sessions.empty()) {
     CloseSession(shard, shard.lru.begin()->second,
                  SessionEndReason::kEvicted);
   }
@@ -855,8 +803,7 @@ void FleetEngine::ReseatSession(Shard& shard, DeviceId device,
   shard.state_bytes = shard.state_bytes - session.accounted_bytes + now_bytes;
   session.accounted_bytes = now_bytes;
   shard.counters.peak_state_bytes =
-      std::max(shard.counters.peak_state_bytes,
-               shard.state_bytes + shard.pool_bytes);
+      std::max(shard.counters.peak_state_bytes, shard.state_bytes);
 }
 
 void FleetEngine::CloseIdleSessions(Shard& shard) {

@@ -75,7 +75,7 @@
 //    state (partial block, device slot map, enqueue counters) and is
 //    required by the ring push / arena acquire side.
 //  - `worker_role`: the shard's dispatching thread. Guards the session
-//    table, compressor pool, LRU and counters.
+//    table, LRU and counters.
 //
 // The idle protocol is the interesting part: WaitIdle() is annotated
 // ASSERT_CAPABILITY(shard.worker_role), so the caller thread *gains* the
@@ -165,14 +165,19 @@ struct FleetEngineOptions {
   std::size_t num_shards = 1;
 
   /// Approximate budget for growable compressor state across the whole
-  /// engine, in bytes: live sessions (each also charged a fixed
-  /// kSessionBaseBytes) plus pooled recycled compressors, whose heap
-  /// capacity survives Reset(). 0 = unbounded. A shard over its share
-  /// first drops pooled compressors, then finalizes least-recently-active
-  /// sessions (SessionEndReason::kEvicted) until back under budget;
-  /// memory-evicted compressors are destroyed, not pooled. Setting a
-  /// budget switches session accounting from lazy (computed at Stats()
-  /// time, zero per-run cost) to eager (updated after every run).
+  /// engine, in bytes: live sessions, each charged StateBytes() plus a
+  /// fixed kSessionBaseBytes. 0 = unbounded. A shard over its share steps
+  /// sessions up overload.eps_ladder (when set), then finalizes least-
+  /// recently-active sessions (SessionEndReason::kEvicted) until back under
+  /// budget.
+  /// Setting a budget switches session accounting from lazy (computed at
+  /// Stats() time, zero per-run cost) to eager (updated after every run).
+  ///
+  /// Not counted: the routing blocks. A recycled block keeps up to
+  /// RecordBlock::kRetainedBlocks x block_capacity points of capacity
+  /// (40 B each: 4 x 4096 x 40 B = 640 KiB at the defaults), and a sharded
+  /// shard holds up to max_pending_blocks + 2 blocks — about 41 MiB per
+  /// shard at the defaults; inline mode holds one block.
   std::size_t memory_budget_bytes = 0;
 
   /// Sessions whose last record is older than this many seconds of stream
@@ -180,8 +185,8 @@ struct FleetEngineOptions {
   /// finalized with SessionEndReason::kIdle at block boundaries. 0 = never.
   double idle_timeout_seconds = 0.0;
 
-  /// Records per pooled routing block: the router's grouping window in
-  /// every mode, and in sharded mode the granularity of producer-to-worker
+  /// Records per routing block: the router's grouping window in every
+  /// mode, and in sharded mode the granularity of producer-to-worker
   /// handoff. A device gets one compressor dispatch per block it appears
   /// in; a run longer than the room left splits at the cap. A recycled
   /// block keeps at most RecordBlock::kRetainedBlocks x this many points
@@ -194,15 +199,9 @@ struct FleetEngineOptions {
   /// behind. Clamped to >= 1. Unused in inline mode.
   std::size_t max_pending_blocks = 64;
 
-  /// Finalized sessions return their compressor to a per-shard free pool
-  /// of at most this size; new sessions Reset() a pooled compressor
-  /// instead of allocating (the Reset-equivalence differential test backs
-  /// this). 0 disables recycling.
-  std::size_t max_pooled_compressors = 16;
-
-  /// Overload semantics: admission policy, per-IngestBatch latency budget,
-  /// per-device token-bucket fairness and the eps-coarsening ladder. The
-  /// defaults (kBlock, no ladder) preserve the original lossless blocking
+  /// Overload semantics: per-IngestBatch latency budget, per-device
+  /// token-bucket fairness and the eps-coarsening ladder. The defaults (an
+  /// infinite budget, no ladder) preserve the original lossless blocking
   /// behavior — and with it the byte-identity guarantee. Shedding applies
   /// to sharded mode only (inline mode has no queue to overflow); the eps
   /// ladder engages in any mode once memory_budget_bytes is set.
@@ -249,7 +248,6 @@ struct FleetStats {
   uint64_t sessions_finished = 0;  ///< Explicit finishes.
   uint64_t sessions_evicted = 0;   ///< Budget evictions.
   uint64_t sessions_idled = 0;     ///< Idle-timeout finalizations.
-  uint64_t sessions_recycled = 0;  ///< Sessions built on a pooled compressor.
   std::size_t live_sessions = 0;
 
   // --- ingest pipeline counters (worker_wakes, backpressure_waits and
@@ -272,14 +270,13 @@ struct FleetStats {
   /// ring at enqueue time.
   std::size_t peak_queue_depth = 0;
 
-  // --- overload / degradation (all zero under the default kBlock policy
-  // with no eps ladder and no fault injector) -----------------------------
-  uint64_t records_shed = 0;       ///< Records dropped by the shed policies.
+  // --- overload / degradation (all zero under the default infinite
+  // latency budget with no eps ladder and no fault injector) --------------
+  uint64_t records_shed = 0;       ///< Records dropped at budget expiry.
   uint64_t shed_batches = 0;       ///< IngestBatch calls that shed >= 1 record.
-  uint64_t shed_ring_full = 0;     ///< ...ring full with no latency budget.
+  uint64_t shed_ring_full = 0;     ///< ...ring full under a zero budget.
   uint64_t shed_latency = 0;       ///< ...ring still full at budget expiry.
   uint64_t shed_rate_limited = 0;  ///< ...device over its token-bucket rate.
-  uint64_t shed_arena = 0;         ///< ...injected arena exhaustion.
   uint64_t sessions_degraded = 0;  ///< Eps-ladder step-ups (cumulative).
   uint64_t sessions_recovered = 0; ///< Eps-ladder step-downs (cumulative).
   std::size_t degraded_sessions = 0; ///< Live sessions above base eps now.
@@ -319,10 +316,7 @@ struct FleetStats {
 
   /// Accounted footprint of live sessions (StateBytes + base charge).
   std::size_t state_bytes = 0;
-  /// Heap capacity held by pooled (recycled but idle) compressors; counted
-  /// against the memory budget alongside state_bytes.
-  std::size_t pooled_bytes = 0;
-  /// Sum over shards of each shard's own peak of (state + pooled) bytes.
+  /// Sum over shards of each shard's own peak of state_bytes.
   /// Per-shard peaks need not co-occur, so this is an upper bound on the
   /// true simultaneous fleet peak, not the peak itself. Without a memory
   /// budget the accounting is lazy, so this tracks peaks as observed at
@@ -425,7 +419,6 @@ class FleetEngine {
     double last_t = 0.0;             ///< Stream time of the last record.
     std::size_t accounted_bytes = 0; ///< Current charge (eager mode only).
     /// Eps-coarsening rung: 0 = base epsilon, k = eps_ladder[k-1] scale.
-    /// Non-zero sessions run a re-minted compressor and are never pooled.
     uint32_t eps_level = 0;
     /// Key points emitted since the last WAL checkpoint (WAL mode only).
     /// Dropped, not checkpointed, if the engine is destroyed with the
@@ -469,8 +462,9 @@ class FleetEngine {
     std::size_t peak_depth GUARDED_BY(producer_role) = 0;
 
     // --- overload (producer-side: shed decisions happen at seal time) ------
-    /// Per-device admission buckets (kShedByDevice), refilled on record
-    /// stream time so grants replay deterministically from the feed.
+    /// Per-device admission buckets (device_rate_per_second > 0), refilled
+    /// on record stream time so grants replay deterministically from the
+    /// feed.
     std::unordered_map<DeviceId, DeviceTokenBucket> buckets
         GUARDED_BY(producer_role);
     /// Compaction scratch: each group's granted record count.
@@ -480,11 +474,10 @@ class FleetEngine {
     /// Shed accounting, mirrored into FleetStats at Stats() time.
     struct ShedCounters {
       uint64_t records = 0;       ///< Total records shed by this shard.
-      uint64_t ring_full = 0;     ///< ...on a full ring with no budget.
+      uint64_t ring_full = 0;     ///< ...on a full ring under a zero budget.
       uint64_t latency = 0;       ///< ...after the latency budget expired.
       uint64_t rate_limited = 0;  ///< ...over the device token rate.
-      uint64_t arena = 0;         ///< ...at injected arena exhaustion.
-      uint64_t faults = 0;        ///< Producer-site injector firings obeyed.
+      uint64_t faults = 0;        ///< kRingFull firings obeyed.
     };
     ShedCounters shed GUARDED_BY(producer_role);
 
@@ -501,8 +494,6 @@ class FleetEngine {
 
     // --- worker-owned (see visibility rules above) --------------------------
     std::unordered_map<DeviceId, Session> sessions GUARDED_BY(worker_role);
-    std::vector<std::unique_ptr<StreamCompressor>> pool
-        GUARDED_BY(worker_role);
     /// Eviction index: last_active -> device (last_active values are
     /// unique, the activity clock is monotone). Maintained only under a
     /// memory budget; gives O(log S) LRU eviction instead of an O(S) scan.
@@ -524,8 +515,6 @@ class FleetEngine {
     bool has_stream_t GUARDED_BY(worker_role) = false;
     /// Live-session total (eager) or last Stats() snapshot (lazy).
     std::size_t state_bytes GUARDED_BY(worker_role) = 0;
-    /// Heap held by pooled units.
-    std::size_t pool_bytes GUARDED_BY(worker_role) = 0;
     /// Closed-session aggregates.
     FleetStats counters GUARDED_BY(worker_role);
   };
@@ -558,19 +547,19 @@ class FleetEngine {
       REQUIRES(shard.producer_role, shard.ring.producer_role);
   void Seal(Shard& shard)
       REQUIRES(shard.producer_role, shard.ring.producer_role);
-  /// Seal on the IngestBatch path: the only seal that may shed. Under
-  /// kBlock (or inline mode) it defers to Seal(); under a kShed* policy a
-  /// ring still full at `deadline` (TryPush when `has_deadline` is false)
-  /// sheds per the policy instead of blocking. Flush/Finish/Stats use
-  /// Seal() directly — draining never loses data.
+  /// Seal on the IngestBatch path under a finite latency budget (sharded
+  /// mode only): the only seal that may shed. A ring still full at
+  /// `deadline` (TryPush when `has_deadline` is false, a zero budget)
+  /// sheds instead of blocking. Flush/Finish/Stats use Seal() directly —
+  /// draining never loses data.
   void SealForIngest(Shard& shard,
                      std::chrono::steady_clock::time_point deadline,
                      bool has_deadline)
       REQUIRES(shard.producer_role, shard.ring.producer_role,
                shard.slots.owner_role);
-  /// kShedByDevice: compacts shard.filling through the per-device token
-  /// buckets (over-rate suffixes shed, survivors kept in place to re-queue
-  /// with the next seal). Returns true when any record was shed.
+  /// Compacts shard.filling through the per-device token buckets
+  /// (over-rate suffixes shed, survivors kept in place to re-queue with the
+  /// next seal). Returns true when any record was shed.
   bool CompactByDevice(Shard& shard)
       REQUIRES(shard.producer_role, shard.slots.owner_role);
   void SealAll();
@@ -649,10 +638,8 @@ class FleetEngine {
   CompressorFactory factory_;
   bool inline_ = false;
   bool eager_accounting_ = false;    ///< True iff a memory budget is set.
-  bool shedding_ = false;  ///< kShed* policy active (sharded mode only).
-  /// The injector behind the handoff fault sites (kArenaExhausted,
-  /// kRingFull); null inline, where no block is denied and no ring fills.
-  FaultInjector* handoff_faults_ = nullptr;
+  /// Finite latency budget, sharded mode only: IngestBatch seals may shed.
+  bool shedding_ = false;
   std::size_t per_shard_budget_ = 0; ///< 0 = unbounded.
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Records refused because the configured algorithm is offline-only.

@@ -1,33 +1,33 @@
 // Overload semantics for the fleet ingest pipeline: what FleetEngine does
 // when a shard falls behind instead of unconditionally blocking the caller.
 //
-// The engine's default behavior (OverloadPolicy::kBlock) is unchanged from
-// the original pipeline: IngestBatch blocks on a full shard ring until the
-// worker catches up — correct, lossless, and unbounded in latency. A
-// deployment serving live trackers usually prefers the opposite trade:
-// ingest latency stays bounded and, past the configured budget, load is
-// shed deterministically with full accounting (FleetStats::records_shed
-// and the per-reason counters) rather than silently or randomly.
+// One switch decides it, OverloadOptions::latency_budget_ms. The default,
+// +infinity, is the original pipeline: IngestBatch blocks on a full shard
+// ring until the worker catches up — correct, lossless, and unbounded in
+// latency. A deployment serving live trackers usually prefers the opposite
+// trade: with a finite budget, ingest waits at most that long and then sheds
+// load deterministically with full accounting (FleetStats::records_shed and
+// the per-reason counters) rather than silently or randomly.
 //
-// Two shedding policies are offered:
+// A block that is still not queued when the budget runs out sheds in one of
+// two ways:
 //
-//  - kShedNewest: when the ring is still full after the latency budget,
-//    the sealed block is dropped whole (its records are the newest routed
-//    to that shard) and its storage recycled. Cheapest, FIFO-biased.
-//  - kShedByDevice: the sealed block is first compacted through per-device
-//    token buckets (refilled on record *stream time*, so decisions are
-//    reproducible from the feed alone): devices over their configured rate
-//    lose their over-rate suffix, devices under it keep their records,
-//    and the surviving prefix is re-queued as the shard's next filling
-//    block instead of being lost. A Zipf-hot device therefore degrades
-//    itself before it can starve cold devices — the fairness story of the
-//    overload bench. Only when no device is over its rate (the worker is
-//    simply too slow) does the whole block shed like kShedNewest.
+//  - device_rate_per_second > 0: the sealed block is first compacted
+//    through per-device token buckets (refilled on record *stream time*, so
+//    decisions are reproducible from the feed alone): devices over the rate
+//    lose their over-rate suffix, devices under it keep their records, and
+//    the surviving prefix is re-queued as the shard's next filling block
+//    instead of being lost. A Zipf-hot device therefore degrades itself
+//    before it can starve cold devices — the fairness story of the overload
+//    bench.
+//  - Otherwise, or when no device is over its rate (the worker is simply
+//    too slow), the block is dropped whole (its records are the newest
+//    routed to that shard) and its storage reused.
 //
-// Fractional token grants use seeded stochastic rounding (splitmix64 of
-// shed_seed, device and a per-shard event counter) so no device is
+// Fractional token grants use seeded stochastic rounding (splitmix64 of a
+// fixed seed, the device and a per-shard event counter) so no device is
 // systematically biased by rate values that are not whole records per
-// block, while every decision stays reproducible from (seed, feed).
+// block, while every decision stays reproducible from the feed.
 //
 // Eps-coarsening degradation rides the same options struct: under memory
 // pressure a shard steps live sessions through `eps_ladder` multipliers
@@ -42,39 +42,31 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/math_utils.h"
 
 namespace bqs {
 
-/// What IngestBatch does when a shard ring stays full past the budget.
-enum class OverloadPolicy : uint8_t {
-  kBlock,        ///< Block until space (lossless, unbounded latency).
-  kShedNewest,   ///< Drop the sealed block whole.
-  kShedByDevice, ///< Token-bucket compaction; re-queue the fair survivors.
-};
-
 struct OverloadOptions {
-  OverloadPolicy policy = OverloadPolicy::kBlock;
-
   /// Per-IngestBatch latency budget, milliseconds: every seal the batch
-  /// triggers shares one deadline taken at batch entry. Under a kShed*
-  /// policy, 0 means shed immediately on a full ring (a budget of zero);
-  /// under kBlock the field is ignored. Flush/Finish/Stats seals always
-  /// block regardless — draining never loses data.
-  double latency_budget_ms = 0.0;
+  /// triggers shares one deadline taken at batch entry, and a block still
+  /// not queued at the deadline sheds. +infinity (the default) blocks until
+  /// the worker frees space — lossless, and the only setting that keeps the
+  /// byte-identity guarantee under overload. 0 sheds at once on a full
+  /// ring. A non-finite value blocks, a negative one is taken as 0 and one
+  /// over a day as a day.
+  /// Sharded mode only: inline mode has no ring to fill. Flush/Finish/Stats
+  /// seals always block — draining never loses data.
+  double latency_budget_ms = std::numeric_limits<double>::infinity();
 
-  /// Seed for the stochastic rounding of fractional token grants. Shed
-  /// decisions are a pure function of (seed, feed, configuration).
-  uint64_t shed_seed = 0x5eed5eedULL;
-
-  /// Per-device admission rate for kShedByDevice, in records per second of
-  /// *stream time* (the t field of the records themselves, so decisions
-  /// replay identically regardless of wall-clock speed). 0 disables rate
-  /// accounting, making kShedByDevice behave like kShedNewest. A device's
-  /// token bucket holds max(2 * rate, 1) records: one second of burst on
-  /// top of steady state.
+  /// Per-device admission rate, in records per second of *stream time*
+  /// (the t field of the records themselves, so decisions replay
+  /// identically regardless of wall-clock speed). When > 0, a block the
+  /// budget would shed is first compacted through per-device token buckets;
+  /// 0 sheds such a block whole. A device's bucket holds max(2 * rate, 1)
+  /// records: one second of burst on top of steady state.
   double device_rate_per_second = 0.0;
 
   /// Eps-coarsening ladder: epsilon multipliers applied in order as memory
@@ -89,10 +81,10 @@ struct OverloadOptions {
   std::vector<double> eps_ladder;
 };
 
-/// One device's admission bucket (kShedByDevice). Refill is driven by the
-/// device's own record stream time, so the bucket is a deterministic
-/// function of the feed: wall-clock speed, scheduling and shard count
-/// never change a grant.
+/// One device's admission bucket (device_rate_per_second > 0). Refill is
+/// driven by the device's own record stream time, so the bucket is a
+/// deterministic function of the feed: wall-clock speed, scheduling and
+/// shard count never change a grant.
 struct DeviceTokenBucket {
   double tokens = 0.0;  ///< Current allowance, records.
   double last_t = 0.0;  ///< Stream time of the last refill.

@@ -71,35 +71,15 @@ class SpscRing {
   /// Producer: enqueue, blocking while the ring is full (backpressure).
   /// Returns false — with `item` dropped — only if the ring was stopped.
   bool Push(T item) REQUIRES(producer_role) {
-    const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - head_.load(std::memory_order_acquire) >= capacity_) {
-      producer_waits_.fetch_add(1, std::memory_order_relaxed);
-      MutexLock lock(mu_);
-      producer_asleep_.store(true, std::memory_order_seq_cst);
-      cv_producer_.wait(lock.native(), [&] {
-        return stop_.load(std::memory_order_relaxed) ||
-               tail - head_.load(std::memory_order_seq_cst) < capacity_;
-      });
-      producer_asleep_.store(false, std::memory_order_relaxed);
-      if (tail - head_.load(std::memory_order_acquire) >= capacity_) {
-        return false;  // stopped while still full
-      }
-    }
-    if (stop_.load(std::memory_order_relaxed)) return false;
-    slots_[static_cast<std::size_t>(tail % capacity_)] = std::move(item);
-    tail_.store(tail + 1, std::memory_order_seq_cst);
-    if (consumer_asleep_.load(std::memory_order_seq_cst)) {
-      MutexLock lock(mu_);
-      cv_consumer_.notify_one();
-    }
-    return true;
+    return PushUntil(std::move(item),
+                     std::chrono::steady_clock::time_point::max());
   }
 
   /// Producer: enqueue, blocking until space frees, `deadline` passes, or
   /// the ring is stopped — the bounded-latency variant of Push() behind
-  /// the fleet engine's shed policies. Returns false — with `item`
-  /// dropped — on timeout or stop. Same Dekker sleep/wake discipline as
-  /// Push(); a timed-out wait still counts as a producer_wait.
+  /// the fleet engine's latency budget. Returns false — with `item`
+  /// dropped — on timeout or stop. A wait that times out still counts as
+  /// a producer_wait.
   bool PushUntil(T item, std::chrono::steady_clock::time_point deadline)
       REQUIRES(producer_role) {
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
@@ -107,22 +87,24 @@ class SpscRing {
       producer_waits_.fetch_add(1, std::memory_order_relaxed);
       MutexLock lock(mu_);
       producer_asleep_.store(true, std::memory_order_seq_cst);
-      cv_producer_.wait_until(lock.native(), deadline, [&] {
+      const auto has_room = [&] {
         return stop_.load(std::memory_order_relaxed) ||
                tail - head_.load(std::memory_order_seq_cst) < capacity_;
-      });
+      };
+      // Push's "no deadline" waits plainly: wait_until converts the
+      // deadline between clocks, and time_point::max() overflows there.
+      if (deadline == std::chrono::steady_clock::time_point::max()) {
+        cv_producer_.wait(lock.native(), has_room);
+      } else {
+        cv_producer_.wait_until(lock.native(), deadline, has_room);
+      }
       producer_asleep_.store(false, std::memory_order_relaxed);
       if (tail - head_.load(std::memory_order_acquire) >= capacity_) {
         return false;  // deadline passed (or stopped) while still full
       }
     }
     if (stop_.load(std::memory_order_relaxed)) return false;
-    slots_[static_cast<std::size_t>(tail % capacity_)] = std::move(item);
-    tail_.store(tail + 1, std::memory_order_seq_cst);
-    if (consumer_asleep_.load(std::memory_order_seq_cst)) {
-      MutexLock lock(mu_);
-      cv_consumer_.notify_one();
-    }
+    Publish(tail, std::move(item));
     return true;
   }
 
@@ -133,12 +115,7 @@ class SpscRing {
     if (tail - head_.load(std::memory_order_acquire) >= capacity_) {
       return false;
     }
-    slots_[static_cast<std::size_t>(tail % capacity_)] = std::move(item);
-    tail_.store(tail + 1, std::memory_order_seq_cst);
-    if (consumer_asleep_.load(std::memory_order_seq_cst)) {
-      MutexLock lock(mu_);
-      cv_consumer_.notify_one();
-    }
+    Publish(tail, std::move(item));
     return true;
   }
 
@@ -160,12 +137,7 @@ class SpscRing {
         return false;  // stopped and drained
       }
     }
-    out = std::move(slots_[static_cast<std::size_t>(head % capacity_)]);
-    head_.store(head + 1, std::memory_order_seq_cst);
-    if (producer_asleep_.load(std::memory_order_seq_cst)) {
-      MutexLock lock(mu_);
-      cv_producer_.notify_one();
-    }
+    Take(head, out);
     return true;
   }
 
@@ -173,12 +145,7 @@ class SpscRing {
   bool TryPop(T& out) REQUIRES(consumer_role) {
     const uint64_t head = head_.load(std::memory_order_relaxed);
     if (head == tail_.load(std::memory_order_acquire)) return false;
-    out = std::move(slots_[static_cast<std::size_t>(head % capacity_)]);
-    head_.store(head + 1, std::memory_order_seq_cst);
-    if (producer_asleep_.load(std::memory_order_seq_cst)) {
-      MutexLock lock(mu_);
-      cv_producer_.notify_one();
-    }
+    Take(head, out);
     return true;
   }
 
@@ -211,6 +178,29 @@ class SpscRing {
   ThreadRole consumer_role;
 
  private:
+  /// Producer tail of every push: fills slot `tail`, publishes it, and
+  /// wakes the consumer if it advertised sleep (the waker half of the
+  /// Dekker handshake: publish the cursor, then read the flag).
+  void Publish(uint64_t tail, T&& item) REQUIRES(producer_role) {
+    slots_[static_cast<std::size_t>(tail % capacity_)] = std::move(item);
+    tail_.store(tail + 1, std::memory_order_seq_cst);
+    if (consumer_asleep_.load(std::memory_order_seq_cst)) {
+      MutexLock lock(mu_);
+      cv_consumer_.notify_one();
+    }
+  }
+
+  /// Consumer tail of every pop: moves slot `head` out, frees it, and wakes
+  /// a producer blocked on backpressure the same way.
+  void Take(uint64_t head, T& out) REQUIRES(consumer_role) {
+    out = std::move(slots_[static_cast<std::size_t>(head % capacity_)]);
+    head_.store(head + 1, std::memory_order_seq_cst);
+    if (producer_asleep_.load(std::memory_order_seq_cst)) {
+      MutexLock lock(mu_);
+      cv_producer_.notify_one();
+    }
+  }
+
   const std::size_t capacity_;
   /// Slot i is written by the producer before the tail_ release-store and
   /// read by the consumer after the matching acquire-load; that per-slot

@@ -37,8 +37,8 @@ TEST(FaultInjectorTest, SitesHaveIndependentSchedules) {
   // The same call index at different sites must not be correlated: the
   // site index perturbs the hash input.
   const auto ring = Schedule(7, FaultSite::kRingFull, 0.5, 500);
-  const auto arena = Schedule(7, FaultSite::kArenaExhausted, 0.5, 500);
-  EXPECT_NE(ring, arena);
+  const auto evict = Schedule(7, FaultSite::kMidBatchEvict, 0.5, 500);
+  EXPECT_NE(ring, evict);
 }
 
 TEST(FaultInjectorTest, ProbabilityRoughlyHonoredAndClamped) {
@@ -75,14 +75,14 @@ TEST(FaultInjectorTest, UnarmedSiteNeverFiresAndCountsNoCalls) {
 
 TEST(FaultInjectorTest, MaxFiresCapsTotalFirings) {
   FaultInjector injector(11);
-  injector.Arm(FaultSite::kArenaExhausted, 1.0, /*max_fires=*/3);
+  injector.Arm(FaultSite::kMidBatchEvict, 1.0, /*max_fires=*/3);
   int fired = 0;
   for (int i = 0; i < 20; ++i) {
-    fired += injector.ShouldFire(FaultSite::kArenaExhausted) ? 1 : 0;
+    fired += injector.ShouldFire(FaultSite::kMidBatchEvict) ? 1 : 0;
   }
   EXPECT_EQ(fired, 3);
-  EXPECT_EQ(injector.fires(FaultSite::kArenaExhausted), 3u);
-  EXPECT_EQ(injector.calls(FaultSite::kArenaExhausted), 20u);
+  EXPECT_EQ(injector.fires(FaultSite::kMidBatchEvict), 3u);
+  EXPECT_EQ(injector.calls(FaultSite::kMidBatchEvict), 20u);
 }
 
 TEST(FaultInjectorTest, StallGateParksUntilReleased) {

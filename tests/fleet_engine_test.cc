@@ -1,7 +1,7 @@
 // FleetEngine: the sharded multi-device session manager. The headline
 // invariant — for any shard count, per-device output is byte-identical to
 // compressing that device's stream alone through CompressAll — plus session
-// lifecycle (finish, recycling, budget eviction, idle timeout), stats
+// lifecycle (finish, reopen, budget eviction, idle timeout), stats
 // aggregation, and ingest-chunking independence.
 #include "service/fleet_engine.h"
 
@@ -158,7 +158,7 @@ TEST(FleetEngineTest, FinishDeviceClosesOnlyThatSession) {
   EXPECT_EQ(stats.records_ingested, 2 * stream.size());
 }
 
-TEST(FleetEngineTest, SessionRecyclingReusesPooledCompressors) {
+TEST(FleetEngineTest, ReopenedSessionsMatchAFreshCompressor) {
   const Trajectory stream = testing_util::JaggedWalk(7004, 300);
   CollectingSink sink;
   FleetEngineOptions options;
@@ -166,8 +166,8 @@ TEST(FleetEngineTest, SessionRecyclingReusesPooledCompressors) {
   options.num_shards = 1;
   FleetEngine engine(options, sink);
 
-  // Three generations of the same device: each finish pools the
-  // compressor, each reopen must recycle it via Reset().
+  // Three generations of the same device: each finish closes the session,
+  // each reopen starts a new one.
   std::vector<KeyPoint> expected;
   {
     auto reference = MakeStreamCompressor(options.algorithm);
@@ -181,10 +181,7 @@ TEST(FleetEngineTest, SessionRecyclingReusesPooledCompressors) {
 
   const FleetStats stats = engine.Stats();
   EXPECT_EQ(stats.sessions_opened, 3u);
-  EXPECT_EQ(stats.sessions_recycled, 2u);
   EXPECT_EQ(stats.sessions_finished, 3u);
-  // The pooled compressor's retained heap capacity is accounted, not free.
-  EXPECT_GT(stats.pooled_bytes, 0u);
   EXPECT_EQ(stats.state_bytes, 0u);
 
   // Every generation's output is byte-identical to a fresh compressor's.
@@ -215,16 +212,12 @@ TEST(FleetEngineTest, MemoryBudgetEvictsLeastRecentlyActiveSessions) {
   engine.Flush();
   const FleetStats mid = engine.Stats();
   EXPECT_GT(mid.sessions_evicted, 0u);
-  // The budget bounds live state plus pooled capacity together; evicted
-  // compressors are destroyed, so nothing hides in the pool either.
-  EXPECT_LE(mid.state_bytes + mid.pooled_bytes,
-            std::max(options.memory_budget_bytes,
-                     FleetEngine::kSessionBaseBytes + 64));
+  EXPECT_LE(mid.state_bytes, options.memory_budget_bytes);
   engine.FinishAll();
-  // Finish-path closures pool compressors, but never past the budget: the
-  // accounted footprint stays bounded even after non-eviction closes.
+  // Closed sessions take their compressors with them: nothing stays
+  // accounted once every session is finished.
   const FleetStats end = engine.Stats();
-  EXPECT_LE(end.state_bytes + end.pooled_bytes, options.memory_budget_bytes);
+  EXPECT_EQ(end.state_bytes, 0u);
 
   bool saw_evicted = false;
   for (const auto& [device, reasons] : sink.ends()) {

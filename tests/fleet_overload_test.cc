@@ -1,5 +1,5 @@
 // FleetEngine overload resilience: admission control and load shedding
-// under the kShed* policies, per-device token-bucket fairness, the
+// under a finite latency budget, per-device token-bucket fairness, the
 // eps-coarsening degradation ladder, and the deterministic fault-injection
 // sites that make all of it reproducible from a seed.
 //
@@ -10,8 +10,10 @@
 #include "service/fleet_engine.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -102,7 +104,7 @@ CompressedTrajectory MapKeysToStream(std::span<const TrackPoint> original,
 
 // --- shedding ------------------------------------------------------------
 
-TEST(FleetOverloadTest, ShedNewestIsDeterministicAndFullyAccounted) {
+TEST(FleetOverloadTest, ZeroBudgetShedIsDeterministicAndFullyAccounted) {
   // The kRingFull fault makes seals see a full ring on a seeded schedule,
   // so the shed path runs on cue instead of depending on worker timing.
   const FleetDataset fleet = BuildFleetDataset(6, 0.02, 8101);
@@ -116,7 +118,7 @@ TEST(FleetOverloadTest, ShedNewestIsDeterministicAndFullyAccounted) {
     options.algorithm = ConfigFor(AlgorithmId::kBqs);
     options.num_shards = 2;
     options.block_capacity = 16;
-    options.overload.policy = OverloadPolicy::kShedNewest;
+    options.overload.latency_budget_ms = 0.0;
     options.fault_injector = &injector;
     FleetEngine engine(options, sink);
     engine.IngestBatch(fleet.feed);
@@ -125,7 +127,7 @@ TEST(FleetOverloadTest, ShedNewestIsDeterministicAndFullyAccounted) {
 
     EXPECT_GT(stats.records_shed, 0u);
     EXPECT_GT(stats.shed_batches, 0u);
-    // No latency budget: full-ring sheds are accounted as ring_full.
+    // A zero budget: full-ring sheds are accounted as ring_full.
     EXPECT_EQ(stats.shed_ring_full, stats.records_shed);
     EXPECT_EQ(stats.shed_latency, 0u);
     EXPECT_GT(stats.faults_injected, 0u);
@@ -150,11 +152,10 @@ TEST(FleetOverloadTest, ShedNewestIsDeterministicAndFullyAccounted) {
 
 TEST(FleetOverloadTest, ShedByDeviceRateLimitsHotDeviceNotColdDevice) {
   // One hot device floods at 100 records/s of stream time; one cold device
-  // trickles at 1/s against a 5/s admission rate. Under kShedByDevice the
+  // trickles at 1/s against a 5/s admission rate. With a device rate the
   // hot device loses its over-rate suffix and the cold device's records
   // all survive — its output must stay byte-identical to compressing its
-  // stream alone, the fairness property that distinguishes this policy
-  // from kShedNewest.
+  // stream alone, the fairness property a whole-block shed lacks.
   const DeviceId kHot = 1;
   const DeviceId kCold = 2;
   Trajectory hot_stream;
@@ -187,7 +188,7 @@ TEST(FleetOverloadTest, ShedByDeviceRateLimitsHotDeviceNotColdDevice) {
   options.algorithm = ConfigFor(AlgorithmId::kBqs);
   options.num_shards = 2;
   options.block_capacity = 16;
-  options.overload.policy = OverloadPolicy::kShedByDevice;
+  options.overload.latency_budget_ms = 0.0;
   options.overload.device_rate_per_second = 5.0;
   options.fault_injector = &injector;
   FleetEngine engine(options, sink);
@@ -223,7 +224,6 @@ TEST(FleetOverloadTest, LatencyBudgetBoundsIngestWhenWorkerStalls) {
   options.num_shards = 2;
   options.block_capacity = 16;
   options.max_pending_blocks = 1;
-  options.overload.policy = OverloadPolicy::kShedNewest;
   options.overload.latency_budget_ms = 5.0;
   options.fault_injector = &injector;
   FleetEngine engine(options, sink);
@@ -242,44 +242,10 @@ TEST(FleetOverloadTest, LatencyBudgetBoundsIngestWhenWorkerStalls) {
   EXPECT_EQ(stats.records_ingested + stats.records_shed, feed.size());
 }
 
-TEST(FleetOverloadTest, ArenaExhaustionShedsExactlyTheDeniedRecords) {
-  const Trajectory stream = testing_util::SmoothWalk(8103, 200);
-  const std::vector<FleetRecord> feed = ToFeed(1, stream);
-
-  FaultInjector injector(31337);
-  injector.Arm(FaultSite::kArenaExhausted, 1.0, /*max_fires=*/3);
-  CollectingSink sink;
-  FleetEngineOptions options;
-  options.algorithm = ConfigFor(AlgorithmId::kBqs);
-  options.num_shards = 2;
-  options.block_capacity = 16;
-  options.overload.policy = OverloadPolicy::kShedNewest;
-  options.fault_injector = &injector;
-  FleetEngine engine(options, sink);
-  engine.IngestBatch(feed);
-  engine.FinishAll();
-  const FleetStats stats = engine.Stats();
-
-  // The denial fires on the first three block acquisitions — the first
-  // three records of the batch, exactly, nothing else.
-  EXPECT_EQ(stats.shed_arena, 3u);
-  EXPECT_EQ(stats.records_shed, 3u);
-  EXPECT_EQ(stats.faults_injected, 3u);
-  EXPECT_EQ(stats.records_ingested, feed.size() - 3);
-
-  // The survivors are the stream minus its first three records; their
-  // compressed output is byte-identical to compressing that suffix alone.
-  const auto keys = sink.keys();
-  ASSERT_TRUE(keys.contains(1));
-  EXPECT_EQ(keys.at(1),
-            ReferenceKeys(ConfigFor(AlgorithmId::kBqs),
-                          std::span<const TrackPoint>(stream).subspan(3)));
-}
-
 TEST(FleetOverloadTest, BlockPolicyNeverShedsEvenWithFaultsFiring) {
-  // Under the default kBlock policy the injector's producer-side sites are
-  // counted but change nothing: no record is ever shed and the output
-  // stays byte-identical — the guard that shedding is strictly opt-in.
+  // Under the default infinite budget a seal blocks and never asks the
+  // kRingFull site: no record is ever shed and the output stays
+  // byte-identical — the guard that shedding is strictly opt-in.
   const FleetDataset fleet = BuildFleetDataset(4, 0.02, 8104);
   const AlgorithmConfig config = ConfigFor(AlgorithmId::kBqs);
   std::map<DeviceId, std::vector<KeyPoint>> reference;
@@ -289,7 +255,6 @@ TEST(FleetOverloadTest, BlockPolicyNeverShedsEvenWithFaultsFiring) {
 
   FaultInjector injector(99);
   injector.Arm(FaultSite::kRingFull, 1.0);
-  injector.Arm(FaultSite::kArenaExhausted, 1.0);
   CollectingSink sink;
   FleetEngineOptions options;
   options.algorithm = config;
@@ -303,9 +268,34 @@ TEST(FleetOverloadTest, BlockPolicyNeverShedsEvenWithFaultsFiring) {
 
   EXPECT_EQ(stats.records_shed, 0u);
   EXPECT_EQ(stats.shed_batches, 0u);
-  EXPECT_GT(stats.faults_injected, 0u);
+  EXPECT_EQ(injector.calls(FaultSite::kRingFull), 0u);
+  EXPECT_EQ(stats.faults_injected, 0u);
   EXPECT_EQ(stats.records_ingested, fleet.feed.size());
   EXPECT_EQ(sink.keys(), reference);
+}
+
+TEST(FleetOverloadTest, ConstructorNormalizesTheLatencyBudget) {
+  // A non-finite budget blocks, a negative one sheds at once like 0, and a
+  // finite one past a day waits a day; the engine reports what it runs.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<double, double>> cases = {
+      {std::numeric_limits<double>::quiet_NaN(), inf},
+      {-inf, inf},
+      {inf, inf},
+      {-3.0, 0.0},
+      {0.0, 0.0},
+      {2.5, 2.5},
+      {1e300, 24.0 * 3600.0 * 1000.0},
+  };
+  for (const auto& [given, runs] : cases) {
+    CollectingSink sink;
+    FleetEngineOptions options;
+    options.algorithm = ConfigFor(AlgorithmId::kBqs);
+    options.num_shards = 2;
+    options.overload.latency_budget_ms = given;
+    FleetEngine engine(options, sink);
+    EXPECT_EQ(engine.options().overload.latency_budget_ms, runs) << given;
+  }
 }
 
 TEST(FleetOverloadTest, MidBatchEvictClosesSessionWhichReopensCleanly) {
@@ -426,7 +416,6 @@ TEST(FleetOverloadTest, EpsLadderRecoversWhenPressureClears) {
   // start-relative x and y plus the absolute position): the two growing
   // sessions below overflow it, device 1 alone does not. 2560-3276 pass.
   options.memory_budget_bytes = 3072;
-  options.max_pooled_compressors = 0;  // keep the pool out of the headroom
   options.overload.eps_ladder = {2.0};
   FleetEngine engine(options, sink);
 
